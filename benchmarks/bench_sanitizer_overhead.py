@@ -32,7 +32,7 @@ import time
 import numpy as np
 
 from repro.analysis.sanitize import disable_sanitizer, enable_sanitizer
-from repro.core import loglikelihood
+from repro.core import get_variant, loglikelihood
 from repro.core.serving import PredictionEngine
 from repro.data import sample_gaussian_field
 from repro.kernels import MaternKernel
@@ -72,8 +72,9 @@ def test_sanitizer_overhead(artifact_dir, benchmark):
 
     def fit_and_predict():
         result = loglikelihood(
-            kern, THETA, x, z, tile_size=TILE, variant="dense-fp64",
-            nugget=NUGGET, workers=WORKERS, cache=GeometryCache(),
+            kern, THETA, x, z, tile_size=TILE,
+            variant=get_variant("dense-fp64").with_(workers=WORKERS),
+            nugget=NUGGET, cache=GeometryCache(),
         )
         engine = PredictionEngine(
             kern, THETA, x, z, result.factor,

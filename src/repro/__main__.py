@@ -145,6 +145,7 @@ def _cmd_profile(args) -> int:
     import time
 
     from repro import ExaGeoStatModel
+    from repro.core import get_variant
     from repro.data import soil_moisture_surrogate
     from repro.obs import Telemetry
 
@@ -153,19 +154,23 @@ def _cmd_profile(args) -> int:
         n_train=args.n, n_test=n_test, seed=args.seed
     )
     telemetry = Telemetry()
+    execution = {
+        name: value
+        for name, value in (("backend", args.backend),
+                            ("workers", args.workers))
+        if value is not None
+    }
+    variant = get_variant(args.variant).with_(**execution)
     model = ExaGeoStatModel(
-        kernel="matern", variant=args.variant, tile_size=args.tile,
-        backend=args.backend, telemetry=telemetry,
+        kernel="matern", variant=variant, tile_size=args.tile,
+        telemetry=telemetry,
     )
-    fit_kwargs = {}
-    if args.workers is not None:
-        fit_kwargs["workers"] = args.workers
     print(f"profiling: n={args.n} tile={args.tile} "
-          f"variant={args.variant} backend={args.backend or 'variant'} "
-          f"max_iter={args.max_iter}")
+          f"variant={variant.name} backend={variant.backend} "
+          f"workers={variant.workers} max_iter={args.max_iter}")
     t0 = time.perf_counter()
     model.fit(data.x_train, data.z_train, theta0=data.theta_true,
-              max_iter=args.max_iter, **fit_kwargs)
+              max_iter=args.max_iter)
     model.predict(data.x_test, return_uncertainty=True)
     wall = time.perf_counter() - t0
     print(f"  loglik={model.loglik_:.4f} nfev={model.result_.nfev} "
@@ -278,8 +283,9 @@ def main(argv: list[str] | None = None) -> int:
     p_p.add_argument("--tile", type=int, default=64)
     p_p.add_argument("--variant", default="mp-dense")
     p_p.add_argument("--backend", default=None,
-                     help="factorization backend (auto / sequential / "
-                          "thread / process; default: the variant's)")
+                     choices=("thread", "process"),
+                     help="factorization backend (default: the "
+                          "variant's)")
     p_p.add_argument("--workers", type=int, default=None)
     p_p.add_argument("--max-iter", type=int, default=8)
     p_p.add_argument("--seed", type=int, default=20220101)

@@ -1,6 +1,6 @@
 """Numerical-hygiene AST linter for the repository's own sources.
 
-Nine custom rules target the failure modes of numerical codes — the
+Ten custom rules target the failure modes of numerical codes — the
 bugs that surface as irreproducible benchmarks or NaNs at step 40 of an
 optimization rather than as exceptions:
 
@@ -30,6 +30,13 @@ LINT009   warning   a class that spawns ``ThreadPoolExecutor``s holds a
                     convention, so the lock-discipline analyzer
                     (:mod:`repro.analysis.lockcheck`) and the dynamic
                     sanitizer cannot recognize its guard role
+LINT010   error     a tile kernel call (``K.potrf/trsm/syrk/gemm``,
+                    ``batched_potrf/trsm/syrk/gemm``) inside the
+                    ``repro`` package outside its three homes —
+                    ``tile/cholesky.py`` (the reference loop),
+                    ``tile/batch.py`` and ``runtime/taskcore.py`` (the
+                    one task core) — i.e. a copy of the Cholesky task
+                    body growing back in an executor
 ========  ========  =====================================================
 
 A finding on a given line is suppressed by a trailing
@@ -63,6 +70,8 @@ LINT_RULES: dict[str, str] = {
     "LINT008": "identity comparison against a literal",
     "LINT009": "thread-spawning class holds a lock outside the _lock "
                "naming convention",
+    "LINT010": "tile kernel called outside tile/cholesky.py, tile/batch.py "
+               "and the task core",
 }
 
 _SUPPRESS_RE = re.compile(r"#\s*lint:\s*ignore(?:\[([A-Z0-9,\s]+)\])?")
@@ -82,6 +91,13 @@ _LOCK_CONSTRUCTORS = {"Lock", "RLock", "Condition", "Semaphore",
 #: The naming convention the concurrency analyzers key on: a private
 #: attribute whose name contains "lock" (``_lock``, ``_tile_lock``, ...).
 _LOCK_NAME_RE = re.compile(r"_\w*lock\w*", re.IGNORECASE)
+_TILE_OPS = {"potrf", "trsm", "syrk", "gemm"}
+_BATCHED_OPS = {f"batched_{op}" for op in _TILE_OPS}
+#: Package files allowed to call the tile kernels (LINT010).
+_KERNEL_HOMES = (
+    "repro/tile/cholesky.py", "repro/tile/batch.py",
+    "repro/runtime/taskcore.py",
+)
 
 
 def _suppressions(source: str) -> dict[int, set[str] | None]:
@@ -139,6 +155,12 @@ class _LintVisitor(ast.NodeVisitor):
     def __init__(self, filename: str):
         self.filename = filename
         self.findings: list[Diagnostic] = []
+        posix = Path(filename).as_posix()
+        #: LINT010 polices the package only: tests and benchmarks time
+        #: and pin single kernels on purpose.
+        self.polices_kernels = (
+            "repro/" in posix and not posix.endswith(_KERNEL_HOMES)
+        )
 
     def _report(
         self, rule: str, severity: Severity, message: str, node: ast.AST
@@ -186,6 +208,17 @@ class _LintVisitor(ast.NodeVisitor):
                 f"{name}() without an explicit check_finite= guard: "
                 "non-finite inputs propagate silently (or pay a hidden "
                 "validation pass); state the intent",
+                node,
+            )
+        if self.polices_kernels and (
+            name in _BATCHED_OPS
+            or (name in _TILE_OPS and chain[:-1] in (["K"], ["kernels"]))
+        ):
+            self._report(
+                "LINT010", Severity.ERROR,
+                f"{'.'.join(chain) or name}() is a Cholesky task body; "
+                "executors schedule repro.runtime.taskcore.TaskBody "
+                "instead of calling tile kernels themselves",
                 node,
             )
         if name in ("eval", "exec") and isinstance(node.func, ast.Name):

@@ -524,14 +524,14 @@ def _install_patches() -> None:
     from ..core.serving import PredictionEngine
     from ..obs import tracer as obs_tracer
     from ..resilience.health import CircuitBreaker
-    from ..runtime import parallel
+    from ..runtime import taskcore
     from ..tile import batch as tile_batch
     from ..tile.geometry import GeometryCache
     from ..tile.matrix import TileMatrix
 
     # --- the DAG executor's dispatch lock ------------------------------
     _patch(
-        parallel, "_make_lock",
+        taskcore, "_make_lock",
         lambda: sanitized_lock(name="parallel.dispatch"),
     )
 
@@ -740,6 +740,7 @@ def run_sanitized_workload(
     from ..config import DEFAULT_SEED
     from ..core.likelihood import loglikelihood
     from ..core.serving import PredictionEngine
+    from ..core.variants import get_variant
     from ..exceptions import ChaosError
     from ..kernels import MaternKernel
     from ..obs import Telemetry
@@ -764,8 +765,10 @@ def run_sanitized_workload(
         telemetry = Telemetry()
         result = loglikelihood(
             kernel, theta, x, z, tile_size=tile,
-            variant="mp-dense-tlr-recover", nugget=1.0e-8,
-            workers=workers, cache=GeometryCache(),
+            variant=get_variant("mp-dense-tlr-recover").with_(
+                workers=workers
+            ),
+            nugget=1.0e-8, cache=GeometryCache(),
             resilience=ResilienceConfig(
                 retry=retry,
                 chaos=ChaosConfig(seed=seed, tile_nan_rate=0.05),

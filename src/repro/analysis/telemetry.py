@@ -30,6 +30,7 @@ import numpy as np
 
 from ..config import DEFAULT_SEED
 from ..core.likelihood import loglikelihood
+from ..core.variants import get_variant
 from ..kernels import MaternKernel
 from ..obs import Telemetry
 from .diagnostics import AnalysisReport, Diagnostic, Severity
@@ -66,14 +67,15 @@ def _golden_problem():
     return MaternKernel(), np.asarray(_THETA), x, z
 
 
-def _traced_run(**kwargs):
-    """One traced likelihood on the golden problem; returns
-    ``(result, telemetry)``."""
+def _traced_run(**execution):
+    """One traced likelihood on the golden problem under the given
+    execution settings; returns ``(result, telemetry)``."""
     kernel, theta, x, z = _golden_problem()
     telemetry = Telemetry()
     result = loglikelihood(
-        kernel, theta, x, z, tile_size=_TILE, variant="mp-dense",
-        nugget=_NUGGET, telemetry=telemetry, **kwargs,
+        kernel, theta, x, z, tile_size=_TILE,
+        variant=get_variant("mp-dense").with_(**execution),
+        nugget=_NUGGET, telemetry=telemetry,
     )
     return result, telemetry
 

@@ -12,8 +12,7 @@ evaluations:
   evaluation, fed back into the next one (ranks vary slowly along an
   optimizer trace), enabling the values-only early-out for over-cap
   tiles and the warm-started randomized sketch when ``fast_lr`` is on;
-* the execution knobs (``workers`` thread pool, ``fast_lr`` low-rank
-  arithmetic) resolved once from the variant.
+* for ``backend="process"`` variants, the persistent worker pool.
 
 The engine is deliberately thin: each :meth:`evaluate` is exactly one
 :func:`~repro.core.likelihood.loglikelihood` call with the reusable
@@ -55,16 +54,16 @@ class EvaluationEngine:
     Parameters mirror :func:`~repro.core.mle.fit_mle`; ``cache`` may be
     ``False`` (disable geometry reuse), ``None``/``True`` (own a fresh
     :class:`~repro.tile.geometry.GeometryCache`), or an existing cache
-    to share across engines.  ``workers``/``fast_lr`` default to the
-    variant's settings; ``batch`` (default: the variant's flag) routes
-    assembly + factorization through the batched execution layer.
+    to share across engines.
 
-    ``backend`` (default: the variant's setting) picks the
-    factorization engine; with ``"process"`` this engine owns a
-    persistent :class:`~repro.runtime.procpool.ProcessPoolEngine` whose
-    workers are spawned once and reused by every evaluation — call
+    Execution settings (``workers`` / ``fast_lr`` / ``batch`` /
+    ``backend``) come from the variant alone —
+    ``variant=get_variant(name).with_(workers=4, batch=True)``.  With
+    ``backend="process"`` this engine owns a persistent
+    :class:`~repro.runtime.procpool.ProcessPoolEngine` whose workers
+    are spawned once and reused by every evaluation — call
     :meth:`close` (or use the engine as a context manager) to stop
-    them.  All backends return bit-identical results.
+    them.  All settings return bit-identical results.
 
     ``telemetry`` (a :class:`~repro.obs.Telemetry`, default ``None``)
     threads span tracing and metrics through every evaluation; after
@@ -82,11 +81,7 @@ class EvaluationEngine:
         variant: "str | VariantConfig" = DENSE_FP64,
         nugget: float = 0.0,
         cache: "GeometryCache | bool | None" = None,
-        workers: int | None = None,
-        fast_lr: bool | None = None,
         resilience: ResilienceConfig | None = None,
-        batch: bool | None = None,
-        backend: str | None = None,
         telemetry=None,
     ):
         self.cfg = get_variant(variant)
@@ -95,18 +90,12 @@ class EvaluationEngine:
         self.z = np.asarray(z, dtype=np.float64)
         self.tile_size = int(tile_size)
         self.nugget = float(nugget)
-        self.workers = (
-            self.cfg.workers if workers is None else max(1, int(workers))
-        )
-        self.fast_lr = self.cfg.fast_lr if fast_lr is None else bool(fast_lr)
-        self.batch = self.cfg.batch if batch is None else bool(batch)
-        self.backend = self.cfg.backend if backend is None else str(backend)
         self.telemetry = telemetry
         self._procpool = None
-        if self.backend == "process":
+        if self.cfg.backend == "process":
             from ..runtime.procpool import ProcessPoolEngine
 
-            self._procpool = ProcessPoolEngine(workers=self.workers)
+            self._procpool = ProcessPoolEngine(workers=self.cfg.workers)
         if cache is False:
             self.cache: GeometryCache | None = None
         elif isinstance(cache, GeometryCache):
@@ -140,10 +129,8 @@ class EvaluationEngine:
                 tile_size=self.tile_size, variant=self.cfg, nugget=self.nugget,
                 cache=self.cache,
                 rank_hints=self.rank_hints if self.rank_hints else None,
-                workers=self.workers, fast_lr=self.fast_lr,
                 resilience=self.resilience, deadline=deadline,
-                batch=self.batch,
-                backend=self.backend, procpool=self._procpool,
+                procpool=self._procpool,
                 telemetry=self.telemetry,
             )
         except Exception:

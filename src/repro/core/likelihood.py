@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..exceptions import (
-    ConfigurationError,
     NotPositiveDefiniteError,
     SchedulingError,
     ShapeError,
@@ -77,180 +76,142 @@ def _check_observations(x: np.ndarray, z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _factor_planned(
-    matrix: TileMatrix,
-    *,
-    tile_tol: float,
-    max_rank: int | None,
-    fp16_accumulate_fp32: bool,
-    workers: int,
-    resilience=None,
-    deadline=None,
-    batch: bool = False,
-    backend: str = "auto",
-    procpool=None,
-    telemetry=None,
-) -> tuple[TileMatrix, CholeskyStats]:
-    """Factor a planned covariance under a ``"factorize"`` span; see
-    :func:`_factor_planned_impl` for the backend routing contract.
-    ``telemetry`` flows into the executors (per-task spans, merged
-    worker timelines) and receives each run's
-    :class:`~repro.runtime.parallel.ParallelRunReport` metrics."""
-    with maybe_span(
-        telemetry, "factorize", nt=matrix.nt, backend=backend,
-        workers=workers, batch=bool(batch),
-    ):
-        return _factor_planned_impl(
-            matrix, tile_tol=tile_tol, max_rank=max_rank,
-            fp16_accumulate_fp32=fp16_accumulate_fp32, workers=workers,
-            resilience=resilience, deadline=deadline, batch=batch,
-            backend=backend, procpool=procpool, telemetry=telemetry,
-        )
+def _resolve_execution(
+    cfg: VariantConfig, resilience, procpool
+) -> tuple[str, str, int]:
+    """``(placement, grouping, workers)`` the variant's execution
+    settings resolve to — decided once per evaluation, before anything
+    runs, and recorded on the spans and the run report.
+
+    *placement*: ``"process"`` for ``backend="process"``, else
+    ``"inline"`` (the caller's thread) at one worker and ``"thread"``
+    above.  *grouping*: ``"stacked"`` for ``batch=True`` (its pools are
+    sized to the physical cores: extra threads only add overhead
+    around vectorized calls and never change results), else
+    ``"per-tile"``.  A combination that cannot run raises
+    :class:`~repro.exceptions.ConfigurationError`; none is dropped.
+    """
+    workers = cfg.workers
+    if cfg.batch:
+        workers = min(workers, os.cpu_count() or 1)
+    if cfg.backend == "process":
+        placement = "process"
+        if procpool is not None:
+            workers = procpool.workers
+    else:
+        placement = "inline" if workers == 1 else "thread"
+    if cfg.batch and resilience is not None:
+        # The runtime package is imported only by the paths that run it.
+        from ..runtime.taskcore import reject_stacked_hooks
+
+        reject_stacked_hooks(True, resilience.retry, resilience.resolve_chaos())
+    return placement, "stacked" if cfg.batch else "per-tile", workers
 
 
-def _factor_planned_impl(
-    matrix: TileMatrix,
-    *,
-    tile_tol: float,
-    max_rank: int | None,
-    fp16_accumulate_fp32: bool,
-    workers: int,
-    resilience=None,
-    deadline=None,
-    batch: bool = False,
-    backend: str = "auto",
-    procpool=None,
-    telemetry=None,
-) -> tuple[TileMatrix, CholeskyStats]:
-    """Factor a planned covariance: sequentially, on the threaded DAG
-    executor, on the batched homogeneous-group dispatcher, or on the
-    process-parallel backend.
+def _factor_and_solve(
+    span: str, kernel, theta, x, rhs, *, tile_size, variant, nugget,
+    geometry, cache, rank_hints, resilience, deadline, procpool, telemetry,
+    **span_attrs,
+):
+    """The evaluation both likelihoods share: assemble ``Sigma(theta)``
+    under the variant's plan, factor it on the execution the variant's
+    settings resolve to (through the recovery ladder when the variant
+    has one), and forward-solve ``rhs``.  Returns ``(cfg, factor,
+    stats, assembly report, recovery report or None, logdet, y)``.
 
-    The parallel engines wrap task failures in
+    Inline per-tile execution with no hook is the reference
+    :func:`~repro.tile.cholesky.tile_cholesky`; every other cell of
+    the placement x grouping x hook table runs on an executor over
+    :mod:`repro.runtime.taskcore`.  Those wrap task failures in
     :class:`~repro.exceptions.SchedulingError`; an underlying
     :class:`~repro.exceptions.NotPositiveDefiniteError` is unwrapped
-    here so MLE drivers and the recovery ladder see the same exception
-    either way.
-
-    ``backend`` selects the execution engine:
-
-    * ``"auto"`` (default): the historical routing below — batched
-      dispatcher when ``batch``, sequential when ``workers <= 1`` with
-      no task-level resilience or deadline, threaded DAG executor
-      otherwise;
-    * ``"sequential"``: force one worker, then the auto routing (so
-      resilience/deadline still get their executor, at ``workers=1``);
-    * ``"thread"``: the thread-based executors regardless of worker
-      count (the batched dispatcher when ``batch``, else the DAG
-      executor);
-    * ``"process"``: the shared-memory
-      :class:`~repro.runtime.procpool.ProcessPoolEngine` — pass an
-      engine via ``procpool`` to reuse its persistent worker pool
-      across evaluations (the
-      :class:`~repro.core.engine.EvaluationEngine` does), else an
-      ephemeral pool spins up for this call.  Deadlines, retry, chaos,
-      and ``batch`` all apply in-worker; results are bit-identical to
-      every other backend.
-
-    Task-level resilience hooks (retry / chaos) and deadlines live in
-    the executors, so configuring either routes the factorization
-    through one even at ``workers=1``; with both absent the sequential
-    reference path runs bit-identically to the seed.  ``batch=True``
-    routes through
-    :func:`~repro.runtime.batchdispatch.execute_cholesky_batched`
-    (stacked BLAS over homogeneous ready groups, dense results
-    bit-identical) — but the batched dispatcher supports neither
-    deadlines nor task-level resilience, so those knobs win and the
-    run falls back to the heap executor.
+    here, once, so MLE drivers and the recovery ladder see the same
+    exception on every path.
     """
-    task_level = resilience is not None and resilience.task_level
-    if backend == "process":
-        from ..runtime.procpool import ProcessPoolEngine
+    cfg = get_variant(variant)
+    if resilience is not None:
+        resilience = resilience.bind()  # one chaos injector per call
+    placement, grouping, workers = _resolve_execution(cfg, resilience, procpool)
+    resolved = dict(placement=placement, grouping=grouping, workers=workers)
+    stacked = grouping == "stacked"
+    hooks = {} if resilience is None else dict(
+        retry=resilience.retry, chaos=resilience.resolve_chaos()
+    )
+    reference = (
+        placement == "inline" and not stacked and deadline is None
+        and not (resilience is not None and resilience.task_level)
+    )
+    max_rank = int(cfg.max_rank_fraction * tile_size) or None
 
-        engine = procpool
-        ephemeral = engine is None
-        if ephemeral:
-            engine = ProcessPoolEngine(workers=workers)
-        try:
-            factored, run = engine.execute(
-                matrix,
-                tile_tol=tile_tol,
-                max_rank=max_rank,
-                fp16_accumulate_fp32=fp16_accumulate_fp32,
-                deadline=deadline,
-                retry=None if resilience is None else resilience.retry,
-                chaos=None if resilience is None
-                else resilience.resolve_chaos(),
-                batch=batch,
-                telemetry=telemetry,
+    def rebuild(**overrides):
+        extra = overrides.pop("extra_nugget", 0.0)
+        return build_planned_covariance(
+            kernel, theta, x, tile_size, nugget=nugget + extra,
+            geometry=geometry, cache=cache, rank_hints=rank_hints,
+            sketch=cfg.fast_lr, workers=workers, batch=stacked,
+            telemetry=telemetry, **overrides, **cfg.assembly_kwargs(),
+        )
+
+    def factor(matrix, *, tile_tol):
+        args = dict(
+            tile_tol=tile_tol, max_rank=max_rank,
+            fp16_accumulate_fp32=cfg.fp16_accumulate_fp32,
+        )
+        with maybe_span(telemetry, "factorize", nt=matrix.nt, **resolved):
+            if reference:
+                return tile_cholesky(matrix, **args)
+            from ..runtime import (
+                ProcessPoolEngine,
+                execute_cholesky_batched,
+                execute_cholesky_parallel,
             )
-        except SchedulingError as exc:
-            cause = exc.__cause__
-            if isinstance(cause, NotPositiveDefiniteError):
-                raise cause from exc
-            raise
-        finally:
-            if ephemeral:
-                engine.close()
-        if telemetry is not None:
-            telemetry.record_run_report(run)
-        return factored, run.stats
-    if backend == "sequential":
-        workers = 1
-    elif backend not in ("auto", "thread"):
-        raise ConfigurationError(
-            f"unknown execution backend {backend!r}; expected 'auto', "
-            "'sequential', 'thread', or 'process'"
-        )
-    if (
-        backend in ("auto", "thread") and batch
-        and not task_level and deadline is None
-    ):
-        from ..runtime.batchdispatch import execute_cholesky_batched
 
-        factored, run = execute_cholesky_batched(
-            matrix,
-            workers=workers,
-            tile_tol=tile_tol,
-            max_rank=max_rank,
-            fp16_accumulate_fp32=fp16_accumulate_fp32,
-            telemetry=telemetry,
-        )
-        if telemetry is not None:
-            telemetry.record_run_report(run)
-        return factored, run.stats
-    if (
-        backend != "thread" and workers <= 1
-        and not task_level and deadline is None
-    ):
-        return tile_cholesky(
-            matrix,
-            tile_tol=tile_tol,
-            max_rank=max_rank,
-            fp16_accumulate_fp32=fp16_accumulate_fp32,
-        )
-    from ..runtime.parallel import execute_cholesky_parallel
+            args.update(deadline=deadline, telemetry=telemetry)
+            try:
+                if placement == "process":
+                    engine = procpool or ProcessPoolEngine(workers=workers)
+                    try:
+                        _, run = engine.execute(
+                            matrix, batch=stacked, **args, **hooks
+                        )
+                    finally:
+                        if procpool is None:
+                            engine.close()
+                elif stacked:
+                    _, run = execute_cholesky_batched(
+                        matrix, workers=workers, **args
+                    )
+                else:
+                    _, run = execute_cholesky_parallel(
+                        matrix, workers=workers, **args, **hooks
+                    )
+            except SchedulingError as exc:
+                if isinstance(exc.__cause__, NotPositiveDefiniteError):
+                    raise exc.__cause__ from exc
+                raise
+            if telemetry is not None:
+                telemetry.record_run_report(run)
+            return matrix, run.stats
 
-    try:
-        factored, run = execute_cholesky_parallel(
-            matrix,
-            workers=workers,
-            tile_tol=tile_tol,
-            max_rank=max_rank,
-            fp16_accumulate_fp32=fp16_accumulate_fp32,
-            deadline=deadline,
-            retry=None if resilience is None else resilience.retry,
-            chaos=None if resilience is None else resilience.resolve_chaos(),
-            telemetry=telemetry,
-        )
-    except SchedulingError as exc:
-        cause = exc.__cause__
-        if isinstance(cause, NotPositiveDefiniteError):
-            raise cause from exc
-        raise
-    if telemetry is not None:
-        telemetry.record_run_report(run)
-    return factored, run.stats
+    with maybe_span(
+        telemetry, span, variant=cfg.name, n=len(x), **span_attrs, **resolved
+    ):
+        recovery = None
+        with use_fast_lr(cfg.fast_lr):
+            if cfg.recovery is None:
+                matrix, report = rebuild()
+                factored, stats = factor(matrix, tile_tol=report.tile_tol)
+            else:
+                factored, stats, report, ladder = factor_with_recovery(
+                    rebuild, policy=cfg.recovery, max_rank=max_rank,
+                    fp16_accumulate_fp32=cfg.fp16_accumulate_fp32,
+                    factor_fn=factor,
+                )
+                recovery = ladder if ladder.actions else None
+        with maybe_span(telemetry, "solve", n=len(x), **span_attrs):
+            logdet = tile_logdet(factored)
+            y = forward_solve(factored, rhs)
+    return cfg, factored, stats, report, recovery, logdet, y
 
 
 def loglikelihood(
@@ -265,12 +226,8 @@ def loglikelihood(
     geometry: TileGeometry | None = None,
     cache: GeometryCache | None = None,
     rank_hints: "dict[tuple[int, int], int] | None" = None,
-    workers: int | None = None,
-    fast_lr: bool | None = None,
     resilience: ResilienceConfig | None = None,
     deadline: Deadline | None = None,
-    batch: bool | None = None,
-    backend: str | None = None,
     procpool=None,
     telemetry=None,
 ) -> LikelihoodResult:
@@ -285,10 +242,18 @@ def loglikelihood(
     and only exhaustion raises (as
     :class:`~repro.exceptions.RecoveryExhaustedError`).
 
-    The hot-path knobs (``geometry``/``cache``, ``rank_hints``,
-    ``workers``, ``fast_lr``) are documented on
-    :func:`~repro.tile.assembly.build_planned_covariance`; ``workers``
-    and ``fast_lr`` default to the variant's settings.  The
+    Execution settings — ``workers``, ``fast_lr``, ``batch``,
+    ``backend`` — ride on the variant and nowhere else:
+    ``variant=get_variant("mp-dense").with_(workers=4, batch=True)``
+    (see :class:`~repro.core.variants.VariantConfig`).  Every
+    combination returns bit-identical results or raises
+    :class:`~repro.exceptions.ConfigurationError`.  ``procpool``
+    supplies a persistent
+    :class:`~repro.runtime.procpool.ProcessPoolEngine` so repeated
+    ``backend="process"`` evaluations reuse one worker pool; the
+    hot-path inputs (``geometry``/``cache``, ``rank_hints``) are
+    documented on
+    :func:`~repro.tile.assembly.build_planned_covariance`, and the
     :class:`~repro.core.engine.EvaluationEngine` wires them together
     for repeated evaluations.
 
@@ -297,101 +262,29 @@ def loglikelihood(
     seeded backoff, chaos injection); ``deadline`` bounds the wall
     clock of the factorization, raising
     :class:`~repro.exceptions.DeadlineExceededError` after a clean
-    pool drain.  Both default to ``None`` — the unhardened path, which
-    is bit-identical to earlier releases.
-
-    ``backend`` picks the execution engine (``"auto"`` /
-    ``"sequential"`` / ``"thread"`` / ``"process"``; see
-    :func:`_factor_planned`), defaulting to the variant's setting;
-    ``procpool`` supplies a persistent
-    :class:`~repro.runtime.procpool.ProcessPoolEngine` so repeated
-    ``backend="process"`` evaluations reuse one worker pool.  Every
-    backend returns bit-identical results.
+    pool drain.  Both default to ``None`` — the unhardened path.
 
     ``telemetry`` (a :class:`~repro.obs.Telemetry`) wraps the
     evaluation in a ``"loglikelihood"`` span with ``"generate"`` /
-    ``"compress"`` / ``"factorize"`` / ``"solve"`` children, and
+    ``"compress"`` / ``"factorize"`` / ``"solve"`` children — the
+    ``"loglikelihood"`` and ``"factorize"`` spans carry the *resolved*
+    ``placement``, ``grouping`` and effective ``workers`` — and
     records the evaluation's :class:`CholeskyStats` into the metrics
-    registry.  Traced evaluations are bit-identical to untraced ones
-    (pinned by tests and the overhead benchmark).
+    registry.  Traced evaluations are bit-identical to untraced ones.
     """
-    cfg = get_variant(variant)
-    if resilience is not None:
-        resilience = resilience.bind()  # one chaos injector per call
     z = _check_observations(x, z)
-    max_rank = int(cfg.max_rank_fraction * tile_size) or None
-    nworkers = cfg.workers if workers is None else max(1, int(workers))
-    fast = cfg.fast_lr if fast_lr is None else bool(fast_lr)
-    use_batch = cfg.batch if batch is None else bool(batch)
-    use_backend = cfg.backend if backend is None else str(backend)
-    if use_batch:
-        # The batched layer sizes every pool (generation, compression,
-        # dispatch) to the physical cores: oversubscribed threads only
-        # add overhead around vectorized calls, and thread count never
-        # changes results on any of these paths.
-        nworkers = min(nworkers, max(1, os.cpu_count() or 1))
-    hotpath = dict(
-        geometry=geometry, cache=cache, rank_hints=rank_hints,
-        sketch=fast, workers=nworkers, batch=use_batch,
-        telemetry=telemetry,
+    cfg, factor, stats, report, recovery, logdet, y = _factor_and_solve(
+        "loglikelihood", kernel, theta, x, z, tile_size=tile_size,
+        variant=variant, nugget=nugget, geometry=geometry, cache=cache,
+        rank_hints=rank_hints, resilience=resilience, deadline=deadline,
+        procpool=procpool, telemetry=telemetry,
     )
-    recovery: RecoveryReport | None = None
-    with maybe_span(
-        telemetry, "loglikelihood", variant=cfg.name, n=z.shape[0],
-        backend=use_backend, workers=nworkers,
-    ):
-        if cfg.recovery is not None:
-
-            def rebuild(**overrides):
-                extra = overrides.pop("extra_nugget", 0.0)
-                return build_planned_covariance(
-                    kernel, theta, x, tile_size, nugget=nugget + extra,
-                    **overrides, **hotpath, **cfg.assembly_kwargs(),
-                )
-
-            def factor_fn(matrix, *, tile_tol):
-                return _factor_planned(
-                    matrix, tile_tol=tile_tol, max_rank=max_rank,
-                    fp16_accumulate_fp32=cfg.fp16_accumulate_fp32,
-                    workers=nworkers,
-                    resilience=resilience, deadline=deadline,
-                    batch=use_batch, backend=use_backend,
-                    procpool=procpool, telemetry=telemetry,
-                )
-
-            with use_fast_lr(fast):
-                factor, stats, report, rec = factor_with_recovery(
-                    rebuild,
-                    policy=cfg.recovery,
-                    max_rank=max_rank,
-                    fp16_accumulate_fp32=cfg.fp16_accumulate_fp32,
-                    factor_fn=factor_fn,
-                )
-            recovery = rec if rec.actions else None
-        else:
-            matrix, report = build_planned_covariance(
-                kernel, theta, x, tile_size, nugget=nugget,
-                **hotpath, **cfg.assembly_kwargs(),
-            )
-            with use_fast_lr(fast):
-                factor, stats = _factor_planned(
-                    matrix, tile_tol=report.tile_tol, max_rank=max_rank,
-                    fp16_accumulate_fp32=cfg.fp16_accumulate_fp32,
-                    workers=nworkers,
-                    resilience=resilience, deadline=deadline,
-                    batch=use_batch, backend=use_backend,
-                    procpool=procpool, telemetry=telemetry,
-                )
-        with maybe_span(telemetry, "solve", n=z.shape[0]):
-            logdet = tile_logdet(factor)
-            y = forward_solve(factor, z)
-            quad = float(y @ y)
     n = z.shape[0]
-    value = -0.5 * n * _LOG_2PI - 0.5 * logdet - 0.5 * quad
+    quad = float(y @ y)
     if telemetry is not None:
         telemetry.record_cholesky_stats(stats)
     return LikelihoodResult(
-        value=value,
+        value=-0.5 * n * _LOG_2PI - 0.5 * logdet - 0.5 * quad,
         logdet=logdet,
         quadratic=quad,
         n=n,
@@ -415,12 +308,8 @@ def loglikelihood_replicated(
     geometry: TileGeometry | None = None,
     cache: GeometryCache | None = None,
     rank_hints: "dict[tuple[int, int], int] | None" = None,
-    workers: int | None = None,
-    fast_lr: bool | None = None,
     resilience: ResilienceConfig | None = None,
     deadline: Deadline | None = None,
-    batch: bool | None = None,
-    backend: str | None = None,
     procpool=None,
     telemetry=None,
 ) -> np.ndarray:
@@ -430,15 +319,9 @@ def loglikelihood_replicated(
 
     Factors the covariance *once* and solves all replicates against it
     — amortizing the O(n^3) over the O(reps * n^2) solves.  Returns one
-    value per row of ``z_replicates``.
-
-    Variants with a :class:`~repro.tile.recovery.RecoveryPolicy` route
-    through the same recovery ladder as :func:`loglikelihood`, so an
-    indefinite planned covariance is rescued rather than raised.
+    value per row of ``z_replicates``.  Assembly, execution settings
+    and the recovery ladder are exactly :func:`loglikelihood`'s.
     """
-    cfg = get_variant(variant)
-    if resilience is not None:
-        resilience = resilience.bind()  # one chaos injector per call
     require_finite("x", x)
     require_finite("z_replicates", z_replicates)
     z = np.asarray(z_replicates, dtype=np.float64)
@@ -448,71 +331,15 @@ def loglikelihood_replicated(
         raise ShapeError(
             f"{len(x)} locations but replicate length {z.shape[1]}"
         )
-    max_rank = int(cfg.max_rank_fraction * tile_size) or None
-    nworkers = cfg.workers if workers is None else max(1, int(workers))
-    fast = cfg.fast_lr if fast_lr is None else bool(fast_lr)
-    use_batch = cfg.batch if batch is None else bool(batch)
-    use_backend = cfg.backend if backend is None else str(backend)
-    if use_batch:
-        # Same pool-sizing rule as loglikelihood (see there).
-        nworkers = min(nworkers, max(1, os.cpu_count() or 1))
-    hotpath = dict(
+    *_, logdet, y = _factor_and_solve(
+        "loglikelihood_replicated", kernel, theta, x, z.T,
+        tile_size=tile_size, variant=variant, nugget=nugget,
         geometry=geometry, cache=cache, rank_hints=rank_hints,
-        sketch=fast, workers=nworkers, batch=use_batch,
-        telemetry=telemetry,
+        resilience=resilience, deadline=deadline, procpool=procpool,
+        telemetry=telemetry, reps=z.shape[0],
     )
-    with maybe_span(
-        telemetry, "loglikelihood_replicated", variant=cfg.name,
-        n=z.shape[1], reps=z.shape[0], backend=use_backend,
-    ):
-        if cfg.recovery is not None:
-
-            def rebuild(**overrides):
-                extra = overrides.pop("extra_nugget", 0.0)
-                return build_planned_covariance(
-                    kernel, theta, x, tile_size, nugget=nugget + extra,
-                    **overrides, **hotpath, **cfg.assembly_kwargs(),
-                )
-
-            def factor_fn(matrix, *, tile_tol):
-                return _factor_planned(
-                    matrix, tile_tol=tile_tol, max_rank=max_rank,
-                    fp16_accumulate_fp32=cfg.fp16_accumulate_fp32,
-                    workers=nworkers,
-                    resilience=resilience, deadline=deadline,
-                    batch=use_batch, backend=use_backend,
-                    procpool=procpool, telemetry=telemetry,
-                )
-
-            with use_fast_lr(fast):
-                factor, _, report, _ = factor_with_recovery(
-                    rebuild,
-                    policy=cfg.recovery,
-                    max_rank=max_rank,
-                    fp16_accumulate_fp32=cfg.fp16_accumulate_fp32,
-                    factor_fn=factor_fn,
-                )
-        else:
-            matrix, report = build_planned_covariance(
-                kernel, theta, x, tile_size, nugget=nugget,
-                **hotpath, **cfg.assembly_kwargs(),
-            )
-            with use_fast_lr(fast):
-                factor, _ = _factor_planned(
-                    matrix, tile_tol=report.tile_tol, max_rank=max_rank,
-                    fp16_accumulate_fp32=cfg.fp16_accumulate_fp32,
-                    workers=nworkers,
-                    resilience=resilience, deadline=deadline,
-                    batch=use_batch, backend=use_backend,
-                    procpool=procpool, telemetry=telemetry,
-                )
-        with maybe_span(telemetry, "solve", n=z.shape[1],
-                        reps=z.shape[0]):
-            logdet = tile_logdet(factor)
-            y = forward_solve(factor, z.T)  # (n, reps)
-            quads = np.einsum("ij,ij->j", y, y)
-    n = z.shape[1]
-    return -0.5 * n * _LOG_2PI - 0.5 * logdet - 0.5 * quads
+    quads = np.einsum("ij,ij->j", y, y)  # y is (n, reps)
+    return -0.5 * z.shape[1] * _LOG_2PI - 0.5 * logdet - 0.5 * quads
 
 
 def loglikelihood_dense_reference(

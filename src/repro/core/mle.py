@@ -101,12 +101,8 @@ def fit_mle(
     time_budget_s: float | None = None,
     checkpoint_path: str | None = None,
     checkpoint_every: int = 10,
-    workers: int | None = None,
     cache: "GeometryCache | bool | None" = None,
-    fast_lr: bool | None = None,
     resilience: ResilienceConfig | None = None,
-    batch: bool | None = None,
-    backend: str | None = None,
     telemetry=None,
 ) -> MLEResult:
     """Fit kernel parameters by maximum likelihood.
@@ -126,20 +122,17 @@ def fit_mle(
 
     Evaluations run on an :class:`~repro.core.engine.EvaluationEngine`:
     theta-independent tile geometry is computed once and reused across
-    the whole fit (``cache=False`` disables the reuse), ``workers``
-    sets the generation/factorization thread pool, and ``fast_lr``
-    opts into the fast low-rank arithmetic (see
-    :class:`~repro.core.variants.VariantConfig`); each defaults to the
-    variant's setting.  ``batch`` routes assembly + factorization
-    through the batched execution layer (stacked BLAS over homogeneous
-    tile groups) — note a ``time_budget_s`` deadline forces the
-    factorization back onto the per-tile executor, which supports
-    cooperative cancellation.  ``backend`` picks the factorization
-    engine (``"auto"`` / ``"sequential"`` / ``"thread"`` /
-    ``"process"``); with ``"process"`` each rung's engine owns a
-    persistent shared-memory worker pool, spawned once and reused by
-    every evaluation of the fit, and all backends produce the same
-    log-likelihoods and optimizer iterates bit-for-bit.
+    the whole fit (``cache=False`` disables the reuse).  Execution
+    settings ride on the variant and nowhere else —
+    ``variant=get_variant("mp-dense").with_(workers=4, batch=True)``
+    (``workers`` / ``fast_lr`` / ``batch`` / ``backend``, see
+    :class:`~repro.core.variants.VariantConfig`); with
+    ``backend="process"`` each rung's engine owns a persistent
+    shared-memory worker pool, spawned once and reused by every
+    evaluation of the fit.  Every setting combination produces the
+    same log-likelihoods and optimizer iterates bit-for-bit, or raises
+    :class:`~repro.exceptions.ConfigurationError` (stacked grouping
+    with task-level retry/chaos).
 
     ``resilience`` opts into the hardening layer: transient tile
     failures retry with seeded backoff, chaos injection (when
@@ -182,8 +175,7 @@ def fit_mle(
         nfev_start = nfev_total
         engine = EvaluationEngine(
             kernel, x, z, tile_size=tile_size, variant=step_cfg,
-            nugget=nugget, cache=cache, workers=workers, fast_lr=fast_lr,
-            resilience=resilience, batch=batch, backend=backend,
+            nugget=nugget, cache=cache, resilience=resilience,
             telemetry=telemetry,
         )
         failures = 0

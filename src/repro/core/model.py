@@ -72,7 +72,9 @@ class ExaGeoStatModel:
         (``"matern"``, ``"gneiting"``).
     variant:
         Compute variant name or :class:`VariantConfig`
-        (``"dense-fp64"``, ``"mp-dense"``, ``"mp-dense-tlr"``).
+        (``"dense-fp64"``, ``"mp-dense"``, ``"mp-dense-tlr"``).  It
+        also carries the execution settings:
+        ``get_variant("mp-dense").with_(workers=4, batch=True)``.
     tile_size:
         Tile size of the underlying tiled algorithms.
     ordering:
@@ -81,16 +83,6 @@ class ExaGeoStatModel:
         exploit depends on it.
     nugget:
         Fixed diagonal regularization added to the covariance.
-    batch:
-        Route assembly and factorization through the batched execution
-        layer (stacked BLAS over homogeneous tile groups, scratch-pool
-        reuse; DESIGN.md §14).  Purely a performance knob: dense-group
-        results are bit-identical to the per-tile path.
-    backend:
-        Factorization execution backend (``"auto"`` / ``"sequential"``
-        / ``"thread"`` / ``"process"``; DESIGN.md §15).  ``None``
-        defers to the variant.  Also purely a performance knob: every
-        backend produces bit-identical results.
     resilience:
         Optional :class:`~repro.resilience.ResilienceConfig` applied to
         both fitting (task retries, variant degradation, chaos) and
@@ -113,8 +105,6 @@ class ExaGeoStatModel:
         tile_size: int = 64,
         ordering: str = "morton",
         nugget: float = 0.0,
-        batch: bool = False,
-        backend: str | None = None,
         resilience: ResilienceConfig | None = None,
         telemetry=None,
     ):
@@ -123,8 +113,6 @@ class ExaGeoStatModel:
         self.tile_size = int(tile_size)
         self.ordering = ordering
         self.nugget = float(nugget)
-        self.batch = bool(batch)
-        self.backend = backend
         self.resilience = resilience
         self.telemetry = telemetry
 
@@ -184,10 +172,6 @@ class ExaGeoStatModel:
         mle_kwargs.setdefault("cache", self._cache)
         mle_kwargs.setdefault("resilience", self.resilience)
         mle_kwargs.setdefault("telemetry", self.telemetry)
-        if self.batch:
-            mle_kwargs.setdefault("batch", True)
-        if self.backend is not None:
-            mle_kwargs.setdefault("backend", self.backend)
         result = fit_mle(
             self.kernel, xo, zo,
             tile_size=self.tile_size, variant=self.variant,
@@ -217,8 +201,6 @@ class ExaGeoStatModel:
             self.kernel, self.theta_, self._x, self._z,
             tile_size=self.tile_size, variant=self.variant,
             nugget=self.nugget, cache=self._cache,
-            batch=True if self.batch else None,
-            backend=self.backend,
             telemetry=self.telemetry,
         )
         self.loglik_ = result.value

@@ -45,21 +45,28 @@ class VariantConfig:
     indefinite planned covariance, the likelihood retries with
     escalating precision/structure promotion and bounded jitter.
 
-    ``workers`` sets the thread-pool width for tile generation,
-    compression, and the DAG Cholesky executor (1 = the sequential
-    reference path, bit-identical for dense FP64).  ``fast_lr`` opts
-    into the raw-LAPACK low-rank arithmetic and warm-started sketch
-    compression — same error tolerance, different rounding, so it is
-    off by default.  ``batch`` routes assembly and factorization
-    through the batched execution layer (stacked BLAS over homogeneous
-    tile groups, :mod:`repro.tile.batch`); dense results stay
-    bit-identical, but it is off by default because deadlines and
-    task-level resilience force a fallback to the per-tile executors.
-    ``backend`` picks the factorization engine — ``"auto"`` (the
-    historical routing), ``"sequential"``, ``"thread"``, or
-    ``"process"`` (the shared-memory multiprocess executor,
-    :mod:`repro.runtime.procpool`); all backends produce bit-identical
-    results.
+    The four *execution settings* ride here and nowhere else (the
+    likelihood, MLE, engine and model APIs take no execution keyword):
+    ``get_variant("mp-dense").with_(workers=4, batch=True)``.  Every
+    combination produces bit-identical results or raises
+    :class:`~repro.exceptions.ConfigurationError` — none is silently
+    dropped (DESIGN.md "Execution").
+
+    * ``workers`` — width of the pools for tile generation,
+      compression and the factorization.
+    * ``backend`` — where factorization tasks run: ``"thread"``
+      (default; a worker-thread pool, or the caller's thread at
+      ``workers=1`` — with no deadline or task-level hook that is the
+      reference :func:`~repro.tile.cholesky.tile_cholesky`) or
+      ``"process"`` (shared-memory worker processes,
+      :mod:`repro.runtime.procpool`).
+    * ``batch`` — stacked grouping: assembly and factorization run
+      homogeneous tile groups as single stacked-BLAS calls
+      (:mod:`repro.tile.batch`), pools sized to the physical cores.
+      Cannot combine with task-level retry/chaos (raises).
+    * ``fast_lr`` — raw-LAPACK low-rank arithmetic and warm-started
+      sketch compression: same error tolerance, different rounding, so
+      it is off by default.
     """
 
     name: str
@@ -80,15 +87,15 @@ class VariantConfig:
     workers: int = 1
     fast_lr: bool = False
     batch: bool = False
-    backend: str = "auto"
+    backend: str = "thread"
 
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ConfigurationError("workers must be >= 1")
-        if self.backend not in ("auto", "sequential", "thread", "process"):
+        if self.backend not in ("thread", "process"):
             raise ConfigurationError(
-                f"unknown backend {self.backend!r}; expected 'auto', "
-                "'sequential', 'thread', or 'process'"
+                f"unknown backend {self.backend!r}; expected 'thread' "
+                "or 'process' (one worker is workers=1)"
             )
         if self.mp_mode not in ("adaptive", "band"):
             raise ConfigurationError(f"unknown mp_mode {self.mp_mode!r}")

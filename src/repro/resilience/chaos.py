@@ -122,6 +122,14 @@ class ChaosInjector:
             self._epoch += 1
             return self._epoch
 
+    def absorb(self, delta: ChaosStats) -> None:
+        """Fold injections that fired in another process's injector
+        (worker processes run their own, same config and epoch) into
+        this one's tally."""
+        with self._lock:
+            for name, fired in vars(delta).items():
+                setattr(self.stats, name, getattr(self.stats, name) + fired)
+
     def _rng(self, epoch: int, site: int, attempt: int, salt: int) -> np.random.Generator:
         return np.random.default_rng(
             (self.config.seed, epoch, site & 0x7FFFFFFF, attempt, salt)

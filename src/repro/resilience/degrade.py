@@ -66,8 +66,9 @@ def degradation_steps(variant, policy: DegradationPolicy = DEFAULT_DEGRADATION):
       pushed further off-diagonal, where tiles are tamest, while the
       mixed-precision plan survives;
     * any approximate variant finally falls to ``dense-fp64`` (same
-      ``workers`` so the execution engine is unchanged) — the
-      reference configuration that cannot break down numerically.
+      ``workers`` / ``backend`` / ``batch`` / ``fast_lr``, so the
+      execution engine is unchanged) — the reference configuration
+      that cannot break down numerically.
 
     Returns a list of :class:`~repro.core.variants.VariantConfig`
     (empty for ``dense-fp64`` itself, which has nowhere to fall).
@@ -85,5 +86,7 @@ def degradation_steps(variant, policy: DegradationPolicy = DEFAULT_DEGRADATION):
     if variant.use_mp or variant.use_tlr:
         steps.append(DENSE_FP64.with_(
             name="dense-fp64", workers=variant.workers,
+            backend=variant.backend, batch=variant.batch,
+            fast_lr=variant.fast_lr,
         ))
     return steps

@@ -7,7 +7,13 @@ Components:
 * :mod:`~repro.runtime.dag` — dataflow dependence analysis;
 * :mod:`~repro.runtime.distribution` — 2-D block-cyclic ownership;
 * :mod:`~repro.runtime.scheduler` — list-scheduling priorities;
-* :mod:`~repro.runtime.engine` — real sequential execution (numbers);
+* :mod:`~repro.runtime.taskcore` — the one Cholesky task core (cached
+  plan, ready set, task/group bodies with hooks, run report) that the
+  three real executors schedule around: worker threads
+  (:mod:`~repro.runtime.parallel`), stacked waves
+  (:mod:`~repro.runtime.batchdispatch`), worker processes
+  (:mod:`~repro.runtime.procpool`);
+* :mod:`~repro.runtime.engine` — real sequential forward solve;
 * :mod:`~repro.runtime.simulator` — discrete-event distributed
   simulation (time), the documented stand-in for Fugaku;
 * :mod:`~repro.runtime.comm` / :mod:`~repro.runtime.trace` —
@@ -32,14 +38,15 @@ from .comm import (
 )
 from .dag import build_dag, critical_path_length, validate_schedule
 from .distribution import BlockCyclic2D, square_process_grid
-from .engine import execute_cholesky_tasks, execute_forward_solve_tasks
+from .engine import execute_forward_solve_tasks
 from .faults import CheckpointConfig, CrashTimes, FaultModel
 from .gantt import render_gantt, utilization_profile
-from .parallel import ParallelRunReport, execute_cholesky_parallel
+from .parallel import execute_cholesky_parallel
 from .procpool import ProcessPoolEngine
 from .scheduler import panel_priorities, panel_priorities_tasks, upward_ranks
 from .simulator import SimConfig, plan_rank_of, shape_for_task, simulate_tasks
 from .task import TILE_OPS, Task
+from .taskcore import ParallelRunReport
 from .taskgraph import cholesky_task_count, cholesky_tasks, forward_solve_tasks
 from .trace import ExecutionTrace, TaskRecord
 
@@ -57,7 +64,6 @@ __all__ = [
     "upward_ranks",
     "panel_priorities",
     "panel_priorities_tasks",
-    "execute_cholesky_tasks",
     "execute_forward_solve_tasks",
     "render_gantt",
     "execute_cholesky_parallel",

@@ -37,25 +37,21 @@ the sequential, threaded, and batched engines (pinned by tests).
 
 from __future__ import annotations
 
-import heapq
 import multiprocessing as mp
 import os
 import queue as queue_mod
 import time
-from collections import Counter
 
 from ..exceptions import (
     ChaosError,
     CompressionError,
     ConfigurationError,
-    DeadlineExceededError,
     NotPositiveDefiniteError,
     NumericalCorruptionError,
     SchedulingError,
     ShapeError,
     WorkerLostError,
 )
-from ..obs.tracer import current_span_id
 from ..tile.cholesky import CholeskyStats
 from ..tile.compression import fast_lr_enabled
 from ..tile.matrix import TileMatrix
@@ -63,9 +59,16 @@ from ..tile.shm import SharedTileStore
 from .blasclamp import blas_clamp_for, clamp_blas_threads
 from .comm import CommStats
 from .distribution import BlockCyclic2D
-from .parallel import ParallelRunReport
 from .procworker import worker_main
-from .trace import ExecutionTrace, TaskRecord
+from .taskcore import (
+    ParallelRunReport,
+    ReadySet,
+    RunRecorder,
+    cholesky_plan,
+    reject_stacked_hooks,
+    resolve_hooks,
+    tally_gemm,
+)
 
 __all__ = ["ProcessPoolEngine"]
 
@@ -184,22 +187,12 @@ class ProcessPoolEngine:
         pending = set(range(self.workers))
         t_end = time.monotonic() + 120.0
         while pending:
-            try:
-                msg = self._result_q.get(timeout=_POLL_S)
-            except queue_mod.Empty:
-                dead = self._dead_worker()
-                if dead is not None:
-                    self._teardown()
-                    raise WorkerLostError(
-                        f"worker {dead[0]} died during startup "
-                        f"(exitcode {dead[1]})",
-                        rank=dead[0], exitcode=dead[1],
-                    )
+            msg = self._poll("during startup")
+            if msg is None:
                 if time.monotonic() > t_end:  # pragma: no cover
                     self._teardown()
                     raise SchedulingError("worker pool failed to start")
-                continue
-            if msg[0] == "ready":
+            elif msg[0] == "ready":
                 pending.discard(msg[1])
 
     def close(self) -> None:
@@ -246,11 +239,22 @@ class ProcessPoolEngine:
         except Exception:
             return  # interpreter teardown; daemon workers die with us
 
-    def _dead_worker(self) -> tuple[int, int] | None:
-        for rank, proc in enumerate(self._procs):
-            if not proc.is_alive():
-                return rank, proc.exitcode
-        return None
+    def _poll(self, doing: str):
+        """The next result message, or ``None`` after one quiet poll
+        interval; a dead worker tears the pool down and raises
+        :class:`~repro.exceptions.WorkerLostError` (never a hang)."""
+        try:
+            return self._result_q.get(timeout=_POLL_S)
+        except queue_mod.Empty:
+            for rank, proc in enumerate(self._procs):
+                if not proc.is_alive():
+                    exitcode = proc.exitcode
+                    self._teardown()
+                    raise WorkerLostError(
+                        f"worker {rank} died {doing} (exitcode {exitcode})",
+                        rank=rank, exitcode=exitcode,
+                    ) from None
+            return None
 
     # ------------------------------------------------------------------
     # execution
@@ -283,8 +287,9 @@ class ProcessPoolEngine:
         tasks have drained (or the pool has been torn down) and the
         shared-memory store has been unlinked.  ``batch=True`` lets
         workers run homogeneous groups of one dispatch as stacked BLAS
-        calls (dense results bit-identical; ignored under retry/chaos,
-        which need per-task semantics).
+        calls (dense results bit-identical); combined with
+        ``retry``/``chaos``, which need per-task semantics, it raises
+        :class:`~repro.exceptions.ConfigurationError`.
 
         ``telemetry`` merges the workers' shipped span timings into
         the parent tracer (worker ``rank`` appears as process
@@ -295,123 +300,73 @@ class ProcessPoolEngine:
         ``time.perf_counter`` epoch (CLOCK_MONOTONIC), so no clock
         translation happens anywhere.
         """
+        reject_stacked_hooks(batch, retry, chaos)
         self.start()
-        spans_on = telemetry is not None and telemetry.tracer.enabled
-        tracing = (
-            spans_on if collect_trace is None else bool(collect_trace)
-        )
-        tracing = tracing or spans_on
-        parent_sid = current_span_id() if spans_on else None
-        from .batchdispatch import _cholesky_plan
-
-        tasks, indegree0, successors, prio = _cholesky_plan(matrix.nt)
-        task_by_uid = {t.uid: t for t in tasks}
-        indegree = dict(indegree0)
-
-        if chaos is not None and not hasattr(chaos, "perturb_task"):
-            from ..resilience.chaos import ChaosInjector
-
-            chaos = ChaosInjector(chaos)
-        epoch = chaos.next_epoch() if chaos is not None else 0
-        if check_finite is None:
-            check_finite = retry is not None or chaos is not None
+        chaos, epoch, check_finite = resolve_hooks(retry, chaos, check_finite)
+        chaos_before = chaos.stats.events if chaos is not None else 0
+        recorder = RunRecorder(telemetry, collect_trace, process_lanes=True)
+        ready = ReadySet(matrix.nt, deadline=deadline, cancel=cancel)
+        tasks = ready.tasks
 
         store = SharedTileStore(matrix.layout)
-        t0 = time.perf_counter()
         try:
             handles = store.put_matrix(matrix)
             cfg = {
                 "nt": matrix.nt,
-                "tile_tol": tile_tol,
-                "max_rank": max_rank,
-                "fp16_accumulate_fp32": fp16_accumulate_fp32,
-                "fast_lr": fast_lr_enabled(),
-                "epoch": epoch,
-                "check_finite": check_finite,
-                "chaos": None if chaos is None else chaos.config,
-                "retry": retry,
                 "grid": self.grid,
+                "fast_lr": fast_lr_enabled(),
                 "batch": batch,
-                "trace": tracing,
+                "trace": recorder.tracing,
+                "chaos": None if chaos is None else chaos.config,
+                # TaskBody arguments; the worker adds its own injector.
+                "body": dict(
+                    tile_tol=tile_tol, max_rank=max_rank,
+                    fp16_accumulate_fp32=fp16_accumulate_fp32,
+                    retry=retry, epoch=epoch, check_finite=check_finite,
+                ),
             }
             for q in self._task_qs:
                 q.put(("eval", cfg))
 
-            ready = [
-                (-prio[uid], uid) for uid, deg in indegree.items() if deg == 0
-            ]
-            heapq.heapify(ready)
-            remaining = len(tasks)
             in_flight: dict[int, int] = {}
             errors: list[BaseException] = []
-            draining = False
-            cancel_reason = ""
+            stop = ""  # why dispatch stopped; in-flight tasks still drain
             comm = CommStats()
-            opcounts: Counter[str] = Counter()
             stats = CholeskyStats()
-            retries = 0
-            chaos_delta = [0, 0, 0]
-            max_busy = 0
+            batches = batched_tasks = max_busy = 0
             last_progress = time.monotonic()
-            # Merged worker timeline: (uid, op, rank, tile, start_abs,
-            # end_abs, attempts, batched).
-            timeline: list[tuple] = []
 
             def flush() -> None:
                 """Dispatch every ready task to its owner, one message
                 per owner (the tasks of one flush are pairwise
                 independent: all were simultaneously ready)."""
                 nonlocal max_busy
-                if draining:
+                if stop:
                     return
                 buckets: dict[int, list] = {}
-                while ready:
-                    _, uid = heapq.heappop(ready)
-                    task = task_by_uid[uid]
+                while ready.has_ready:
+                    task = ready.pop()
                     rank = self.grid.owner(*task.output)
                     buckets.setdefault(rank, []).append((
-                        uid, handles[task.output],
+                        task.uid, handles[task.output],
                         tuple(handles[key] for key in task.inputs),
                     ))
-                    in_flight[uid] = rank
+                    in_flight[task.uid] = rank
                 for rank, items in buckets.items():
                     self._task_qs[rank].put(("run", items))
                 max_busy = max(max_busy, len(set(in_flight.values())))
 
-            def start_drain(reason: str) -> None:
-                nonlocal draining, cancel_reason
-                if not draining:
-                    draining = True
-                    cancel_reason = cancel_reason or reason
-
             flush()
-            while True:
-                if remaining == 0:
-                    break
-                if draining and not in_flight:
-                    break
+            while ready.remaining and not (stop and not in_flight):
                 if not in_flight:  # pragma: no cover - DAG invariant
                     raise SchedulingError(
-                        f"stalled with {remaining} tasks unreached"
+                        f"stalled with {ready.remaining} tasks unreached"
                     )
-                if deadline is not None and deadline.expired:
-                    start_drain(
-                        f"deadline of {deadline.budget_s:.3g}s exceeded"
-                    )
-                if cancel is not None and cancel.cancelled:
-                    start_drain(cancel.reason or "cancelled")
-                try:
-                    msg = self._result_q.get(timeout=_POLL_S)
-                except queue_mod.Empty:
-                    dead = self._dead_worker()
-                    if dead is not None:
-                        self._teardown()
-                        raise WorkerLostError(
-                            f"worker {dead[0]} died mid-factorization "
-                            f"(exitcode {dead[1]}) with "
-                            f"{len(in_flight)} tasks in flight",
-                            rank=dead[0], exitcode=dead[1],
-                        )
+                stop = stop or ready.stop_reason() or ""
+                msg = self._poll(
+                    f"mid-factorization with {len(in_flight)} tasks in flight"
+                )
+                if msg is None:
                     if time.monotonic() - last_progress > _STALL_S:
                         self._teardown()  # pragma: no cover - backstop
                         raise WorkerLostError(
@@ -424,103 +379,63 @@ class ProcessPoolEngine:
                 if kind == "ok":
                     _, rank, uid, handle, info = msg
                     in_flight.pop(uid, None)
-                    remaining -= 1
                     handles[handle.index] = handle
                     store.handles[handle.index] = handle
-                    opcounts[info["op"]] += 1
-                    span = info.get("span")
-                    if tracing and span is not None:
-                        timeline.append((
-                            uid, info["op"], rank, handle.index,
-                            span[0], span[1], span[2], span[3],
-                        ))
+                    task = tasks[uid]
+                    span = info["span"]
+                    if span is not None:
+                        recorder.timeline.append(
+                            (task.op, (task,), rank, *span)
+                        )
                     comm.remote_reads += info["remote_reads"]
                     comm.remote_bytes += info["remote_bytes"]
                     comm.local_reads += info["local_reads"]
-                    retries += info["retries"]
-                    for i in range(3):
-                        chaos_delta[i] += info["chaos"][i]
-                    if info["densified"]:
-                        stats.densified_tiles += 1
-                    if info["lr_rank"] is not None:
-                        stats.max_rank_seen = max(
-                            stats.max_rank_seen, info["lr_rank"]
-                        )
-                    for succ in successors[uid]:
-                        indegree[succ] -= 1
-                        if indegree[succ] == 0:
-                            heapq.heappush(ready, (-prio[succ], succ))
+                    stats.retries += info["retries"]
+                    if info["chaos"] is not None:
+                        chaos.absorb(info["chaos"])
+                    tally_gemm(stats, info["densified"], info["lr_rank"])
+                    if info["stacked"]:
+                        batches += 1
+                        batched_tasks += info["stacked"]
+                    ready.complete(uid)
                     flush()
                 elif kind == "err":
                     _, _, uid, info = msg
                     in_flight.pop(uid, None)
-                    remaining -= 1
-                    retries += info.get("retries", 0)
-                    for i in range(3):
-                        chaos_delta[i] += info.get("chaos", (0, 0, 0))[i]
+                    if info["chaos"] is not None:
+                        chaos.absorb(info["chaos"])
                     errors.append(_rebuild_exc(info))
-                    start_drain(f"task {uid} failed")
+                    stop = stop or f"task {uid} failed"
                 # "ready" handshakes from a restart are ignored here
 
-            wall = time.perf_counter() - t0
-            if chaos is not None:
-                with chaos._lock:
-                    chaos.stats.corrupted_tiles += chaos_delta[0]
-                    chaos.stats.failed_tasks += chaos_delta[1]
-                    chaos.stats.delayed_tasks += chaos_delta[2]
             if errors:
                 first = errors[0]
                 raise SchedulingError(
                     f"process execution failed: {first!r}"
                 ) from first
-            if draining:
-                raise DeadlineExceededError(
-                    f"execution cancelled after {wall:.3g}s: "
-                    f"{cancel_reason}",
-                    budget_s=None if deadline is None else deadline.budget_s,
-                    where="ProcessPoolEngine.execute",
+            if stop:
+                raise ready.stopped(
+                    stop, recorder.t0, "ProcessPoolEngine.execute"
                 )
             store.read_into(matrix)
-            stats.retries = retries
-            stats.count_batch(opcounts)
-            trace_obj = None
-            if tracing and timeline:
-                timeline.sort(key=lambda r: (r[4], r[0]))
-                trace_obj = ExecutionTrace(
-                    records=[
-                        TaskRecord(
-                            uid=uid, op=op, node=rank, core=rank,
-                            start=start - t0, end=end - t0,
-                            attempts=attempts,
-                        )
-                        for uid, op, rank, _tile, start, end,
-                        attempts, _batched in timeline
-                    ],
-                    nodes=self.workers, cores_per_node=1,
-                )
-                if spans_on:
-                    add_span = telemetry.tracer.add_span
-                    for (uid, op, rank, tile, start, end, attempts,
-                         batched) in timeline:
-                        add_span(
-                            op, start, end, parent=parent_sid,
-                            pid=rank + 1, tid=rank,
-                            attrs={"uid": uid, "tile": list(tile),
-                                   "worker": rank,
-                                   "attempt": attempts,
-                                   "batched": batched},
-                        )
-            report = ParallelRunReport(
+            stats.count_batch(cholesky_plan(matrix.nt).op_counts)
+            report = recorder.report(
                 workers=self.workers,
                 tasks=len(tasks),
-                wall_time_s=wall,
                 max_concurrency=max_busy,
+                placement="process",
+                grouping="stacked" if batch else "per-tile",
                 stats=stats,
-                retries=retries,
-                chaos_events=sum(chaos_delta),
+                retries=stats.retries,
+                chaos_events=(
+                    chaos.stats.events - chaos_before
+                    if chaos is not None else 0
+                ),
+                batches=batches,
+                batched_tasks=batched_tasks,
+                fallback_tasks=len(tasks) - batched_tasks if batch else 0,
                 blas_clamp=self.blas_clamp if self.workers > 1 else None,
                 comm=comm,
-                trace=trace_obj,
             )
             return matrix, report
         finally:

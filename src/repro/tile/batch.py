@@ -84,7 +84,7 @@ def _make_lock():
     The concurrency sanitizer (:mod:`repro.analysis.sanitize`)
     monkeypatches this seam to observe the scratch pool's
     acquire/release edges, exactly like the DAG executor's
-    ``parallel._make_lock``.
+    ``taskcore._make_lock``.
     """
     return threading.Lock()
 

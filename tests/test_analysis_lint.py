@@ -206,6 +206,36 @@ class Quiet:
         assert rules_of(src) == []
 
 
+class TestLint010KernelHomes:
+    BODY = """
+from ..tile import kernels as K
+from ..tile.batch import batched_gemm
+
+def run(task, tiles):
+    return K.gemm(tiles[0], tiles[1], tiles[2])
+
+def run_group(a, b, c):
+    return batched_gemm(a, b, c)
+"""
+
+    def test_kernel_call_in_an_executor_flagged(self):
+        rep = lint_source(self.BODY, "src/repro/runtime/parallel.py")
+        assert [d.rule for d in rep.errors] == ["LINT010", "LINT010"]
+
+    def test_kernel_homes_clean(self):
+        for home in ("src/repro/tile/cholesky.py", "src/repro/tile/batch.py",
+                     "src/repro/runtime/taskcore.py"):
+            assert lint_source(self.BODY, home).ok, home
+
+    def test_outside_the_package_clean(self):
+        assert lint_source(self.BODY, "tests/test_tile_kernels.py").ok
+        assert lint_source(self.BODY, "benchmarks/harness/layers.py").ok
+
+    def test_other_gemm_receivers_clean(self):
+        src = "y = model.gemm(a, b)\nz = perf.batched(a)\n"
+        assert lint_source(src, "src/repro/perfmodel/gemm.py").ok
+
+
 class TestLintPaths:
     def test_walks_directories_and_skips_hidden(self, tmp_path):
         (tmp_path / "pkg").mkdir()

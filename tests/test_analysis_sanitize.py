@@ -10,6 +10,7 @@ from repro.analysis import sanitize as S
 from repro.analysis.diagnostics import Severity
 from repro.core.likelihood import loglikelihood
 from repro.core.serving import PredictionEngine
+from repro.core.variants import get_variant
 from repro.exceptions import DeadlockDetectedError
 from repro.kernels import MaternKernel
 from repro.resilience.health import CircuitBreaker
@@ -293,8 +294,9 @@ def _fit_and_predict():
     z = gen.standard_normal(64)
     x_test = gen.uniform(size=(32, 2))
     result = loglikelihood(
-        kernel, theta, x, z, tile_size=16, variant="dense-fp64",
-        nugget=1.0e-8, workers=2, cache=GeometryCache(),
+        kernel, theta, x, z, tile_size=16,
+        variant=get_variant("dense-fp64").with_(workers=2),
+        nugget=1.0e-8, cache=GeometryCache(),
     )
     engine = PredictionEngine(
         kernel, theta, x, z, result.factor,

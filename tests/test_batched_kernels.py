@@ -10,6 +10,7 @@ changes no result bits.
 import numpy as np
 import pytest
 
+from repro.core.variants import get_variant
 from repro.exceptions import NotPositiveDefiniteError, ShapeError
 from repro.kernels import (
     ExponentialKernel,
@@ -187,8 +188,6 @@ class TestBatchedDispatcher:
         """All four shipped variants factor bit-identically through the
         batched dispatcher (MP/TLR included: batching regroups the same
         per-tile operations)."""
-        from repro.core.variants import get_variant
-
         cfg = get_variant(variant)
         gen = np.random.default_rng(100 + nt)
         x = gen.uniform(size=(nt * 24, 2))
@@ -223,18 +222,6 @@ class TestBatchedDispatcher:
             ref.to_dense(lower_only=True), got.to_dense(lower_only=True)
         )
         assert report.fallback_tasks == 0
-
-    def test_prebuilt_dag_path(self):
-        from repro.runtime import build_dag, cholesky_tasks
-
-        tm = random_spd_tilematrix(64, 16, seed=23)
-        tasks = list(cholesky_tasks(tm.nt))
-        dag = build_dag(tasks)
-        ref, _ = tile_cholesky(tm.copy())
-        got, _ = execute_cholesky_batched(tm.copy(), tasks=tasks, dag=dag)
-        np.testing.assert_array_equal(
-            ref.to_dense(lower_only=True), got.to_dense(lower_only=True)
-        )
 
     def test_scratch_pool_reused_across_waves(self):
         tm = random_spd_tilematrix(160, 16, seed=24)
@@ -272,7 +259,7 @@ class TestBatchedLikelihood:
         )
         got = loglikelihood(
             matern, theta_matern, locations_200, z, tile_size=40,
-            variant=variant, nugget=1e-8, batch=True,
+            variant=get_variant(variant).with_(batch=True), nugget=1e-8,
         )
         assert got.value == ref.value
         assert got.logdet == ref.logdet
@@ -288,8 +275,9 @@ class TestBatchedLikelihood:
             nugget=1e-8,
         ).evaluate(theta_matern)
         got = EvaluationEngine(
-            matern, locations_200, z, tile_size=40, variant="mp-dense-tlr",
-            nugget=1e-8, batch=True,
+            matern, locations_200, z, tile_size=40,
+            variant=get_variant("mp-dense-tlr").with_(batch=True),
+            nugget=1e-8,
         ).evaluate(theta_matern)
         assert got.value == ref.value
 
@@ -298,22 +286,23 @@ class TestBatchedLikelihood:
 
         gen = np.random.default_rng(33)
         z = gen.standard_normal(200)
-        kwargs = dict(
-            kernel="matern", variant="mp-dense-tlr", tile_size=40,
-            nugget=1e-8,
-        )
+        kwargs = dict(kernel="matern", tile_size=40, nugget=1e-8)
         fit_kwargs = dict(theta0=np.array([1.0, 0.1, 0.5]), max_iter=4)
-        ref = ExaGeoStatModel(**kwargs).fit(locations_200, z, **fit_kwargs)
-        got = ExaGeoStatModel(batch=True, **kwargs).fit(
+        variant = get_variant("mp-dense-tlr")
+        ref = ExaGeoStatModel(variant=variant, **kwargs).fit(
             locations_200, z, **fit_kwargs
         )
+        got = ExaGeoStatModel(
+            variant=variant.with_(batch=True), **kwargs
+        ).fit(locations_200, z, **fit_kwargs)
         assert got.loglik_ == ref.loglik_
         np.testing.assert_array_equal(got.theta_, ref.theta_)
 
-    def test_deadline_falls_back_to_heap_executor(self, matern, theta_matern,
-                                                  locations_200):
-        """The batched dispatcher supports no deadlines; configuring one
-        routes the factorization through the resilient executor."""
+    def test_deadline_runs_on_the_wave_loop(self, matern, theta_matern,
+                                            locations_200):
+        """A deadline does not drop batching: the wave loop polls it at
+        wave boundaries (tests/test_execution_matrix.py pins the
+        expired case), and an unexpired one changes no result bit."""
         from repro.core.likelihood import loglikelihood
         from repro.resilience import Deadline
 
@@ -321,7 +310,7 @@ class TestBatchedLikelihood:
         z = gen.standard_normal(200)
         got = loglikelihood(
             matern, theta_matern, locations_200, z, tile_size=40,
-            variant="dense-fp64", nugget=1e-8, batch=True,
+            variant=get_variant("dense-fp64").with_(batch=True), nugget=1e-8,
             deadline=Deadline.after(60.0),
         )
         ref = loglikelihood(

@@ -198,7 +198,8 @@ def test_parallel_dense_fp64_bit_identical(xz, workers):
     kern, theta, x, z = xz
     seq = loglikelihood(kern, theta, x, z, tile_size=TILE, nugget=1e-8)
     par = loglikelihood(
-        kern, theta, x, z, tile_size=TILE, nugget=1e-8, workers=workers
+        kern, theta, x, z, tile_size=TILE, nugget=1e-8,
+        variant=get_variant("dense-fp64").with_(workers=workers),
     )
     assert par.value == seq.value
     assert par.logdet == seq.logdet
@@ -216,8 +217,8 @@ def test_parallel_variants_value_identical(xz, variant, workers):
         kern, theta, x, z, tile_size=TILE, variant=variant, nugget=1e-8
     )
     par = loglikelihood(
-        kern, theta, x, z, tile_size=TILE, variant=variant, nugget=1e-8,
-        workers=workers,
+        kern, theta, x, z, tile_size=TILE, nugget=1e-8,
+        variant=get_variant(variant).with_(workers=workers),
     )
     assert par.value == seq.value
     # Same representation decisions tile by tile.
@@ -251,8 +252,8 @@ def test_fast_lr_matches_default_to_rounding(xz):
         nugget=1e-8,
     )
     fast = loglikelihood(
-        kern, theta, x, z, tile_size=TILE, variant="mp-dense-tlr",
-        nugget=1e-8, fast_lr=True,
+        kern, theta, x, z, tile_size=TILE, nugget=1e-8,
+        variant=get_variant("mp-dense-tlr").with_(fast_lr=True),
     )
     np.testing.assert_allclose(fast.value, base.value, rtol=1e-6)
     np.testing.assert_allclose(fast.logdet, base.logdet, rtol=1e-6)

@@ -8,7 +8,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.core import fit_mle, loglikelihood
+from repro.core import fit_mle, get_variant, loglikelihood
 from repro.core.model import ExaGeoStatModel
 from repro.kernels import MaternKernel
 from repro.obs import MetricsRegistry, Telemetry, maybe_span
@@ -155,9 +155,9 @@ class TestExporters:
         kernel, x, z = problem
         telemetry = Telemetry()
         result = loglikelihood(
-            kernel, THETA, x, z, tile_size=40, variant="mp-dense",
-            nugget=NUGGET, workers=2, backend="thread",
-            telemetry=telemetry,
+            kernel, THETA, x, z, tile_size=40,
+            variant=get_variant("mp-dense").with_(workers=2),
+            nugget=NUGGET, telemetry=telemetry,
         )
         return result, telemetry
 
@@ -215,15 +215,15 @@ class TestExporters:
 # instrumented execution paths
 # ----------------------------------------------------------------------
 class TestRealPaths:
-    @pytest.mark.parametrize("backend,workers", [
-        ("thread", 2), ("sequential", 1),
+    @pytest.mark.parametrize("workers", [
+        pytest.param(2, id="thread-2"), pytest.param(1, id="sequential-1"),
     ])
-    def test_traced_loglik_bit_identical(self, problem, backend, workers):
+    def test_traced_loglik_bit_identical(self, problem, workers):
         kernel, x, z = problem
         telemetry = Telemetry()
         kwargs = dict(
-            tile_size=40, variant="mp-dense-tlr", nugget=NUGGET,
-            workers=workers, backend=backend,
+            tile_size=40, nugget=NUGGET,
+            variant=get_variant("mp-dense-tlr").with_(workers=workers),
         )
         plain = loglikelihood(kernel, THETA, x, z, **kwargs)
         traced = loglikelihood(
@@ -237,11 +237,15 @@ class TestRealPaths:
         kernel, x, z = problem
         telemetry = Telemetry()
         loglikelihood(
-            kernel, THETA, x, z, tile_size=40, variant="mp-dense",
-            nugget=NUGGET, workers=2, backend="thread",
-            telemetry=telemetry,
+            kernel, THETA, x, z, tile_size=40,
+            variant=get_variant("mp-dense").with_(workers=2),
+            nugget=NUGGET, telemetry=telemetry,
         )
         factorize = telemetry.tracer.by_name("factorize")[0]
+        # The span records what ran, resolved from the variant.
+        assert factorize.attrs["placement"] == "thread"
+        assert factorize.attrs["grouping"] == "per-tile"
+        assert factorize.attrs["workers"] == 2
         tasks = [
             s for s in telemetry.tracer.spans
             if s.name in ("potrf", "trsm", "syrk", "gemm")
@@ -257,16 +261,18 @@ class TestRealPaths:
     def test_batched_backend_wave_spans(self, problem):
         kernel, x, z = problem
         telemetry = Telemetry()
+        variant = get_variant("mp-dense").with_(batch=True, workers=2)
         plain = loglikelihood(
-            kernel, THETA, x, z, tile_size=40, variant="mp-dense",
-            nugget=NUGGET, batch=True, workers=2,
+            kernel, THETA, x, z, tile_size=40, variant=variant,
+            nugget=NUGGET,
         )
         traced = loglikelihood(
-            kernel, THETA, x, z, tile_size=40, variant="mp-dense",
-            nugget=NUGGET, batch=True, workers=2, telemetry=telemetry,
+            kernel, THETA, x, z, tile_size=40, variant=variant,
+            nugget=NUGGET, telemetry=telemetry,
         )
         assert traced.value == plain.value
         factorize = telemetry.tracer.by_name("factorize")[0]
+        assert factorize.attrs["grouping"] == "stacked"
         waves = telemetry.tracer.by_name("wave")
         assert waves and all(w.parent == factorize.sid for w in waves)
         wave_sids = {w.sid for w in waves}
@@ -280,14 +286,14 @@ class TestRealPaths:
     def test_process_backend_merged_timeline(self, problem):
         kernel, x, z = problem
         telemetry = Telemetry()
+        variant = get_variant("mp-dense").with_(backend="process", workers=2)
         plain = loglikelihood(
-            kernel, THETA, x, z, tile_size=40, variant="mp-dense",
-            nugget=NUGGET, backend="process", workers=2,
+            kernel, THETA, x, z, tile_size=40, variant=variant,
+            nugget=NUGGET,
         )
         traced = loglikelihood(
-            kernel, THETA, x, z, tile_size=40, variant="mp-dense",
-            nugget=NUGGET, backend="process", workers=2,
-            telemetry=telemetry,
+            kernel, THETA, x, z, tile_size=40, variant=variant,
+            nugget=NUGGET, telemetry=telemetry,
         )
         assert traced.value == plain.value
         pids = {s.pid for s in telemetry.tracer.spans}

@@ -318,13 +318,17 @@ class TestBackendWiring:
 
         x, z = problem
         theta = np.array([1.0, 0.1, 0.5])
+        variant = get_variant("mp-dense-tlr")
         values = {
-            backend: loglikelihood(
+            name: loglikelihood(
                 MaternKernel(), theta, x, z, tile_size=40,
-                variant="mp-dense-tlr", nugget=1e-8,
-                backend=backend, workers=2,
+                variant=variant.with_(**execution), nugget=1e-8,
             ).value
-            for backend in ("sequential", "thread", "process")
+            for name, execution in (
+                ("sequential", {}),
+                ("thread", {"backend": "thread", "workers": 2}),
+                ("process", {"backend": "process", "workers": 2}),
+            )
         }
         assert values["sequential"] == values["thread"] == values["process"]
 
@@ -335,8 +339,11 @@ class TestBackendWiring:
         x, z = problem
         fits = {
             backend: fit_mle(
-                MaternKernel(), x, z, tile_size=40, variant="mp-dense",
-                nugget=1e-8, max_iter=5, backend=backend, workers=2,
+                MaternKernel(), x, z, tile_size=40,
+                variant=get_variant("mp-dense").with_(
+                    backend=backend, workers=2
+                ),
+                nugget=1e-8, max_iter=5,
             )
             for backend in ("thread", "process")
         }
@@ -353,8 +360,11 @@ class TestBackendWiring:
         x, z = problem
         theta = np.array([1.0, 0.1, 0.5])
         with EvaluationEngine(
-            MaternKernel(), x, z, tile_size=40, variant="mp-dense",
-            nugget=1e-8, workers=2, backend="process",
+            MaternKernel(), x, z, tile_size=40,
+            variant=get_variant("mp-dense").with_(
+                workers=2, backend="process"
+            ),
+            nugget=1e-8,
         ) as engine:
             first = engine.evaluate(theta).value
             engine.close()  # pool restarts lazily on the next evaluate
@@ -366,8 +376,10 @@ class TestBackendWiring:
 
         cfg = VariantConfig(name="t", backend="process")
         assert cfg.backend == "process"
-        with pytest.raises(ConfigurationError):
-            VariantConfig(name="t", backend="mpi")
+        assert VariantConfig(name="t").backend == "thread"
+        for gone in ("mpi", "auto", "sequential"):
+            with pytest.raises(ConfigurationError):
+                VariantConfig(name="t", backend=gone)
 
     def test_unknown_backend_rejected(self, problem):
         from repro.core.likelihood import loglikelihood
@@ -377,7 +389,8 @@ class TestBackendWiring:
         with pytest.raises(ConfigurationError):
             loglikelihood(
                 MaternKernel(), np.array([1.0, 0.1, 0.5]), x, z,
-                tile_size=40, nugget=1e-8, backend="mpi",
+                tile_size=40, nugget=1e-8,
+                variant=get_variant("dense-fp64").with_(backend="mpi"),
             )
 
     def test_model_backend_round_trip(self, problem):
@@ -387,13 +400,13 @@ class TestBackendWiring:
         results = {}
         for backend in ("thread", "process"):
             model = ExaGeoStatModel(
-                kernel="matern", variant="mp-dense", tile_size=40,
-                nugget=1e-8, backend=backend,
+                kernel="matern",
+                variant=get_variant("mp-dense").with_(
+                    backend=backend, workers=2
+                ),
+                tile_size=40, nugget=1e-8,
             )
-            model.fit(
-                x, z, theta0=np.array([1.0, 0.1, 0.5]),
-                max_iter=3, workers=2,
-            )
+            model.fit(x, z, theta0=np.array([1.0, 0.1, 0.5]), max_iter=3)
             results[backend] = (model.theta_, model.loglik_)
         assert results["thread"][1] == results["process"][1]
         np.testing.assert_array_equal(

@@ -247,6 +247,13 @@ class TestDegradationLadderShape:
         steps = degradation_steps(MP_DENSE, DegradationPolicy())
         assert [s.name for s in steps] == ["dense-fp64"]
 
+    def test_every_rung_keeps_the_execution_settings(self):
+        v = MP_DENSE_TLR.with_(
+            workers=3, backend="process", batch=True, fast_lr=True)
+        for step in degradation_steps(v, DegradationPolicy()):
+            assert (step.workers, step.backend, step.batch, step.fast_lr) \
+                == (3, "process", True, True), step.name
+
     def test_dense_fp64_has_nowhere_to_fall(self):
         assert degradation_steps(DENSE_FP64, DegradationPolicy()) == []
 

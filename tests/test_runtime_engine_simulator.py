@@ -1,4 +1,5 @@
-"""Tests for the real engine and the discrete-event simulator."""
+"""Tests for the discrete-event simulator (the executors' identity
+with ``tile_cholesky`` lives in ``test_execution_matrix.py``)."""
 
 import numpy as np
 import pytest
@@ -10,11 +11,10 @@ from repro.runtime import (
     build_dag,
     cholesky_tasks,
     critical_path_length,
-    execute_cholesky_tasks,
     simulate_tasks,
     validate_schedule,
 )
-from repro.tile import build_planned_covariance, tile_cholesky
+from repro.tile import build_planned_covariance
 
 
 @pytest.fixture(scope="module")
@@ -31,29 +31,6 @@ def planned_problem():
         kern, theta, x, 40, nugget=1e-8, use_mp=True, use_tlr=True, band_size=2
     )
     return mat, report
-
-
-class TestEngine:
-    def test_engine_matches_direct_loop(self, planned_problem):
-        mat, report = planned_problem
-        a = mat.copy()
-        b = mat.copy()
-        tasks = list(cholesky_tasks(a.nt))
-        l1, _ = tile_cholesky(a, tile_tol=report.tile_tol)
-        l2, trace = execute_cholesky_tasks(b, tasks, tile_tol=report.tile_tol)
-        np.testing.assert_array_equal(
-            l1.to_dense(lower_only=True), l2.to_dense(lower_only=True)
-        )
-        assert len(trace.records) == len(tasks)
-
-    def test_engine_trace_flops_positive(self, planned_problem):
-        mat, report = planned_problem
-        tasks = list(cholesky_tasks(mat.nt))
-        _, trace = execute_cholesky_tasks(
-            mat.copy(), tasks, tile_tol=report.tile_tol
-        )
-        assert trace.total_flops > 0
-        assert trace.makespan > 0
 
 
 class TestSimulator:
