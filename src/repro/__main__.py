@@ -191,6 +191,12 @@ def _cmd_profile(args) -> int:
         print(f"  profile dump -> {args.dump}")
     print()
     print(telemetry.render_breakdown())
+    truncations, kept_dense, densified = (
+        int(telemetry.registry.counter(f"repro_cholesky_{name}_total").value())
+        for name in ("truncations", "kept_dense", "densified_tiles")
+    )
+    print(f"low-rank settles: {truncations} truncation(s), "
+          f"{kept_dense} kept dense, {densified} accumulator(s) went dense")
     return 0
 
 

@@ -11,15 +11,15 @@ evaluations:
 * *warm rank hints* — each tile's compression rank from the previous
   evaluation, fed back into the next one (ranks vary slowly along an
   optimizer trace), enabling the values-only early-out for over-cap
-  tiles and the warm-started randomized sketch when ``fast_lr`` is on;
+  tiles;
 * for ``backend="process"`` variants, the persistent worker pool.
 
 The engine is deliberately thin: each :meth:`evaluate` is exactly one
 :func:`~repro.core.likelihood.loglikelihood` call with the reusable
 state threaded through, so results match the one-shot API by
-construction (bit-identical with ``fast_lr`` off for every kernel
-whose geometry path is exact — all built-ins except the anisotropic
-Matérn, which matches to rounding).
+construction (bit-identical for every kernel whose geometry path is
+exact — all built-ins except the anisotropic Matérn, which matches to
+rounding).
 """
 
 from __future__ import annotations
@@ -56,8 +56,8 @@ class EvaluationEngine:
     :class:`~repro.tile.geometry.GeometryCache`), or an existing cache
     to share across engines.
 
-    Execution settings (``workers`` / ``fast_lr`` / ``batch`` /
-    ``backend``) come from the variant alone —
+    Execution settings (``workers`` / ``batch`` / ``backend``) come
+    from the variant alone —
     ``variant=get_variant(name).with_(workers=4, batch=True)``.  With
     ``backend="process"`` this engine owns a persistent
     :class:`~repro.runtime.procpool.ProcessPoolEngine` whose workers

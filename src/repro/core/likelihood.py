@@ -28,7 +28,6 @@ from ..resilience import Deadline, ResilienceConfig
 from ..resilience.validate import require_finite
 from ..tile.assembly import AssemblyReport, build_planned_covariance
 from ..tile.cholesky import CholeskyStats, tile_cholesky
-from ..tile.compression import use_fast_lr
 from ..tile.geometry import GeometryCache, TileGeometry
 from ..tile.matrix import TileMatrix
 from ..tile.recovery import RecoveryReport, factor_with_recovery
@@ -148,7 +147,7 @@ def _factor_and_solve(
         return build_planned_covariance(
             kernel, theta, x, tile_size, nugget=nugget + extra,
             geometry=geometry, cache=cache, rank_hints=rank_hints,
-            sketch=cfg.fast_lr, workers=workers, batch=stacked,
+            workers=workers, batch=stacked,
             telemetry=telemetry, **overrides, **cfg.assembly_kwargs(),
         )
 
@@ -197,17 +196,16 @@ def _factor_and_solve(
         telemetry, span, variant=cfg.name, n=len(x), **span_attrs, **resolved
     ):
         recovery = None
-        with use_fast_lr(cfg.fast_lr):
-            if cfg.recovery is None:
-                matrix, report = rebuild()
-                factored, stats = factor(matrix, tile_tol=report.tile_tol)
-            else:
-                factored, stats, report, ladder = factor_with_recovery(
-                    rebuild, policy=cfg.recovery, max_rank=max_rank,
-                    fp16_accumulate_fp32=cfg.fp16_accumulate_fp32,
-                    factor_fn=factor,
-                )
-                recovery = ladder if ladder.actions else None
+        if cfg.recovery is None:
+            matrix, report = rebuild()
+            factored, stats = factor(matrix, tile_tol=report.tile_tol)
+        else:
+            factored, stats, report, ladder = factor_with_recovery(
+                rebuild, policy=cfg.recovery, max_rank=max_rank,
+                fp16_accumulate_fp32=cfg.fp16_accumulate_fp32,
+                factor_fn=factor,
+            )
+            recovery = ladder if ladder.actions else None
         with maybe_span(telemetry, "solve", n=len(x), **span_attrs):
             logdet = tile_logdet(factored)
             y = forward_solve(factored, rhs)
@@ -242,8 +240,8 @@ def loglikelihood(
     and only exhaustion raises (as
     :class:`~repro.exceptions.RecoveryExhaustedError`).
 
-    Execution settings — ``workers``, ``fast_lr``, ``batch``,
-    ``backend`` — ride on the variant and nowhere else:
+    Execution settings — ``workers``, ``batch``, ``backend`` — ride
+    on the variant and nowhere else:
     ``variant=get_variant("mp-dense").with_(workers=4, batch=True)``
     (see :class:`~repro.core.variants.VariantConfig`).  Every
     combination returns bit-identical results or raises
@@ -268,9 +266,12 @@ def loglikelihood(
     evaluation in a ``"loglikelihood"`` span with ``"generate"`` /
     ``"compress"`` / ``"factorize"`` / ``"solve"`` children — the
     ``"loglikelihood"`` and ``"factorize"`` spans carry the *resolved*
-    ``placement``, ``grouping`` and effective ``workers`` — and
-    records the evaluation's :class:`CholeskyStats` into the metrics
-    registry.  Traced evaluations are bit-identical to untraced ones.
+    ``placement``, ``grouping`` and effective ``workers`` — records
+    the evaluation's :class:`CholeskyStats` into the metrics registry
+    and, when low-rank tiles were settled, one ``"lr_settle"`` decision
+    event (truncations, tiles kept dense, accumulators that went
+    dense, widest stacked factors).  Traced evaluations are
+    bit-identical to untraced ones.
     """
     z = _check_observations(x, z)
     cfg, factor, stats, report, recovery, logdet, y = _factor_and_solve(
@@ -283,6 +284,13 @@ def loglikelihood(
     quad = float(y @ y)
     if telemetry is not None:
         telemetry.record_cholesky_stats(stats)
+        if stats.truncations:
+            telemetry.event(
+                "lr_settle", truncations=stats.truncations,
+                kept_dense=stats.kept_dense,
+                densified=stats.densified_tiles,
+                max_width=stats.max_rank_seen,
+            )
     return LikelihoodResult(
         value=-0.5 * n * _LOG_2PI - 0.5 * logdet - 0.5 * quad,
         logdet=logdet,

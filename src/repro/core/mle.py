@@ -125,7 +125,7 @@ def fit_mle(
     the whole fit (``cache=False`` disables the reuse).  Execution
     settings ride on the variant and nowhere else —
     ``variant=get_variant("mp-dense").with_(workers=4, batch=True)``
-    (``workers`` / ``fast_lr`` / ``batch`` / ``backend``, see
+    (``workers`` / ``batch`` / ``backend``, see
     :class:`~repro.core.variants.VariantConfig`); with
     ``backend="process"`` each rung's engine owns a persistent
     shared-memory worker pool, spawned once and reused by every

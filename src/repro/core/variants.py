@@ -45,7 +45,7 @@ class VariantConfig:
     indefinite planned covariance, the likelihood retries with
     escalating precision/structure promotion and bounded jitter.
 
-    The four *execution settings* ride here and nowhere else (the
+    The three *execution settings* ride here and nowhere else (the
     likelihood, MLE, engine and model APIs take no execution keyword):
     ``get_variant("mp-dense").with_(workers=4, batch=True)``.  Every
     combination produces bit-identical results or raises
@@ -64,9 +64,10 @@ class VariantConfig:
       homogeneous tile groups as single stacked-BLAS calls
       (:mod:`repro.tile.batch`), pools sized to the physical cores.
       Cannot combine with task-level retry/chaos (raises).
-    * ``fast_lr`` — raw-LAPACK low-rank arithmetic and warm-started
-      sketch compression: same error tolerance, different rounding, so
-      it is off by default.
+
+    How a low-rank tile is updated is not a setting: every execution
+    accumulates its Schur updates exactly and truncates once, when the
+    tile is next read (DESIGN.md "Low-rank updates").
     """
 
     name: str
@@ -85,7 +86,6 @@ class VariantConfig:
     machine: MachineSpec = field(default=A64FX)
     recovery: RecoveryPolicy | None = None
     workers: int = 1
-    fast_lr: bool = False
     batch: bool = False
     backend: str = "thread"
 

@@ -273,15 +273,23 @@ def record_cholesky_stats(registry: MetricsRegistry, stats) -> None:
         kernels.inc(count, op)
     registry.counter(
         "repro_cholesky_densified_tiles_total",
-        "Low-rank tiles densified during factorization",
+        "Low-rank tiles whose update accumulator went dense",
     ).inc(stats.densified_tiles)
+    registry.counter(
+        "repro_cholesky_truncations_total",
+        "Accumulating low-rank tiles settled (truncated once)",
+    ).inc(stats.truncations)
+    registry.counter(
+        "repro_cholesky_kept_dense_total",
+        "Settles that could not get under max_rank (tile stays dense)",
+    ).inc(stats.kept_dense)
     registry.counter(
         "repro_cholesky_retries_total",
         "Task retries inside factorization",
     ).inc(stats.retries)
     registry.gauge(
         "repro_cholesky_max_rank_seen",
-        "Largest low-rank tile rank touched by the last factorization",
+        "Widest low-rank factor pair carried after a GEMM, last factorization",
     ).set(stats.max_rank_seen)
 
 

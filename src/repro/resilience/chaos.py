@@ -179,9 +179,8 @@ class ChaosInjector:
         draw = float(rng.random())
         if draw >= total:
             return out
-        poison = (
-            np.nan if draw < cfg.tile_nan_rate else _OVERFLOW_MAGNITUDE
-        )
+        overflow = draw >= cfg.tile_nan_rate
+        poison = _OVERFLOW_MAGNITUDE if overflow else np.nan
         with self._lock:
             self.stats.corrupted_tiles += 1
         if isinstance(out, LowRankTile):
@@ -190,10 +189,19 @@ class ChaosInjector:
             u = np.array(out.u, dtype=np.float64)
             u.flat[int(rng.integers(u.size))] = poison
             return LowRankTile(u, np.array(out.v, dtype=np.float64),
-                               out.precision)
+                               out.precision, out.owed)
         data = np.array(out.to_dense64(), dtype=np.float64)
         data.flat[int(rng.integers(data.size))] = poison
-        return DenseTile(data, out.precision)
+        if overflow:
+            # The injected FP16 overflow itself: store ``inf`` the way
+            # unchecked hardware would (``cast_storage`` refuses to).
+            # It is counted above and caught, with its tile index, by
+            # the executors' finite check.
+            with np.errstate(over="ignore"):
+                return DenseTile(
+                    data.astype(np.float16)  # lint: ignore[LINT005]
+                )
+        return DenseTile(data, out.precision, out.owed)
 
     # ------------------------------------------------------------------
     # batch-level injections (prediction serving)

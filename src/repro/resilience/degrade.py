@@ -66,7 +66,7 @@ def degradation_steps(variant, policy: DegradationPolicy = DEFAULT_DEGRADATION):
       pushed further off-diagonal, where tiles are tamest, while the
       mixed-precision plan survives;
     * any approximate variant finally falls to ``dense-fp64`` (same
-      ``workers`` / ``backend`` / ``batch`` / ``fast_lr``, so the
+      ``workers`` / ``backend`` / ``batch``, so the
       execution engine is unchanged) — the reference configuration
       that cannot break down numerically.
 
@@ -87,6 +87,5 @@ def degradation_steps(variant, policy: DegradationPolicy = DEFAULT_DEGRADATION):
         steps.append(DENSE_FP64.with_(
             name="dense-fp64", workers=variant.workers,
             backend=variant.backend, batch=variant.batch,
-            fast_lr=variant.fast_lr,
         ))
     return steps

@@ -57,7 +57,7 @@ from .taskcore import (
     ReadySet,
     RunRecorder,
     TaskBody,
-    cholesky_plan,
+    finish_run,
     split_wave,
 )
 
@@ -196,7 +196,7 @@ def execute_cholesky_batched(
                 f"batched execution failed: {exc!r}"
             ) from exc
 
-    body.stats.count_batch(cholesky_plan(matrix.nt).op_counts)
+    finish_run(body.stats, matrix)
     report = recorder.report(
         workers=eff_workers,
         tasks=len(ready.tasks),

@@ -41,7 +41,7 @@ from .taskcore import (
     ReadySet,
     RunRecorder,
     TaskBody,
-    cholesky_plan,
+    finish_run,
     resolve_hooks,
 )
 
@@ -185,7 +185,7 @@ def execute_cholesky_parallel(
         )
     if ready.remaining:  # pragma: no cover - invariant
         raise SchedulingError(f"{ready.remaining} tasks never executed")
-    body.stats.count_batch(cholesky_plan(matrix.nt).op_counts)
+    finish_run(body.stats, matrix)
     report = recorder.report(
         workers=workers,
         tasks=len(ready.tasks),

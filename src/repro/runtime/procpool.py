@@ -53,7 +53,6 @@ from ..exceptions import (
     WorkerLostError,
 )
 from ..tile.cholesky import CholeskyStats
-from ..tile.compression import fast_lr_enabled
 from ..tile.matrix import TileMatrix
 from ..tile.shm import SharedTileStore
 from .blasclamp import blas_clamp_for, clamp_blas_threads
@@ -64,10 +63,11 @@ from .taskcore import (
     ParallelRunReport,
     ReadySet,
     RunRecorder,
-    cholesky_plan,
+    finish_run,
     reject_stacked_hooks,
     resolve_hooks,
     tally_gemm,
+    tally_settle,
 )
 
 __all__ = ["ProcessPoolEngine"]
@@ -314,7 +314,6 @@ class ProcessPoolEngine:
             cfg = {
                 "nt": matrix.nt,
                 "grid": self.grid,
-                "fast_lr": fast_lr_enabled(),
                 "batch": batch,
                 "trace": recorder.tracing,
                 "chaos": None if chaos is None else chaos.config,
@@ -394,6 +393,7 @@ class ProcessPoolEngine:
                     if info["chaos"] is not None:
                         chaos.absorb(info["chaos"])
                     tally_gemm(stats, info["densified"], info["lr_rank"])
+                    tally_settle(stats, info["truncated"], info["kept_dense"])
                     if info["stacked"]:
                         batches += 1
                         batched_tasks += info["stacked"]
@@ -418,7 +418,7 @@ class ProcessPoolEngine:
                     stop, recorder.t0, "ProcessPoolEngine.execute"
                 )
             store.read_into(matrix)
-            stats.count_batch(cholesky_plan(matrix.nt).op_counts)
+            finish_run(stats, matrix)
             report = recorder.report(
                 workers=self.workers,
                 tasks=len(tasks),

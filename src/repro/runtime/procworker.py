@@ -5,8 +5,8 @@
 worker is a small loop over three message kinds:
 
 * ``("eval", cfg)`` — arm for one factorization: which plan (``nt``),
-  the kernel knobs, the ownership grid, the chaos/retry policies, the
-  fast-LR flag, and the chaos epoch.  The task stream itself is
+  the kernel knobs, the ownership grid, the chaos/retry policies, and
+  the chaos epoch.  The task stream itself is
   rebuilt locally from ``nt`` (and cached across evaluations) — the
   parent never ships tasks, only uids;
 * ``("run", items)`` — execute task descriptors ``(uid, out_handle,
@@ -41,7 +41,6 @@ from dataclasses import dataclass
 
 from ..resilience.chaos import ChaosInjector, ChaosStats
 from ..tile.batch import ScratchPool
-from ..tile.compression import use_fast_lr
 from ..tile.shm import SegmentCache, payload_nbytes
 from ..tile.tile import DenseTile, LowRankTile, Tile
 from .blasclamp import _set_inprocess
@@ -50,6 +49,7 @@ from .taskcore import (
     TaskBody,
     cholesky_plan,
     gemm_outcome,
+    settle_outcome,
     split_wave,
 )
 from .task import Task
@@ -64,7 +64,6 @@ class _EvalState:
     rank: int
     tasks: tuple[Task, ...]
     grid: object
-    fast_lr: bool
     batch: bool
     #: Task bodies over ``body.tiles``, a dict refilled per run message.
     body: TaskBody
@@ -81,7 +80,6 @@ def _arm(rank: int, cfg: dict, pool: ScratchPool) -> _EvalState:
         rank=rank,
         tasks=cholesky_plan(cfg["nt"]).tasks,
         grid=cfg["grid"],
-        fast_lr=cfg["fast_lr"],
         batch=cfg["batch"],
         body=TaskBody(
             {}, pool=pool, **cfg["body"],
@@ -168,6 +166,10 @@ def _run_items(rank, items, st: _EvalState, cache: SegmentCache,
         info["densified"], info["lr_rank"] = (
             gemm_outcome(before, out) if task.op == "gemm" else (False, None)
         )
+        info["truncated"], info["kept_dense"] = (
+            settle_outcome(before, out) if task.op == "trsm"
+            else (False, False)
+        )
         # (start_abs, end_abs, attempts, batched) — the task's
         # wall-clock interval on this worker, for the parent's merged
         # trace.  Group members share their stacked call's interval.
@@ -201,23 +203,22 @@ def _run_items(rank, items, st: _EvalState, cache: SegmentCache,
     if st.batch and len(tasks) >= MIN_BATCH:
         groups, singles = split_wave(tasks, tiles, body.fp16_accumulate_fp32)
 
-    with use_fast_lr(st.fast_lr):
-        for op, batch in groups:
-            before = [tiles[t.output] for t in batch]
-            start = clock()
-            try:
-                body.run_group(op, batch)
-            except BaseException:
-                # A stacked call cannot attribute its failure to one
-                # task; nothing was written, so replay the group
-                # per-tile (bit-identical) to pin the failing uid.
-                singles.extend(batch)
-                continue
-            span = (start, clock(), 1, True) if st.trace else None
-            for i, (task, was) in enumerate(zip(batch, before)):
-                finish(task, was, 1, span, stacked=0 if i else len(batch))
-        for task in singles:
-            run_single(task)
+    for op, batch in groups:
+        before = [tiles[t.output] for t in batch]
+        start = clock()
+        try:
+            body.run_group(op, batch)
+        except BaseException:
+            # A stacked call cannot attribute its failure to one
+            # task; nothing was written, so replay the group
+            # per-tile (bit-identical) to pin the failing uid.
+            singles.extend(batch)
+            continue
+        span = (start, clock(), 1, True) if st.trace else None
+        for i, (task, was) in enumerate(zip(batch, before)):
+            finish(task, was, 1, span, stacked=0 if i else len(batch))
+    for task in singles:
+        run_single(task)
 
 
 def worker_main(rank: int, task_q, result_q, init: dict) -> None:

@@ -11,8 +11,8 @@ differ only in *scheduling*; the rest lives here, once:
 * :class:`ReadySet` — one run's dependence counters, ready heap and
   stop conditions (deadline, cancellation);
 * :class:`TaskBody` — the per-task and per-group kernel bodies with
-  the retry / chaos / finite-check hooks and the densified / max-rank
-  tally;
+  the retry / chaos / finite-check hooks and the low-rank update
+  tally (GEMM and settle outcomes);
 * :class:`RunRecorder` — a run's wall-clock timeline, and from it the
   :class:`~repro.runtime.trace.ExecutionTrace`, the telemetry spans
   and the :class:`ParallelRunReport`.
@@ -61,8 +61,9 @@ from .trace import ExecutionTrace, TaskRecord
 
 __all__ = [
     "MIN_BATCH", "CholeskyPlan", "MatrixTiles", "ParallelRunReport",
-    "ReadySet", "RunRecorder", "TaskBody", "cholesky_plan", "gemm_outcome",
-    "reject_stacked_hooks", "resolve_hooks", "split_wave", "tally_gemm",
+    "ReadySet", "RunRecorder", "TaskBody", "cholesky_plan", "finish_run",
+    "gemm_outcome", "reject_stacked_hooks", "resolve_hooks",
+    "settle_outcome", "split_wave", "tally_gemm", "tally_settle",
 ]
 
 #: Below this group size a stacked call buys nothing over the per-tile
@@ -298,14 +299,39 @@ def tally_gemm(stats: CholeskyStats, densified: bool,
         stats.max_rank_seen = lr_rank
 
 
+def settle_outcome(before: Tile, out: Tile) -> tuple[bool, bool]:
+    """``(truncated, kept_dense)`` of a TRSM that turned ``before``
+    into ``out``: whether it settled an accumulating tile, and whether
+    that tile could not get under ``max_rank``."""
+    truncated = before.owed is not None
+    return truncated, truncated and not out.is_low_rank
+
+
+def tally_settle(stats: CholeskyStats, truncated: bool,
+                 kept_dense: bool) -> None:
+    stats.truncations += truncated
+    stats.kept_dense += kept_dense
+
+
+def finish_run(stats: CholeskyStats, matrix: TileMatrix) -> None:
+    """Close the tally of a completed run over ``matrix``: the per-op
+    counts are the plan's, and no tile of the factor is still
+    accumulating (every one met the TRSM that settles it)."""
+    stats.count_batch(cholesky_plan(matrix.nt).op_counts)
+    assert matrix.settled, "factor contains an unsettled tile"
+
+
 def _group_key(task: Task, tiles, f16_ok: bool):
     """Homogeneity key for ``task``, or ``None`` when it must run
-    per-tile (low-rank operand / binary16 compute / HGEMM mode).
+    per-tile (low-rank or accumulating operand / binary16 compute /
+    HGEMM mode).
 
     TRSM groups share one triangular factor (a single wide-RHS solve),
     so the diagonal tile's index joins their key."""
     out = tiles[task.output]
-    if out.is_low_rank:
+    if out.is_low_rank or out.owed is not None:
+        # A dense-form accumulator looks dense but carries float64
+        # state the stacked kernels would drop.
         return None
     op = task.op
     if op == "potrf":
@@ -450,6 +476,11 @@ class TaskBody:
             if densified or lr_rank is not None:
                 with self.lock:
                     tally_gemm(self.stats, densified, lr_rank)
+        elif task.op == "trsm":
+            truncated, kept_dense = settle_outcome(tiles[task.output], out)
+            if truncated:
+                with self.lock:
+                    tally_settle(self.stats, truncated, kept_dense)
         if attempts > 1:
             with self.lock:
                 self.stats.retries += attempts - 1

@@ -21,13 +21,11 @@ from .compression import (
     compress_block,
     compress_or_rank,
     compress_tile,
-    fast_lr_enabled,
     frobenius_rank,
     lr_add,
     rank_of_block,
     recompress,
     truncated_svd,
-    use_fast_lr,
 )
 from .geometry import (
     GeometryCache,
@@ -90,8 +88,6 @@ __all__ = [
     "recompress",
     "lr_add",
     "rank_of_block",
-    "use_fast_lr",
-    "fast_lr_enabled",
     "GeometryCache",
     "TileGeometry",
     "build_tile_geometry",

@@ -38,8 +38,20 @@ class CholeskyStats:
     """Execution statistics of one factorization."""
 
     kernel_counts: dict[str, int] = field(default_factory=dict)
+    #: Low-rank tiles whose accumulator switched from stacked factors
+    #: to a dense block during their updates (transient: the settle
+    #: may still truncate them back, see :attr:`kept_dense`).
     densified_tiles: int = 0
+    #: Widest factor pair a low-rank tile carried after a GEMM (its
+    #: settled rank plus the updates stacked since).
     max_rank_seen: int = 0
+    #: Settles performed: accumulating tiles truncated to the
+    #: ``(tol, max_rank)`` they owed — at most one per planned-low-rank
+    #: tile.
+    truncations: int = 0
+    #: Settles that could not get under ``max_rank``: those tiles stay
+    #: dense in the factor.
+    kept_dense: int = 0
     #: Transient task failures absorbed by the resilience layer's
     #: retry policy (always 0 on the sequential reference path).
     retries: int = 0
@@ -71,9 +83,9 @@ def tile_cholesky(
     """Factor ``A = L L^T`` in place (the lower tiles of ``a`` are
     replaced by those of ``L``) and return ``(a, stats)``.
 
-    ``tile_tol`` is the absolute tile-level recompression tolerance for
+    ``tile_tol`` is the absolute tile-level truncation tolerance for
     low-rank updates (from ``plan.meta['tile_tol']``); ``max_rank``
-    caps LR ranks, beyond which tiles densify on the fly.
+    caps LR ranks, beyond which a tile stays dense.
 
     With ``validate_plan=True`` the static verifier
     (:mod:`repro.analysis.plancheck`) first checks the plan implied by
@@ -105,9 +117,11 @@ def tile_cholesky(
         a.set(k, k, lkk)
         panel["potrf"] += 1
         for m in range(k + 1, nt):
-            amk = K.trsm(
-                lkk, a.get(m, k), fp16_accumulate_fp32=fp16_accumulate_fp32
-            )
+            before = a.get(m, k)
+            amk = K.trsm(lkk, before, fp16_accumulate_fp32=fp16_accumulate_fp32)
+            if before.owed is not None:
+                stats.truncations += 1
+                stats.kept_dense += not amk.is_low_rank
             a.set(m, k, amk)
             panel["trsm"] += 1
         for m in range(k + 1, nt):
@@ -134,4 +148,5 @@ def tile_cholesky(
                 a.set(m, n, cmn)
                 panel["gemm"] += 1
         stats.count_batch(panel)
+    assert a.settled, "factor contains an unsettled tile"
     return a, stats

@@ -6,19 +6,11 @@ target accuracy, e.g. ``1e-8`` as in the paper).  Recompression after
 low-rank additions uses the standard QR-of-stacked-factors + small SVD
 scheme, which is what HiCMA does inside the TLR Cholesky update.
 
-Two optional fast paths serve the MLE hot loop (both opt-in, both
-leaving the default results untouched):
-
-* :func:`compress_or_rank` — assembly-side compression that never
-  builds truncated factors for tiles whose rank exceeds the cap, takes
-  a *warm rank hint* from the previous optimizer iteration (values-only
-  SVD early-out for tiles known to be over-cap; randomized range-finder
-  sketch for tiles known to be comfortably low-rank, with an exact-SVD
-  fallback whenever the sketch cannot certify the tolerance);
-* :func:`use_fast_lr` — a scoped switch routing :func:`recompress` /
-  :func:`lr_add` through raw LAPACK (``geqrf``/``orgqr``/``gesdd``
-  without the ``numpy.linalg`` wrapper overhead), which dominates the
-  TLR Cholesky update cost at small tile sizes.
+The MLE hot loop's assembly compresses through
+:func:`compress_or_rank` / :func:`compress_many`, which never build
+truncated factors for tiles whose rank exceeds the cap and take a *warm
+rank hint* from the previous optimizer iteration (values-only SVD
+early-out for tiles known to be over-cap).
 
 All factor arithmetic here runs in float64; storage precision is
 applied by the caller when wrapping results into tiles.
@@ -26,11 +18,7 @@ applied by the caller when wrapping results into tiles.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from functools import lru_cache
-
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 from ..exceptions import CompressionError
 from .precision import Precision
@@ -46,8 +34,6 @@ __all__ = [
     "recompress",
     "lr_add",
     "rank_of_block",
-    "use_fast_lr",
-    "fast_lr_enabled",
 ]
 
 
@@ -101,79 +87,21 @@ def rank_of_block(a: np.ndarray, tol: float) -> int:
     return frobenius_rank(s, tol)[0]
 
 
-_SKETCH_OVERSAMPLE = 8
-
-
-def _sketch_compress(
-    a: np.ndarray, tol: float, cap: int, hint: int, rng: np.random.Generator
-) -> tuple[int, np.ndarray, np.ndarray] | None:
-    """Randomized range-finder warm-started at ``hint`` columns.
-
-    Certifies the truncation with the computable bound
-
-        err(r)^2 = (||A||_F^2 - ||Q^T A||_F^2) + ||tail_r(Q^T A)||_2^2
-
-    (projection loss plus the dropped small-SVD tail) — only ranks the
-    sketch can *prove* within ``tol`` are accepted.  Returns ``None``
-    when the sketch cannot certify a rank ``<= cap`` (caller falls back
-    to the exact SVD), so accuracy never depends on the sketch quality.
-    """
-    m, n = a.shape
-    mn = min(m, n)
-    k = min(max(hint, 1) + _SKETCH_OVERSAMPLE, mn)
-    norm2 = float(np.sum(a * a))
-    for _ in range(2):  # one growth retry before the exact fallback
-        omega = rng.standard_normal((n, k))
-        q, _ = _thin_qr_fast(a @ omega)
-        b = q.T @ a  # (k, n)
-        proj2 = max(norm2 - float(np.sum(b * b)), 0.0)
-        # SVD of the small sketch via syev of its Gram matrix (same
-        # trade-off as :func:`_core_svd_fast`): eigenvalues *are* the
-        # squared singular values the error bound needs.
-        w, qb, info = _syev(b @ b.T)
-        if info != 0:
-            return None  # exact fallback
-        s2 = np.maximum(w[::-1], 0.0)
-        ub = qb[:, ::-1]
-        tail2 = np.append(np.cumsum(s2[::-1])[::-1], 0.0)
-        err = np.sqrt(proj2 + tail2)
-        admissible = np.nonzero(err <= tol)[0]
-        if admissible.size:
-            r = int(admissible[0])
-            if r > cap:
-                return None
-            if r < k or k == mn:
-                s = np.sqrt(s2[:r])
-                safe = np.maximum(s, np.finfo(np.float64).tiny)
-                u = q @ (ub[:, :r] * s)
-                # Right factor of b = Ub S Vb^T, kept columns only.
-                v = (b.T @ ub[:, :r]) / safe
-                return r, u, v
-        if k >= mn:
-            break
-        k = min(2 * k, mn)
-    return None
-
-
 def compress_or_rank(
     a: np.ndarray,
     tol: float,
     *,
     max_rank: int | None = None,
     hint: int | None = None,
-    sketch: bool = False,
-    rng: np.random.Generator | None = None,
 ) -> tuple[int, np.ndarray | None, np.ndarray | None]:
     """Compress one assembly tile, or report its rank when over the cap.
 
     Returns ``(rank, u, v)``; ``u``/``v`` are ``None`` when
     ``rank > max_rank`` — over-cap tiles never build truncated factors.
-    Without ``hint``/``sketch`` the result is bit-identical to
-    :func:`truncated_svd`.  A warm ``hint`` (the tile's rank at the
-    previous optimizer iterate) enables a values-only SVD early-out for
-    tiles expected to stay over the cap, and — with ``sketch=True`` —
-    the certified randomized range-finder for tiles expected to stay
-    well under it.
+    The factors are bit-identical to :func:`truncated_svd`'s.  A warm
+    ``hint`` (the tile's rank at the previous optimizer iterate)
+    enables a values-only SVD early-out for tiles expected to stay
+    over the cap.
     """
     a = np.asarray(a, dtype=np.float64)
     cap = min(a.shape) if max_rank is None else min(int(max_rank), min(a.shape))
@@ -184,10 +112,6 @@ def compress_or_rank(
         if rank > cap:
             return rank, None, None
         # Stale hint — fall through and build factors.
-    elif sketch and hint is not None and rng is not None:
-        out = _sketch_compress(a, tol, cap, hint, rng)
-        if out is not None:
-            return out
     uu, s, vt = np.linalg.svd(a, full_matrices=False)
     rank, _ = frobenius_rank(s, tol)
     if rank > cap:
@@ -197,65 +121,6 @@ def compress_or_rank(
     return rank, u, v
 
 
-@lru_cache(maxsize=2048)
-def _tile_omega(seed: int, n: int, k: int) -> np.ndarray:
-    """Round-1 test matrix of a sketched tile.
-
-    The draw depends only on the tile's key-derived seed and the sketch
-    width — never on ``theta`` or the data — so it is cached across
-    optimizer iterates.  The array is frozen; callers copy it into
-    their operand stacks.
-    """
-    omega = np.random.default_rng(seed).standard_normal((n, k))
-    omega.setflags(write=False)
-    return omega
-
-
-@lru_cache(maxsize=2048)
-def _tile_omega2(seed: int, n: int, k: int, k2: int) -> np.ndarray:
-    """Growth-retry test matrix: the ``(n, k2)`` draw that follows the
-    round-1 ``(n, k)`` draw on the same key-seeded stream."""
-    gen = np.random.default_rng(seed)
-    gen.standard_normal((n, k))
-    omega = gen.standard_normal((n, k2))
-    omega.setflags(write=False)
-    return omega
-
-
-def _certify_sketch(
-    qp: np.ndarray, blk: np.ndarray, tol: float, cap: int, k: int, mn: int
-) -> tuple[str, tuple[int, np.ndarray, np.ndarray] | None]:
-    """Certify one range-finder round given its orthonormal basis.
-
-    Returns ``("ok", (r, u, v))`` when the round certifies a rank,
-    ``("retry", None)`` when the sketch must grow, or ``("exact",
-    None)`` for the exact-SVD fallback — exactly the decision rules of
-    one :func:`_sketch_compress` loop iteration.
-    """
-    bp = qp.T @ blk
-    norm2 = float(np.sum(blk * blk))
-    proj2 = max(norm2 - float(np.sum(bp * bp)), 0.0)
-    w, qb, info = _syev(bp @ bp.T)
-    if info != 0:
-        return "exact", None
-    s2 = np.maximum(w[::-1], 0.0)
-    ub = qb[:, ::-1]
-    tail2 = np.append(np.cumsum(s2[::-1])[::-1], 0.0)
-    err = np.sqrt(proj2 + tail2)
-    admissible = np.nonzero(err <= tol)[0]
-    if admissible.size:
-        r = int(admissible[0])
-        if r > cap:
-            return "exact", None
-        if r < k or k == mn:
-            s = np.sqrt(s2[:r])
-            safe = np.maximum(s, np.finfo(np.float64).tiny)
-            u = qp @ (ub[:, :r] * s)
-            v = (bp.T @ ub[:, :r]) / safe
-            return "ok", (r, u, v)
-    return ("retry", None) if k < mn else ("exact", None)
-
-
 def compress_many(
     blocks: "dict[tuple[int, int], np.ndarray]",
     keys: "list[tuple[int, int]]",
@@ -263,26 +128,14 @@ def compress_many(
     *,
     max_rank: int | None = None,
     hints: "dict[tuple[int, int], int] | None" = None,
-    sketch: bool = False,
-    seed_for=None,
 ) -> "dict[tuple[int, int], tuple[int, np.ndarray | None, np.ndarray | None]]":
     """Batched :func:`compress_or_rank` over many assembly tiles.
 
-    Tiles are grouped by shape (and sketch width) and the per-tile
-    numpy calls become stacked ones — one gufunc QR/SVD and one 3-D
-    ``matmul`` per group instead of a Python-level call per tile.
-    Every stacked slice runs the same LAPACK routine on the same
-    operand as the per-tile path, Frobenius norms are taken over the
-    original blocks, and each tile's sketch rng is seeded from its own
-    key by ``seed_for`` (draws are data-independent, so the test
-    matrices are memoized across calls), so results are bit-identical
-    to calling
-    :func:`compress_or_rank` tile by tile (pinned in tests).  Tiles
-    whose sketch cannot certify a rank within the first round run the
-    growth retry per tile from their *retained* rng (the stream is
-    already positioned after the round-1 draw) and, failing that, join
-    the stacked exact-SVD group — the same draws and fallback as the
-    per-tile path without recomputing round 1.
+    Tiles are grouped by shape and the per-tile numpy calls become
+    stacked ones — one gufunc SVD per group instead of a Python-level
+    call per tile.  Every stacked slice runs the same LAPACK routine on
+    the same operand as the per-tile path, so results are bit-identical
+    to calling :func:`compress_or_rank` tile by tile (pinned in tests).
     """
     out: dict = {}
     if not keys:
@@ -293,16 +146,12 @@ def compress_many(
         return mn if max_rank is None else min(int(max_rank), mn)
 
     values_only: dict = {}
-    sketched: dict = {}
     exact: dict = {}
     for key in keys:
         shape = blocks[key].shape
         hint = None if hints is None else hints.get(key)
         if hint is not None and hint > _cap(shape):
             values_only.setdefault(shape, []).append(key)
-        elif sketch and hint is not None and seed_for is not None:
-            k = min(max(hint, 1) + _SKETCH_OVERSAMPLE, min(shape))
-            sketched.setdefault((shape, k), []).append(key)
         else:
             exact.setdefault(shape, []).append(key)
 
@@ -319,50 +168,6 @@ def compress_many(
             rank, _ = frobenius_rank(s, tol)
             if rank > cap:
                 out[key] = (rank, None, None)
-            else:
-                exact.setdefault(shape, []).append(key)
-
-    # Certified randomized range-finder, round 1 stacked: draw each
-    # tile's test matrix from its own rng, then one batched GEMM + QR +
-    # projection for the whole width class.  The small ``syev`` and the
-    # truncation bookkeeping stay per tile (k x k work).
-    for (shape, k), group in sketched.items():
-        m, n = shape
-        mn = min(m, n)
-        cap = _cap(shape)
-        astack = np.stack(
-            [np.asarray(blocks[key], dtype=np.float64) for key in group]
-        )
-        omegas = np.empty((len(group), n, k))
-        for p, key in enumerate(group):
-            omegas[p] = _tile_omega(seed_for(key), n, k)
-        qstack = np.linalg.qr(np.matmul(astack, omegas))[0]
-        grow: list[tuple[tuple[int, int], np.ndarray]] = []
-        for p, key in enumerate(group):
-            blk = np.asarray(blocks[key], dtype=np.float64)
-            # ``_thin_qr_fast`` hands the per-tile path an F-ordered Q
-            # (raw LAPACK output); the projection GEMMs in the certify
-            # step are layout-sensitive at the bit level, so restore
-            # that layout before reproducing them.
-            status, res = _certify_sketch(
-                np.asfortranarray(qstack[p]), blk, tol, cap, k, mn
-            )
-            if status == "ok":
-                out[key] = res
-            elif status == "retry":
-                grow.append((key, blk))
-            else:
-                exact.setdefault(shape, []).append(key)
-        # Growth retry per tile; ``_tile_omega2`` reproduces the draw
-        # the per-tile path's second loop iteration reads (the stream
-        # position right after round 1), so the grown sketch is
-        # bit-identical without replaying round 1.
-        k2 = min(2 * k, mn)
-        for key, blk in grow:
-            q, _ = _thin_qr_fast(blk @ _tile_omega2(seed_for(key), n, k, k2))
-            status, res = _certify_sketch(q, blk, tol, cap, k2, mn)
-            if status == "ok":
-                out[key] = res
             else:
                 exact.setdefault(shape, []).append(key)
 
@@ -409,103 +214,6 @@ def compress_tile(
     )
 
 
-# ----------------------------------------------------------------------
-# Fast low-rank arithmetic (opt-in): raw LAPACK without wrapper overhead.
-# ----------------------------------------------------------------------
-
-_fast_lr = False
-
-_probe = np.empty(0, dtype=np.float64)
-_geqrf, _orgqr = get_lapack_funcs(("geqrf", "orgqr"), (_probe,))
-(_gesdd,) = get_lapack_funcs(("gesdd",), (_probe,))
-(_syev,) = get_lapack_funcs(("syev",), (_probe,))
-
-
-@contextmanager
-def use_fast_lr(enabled: bool = True):
-    """Scope within which :func:`recompress`/:func:`lr_add` take the raw
-    LAPACK fast path.
-
-    The switch is process-global and meant to bracket one whole
-    factorization: set it *before* launching worker threads and restore
-    it after they join (reader threads are fine; toggling concurrently
-    with a running factorization is not supported).  Results differ
-    from the default path only by floating-point rounding.
-    """
-    global _fast_lr
-    previous = _fast_lr
-    _fast_lr = bool(enabled)
-    try:
-        yield
-    finally:
-        _fast_lr = previous
-
-
-def fast_lr_enabled() -> bool:
-    """Whether the current scope runs the raw-LAPACK LR path."""
-    return _fast_lr
-
-
-def _thin_qr_fast(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Economy QR of an ``(m, k)`` array with ``k <= m`` via
-    ``geqrf``/``orgqr``; raises ``LinAlgError``-free, returns ``(q, r)``
-    or ``None``-signalled failure through info checks by the caller."""
-    k = a.shape[1]
-    qr_, tau, _, info = _geqrf(a)
-    if info != 0:
-        raise CompressionError(f"geqrf failed with info={info}")
-    r = np.triu(qr_[:k])
-    q, _, info = _orgqr(qr_[:, :k], tau)
-    if info != 0:
-        raise CompressionError(f"orgqr failed with info={info}")
-    return q, r
-
-
-def _core_svd_fast(
-    core: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """SVD of the small ``k x k`` core via a symmetric eigensolve of its
-    Gram matrix (``syev`` beats ``gesdd`` by ~2x at these sizes).
-
-    Squaring halves the relative accuracy of singular values near
-    ``sqrt(eps) * s_max`` — harmless here because those values sit at or
-    below the truncation threshold; the split into kept/dropped can
-    shift by one index at the tolerance boundary, never the error bound.
-    """
-    w, q, info = _syev(core @ core.T)
-    if info != 0:
-        raise CompressionError(f"syev failed with info={info}")
-    s = np.sqrt(np.maximum(w[::-1], 0.0))
-    cu = q[:, ::-1]
-    # Right singular vectors of the kept part: V^T = S^{-1} U^T core,
-    # computed lazily by the caller for the kept rank only.
-    return cu, s, core
-
-
-def _recompress_fast(
-    u: np.ndarray, v: np.ndarray, tol: float, max_rank: int | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Raw-LAPACK recompression; same contract as :func:`recompress`."""
-    qu, ru = _thin_qr_fast(u)
-    qv, rv = _thin_qr_fast(v)
-    core = ru @ rv.T
-    cu, s, _ = _core_svd_fast(core)
-    rank, _ = frobenius_rank(s, tol)
-    if max_rank is not None and rank > max_rank:
-        raise CompressionError(
-            f"recompression to tolerance {tol:g} needs rank {rank} > {max_rank}"
-        )
-    if rank == 0:
-        return np.zeros((u.shape[0], 0)), np.zeros((v.shape[0], 0))
-    kept = cu[:, :rank]
-    # V^T rows for the kept columns only: S^{-1} U^T core.
-    safe = np.maximum(s[:rank], np.finfo(np.float64).tiny)
-    vt = (kept.T @ core) / safe[:, None]
-    new_u = qu @ (kept * s[:rank])
-    new_v = qv @ vt.T
-    return new_u, new_v
-
-
 def recompress(
     u: np.ndarray, v: np.ndarray, tol: float, max_rank: int | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -520,8 +228,6 @@ def recompress(
     k = u.shape[1]
     if k == 0:
         return u, v
-    if _fast_lr and k <= u.shape[0] and k <= v.shape[0]:
-        return _recompress_fast(u, v, tol, max_rank)
     qu, ru = np.linalg.qr(u)
     qv, rv = np.linalg.qr(v)
     core = ru @ rv.T

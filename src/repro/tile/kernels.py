@@ -13,6 +13,14 @@ Low-rank arithmetic (factor updates, recompression) always runs in
 float64; its *storage* honors the tile's precision.  That mirrors the
 implementation reality that compression kernels are FP64/FP32 only
 (Algorithm 2).
+
+A low-rank tile is updated by *accumulate exactly, truncate once*:
+:func:`gemm` appends each Schur update to the tile's exact float64
+accumulator and :func:`trsm` — the one kernel that next reads the tile
+as an operand — truncates it to the tolerance it owes (DESIGN.md
+"Low-rank updates").  The accumulating state rides on the tile
+(:attr:`~repro.tile.tile.Tile.owed`), so no kernel signature knows
+about it.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ import numpy as np
 from scipy import linalg as sla
 
 from ..exceptions import CompressionError, NotPositiveDefiniteError, ShapeError
-from .compression import fast_lr_enabled, lr_add, truncated_svd
+from .compression import recompress, truncated_svd
 from .precision import compute_dtype
 from .tile import DenseTile, LowRankTile, Tile
 
@@ -104,10 +112,13 @@ def trsm(
 
     Dense ``A``: direct solve.  Low-rank ``A = U V^T``: only the ``V``
     factor is touched (``A L^{-T} = U (L^{-1} V)^T``), which is the
-    rank-wise TLR TRSM of HiCMA.
+    rank-wise TLR TRSM of HiCMA.  An accumulating ``A`` is first
+    truncated to what it owes — its one truncation.
     """
     if l_tile.is_low_rank:
         raise ShapeError("the TRSM triangle must be dense")
+    if a.owed is not None:
+        a = _settle(a)
     if isinstance(a, LowRankTile):
         if a.rank == 0:
             return a
@@ -180,6 +191,43 @@ def _lr_update_factors(a: Tile, b: Tile) -> tuple[np.ndarray, np.ndarray]:
     raise ShapeError("at least one operand must be low-rank")  # pragma: no cover
 
 
+def _accumulate(a: Tile, b: Tile, c: Tile, owed: tuple) -> Tile:
+    """Exact float64 ``C - A @ B^T`` of a planned-low-rank ``C``, not
+    yet truncated: stacked factors while they hold fewer numbers than
+    the dense block, the dense block after that — so an accumulating
+    tile never exceeds one dense float64 tile."""
+    if a.is_low_rank or b.is_low_rank:
+        du, dv = _lr_update_factors(a, b)
+        if du.shape[1] == 0:
+            return c
+        m, n = c.shape
+        if c.is_low_rank and (m + n) * (c.rank + du.shape[1]) < m * n:
+            return LowRankTile(
+                np.hstack([c.u, -du]), np.hstack([c.v, dv]),
+                c.precision, owed,
+            )
+        update = du @ dv.T
+    else:
+        update = a.to_dense64() @ b.to_dense64().T
+    return DenseTile(c.to_dense64() - update, c.precision, owed)
+
+
+def _settle(tile: Tile) -> Tile:
+    """Truncate an accumulating tile to the ``(tol, max_rank)`` it
+    owes, in its planned storage precision.  A tile that cannot get
+    under ``max_rank`` stays dense — the runtime analogue of the
+    structure-aware "convert back to dense" decision."""
+    tol, max_rank = tile.owed
+    try:
+        if isinstance(tile, LowRankTile):
+            u, v = recompress(tile.u, tile.v, tol, max_rank)
+        else:
+            u, v, _ = truncated_svd(tile.data, tol, max_rank)
+    except CompressionError:
+        return DenseTile(tile.to_dense64(), tile.precision)
+    return LowRankTile(u, v, tile.precision)
+
+
 def gemm(
     a: Tile,
     b: Tile,
@@ -192,66 +240,31 @@ def gemm(
 ) -> Tile:
     """Schur-complement update ``C <- C - A @ B^T``.
 
-    Handles every structure combination.  A low-rank ``C`` is updated
-    by low-rank addition + recompression at the absolute tolerance
-    ``tol`` (the tile-level TLR threshold); if recompression would
-    exceed ``max_rank`` and ``allow_densify`` is set, the tile falls
-    back to dense — the runtime analogue of the structure-aware
-    "convert back to dense" decision.
+    Handles every structure combination.  A planned-low-rank ``C``
+    (low-rank, or already accumulating) is not recompressed here: the
+    update is appended to its exact accumulator and the tile *owes* one
+    truncation to the absolute tolerance ``tol`` (the tile-level TLR
+    threshold) and ``max_rank``, which :func:`trsm` performs when it
+    next reads the tile.  ``allow_densify=False`` settles at once
+    instead and raises :class:`~repro.exceptions.CompressionError` when
+    the result cannot get under ``max_rank``.
     """
-    both_dense = not (a.is_low_rank or b.is_low_rank)
-
-    if not c.is_low_rank:
-        dtype = compute_dtype(c.precision, fp16_accumulate_fp32=fp16_accumulate_fp32)
-        cdat = _as_compute(c.to_dense64(), dtype)
-        if both_dense:
-            update = _matmul_emulated(a.to_dense64(), b.to_dense64().T, dtype)
-        else:
-            du, dv = _lr_update_factors(a, b)
-            update = _as_compute(du, dtype) @ _as_compute(dv, dtype).T
-        out = cdat - update
-        return DenseTile(np.asarray(out, dtype=np.float64), c.precision)
-
-    # Low-rank C.
-    assert isinstance(c, LowRankTile)
-    if fast_lr_enabled() and allow_densify:
-        # Fast path: no recompression inside the update chain at all.
-        # Stacked factors represent the accumulated update *exactly*;
-        # once the stacked width reaches the tile size the exact dense
-        # form is strictly cheaper than any further factor arithmetic,
-        # so the tile converts and stays dense.  This replaces one
-        # QR+SVD per GEMM (the dominant TLR factorization cost at small
-        # tile sizes) with a single matmul per tile lifetime.
-        if both_dense:
-            out = c.to_dense64() - a.to_dense64() @ b.to_dense64().T
-            return DenseTile(out, c.precision)
+    if c.is_low_rank or c.owed is not None:
+        out = _accumulate(a, b, c, (tol, max_rank))
+        if not allow_densify and out.owed is not None:
+            out = _settle(out)
+            if not out.is_low_rank:
+                raise CompressionError(
+                    f"update to tolerance {tol:g} cannot stay under "
+                    f"max_rank {max_rank}"
+                )
+        return out
+    dtype = compute_dtype(c.precision, fp16_accumulate_fp32=fp16_accumulate_fp32)
+    cdat = _as_compute(c.to_dense64(), dtype)
+    if a.is_low_rank or b.is_low_rank:
         du, dv = _lr_update_factors(a, b)
-        cu = c.u.astype(np.float64)
-        cv = c.v.astype(np.float64)
-        if cu.shape[1] + du.shape[1] < min(c.shape):
-            return LowRankTile(
-                np.hstack([cu, -du]), np.hstack([cv, dv]), c.precision
-            )
-        out = cu @ cv.T - du @ dv.T
-        return DenseTile(out, c.precision)
-    if both_dense:
-        dense_update = a.to_dense64() @ b.to_dense64().T
-        try:
-            du, dv, _ = truncated_svd(dense_update, tol, max_rank)
-        except CompressionError:
-            if not allow_densify:
-                raise
-            out = c.to_dense64() - dense_update
-            return DenseTile(out, c.precision)
+        update = _as_compute(du, dtype) @ _as_compute(dv, dtype).T
     else:
-        du, dv = _lr_update_factors(a, b)
-    cu = c.u.astype(np.float64)
-    cv = c.v.astype(np.float64)
-    try:
-        nu, nv = lr_add(cu, cv, -du, dv, tol, max_rank)
-    except CompressionError:
-        if not allow_densify:
-            raise
-        out = c.to_dense64() - du @ dv.T
-        return DenseTile(out, c.precision)
-    return LowRankTile(nu, nv, c.precision)
+        update = _matmul_emulated(a.to_dense64(), b.to_dense64().T, dtype)
+    out = cdat - update
+    return DenseTile(np.asarray(out, dtype=np.float64), c.precision)

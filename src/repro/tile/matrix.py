@@ -173,16 +173,24 @@ class TileMatrix:
         ]
         return max(ranks, default=0)
 
+    @property
+    def settled(self) -> bool:
+        """True when no tile is accumulating (owes a truncation) —
+        every matrix outside a running factorization."""
+        return all(tile.owed is None for tile in self._tiles.values())
+
     def copy(self) -> "TileMatrix":
         """Deep copy (tiles' arrays are copied)."""
         out = TileMatrix(self.layout)
         for (i, j), tile in self._tiles.items():
             if isinstance(tile, LowRankTile):
                 out._tiles[(i, j)] = LowRankTile(
-                    tile.u.copy(), tile.v.copy(), tile.precision
+                    tile.u.copy(), tile.v.copy(), tile.precision, tile.owed
                 )
             else:
-                out._tiles[(i, j)] = DenseTile(tile.data.copy(), tile.precision)
+                out._tiles[(i, j)] = DenseTile(
+                    tile.data.copy(), tile.precision, tile.owed
+                )
         return out
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -18,6 +18,8 @@ import enum
 
 import numpy as np
 
+from ..exceptions import NumericalCorruptionError
+
 __all__ = ["Precision", "cast_storage", "compute_dtype", "PRECISION_LADDER"]
 
 
@@ -105,12 +107,24 @@ def cast_storage(array: np.ndarray, precision: Precision) -> np.ndarray:
     """Round ``array`` into the storage dtype of ``precision``.
 
     A no-op (returns the same object) when the dtype already matches —
-    callers rely on that to avoid copies on the FP64 fast path.
+    callers rely on that to avoid copies on the FP64 fast path.  A
+    finite value the narrower format cannot hold (FP16 tops out at
+    65504) raises :class:`~repro.exceptions.NumericalCorruptionError`
+    instead of storing ``inf`` under a bare ``RuntimeWarning``: the
+    plan gave the tile a precision its values do not fit, which the
+    recovery and degradation ladders escalate like any breakdown.
     """
     target = precision.dtype
     if array.dtype == target:
         return array
-    return array.astype(target)
+    try:
+        with np.errstate(over="raise"):
+            return array.astype(target)
+    except FloatingPointError:
+        raise NumericalCorruptionError(
+            f"magnitude {np.abs(array).max():.3g} overflows "
+            f"{precision.label} storage"
+        ) from None
 
 
 def compute_dtype(precision: Precision, *, fp16_accumulate_fp32: bool = True) -> np.dtype:

@@ -15,11 +15,13 @@ segments:
   low-rank ``U`` factor, slab *b* the ``V`` factor.  The bound covers
   every representation a kernel can produce (dense FP64 is ``8mn``;
   a rank-``r`` factor with ``r <= min(m, n)`` fits because
-  ``itemsize * r <= 8 * n``), so a tile can densify, re-compress, or
-  change precision in place without ever reallocating;
+  ``itemsize * r <= 8 * n``, float64 accumulators included), so a
+  tile can accumulate, settle, densify or change precision in place
+  without ever reallocating;
 * **picklable headers**: a :class:`TileHandle` names the slabs plus
-  the current representation (kind / precision / shape / rank) — the
-  only thing that ever crosses a process boundary;
+  the current representation (kind / precision / shape / rank / what
+  an accumulating tile owes) — the only thing that ever crosses a
+  process boundary;
 * **zero-copy views**: :func:`tile_view` wraps the slab bytes in
   numpy arrays without copying, on both sides of the fork;
 * **explicit lifecycle**: the creating process owns the segments and
@@ -83,7 +85,9 @@ class TileHandle(NamedTuple):
     """Picklable descriptor of a tile's current representation in the
     store.  ``a`` holds the dense payload or the ``U`` factor, ``b``
     the ``V`` factor (unused while dense); ``rank`` is meaningful only
-    when ``lr``."""
+    when ``lr``.  ``owed`` is the tile's
+    :attr:`~repro.tile.tile.Tile.owed`: when set, the payload is the
+    float64 accumulator and ``precision`` the planned storage."""
 
     index: tuple[int, int]
     lr: bool
@@ -92,6 +96,13 @@ class TileHandle(NamedTuple):
     rank: int
     a: SlabRef
     b: SlabRef
+    owed: "tuple[float, int | None] | None" = None
+
+
+def _payload_dtype(handle: TileHandle) -> np.dtype:
+    if handle.owed is not None:
+        return np.dtype(np.float64)
+    return Precision(handle.precision).dtype
 
 
 def payload_nbytes(handle: TileHandle) -> int:
@@ -101,7 +112,7 @@ def payload_nbytes(handle: TileHandle) -> int:
     representation (``itemsize * m * n`` dense,
     ``itemsize * rank * (m + n)`` low-rank)."""
     m, n = handle.shape
-    itemsize = Precision(handle.precision).itemsize
+    itemsize = _payload_dtype(handle).itemsize
     if handle.lr:
         return itemsize * handle.rank * (m + n)
     return itemsize * m * n
@@ -123,11 +134,10 @@ def _write_payload(buf, ref: SlabRef, arr: np.ndarray) -> None:
 
 
 def _handle_for(index: tuple[int, int], tile: Tile, a: SlabRef, b: SlabRef) -> TileHandle:
-    if isinstance(tile, LowRankTile):
-        return TileHandle(
-            index, True, int(tile.precision), tile.shape, tile.rank, a, b
-        )
-    return TileHandle(index, False, int(tile.precision), tile.shape, 0, a, b)
+    return TileHandle(
+        index, tile.is_low_rank, int(tile.precision), tile.shape,
+        tile.rank if tile.is_low_rank else 0, a, b, tile.owed,
+    )
 
 
 def tile_view(handle: TileHandle, buf_a, buf_b) -> Tile:
@@ -139,16 +149,17 @@ def tile_view(handle: TileHandle, buf_a, buf_b) -> Tile:
     the current task must copy.
     """
     m, n = handle.shape
-    dtype = Precision(handle.precision).dtype
+    dtype = _payload_dtype(handle)
+    precision = Precision(handle.precision)
     if handle.lr:
         u = np.ndarray((m, handle.rank), dtype=dtype, buffer=buf_a,
                        offset=handle.a.offset)
         v = np.ndarray((n, handle.rank), dtype=dtype, buffer=buf_b,
                        offset=handle.b.offset)
-        return LowRankTile(u, v)
+        return LowRankTile(u, v, precision, handle.owed)
     data = np.ndarray((m, n), dtype=dtype, buffer=buf_a,
                       offset=handle.a.offset)
-    return DenseTile(data)
+    return DenseTile(data, precision, handle.owed)
 
 
 class _SlabClass:
@@ -264,8 +275,10 @@ class SharedTileStore:
             self._buf(handle.b) if handle.lr else None,
         )
         if isinstance(view, LowRankTile):
-            return LowRankTile(view.u.copy(), view.v.copy(), view.precision)
-        return DenseTile(view.data.copy(), None)
+            return LowRankTile(
+                view.u.copy(), view.v.copy(), view.precision, view.owed
+            )
+        return DenseTile(view.data.copy(), view.precision, view.owed)
 
     def read_into(self, matrix: TileMatrix) -> TileMatrix:
         """Copy every current handle's payload back into ``matrix``

@@ -10,6 +10,14 @@ Tiles are small value objects; the numerical kernels in
 :mod:`repro.tile.kernels` consume and produce them.  Mutation happens
 only by *replacing* a tile inside a :class:`repro.tile.matrix.TileMatrix`,
 which keeps dataflow analysis in the runtime honest.
+
+A planned-low-rank tile that has received Schur updates is
+*accumulating*: its payload is the exact float64 result (stacked
+factors, or a dense block once those would hold as many numbers) and
+``owed`` is the ``(tol, max_rank)`` truncation it has not had yet.
+Only :mod:`repro.tile.kernels` sets or consumes that state; everywhere
+else a tile's ``owed`` is ``None`` and its payload has its precision's
+dtype.
 """
 
 from __future__ import annotations
@@ -29,6 +37,10 @@ class Tile:
 
     shape: tuple[int, int]
     precision: Precision
+    #: ``(tol, max_rank)`` an accumulating tile still has to be
+    #: truncated to (in ``precision``, its planned storage); ``None``
+    #: for a settled tile.
+    owed: "tuple[float, int | None] | None"
 
     @property
     def nbytes(self) -> int:
@@ -50,18 +62,22 @@ class Tile:
 class DenseTile(Tile):
     """Full-storage tile at a given precision."""
 
-    __slots__ = ("data", "precision")
+    __slots__ = ("data", "precision", "owed")
 
-    def __init__(self, data: np.ndarray, precision: Precision | None = None):
+    def __init__(self, data: np.ndarray, precision: Precision | None = None,
+                 owed: "tuple[float, int | None] | None" = None):
         arr = np.asarray(data)
         if arr.ndim != 2:
             raise ShapeError(f"dense tile must be 2-D, got shape {arr.shape}")
         if precision is None:
             precision = Precision.from_any(arr.dtype)
-        else:
+        elif owed is not None:  # an accumulator stays exact until settled
+            arr = np.asarray(arr, dtype=np.float64)
+        elif arr.dtype != precision.dtype:
             arr = cast_storage(np.asarray(arr, dtype=np.float64), precision)
         self.data = arr
         self.precision = precision
+        self.owed = owed
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -97,10 +113,11 @@ class LowRankTile(Tile):
     numerically zero tile (factors have a zero-sized second axis).
     """
 
-    __slots__ = ("u", "v", "precision")
+    __slots__ = ("u", "v", "precision", "owed")
 
     def __init__(
-        self, u: np.ndarray, v: np.ndarray, precision: Precision | None = None
+        self, u: np.ndarray, v: np.ndarray, precision: Precision | None = None,
+        owed: "tuple[float, int | None] | None" = None,
     ):
         # Canonical C-order storage: BLAS picks its loop order (and
         # therefore its last-bit rounding) from operand layout, so the
@@ -120,12 +137,18 @@ class LowRankTile(Tile):
             precision = Precision.from_any(u.dtype)
             if Precision.from_any(v.dtype) is not precision:
                 raise ShapeError("low-rank factors must share a dtype")
+        elif owed is not None:  # an accumulator stays exact until settled
+            u = np.asarray(u, dtype=np.float64)
+            v = np.asarray(v, dtype=np.float64)
         else:
-            u = cast_storage(np.asarray(u, dtype=np.float64), precision)
-            v = cast_storage(np.asarray(v, dtype=np.float64), precision)
+            if u.dtype != precision.dtype:
+                u = cast_storage(np.asarray(u, dtype=np.float64), precision)
+            if v.dtype != precision.dtype:
+                v = cast_storage(np.asarray(v, dtype=np.float64), precision)
         self.u = u
         self.v = v
         self.precision = precision
+        self.owed = owed
 
     @property
     def rank(self) -> int:

@@ -10,7 +10,9 @@ Covers the equivalence contracts of the evaluation engine:
   explicit-geometry validation);
 * parallel factorization matches sequential per variant (bit-identical
   for dense FP64, value-identical for the mixed-precision variants);
-* ``fast_lr`` matches the default low-rank arithmetic to rounding;
+* ``mp-dense-tlr`` (accumulate exactly, truncate once) stays inside the
+  budget its ``tlr_tol`` implies — log-likelihood, fitted optimum and
+  MSPE against the dense reference;
 * replicated likelihoods route through the recovery ladder.
 """
 
@@ -21,8 +23,10 @@ import pytest
 
 from repro.core import (
     EvaluationEngine,
+    ExaGeoStatModel,
     fit_mle,
     loglikelihood,
+    loglikelihood_dense_reference,
     loglikelihood_replicated,
 )
 from repro.core.variants import get_variant
@@ -242,21 +246,64 @@ def test_workers_threads_through_variant_config(xz):
 
 
 # ----------------------------------------------------------------------
-# fast_lr and recovery routing
+# the low-rank update's accuracy budget, and recovery routing
 # ----------------------------------------------------------------------
 
-def test_fast_lr_matches_default_to_rounding(xz):
+def test_mp_dense_tlr_stays_inside_the_tlr_budget(xz):
+    """Log-likelihood, the fitted optimum and MSPE of ``mp-dense-tlr``
+    against the dense reference, all inside the benchmark harness's
+    budget ``100 n max(mp_accuracy, tlr_tol)``."""
     kern, theta, x, z = xz
-    base = loglikelihood(
-        kern, theta, x, z, tile_size=TILE, variant="mp-dense-tlr",
-        nugget=1e-8,
+    cfg = get_variant("mp-dense-tlr")
+    budget = 100.0 * len(x) * max(cfg.mp_accuracy, cfg.tlr_tol)
+
+    def reference(at):
+        return loglikelihood_dense_reference(kern, at, x, z, nugget=1e-8)
+
+    tlr = loglikelihood(
+        kern, theta, x, z, tile_size=TILE, variant=cfg, nugget=1e-8
     )
-    fast = loglikelihood(
-        kern, theta, x, z, tile_size=TILE, nugget=1e-8,
-        variant=get_variant("mp-dense-tlr").with_(fast_lr=True),
+    assert tlr.stats.truncations > 0  # the low-rank update path ran
+    assert abs(tlr.value - reference(theta)) <= budget
+
+    held = np.arange(len(x)) % 6 == 0
+    fits = {}
+    for variant in ("dense-fp64", "mp-dense-tlr"):
+        model = ExaGeoStatModel(
+            kern, variant, tile_size=TILE, nugget=1e-8, ordering="none"
+        ).fit(x[~held], z[~held], theta0=theta, max_iter=20)
+        fits[variant] = model.theta_, model.score(x[held], z[held])
+    (theta_ref, mspe_ref), (theta_tlr, mspe_tlr) = fits.values()
+    # Two surfaces within ``budget`` of each other have maxima within
+    # ``2 budget`` of each other on the reference surface.
+    assert abs(reference(theta_tlr) - reference(theta_ref)) <= 2.0 * budget
+    np.testing.assert_allclose(theta_tlr, theta_ref, rtol=budget)
+    assert abs(mspe_tlr - mspe_ref) <= budget * mspe_ref
+
+
+def test_truncations_bounded_by_planned_low_rank_tiles():
+    """The tlr-fit-serve workload in miniature (exponential kernel,
+    nugget 1e-6, Morton order, 20 x 20 tiles): a planned-low-rank tile
+    is truncated at most once per factorization, however many Schur
+    updates it absorbed."""
+    kern = ExponentialKernel()
+    theta = np.array([1.0, 0.1])
+    x = _locations(n=400, seed=1)
+    z = _observations(kern, theta, x)
+    result = loglikelihood(
+        kern, theta, x, z, tile_size=20, variant="mp-dense-tlr",
+        nugget=1e-6,
     )
-    np.testing.assert_allclose(fast.value, base.value, rtol=1e-6)
-    np.testing.assert_allclose(fast.logdet, base.logdet, rtol=1e-6)
+    planned = sum(result.report.plan.use_lr.values())
+    stats = result.stats
+    assert 0 < stats.truncations <= planned < stats.kernel_counts["gemm"]
+    assert stats.kept_dense <= stats.densified_tiles <= stats.truncations
+    kept = sum(
+        not tile.is_low_rank
+        for key, tile in result.factor.items()
+        if result.report.plan.use_lr[key]
+    )
+    assert kept == stats.kept_dense
 
 
 def test_replicated_routes_through_recovery(xz):

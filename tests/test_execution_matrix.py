@@ -2,7 +2,9 @@
 
 placement {inline, thread, process} x grouping {per-tile, stacked} x
 hook {none, deadline, retry+chaos} x variant {dense-fp64, mp-dense-tlr}
-at ``nt`` in {1, 4} and a ragged last tile.  Every cell goes through
+at ``nt`` in {1, 4} and a ragged last tile, plus an ``mp-dense-tlr``
+shape large enough that low-rank tiles accumulate several Schur
+updates and settle from both accumulator forms.  Every cell goes through
 the public :func:`loglikelihood` with the execution settings on the
 variant, and either
 
@@ -46,8 +48,15 @@ TILE = 16
 #: Short range: the off-band tiles of mp-dense-tlr compress even at tile 16.
 THETA = np.array([1.0, 0.03, 0.5])
 NUGGET = 1.0e-8
-#: name -> n: one tile, four tiles, three and a half tiles.
-SHAPES = {"nt1": 16, "nt4": 64, "ragged": 56}
+#: name -> n: one tile, four tiles, three and a half tiles, and twelve
+#: and a half — where mp-dense-tlr settles some tiles from stacked
+#: factors, some from a dense accumulator, and keeps one dense.
+SHAPES = {"nt1": 16, "nt4": 64, "ragged": 56, "settling": 200}
+CELLS = [
+    (variant, shape)
+    for variant in ("dense-fp64", "mp-dense-tlr") for shape in SHAPES
+    if (variant, shape) != ("dense-fp64", "settling")
+]
 PLACEMENTS = {
     "inline": dict(workers=1),
     "thread": dict(workers=2),
@@ -109,6 +118,11 @@ def _reference(variant, shape):
         )
         low_rank = sum(tile.is_low_rank for _, tile in factor.items())
         assert bool(low_rank) == (cfg.use_tlr and shape != "nt1")
+        if shape == "settling":
+            # densified_tiles settled from the dense form, the rest of
+            # the truncations from stacked factors.
+            assert 0 < stats.kept_dense < stats.densified_tiles
+            assert stats.densified_tiles < stats.truncations
         _REFERENCE[key] = factor, stats
     return _REFERENCE[key]
 
@@ -151,8 +165,7 @@ def nothing_outlives_the_cell():
         time.sleep(0.01)
 
 
-@pytest.mark.parametrize("shape", SHAPES)
-@pytest.mark.parametrize("variant", ["dense-fp64", "mp-dense-tlr"])
+@pytest.mark.parametrize("variant,shape", CELLS)
 @pytest.mark.parametrize("hook", HOOKS)
 @pytest.mark.parametrize("grouping", GROUPINGS)
 @pytest.mark.parametrize("placement", PLACEMENTS)
@@ -193,6 +206,8 @@ def test_cell(placement, grouping, hook, variant, shape, procpool,
     assert result.stats.kernel_counts == ref_stats.kernel_counts
     assert result.stats.densified_tiles == ref_stats.densified_tiles
     assert result.stats.max_rank_seen == ref_stats.max_rank_seen
+    assert result.stats.truncations == ref_stats.truncations
+    assert result.stats.kept_dense == ref_stats.kept_dense
 
     # Stacked pools are sized to the physical cores, so a one-core
     # host resolves thread x stacked to the caller's thread.
@@ -239,7 +254,7 @@ def test_inline_run_lets_an_interrupt_through(monkeypatch):
 # ----------------------------------------------------------------------
 # one carrier for execution settings
 # ----------------------------------------------------------------------
-EXECUTION_SETTINGS = {"workers", "fast_lr", "batch", "backend"}
+EXECUTION_SETTINGS = {"workers", "batch", "backend"}
 
 
 @pytest.mark.parametrize("api", [

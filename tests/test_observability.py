@@ -222,7 +222,7 @@ class TestRealPaths:
         kernel, x, z = problem
         telemetry = Telemetry()
         kwargs = dict(
-            tile_size=40, nugget=NUGGET,
+            tile_size=20, nugget=NUGGET,  # 8 x 8 tiles: low-rank updates
             variant=get_variant("mp-dense-tlr").with_(workers=workers),
         )
         plain = loglikelihood(kernel, THETA, x, z, **kwargs)
@@ -232,6 +232,17 @@ class TestRealPaths:
         assert traced.value == plain.value
         assert traced.logdet == plain.logdet
         assert len(telemetry.tracer) > 0
+        # The low-rank settle tally: registry == stats == the one event.
+        stats = traced.stats
+        for name in ("truncations", "kept_dense"):
+            counter = telemetry.registry.counter(f"repro_cholesky_{name}_total")
+            assert counter.value() == getattr(stats, name)
+        (settle,) = [
+            e for e in telemetry.tracer.sorted_events()
+            if e.name == "lr_settle"
+        ]
+        assert settle.attrs["truncations"] == stats.truncations > 0
+        assert settle.attrs["kept_dense"] == stats.kept_dense
 
     def test_thread_backend_span_nesting(self, problem):
         kernel, x, z = problem

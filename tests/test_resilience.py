@@ -249,10 +249,10 @@ class TestDegradationLadderShape:
 
     def test_every_rung_keeps_the_execution_settings(self):
         v = MP_DENSE_TLR.with_(
-            workers=3, backend="process", batch=True, fast_lr=True)
+            workers=3, backend="process", batch=True)
         for step in degradation_steps(v, DegradationPolicy()):
-            assert (step.workers, step.backend, step.batch, step.fast_lr) \
-                == (3, "process", True, True), step.name
+            assert (step.workers, step.backend, step.batch) \
+                == (3, "process", True), step.name
 
     def test_dense_fp64_has_nowhere_to_fall(self):
         assert degradation_steps(DENSE_FP64, DegradationPolicy()) == []

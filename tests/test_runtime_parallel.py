@@ -60,9 +60,13 @@ class TestParallelEngine:
 
     def test_concurrency_observed(self):
         """With many workers and a wide DAG, at least two tasks must
-        have been in flight simultaneously at some point (GIL release
-        in BLAS makes this reliable at these sizes)."""
-        tm = random_spd_tilematrix(400, 40, seed=6)
+        have been in flight simultaneously at some point.  Sized so one
+        worker cannot drain the DAG before the others have started:
+        1540 tasks are well over 100 ms of work, where the 220 of a
+        10 x 10 tiling took one worker ~20 ms — a handful of
+        interpreter time slices, which it won about one fresh run in
+        ten on two cores."""
+        tm = random_spd_tilematrix(960, 48, seed=6)
         _, report = execute_cholesky_parallel(tm, workers=4)
         assert report.max_concurrency >= 2
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import linalg as sla
 
 from repro.exceptions import NotPositiveDefiniteError, ShapeError
@@ -153,7 +155,11 @@ class TestGemmLowRankOutput:
         tc, c = lr_tile(rng, 8, 8, 3)
         tol = 1e-10 * np.linalg.norm(c - a @ b.T)
         out = K.gemm(ta, tb, tc, tol=tol, max_rank=8)
-        assert out.is_low_rank
+        assert out.owed == (tol, 8)
+        # The TRSM that next reads the tile settles it (identity
+        # triangle: the values are unchanged).
+        out = K.trsm(DenseTile(np.eye(8)), out)
+        assert out.is_low_rank and out.owed is None and out.rank == 5
         np.testing.assert_allclose(
             out.to_dense64(), c - a @ b.T,
             atol=1e-8 * np.linalg.norm(c),
@@ -189,6 +195,102 @@ class TestGemmLowRankOutput:
         tc, _ = lr_tile(rng, 8, 8, 1)
         with pytest.raises(CompressionError):
             K.gemm(ta, tb, tc, tol=1e-14, max_rank=2, allow_densify=False)
+
+
+PRECISIONS = (Precision.FP64, Precision.FP32, Precision.FP16)
+
+
+@st.composite
+def update_chains(draw):
+    """A low-rank ``m x n`` tile and 1-40 Schur updates ``A_i B_i^T``
+    into it: ragged shapes, dense and low-rank operands (rank 0
+    included) at every storage precision."""
+    m = draw(st.integers(3, 24))
+    n = draw(st.integers(3, 24))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def operand(rows, cols):
+        precision = draw(st.sampled_from(PRECISIONS))
+        if draw(st.booleans()):
+            return DenseTile(gen.standard_normal((rows, cols)), precision)
+        rank = draw(st.integers(0, min(3, rows, cols)))
+        return LowRankTile(
+            gen.standard_normal((rows, rank)),
+            gen.standard_normal((cols, rank)), precision,
+        )
+
+    c = LowRankTile(
+        gen.standard_normal((m, 2)), gen.standard_normal((n, 2)),
+        draw(st.sampled_from(PRECISIONS)),
+    )
+    updates = []
+    for _ in range(draw(st.integers(1, 40))):
+        k = draw(st.integers(3, 24))
+        updates.append((operand(m, k), operand(n, k)))
+    tol = 10.0 ** draw(st.integers(-12, 0))
+    max_rank = draw(st.one_of(st.none(), st.integers(1, min(m, n))))
+    return c, updates, tol, max_rank
+
+
+class TestAccumulateThenSettle:
+    @given(chain=update_chains())
+    @settings(max_examples=60, deadline=None)
+    def test_chain_settles_within_tolerance(self, chain):
+        """However the accumulator got there — stacked factors, the
+        dense block, or the switch between them — the one truncation
+        lands within ``tol`` (Frobenius) of the exact dense result plus
+        the rounding of its storage precision, and the accumulator
+        never holds more than one dense tile of entries."""
+        c, updates, tol, max_rank = chain
+        m, n = c.shape
+        exact = c.to_dense64()
+        for a, b in updates:
+            exact = exact - a.to_dense64() @ b.to_dense64().T
+            c = K.gemm(a, b, c, tol=tol, max_rank=max_rank)
+            if c.owed is not None:
+                assert c.owed == (tol, max_rank)
+                payload = (c.u, c.v) if c.is_low_rank else (c.data,)
+                assert all(p.dtype == np.float64 for p in payload)
+                assert sum(p.size for p in payload) <= m * n
+        storage = c.precision
+        out = K.trsm(DenseTile(np.eye(n)), c)
+        assert out.owed is None and out.precision is storage
+        payload = (out.u, out.v) if out.is_low_rank else (out.data,)
+        assert all(p.dtype == storage.dtype for p in payload)
+        if out.is_low_rank and max_rank is not None and c.owed is not None:
+            assert out.rank <= max_rank
+        rounding = 4.0 * np.sqrt(min(m, n)) * storage.unit_roundoff
+        assert np.linalg.norm(out.to_dense64() - exact) <= (
+            tol + (rounding + 1e-13) * max(np.linalg.norm(exact), 1.0)
+        )
+
+    def test_settle_happens_once_in_trsm(self, rng):
+        """Stacked form below the switch, the dense block above it,
+        one truncation when TRSM reads the tile, none after."""
+        tc, c = lr_tile(rng, 16, 16, 2)
+        ta, a = lr_tile(rng, 16, 16, 2)
+        tb, b = lr_tile(rng, 16, 16, 2)
+        once = K.gemm(ta, tb, tc, tol=1e-9, max_rank=8)
+        assert once.is_low_rank and once.rank == 4 and once.owed
+        twice = K.gemm(ta, tb, once, tol=1e-9, max_rank=8)
+        thrice = K.gemm(ta, tb, twice, tol=1e-9, max_rank=8)
+        assert twice.rank == 6 and not thrice.is_low_rank and thrice.owed
+        eye = DenseTile(np.eye(16))
+        settled = K.trsm(eye, thrice)
+        assert settled.is_low_rank and settled.owed is None
+        assert settled.rank == 4  # c and one direction a b^T, thrice
+        np.testing.assert_allclose(
+            settled.to_dense64(), c - 3 * a @ b.T, atol=1e-8
+        )
+        assert K.trsm(eye, settled).owed is None
+
+    def test_unsettleable_tile_stays_dense(self, rng):
+        tc, c = lr_tile(rng, 8, 8, 1)
+        a = rng.standard_normal((8, 8))
+        out = K.gemm(DenseTile(a), DenseTile(a), tc, tol=1e-14, max_rank=2)
+        settled = K.trsm(DenseTile(np.eye(8)), out)
+        assert not settled.is_low_rank and settled.owed is None
+        np.testing.assert_allclose(settled.to_dense64(), c - a @ a.T, atol=1e-12)
 
 
 class TestPrecisionSemantics:

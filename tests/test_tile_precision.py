@@ -69,6 +69,20 @@ class TestCastStorage:
             err = np.abs(cast_storage(a, p).astype(np.float64) - a) / a
             assert err.max() <= p.unit_roundoff
 
+    def test_overflow_is_a_typed_error_not_a_warning(self):
+        """A finite value the format cannot hold must not become a
+        silent ``inf`` (pytest turns the bare RuntimeWarning it used
+        to emit into an error, see pyproject.toml)."""
+        from repro.exceptions import NumericalCorruptionError
+
+        with pytest.raises(NumericalCorruptionError, match="FP16"):
+            cast_storage(np.array([1.0, 7.0e4]), Precision.FP16)
+        with pytest.raises(NumericalCorruptionError, match="FP32"):
+            cast_storage(np.array([1.0e39]), Precision.FP32)
+        # Non-finite input is not an overflow: it passes through.
+        out = cast_storage(np.array([np.inf, np.nan, 65504.0]), Precision.FP16)
+        assert np.isinf(out[0]) and np.isnan(out[1]) and out[2] == 65504.0
+
 
 class TestComputeDtype:
     def test_fp16_accumulates_fp32(self):
