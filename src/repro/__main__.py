@@ -31,15 +31,14 @@ Commands
     the golden resilience invariants
     (seeded chaos reproducibility, inert-hook bit-identity,
     degradation ladder, deadline drain), the golden telemetry
-    invariants (``--telemetry``: span-tree well-formedness, metrics /
-    legacy-stats consistency, exporter round-trips, disabled-tracer
-    silence), the static lock-discipline
-    analyzer (``--concurrency``, defaulting to the installed package
-    sources), and/or the dynamic race sanitizer (``--sanitize-run``:
-    a threaded fit + batched predict under seeded chaos with lockset
-    + happens-before instrumentation).  Exit code 0 iff no
-    error-severity
-    finding is reported; warnings do not fail the run.
+    invariants (``--telemetry``: span-tree well-formedness, exporter
+    round-trips, traced-vs-untraced bit-identity), the static
+    lock-discipline analyzer (``--concurrency``, defaulting to the
+    installed package sources), and/or the dynamic race sanitizer
+    (``--sanitize-run``: a threaded fit + batched predict under seeded
+    chaos with lockset + happens-before instrumentation).  Exit code 0
+    iff no error-severity finding is reported; warnings do not fail
+    the run.
 """
 
 from __future__ import annotations
@@ -191,8 +190,10 @@ def _cmd_profile(args) -> int:
         print(f"  profile dump -> {args.dump}")
     print()
     print(telemetry.render_breakdown())
+    # CholeskyStats as the registry mirrors it, summed over the fit.
+    metrics = telemetry.registry.snapshot()
     truncations, kept_dense, densified = (
-        int(telemetry.registry.counter(f"repro_cholesky_{name}_total").value())
+        int(metrics[f"repro_cholesky_{name}_total"]["series"][0]["value"])
         for name in ("truncations", "kept_dense", "densified_tiles")
     )
     print(f"low-rank settles: {truncations} truncation(s), "
@@ -328,9 +329,8 @@ def main(argv: list[str] | None = None) -> int:
                           "installed repro package sources)")
     p_a.add_argument("--telemetry", action="store_true",
                      help="run the golden telemetry invariants (span-"
-                          "tree well-formedness, metrics consistency, "
-                          "exporter round-trips, disabled-tracer "
-                          "silence)")
+                          "tree well-formedness, exporter round-trips, "
+                          "traced-vs-untraced bit-identity)")
     p_a.add_argument("--sanitize-run", action="store_true",
                      help="drive a threaded fit + batched predict "
                           "under seeded chaos with the dynamic race "

@@ -521,7 +521,7 @@ def _wrap_setattr(cls, watched: set[str], label: str) -> None:
 def _install_patches() -> None:
     from concurrent.futures import Future, ThreadPoolExecutor
 
-    from ..core.serving import PredictionEngine
+    from ..core.serving import PredictionEngine, ServingStats
     from ..obs import tracer as obs_tracer
     from ..resilience.health import CircuitBreaker
     from ..runtime import taskcore
@@ -598,13 +598,7 @@ def _install_patches() -> None:
 
     _patch(PredictionEngine, "__init__", engine_init)
     _wrap_setattr(
-        PredictionEngine,
-        {
-            "_cross_bytes", "_predict_calls", "_predictions", "_batches",
-            "_cross_hits", "_cross_misses", "_clamped", "_failed_calls",
-            "_batch_retries",
-        },
-        "PredictionEngine",
+        ServingStats, set(ServingStats.__dataclass_fields__), "ServingStats",
     )
 
     # --- circuit breaker (the HealthReport source state) ---------------

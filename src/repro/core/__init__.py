@@ -10,8 +10,13 @@ from .likelihood import (
 )
 from .mle import MLEResult, fit_mle
 from .model import ExaGeoStatModel
-from .prediction import PredictionResult, clamp_variance, kriging_predict
-from .serving import PredictionEngine, ServingStats
+from .serving import (
+    PredictionEngine,
+    PredictionResult,
+    ServingStats,
+    clamp_variance,
+    kriging_predict,
+)
 from .simulation import conditional_simulation
 from .uq import (
     MLEUncertainty,

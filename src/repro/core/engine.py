@@ -24,7 +24,7 @@ rounding).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -41,6 +41,10 @@ __all__ = ["EngineStats", "EvaluationEngine"]
 @dataclass
 class EngineStats:
     """Reuse counters of one engine."""
+
+    #: Published as a cumulative snapshot
+    #: (:meth:`MetricsRegistry.publish`).
+    metric_kind = "gauge"
 
     evaluations: int = 0
     geometry_hits: int = 0
@@ -67,8 +71,8 @@ class EvaluationEngine:
 
     ``telemetry`` (a :class:`~repro.obs.Telemetry`, default ``None``)
     threads span tracing and metrics through every evaluation; after
-    each one the engine's :class:`EngineStats` gauges are refreshed in
-    the bundle's registry.
+    each one the engine's :class:`EngineStats` and :meth:`health` are
+    mirrored into the bundle's registry.
     """
 
     def __init__(
@@ -106,11 +110,10 @@ class EvaluationEngine:
         # injector (one epoch stream, one tally); None stays None.
         self.resilience = None if resilience is None else resilience.bind()
         self.rank_hints: dict[tuple[int, int], int] = {}
-        self._evaluations = 0
-        self._failures = 0
-        self._consecutive_failures = 0
-        self._retries = 0
-        self._recoveries = 0
+        #: The engine's whole account (immutable; each evaluation
+        #: replaces it): :meth:`health` hands it out, and
+        #: ``EngineStats.evaluations`` is its ``calls``.
+        self._health = HealthReport(calls=0, failures=0, consecutive_failures=0)
 
     def evaluate(
         self, theta: np.ndarray, *, deadline: Deadline | None = None
@@ -122,7 +125,7 @@ class EvaluationEngine:
         ``deadline``) re-raise after updating the engine's error
         budget; :meth:`health` reports it.
         """
-        self._evaluations += 1
+        health = replace(self._health, calls=self._health.calls + 1)
         try:
             result = loglikelihood(
                 self.kernel, theta, self.x, self.z,
@@ -134,17 +137,23 @@ class EvaluationEngine:
                 telemetry=self.telemetry,
             )
         except Exception:
-            self._failures += 1
-            self._consecutive_failures += 1
+            self._health = replace(
+                health, failures=health.failures + 1,
+                consecutive_failures=health.consecutive_failures + 1,
+            )
             raise
-        self._consecutive_failures = 0
-        self._retries += result.stats.retries
-        if result.recovery is not None:
-            self._recoveries += 1
-        if result.report.ranks:
-            self.rank_hints.update(result.report.ranks)
-        if self.telemetry is not None:
-            self.telemetry.record_engine_stats(self.stats())
+        else:
+            self._health = replace(
+                health, consecutive_failures=0,
+                retries=health.retries + result.stats.retries,
+                recoveries=health.recoveries + (result.recovery is not None),
+            )
+            if result.report.ranks:
+                self.rank_hints.update(result.report.ranks)
+        finally:
+            if self.telemetry is not None:
+                self.telemetry.record(self.stats())
+                self.telemetry.record(self._health)
         return result
 
     def close(self) -> None:
@@ -162,7 +171,7 @@ class EvaluationEngine:
 
     def stats(self) -> EngineStats:
         return EngineStats(
-            evaluations=self._evaluations,
+            evaluations=self._health.calls,
             geometry_hits=0 if self.cache is None else self.cache.hits,
             geometry_misses=0 if self.cache is None else self.cache.misses,
             warm_tiles=len(self.rank_hints),
@@ -173,10 +182,4 @@ class EvaluationEngine:
         evaluations failed, the current failure streak, and how much
         work the resilience layer absorbed (task retries, recovery-
         ladder rescues)."""
-        return HealthReport(
-            calls=self._evaluations,
-            failures=self._failures,
-            consecutive_failures=self._consecutive_failures,
-            retries=self._retries,
-            recoveries=self._recoveries,
-        )
+        return self._health

@@ -133,8 +133,9 @@ def _factor_and_solve(
     placement, grouping, workers = _resolve_execution(cfg, resilience, procpool)
     resolved = dict(placement=placement, grouping=grouping, workers=workers)
     stacked = grouping == "stacked"
+    chaos = None if resilience is None else resilience.resolve_chaos()
     hooks = {} if resilience is None else dict(
-        retry=resilience.retry, chaos=resilience.resolve_chaos()
+        retry=resilience.retry, chaos=chaos
     )
     reference = (
         placement == "inline" and not stacked and deadline is None
@@ -189,26 +190,43 @@ def _factor_and_solve(
                     raise exc.__cause__ from exc
                 raise
             if telemetry is not None:
-                telemetry.record_run_report(run)
+                telemetry.record(run)
+                if run.comm is not None:
+                    telemetry.record(run.comm)
             return matrix, run.stats
 
-    with maybe_span(
-        telemetry, span, variant=cfg.name, n=len(x), **span_attrs, **resolved
-    ):
-        recovery = None
-        if cfg.recovery is None:
-            matrix, report = rebuild()
-            factored, stats = factor(matrix, tile_tol=report.tile_tol)
-        else:
-            factored, stats, report, ladder = factor_with_recovery(
-                rebuild, policy=cfg.recovery, max_rank=max_rank,
-                fp16_accumulate_fp32=cfg.fp16_accumulate_fp32,
-                factor_fn=factor,
+    try:
+        with maybe_span(
+            telemetry, span, variant=cfg.name, n=len(x), **span_attrs,
+            **resolved,
+        ):
+            recovery = None
+            if cfg.recovery is None:
+                matrix, report = rebuild()
+                factored, stats = factor(matrix, tile_tol=report.tile_tol)
+            else:
+                factored, stats, report, ladder = factor_with_recovery(
+                    rebuild, policy=cfg.recovery, max_rank=max_rank,
+                    fp16_accumulate_fp32=cfg.fp16_accumulate_fp32,
+                    factor_fn=factor,
+                )
+                recovery = ladder if ladder.actions else None
+            with maybe_span(telemetry, "solve", n=len(x), **span_attrs):
+                logdet = tile_logdet(factored)
+                y = forward_solve(factored, rhs)
+    finally:
+        # A failed evaluation's injections count too.
+        if telemetry is not None and chaos is not None:
+            telemetry.record(chaos.stats)
+    if telemetry is not None:
+        telemetry.record(stats)
+        if stats.truncations:
+            telemetry.event(
+                "lr_settle", truncations=stats.truncations,
+                kept_dense=stats.kept_dense,
+                densified=stats.densified_tiles,
+                max_width=stats.max_rank_seen,
             )
-            recovery = ladder if ladder.actions else None
-        with maybe_span(telemetry, "solve", n=len(x), **span_attrs):
-            logdet = tile_logdet(factored)
-            y = forward_solve(factored, rhs)
     return cfg, factored, stats, report, recovery, logdet, y
 
 
@@ -266,11 +284,12 @@ def loglikelihood(
     evaluation in a ``"loglikelihood"`` span with ``"generate"`` /
     ``"compress"`` / ``"factorize"`` / ``"solve"`` children — the
     ``"loglikelihood"`` and ``"factorize"`` spans carry the *resolved*
-    ``placement``, ``grouping`` and effective ``workers`` — records
-    the evaluation's :class:`CholeskyStats` into the metrics registry
-    and, when low-rank tiles were settled, one ``"lr_settle"`` decision
-    event (truncations, tiles kept dense, accumulators that went
-    dense, widest stacked factors).  Traced evaluations are
+    ``placement``, ``grouping`` and effective ``workers`` — mirrors
+    the evaluation's :class:`CholeskyStats`, the executor's run report
+    and a bound chaos injector's tally into the metrics registry and,
+    when low-rank tiles were settled, records one ``"lr_settle"``
+    decision event (truncations, tiles kept dense, accumulators that
+    went dense, widest stacked factors).  Traced evaluations are
     bit-identical to untraced ones.
     """
     z = _check_observations(x, z)
@@ -282,15 +301,6 @@ def loglikelihood(
     )
     n = z.shape[0]
     quad = float(y @ y)
-    if telemetry is not None:
-        telemetry.record_cholesky_stats(stats)
-        if stats.truncations:
-            telemetry.event(
-                "lr_settle", truncations=stats.truncations,
-                kept_dense=stats.kept_dense,
-                densified=stats.densified_tiles,
-                max_width=stats.max_rank_seen,
-            )
     return LikelihoodResult(
         value=-0.5 * n * _LOG_2PI - 0.5 * logdet - 0.5 * quad,
         logdet=logdet,

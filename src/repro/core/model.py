@@ -35,8 +35,7 @@ from ..tile.geometry import GeometryCache, locations_fingerprint
 from ..tile.matrix import TileMatrix
 from .likelihood import LikelihoodResult, loglikelihood
 from .mle import MLEResult, fit_mle
-from .prediction import PredictionResult
-from .serving import PredictionEngine
+from .serving import PredictionEngine, PredictionResult
 from .variants import VariantConfig, get_variant
 
 __all__ = ["ExaGeoStatModel"]

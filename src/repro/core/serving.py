@@ -1,9 +1,15 @@
-"""Batched prediction serving engine (paper Eqs. 4-5 as a hot path).
+"""Kriging prediction and uncertainty (paper Eqs. 4-5), served batched.
 
-The paper's end product is not the factorization but *prediction*:
-kriging means and variances served from the factored training
-covariance.  Every predict/score/simulate call against a fitted model
-shares three amortizable pieces:
+Given the factor ``L`` of the training covariance ``Sigma_nn``:
+
+* prediction   ``z_m = Sigma_mn Sigma_nn^{-1} z_n``           (Eq. 4)
+* uncertainty  ``U_m = diag(Sigma_mm - Sigma_mn Sigma_nn^{-1} Sigma_nm)``
+                                                              (Eq. 5)
+
+Both reduce to multi-RHS triangular solves with the tiled factor.
+The paper's end product is not the factorization but *prediction*, so
+every predict/score/simulate call against a fitted model shares three
+amortizable pieces:
 
 * the tile Cholesky factor, applied through one
   :class:`~repro.tile.solve.PanelSolver` (one float64 cast per tile
@@ -19,17 +25,20 @@ optionally thread-parallel :meth:`predict`, a bounded-memory streaming
 :meth:`predict_iter` for large grids, MSPE :meth:`score`, and
 conditional :meth:`simulate`.  ``ExaGeoStatModel`` builds one lazily
 (see :meth:`~repro.core.model.ExaGeoStatModel.serving_engine`) and
-invalidates it whenever the fitted state changes.
+invalidates it whenever the fitted state changes;
+:func:`kriging_predict` is the one-shot entry point over a transient
+engine.
 """
 
 from __future__ import annotations
 
 import hashlib
+import logging
 import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor, as_completed
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -50,14 +59,56 @@ from ..resilience.validate import require_finite
 from ..tile.geometry import GeometryCache, locations_fingerprint
 from ..tile.matrix import TileMatrix
 from ..tile.solve import PanelSolver
-from .prediction import PredictionResult, clamp_variance
 
-__all__ = ["ServingStats", "PredictionEngine"]
+__all__ = [
+    "PredictionResult", "clamp_variance", "ServingStats",
+    "PredictionEngine", "kriging_predict",
+]
+
+logger = logging.getLogger(__name__)
+
+
+@dataclass
+class PredictionResult:
+    """Predictions (and optional variances) at the test locations."""
+
+    mean: np.ndarray
+    variance: np.ndarray | None = None
+
+    def standard_error(self) -> np.ndarray:
+        if self.variance is None:
+            raise ShapeError("prediction was run without uncertainty")
+        # Variances are already clamped at the source (Eq. 5 rounding);
+        # the maximum here only guards results from older pickles.
+        return np.sqrt(np.maximum(self.variance, 0.0))
+
+
+def clamp_variance(variance: np.ndarray, *, where: str = "kriging") -> tuple[np.ndarray, int]:
+    """Clamp small negative Eq.-5 variances (MP/TLR rounding) to 0.
+
+    Returns the clamped array and the number of entries clamped; emits
+    a debug-level diagnostic when any were, so serving logs can track
+    how hard the approximation is pushing against the PSD boundary.
+    """
+    negative = variance < 0.0
+    count = int(np.count_nonzero(negative))
+    if count:
+        logger.debug(
+            "%s: clamped %d negative predictive variance(s) to 0 "
+            "(min %.3e) — Eq. 5 under MP/TLR rounding",
+            where, count, float(variance.min()),
+        )
+        variance = np.where(negative, 0.0, variance)
+    return variance, count
 
 
 @dataclass
 class ServingStats:
     """Amortization counters of one engine."""
+
+    #: Published as a cumulative snapshot
+    #: (:meth:`MetricsRegistry.publish`).
+    metric_kind = "gauge"
 
     predict_calls: int = 0
     predictions: int = 0  # total predicted locations
@@ -120,9 +171,10 @@ class PredictionEngine:
     telemetry:
         Optional :class:`~repro.obs.Telemetry`: each :meth:`predict`
         call runs inside a ``"predict"`` span with per-batch child
-        spans, and the engine's :class:`ServingStats` /
-        :meth:`health` snapshots are refreshed in the registry after
-        every call.  ``None`` keeps the untraced path untouched.
+        spans, and the engine's :class:`ServingStats`, :meth:`health`
+        and bound chaos injector's tally are mirrored into the
+        registry after every call.  ``None`` keeps the untraced path
+        untouched.
     """
 
     def __init__(
@@ -163,16 +215,10 @@ class PredictionEngine:
 
         self._lock = threading.Lock()
         self._cross: OrderedDict[str, _CrossEntry] = OrderedDict()
-        self._cross_bytes = 0
-        self._weight_solves = 1
-        self._predict_calls = 0
-        self._predictions = 0
-        self._batches = 0
-        self._cross_hits = 0
-        self._cross_misses = 0
-        self._clamped = 0
-        self._failed_calls = 0
-        self._batch_retries = 0
+        #: The engine's only tally, mutated under ``_lock``;
+        #: ``cross_cache_bytes`` is the LRU's byte ledger, and
+        #: :meth:`stats` fills in the solver-owned fields on the way out.
+        self._stats = ServingStats(weight_solves=1)
 
         self.telemetry = telemetry
         self.resilience = None if resilience is None else resilience.bind()
@@ -218,7 +264,7 @@ class PredictionEngine:
         rebuild; also useful after external memory pressure)."""
         with self._lock:
             self._cross.clear()
-            self._cross_bytes = 0
+            self._stats.cross_cache_bytes = 0
 
     def _entry_for(
         self, x_batch: np.ndarray, *, need_half: bool, use_cache: bool
@@ -228,12 +274,12 @@ class PredictionEngine:
 
         Thread-safety discipline: cached ``_CrossEntry`` objects are
         only ever *mutated* (the lazy ``half`` attach) while holding
-        the engine lock, together with the matching ``_cross_bytes``
-        update — so a concurrent eviction always subtracts exactly the
-        bytes that were added.  The expensive work (kernel values,
-        triangular solves) runs outside the lock; when two threads
-        race on one key, the loser's duplicate work is discarded under
-        the lock and the byte ledger stays exact.
+        the engine lock, together with the matching
+        ``cross_cache_bytes`` update — so a concurrent eviction always
+        subtracts exactly the bytes that were added.  The expensive
+        work (kernel values, triangular solves) runs outside the lock;
+        when two threads race on one key, the loser's duplicate work is
+        discarded under the lock and the byte ledger stays exact.
         """
         use_cache = use_cache and self.cross_cache_bytes > 0
         key = locations_fingerprint(x_batch) if use_cache else None
@@ -243,11 +289,11 @@ class PredictionEngine:
                 entry = self._cross.get(key)
             if entry is not None:
                 self._cross.move_to_end(key)
-                self._cross_hits += 1
+                self._stats.cross_hits += 1
                 if not need_half or entry.half is not None:
                     return entry
             else:
-                self._cross_misses += 1
+                self._stats.cross_misses += 1
 
         # Compute outside the lock: kernel evaluation and the forward
         # sweep dominate, and batches must overlap under workers > 1.
@@ -267,7 +313,7 @@ class PredictionEngine:
                 # byte-ledger update.
                 if half is not None and current.half is None:
                     current.half = half
-                    self._cross_bytes += half.nbytes
+                    self._stats.cross_cache_bytes += half.nbytes
                 # Deliberate two-phase fill (documented above): the
                 # re-lookup under the lock re-validates the key, so the
                 # racing loser's work is discarded, never double-counted.
@@ -278,10 +324,10 @@ class PredictionEngine:
                 entry.half = half
                 if entry.nbytes <= self.cross_cache_bytes:
                     self._cross[key] = entry
-                    self._cross_bytes += entry.nbytes
-            while self._cross_bytes > self.cross_cache_bytes:
+                    self._stats.cross_cache_bytes += entry.nbytes
+            while self._stats.cross_cache_bytes > self.cross_cache_bytes:
                 _, evicted = self._cross.popitem(last=False)
-                self._cross_bytes -= evicted.nbytes
+                self._stats.cross_cache_bytes -= evicted.nbytes
             return entry
 
     # ------------------------------------------------------------------
@@ -308,9 +354,9 @@ class PredictionEngine:
             variance, clamped = clamp_variance(variance, where="PredictionEngine")
             if clamped:
                 with self._lock:
-                    self._clamped += clamped
+                    self._stats.clamped_variances += clamped
         with self._lock:
-            self._batches += 1
+            self._stats.batches += 1
         return mean, variance
 
     def _serve_batch(
@@ -337,7 +383,7 @@ class PredictionEngine:
 
         def note_retry(attempt: int, exc: BaseException) -> None:
             with self._lock:
-                self._batch_retries += 1
+                self._stats.batch_retries += 1
 
         return self._retry.call(attempt_fn, site=start, on_retry=note_retry)
 
@@ -373,7 +419,6 @@ class PredictionEngine:
         variance = np.empty(m, dtype=np.float64) if return_uncertainty else None
         spans = [(s, min(s + width, m)) for s in range(0, m, width)]
         telemetry = self.telemetry
-        spans_on = telemetry is not None and telemetry.tracer.enabled
 
         with maybe_span(
             telemetry, "predict", m=m, batches=len(spans),
@@ -381,19 +426,19 @@ class PredictionEngine:
         ):
             # Batches run on pool threads, which do not inherit the
             # caller's contextvars — capture the parent span id here.
-            parent_sid = current_span_id() if spans_on else None
+            parent_sid = None if telemetry is None else current_span_id()
 
             def run(span: tuple[int, int]) -> None:
                 cancel.check("predict batch")
                 if deadline is not None:
                     deadline.check("predict batch")
                 start, stop = span
-                t_start = time.perf_counter() if spans_on else 0.0
+                t_start = 0.0 if telemetry is None else time.perf_counter()
                 mb, vb = self._serve_batch(
                     start, x_test[start:stop], return_uncertainty,
                     use_cache=True,
                 )
-                if spans_on:
+                if telemetry is not None:
                     telemetry.tracer.add_span(
                         "predict_batch", t_start, time.perf_counter(),
                         parent=parent_sid, tid=threading.get_ident(),
@@ -422,20 +467,25 @@ class PredictionEngine:
                         run(span)
             except Exception:
                 with self._lock:
-                    self._failed_calls += 1
+                    self._stats.failed_calls += 1
                 self._breaker.record_failure()
-                if telemetry is not None:
-                    telemetry.record_serving_stats(self.stats())
-                    telemetry.record_health(self.health())
+                self._publish()
                 raise
             self._breaker.record_success()
             with self._lock:
-                self._predict_calls += 1
-                self._predictions += m
-        if telemetry is not None:
-            telemetry.record_serving_stats(self.stats())
-            telemetry.record_health(self.health())
+                self._stats.predict_calls += 1
+                self._stats.predictions += m
+        self._publish()
         return PredictionResult(mean=mean, variance=variance)
+
+    def _publish(self) -> None:
+        """Mirror the engine's account into its telemetry bundle."""
+        telemetry = self.telemetry
+        if telemetry is not None:
+            telemetry.record(self.stats())
+            telemetry.record(self.health())
+            if self._chaos is not None:
+                telemetry.record(self._chaos.stats)
 
     def predict_iter(
         self,
@@ -452,14 +502,15 @@ class PredictionEngine:
         x_test = self._check_test(x_test)
         width = self.batch if batch is None else max(1, int(batch))
         m = len(x_test)
+        with self._lock:
+            self._stats.predict_calls += 1  # one per stream, as predict
         for start in range(0, m, width):
             stop = min(start + width, m)
             mb, vb = self._serve_batch(
                 start, x_test[start:stop], return_uncertainty, use_cache=False
             )
             with self._lock:
-                self._predict_calls += 1
-                self._predictions += stop - start
+                self._stats.predictions += stop - start
             yield PredictionResult(mean=mb, variance=vb)
 
     def score(self, x_test: np.ndarray, z_test: np.ndarray) -> float:
@@ -493,19 +544,9 @@ class PredictionEngine:
 
     def stats(self) -> ServingStats:
         with self._lock:
-            return ServingStats(
-                predict_calls=self._predict_calls,
-                predictions=self._predictions,
-                batches=self._batches,
-                weight_solves=self._weight_solves,
-                tile_casts=self.solver.casts,
-                solves=self.solver.solves,
-                cross_hits=self._cross_hits,
-                cross_misses=self._cross_misses,
-                cross_cache_bytes=self._cross_bytes,
-                clamped_variances=self._clamped,
-                failed_calls=self._failed_calls,
-                batch_retries=self._batch_retries,
+            return replace(
+                self._stats,
+                tile_casts=self.solver.casts, solves=self.solver.solves,
             )
 
     def health(self) -> HealthReport:
@@ -514,12 +555,12 @@ class PredictionEngine:
         circuit breaker's state (tripping clears the cross LRU — see
         :meth:`clear_cross_cache`)."""
         with self._lock:
-            calls = self._predict_calls + self._failed_calls
-            failures = self._failed_calls
-            retries = self._batch_retries
+            served = self._stats.predict_calls
+            failures = self._stats.failed_calls
+            retries = self._stats.batch_retries
         consecutive, trips, is_open = self._breaker.snapshot()
         return HealthReport(
-            calls=calls,
+            calls=served + failures,
             failures=failures,
             consecutive_failures=consecutive,
             retries=retries,
@@ -530,5 +571,43 @@ class PredictionEngine:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"PredictionEngine(n={self.n_train}, variantless-factor "
-            f"nt={self.factor.nt}, served={self._predictions})"
+            f"nt={self.factor.nt}, served={self._stats.predictions})"
         )
+
+
+def kriging_predict(
+    kernel: CovarianceKernel,
+    theta: np.ndarray,
+    x_train: np.ndarray,
+    z_train: np.ndarray,
+    x_test: np.ndarray,
+    factor: TileMatrix,
+    *,
+    return_uncertainty: bool = False,
+    batch: int = PREDICT_BATCH,
+    cache: GeometryCache | None = None,
+    workers: int = 1,
+) -> PredictionResult:
+    """Predict at ``x_test`` given a factored training covariance.
+
+    ``factor`` must be the tile Cholesky factor of
+    ``Sigma_nn(theta)`` over ``x_train`` (as produced by the
+    likelihood evaluation at the fitted parameters).
+
+    One-shot: routes through a transient :class:`PredictionEngine`, so
+    test locations are processed in batches sharing one weight solve
+    and one per-tile precision cast.  For repeated predictions against
+    the same fitted state, hold a :class:`PredictionEngine` (or use
+    :meth:`~repro.core.model.ExaGeoStatModel.serving_engine`) instead.
+
+    ``cache`` reuses the theta-independent cross geometry (train/test
+    distances) across repeated predictions at the same locations —
+    e.g. re-predicting after a parameter update.  ``workers`` spreads
+    independent test batches over a thread pool.
+    """
+    engine = PredictionEngine(
+        kernel, theta, x_train, z_train, factor,
+        cache=cache, batch=batch, workers=workers,
+        cross_cache_bytes=0,  # one-shot call: nothing to reuse
+    )
+    return engine.predict(x_test, return_uncertainty=return_uncertainty)

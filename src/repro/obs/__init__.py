@@ -5,8 +5,8 @@ Three pieces (DESIGN.md §16):
 * :mod:`repro.obs.tracer` — context-var structured span tracer,
   thread-aware and cross-process (worker spans merge into one
   timeline);
-* :mod:`repro.obs.metrics` — central :class:`MetricsRegistry` with
-  adapters for the six legacy stats objects;
+* :mod:`repro.obs.metrics` — central :class:`MetricsRegistry`, a
+  mechanical mirror of the stats dataclasses the engines hand out;
 * :mod:`repro.obs.export` — Chrome trace-event JSON (Perfetto),
   Prometheus text exposition, JSON profile dump, per-op breakdown.
 
@@ -29,16 +29,7 @@ from .export import (
     render_prometheus,
     write_chrome_trace,
 )
-from .metrics import (
-    MetricsRegistry,
-    record_chaos_stats,
-    record_cholesky_stats,
-    record_comm_stats,
-    record_engine_stats,
-    record_health,
-    record_run_report,
-    record_serving_stats,
-)
+from .metrics import MetricsRegistry
 from .telemetry import Telemetry, maybe_span
 from .tracer import Span, SpanEvent, Tracer, current_span_id
 
@@ -50,13 +41,6 @@ __all__ = [
     "SpanEvent",
     "current_span_id",
     "MetricsRegistry",
-    "record_cholesky_stats",
-    "record_engine_stats",
-    "record_serving_stats",
-    "record_comm_stats",
-    "record_chaos_stats",
-    "record_run_report",
-    "record_health",
     "chrome_trace_events",
     "write_chrome_trace",
     "render_prometheus",

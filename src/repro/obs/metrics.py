@@ -1,15 +1,25 @@
 """Central metrics registry: counters, gauges, histograms with labels.
 
-The repository grew six shape-incompatible stats dataclasses
-(`CholeskyStats`, `EngineStats`, `ServingStats`, `CommStats`,
-`ChaosStats`, `ParallelRunReport`) across five subsystems.  The
-:class:`MetricsRegistry` gives them one mouth: thin adapter functions
-(:func:`record_cholesky_stats` et al.) translate each legacy object
-into labelled series, so a single :meth:`MetricsRegistry.snapshot`
-covers kernel counts, comm bytes, cache hit rates, retries,
-degradations, clamp events, and circuit-breaker state — and one
-Prometheus exposition (:func:`repro.obs.export.render_prometheus`)
-serves them all.
+The stats dataclasses the engines hand out (``CholeskyStats``,
+``ParallelRunReport``, ``CommStats``, ``EngineStats``, ``ServingStats``,
+``ChaosStats``, ``HealthReport``) are the only store of a run's facts;
+:meth:`MetricsRegistry.publish` mirrors one of them into the registry
+mechanically.  The naming rule (DESIGN.md §16):
+
+* class -> family prefix: ``repro_`` + the snake-cased class name
+  without its ``Stats`` / ``Report`` suffix (:func:`family_prefix`);
+* field -> one metric ``<prefix>_<field>`` (numeric and bool fields;
+  strings, ``None`` and nested stats objects are skipped — each object
+  is published once, by the site that owns it);
+* ``dict[str, number]`` field -> one metric with a ``key`` label;
+* kind: the class's ``metric_kind`` — ``"counter"`` for a per-run delta
+  (published values add, name gains ``_total``), ``"gauge"`` for a
+  cumulative snapshot (published values overwrite) — unless the field
+  overrides it with ``field(metadata={"metric": ...})``.
+
+A new stats field therefore shows up in
+:func:`repro.obs.export.render_prometheus` without anyone writing a
+mapping.
 
 Cardinality is bounded: the registry refuses to materialize more than
 ``max_series`` distinct label combinations per metric; excess
@@ -20,23 +30,13 @@ the *metrics*, never the process.
 
 from __future__ import annotations
 
+import re
 import threading
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from numbers import Real
 
-__all__ = [
-    "MetricsRegistry",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "record_cholesky_stats",
-    "record_engine_stats",
-    "record_serving_stats",
-    "record_comm_stats",
-    "record_chaos_stats",
-    "record_run_report",
-    "record_health",
-]
+__all__ = ["MetricsRegistry", "Counter", "Gauge", "Histogram", "family_prefix"]
 
 #: Default histogram bucket upper bounds (seconds-flavored, but any
 #: positive quantity works; +Inf is implicit).
@@ -46,6 +46,17 @@ DEFAULT_BUCKETS = (
 
 #: Label tuple every over-cardinality observation collapses into.
 _OVERFLOW = ("__overflow__",)
+
+#: Metric kind -> the method that takes a published value.
+_WRITE = {"counter": "inc", "gauge": "set", "histogram": "observe"}
+
+
+def family_prefix(cls: type) -> str:
+    """``CholeskyStats`` -> ``repro_cholesky``, ``ParallelRunReport``
+    -> ``repro_parallel_run``: the prefix of every metric mirrored
+    from a ``cls`` instance."""
+    stem = re.sub(r"(Stats|Report)$", "", cls.__name__)
+    return "repro_" + re.sub(r"(?<!^)(?=[A-Z])", "_", stem).lower()
 
 
 def _label_values(values: tuple) -> tuple:
@@ -175,8 +186,8 @@ class MetricsRegistry:
 
     ``counter`` / ``gauge`` / ``histogram`` are get-or-create: calling
     twice with the same name returns the same object (and raises if
-    the kind or labels differ), so adapters can run repeatedly —
-    e.g. once per MLE evaluation — without bookkeeping.
+    the kind or labels differ), so :meth:`publish` can run repeatedly
+    — e.g. once per MLE evaluation — without bookkeeping.
     """
 
     def __init__(self, *, max_series: int = 256):
@@ -212,6 +223,33 @@ class MetricsRegistry:
         return self._get_or_create(
             Histogram, name, help, labels, buckets=buckets
         )
+
+    def publish(self, obj) -> None:
+        """Mirror one stats dataclass instance into the registry under
+        names derived from its class and fields (the rule is in the
+        module docstring).  ``type(obj).metric_kind`` says whether the
+        values are a per-run delta or a cumulative snapshot."""
+        cls = type(obj)
+        prefix = family_prefix(cls)
+        for f in fields(obj):
+            value = getattr(obj, f.name)
+            labelled = isinstance(value, dict)
+            if not labelled and not isinstance(value, Real):
+                continue
+            kind = f.metadata.get("metric", cls.metric_kind)
+            name = f"{prefix}_{f.name}"
+            if kind == "counter":
+                name += "_total"
+            metric = getattr(self, kind)(
+                name, f"{cls.__name__}.{f.name}",
+                ("key",) if labelled else (),
+            )
+            write = getattr(metric, _WRITE[kind])
+            if labelled:
+                for key, item in value.items():
+                    write(item, key)
+            else:
+                write(value)
 
     @property
     def dropped_series(self) -> int:
@@ -252,175 +290,3 @@ class MetricsRegistry:
             out["_meta"] = {"dropped_series": self._dropped,
                             "max_series": self.max_series}
         return out
-
-
-# ----------------------------------------------------------------------
-# Adapters: legacy stats objects -> registry series.
-#
-# Counters receive *deltas* (per-factorization / per-run objects);
-# gauges receive cumulative process-lifetime values (engine/serving
-# stats objects accumulate internally, so re-recording them must not
-# double-count).
-# ----------------------------------------------------------------------
-
-def record_cholesky_stats(registry: MetricsRegistry, stats) -> None:
-    """One factorization's :class:`~repro.tile.cholesky.CholeskyStats`."""
-    kernels = registry.counter(
-        "repro_cholesky_kernels_total",
-        "Tile kernels executed by the Cholesky engines", ("op",),
-    )
-    for op, count in stats.kernel_counts.items():
-        kernels.inc(count, op)
-    registry.counter(
-        "repro_cholesky_densified_tiles_total",
-        "Low-rank tiles whose update accumulator went dense",
-    ).inc(stats.densified_tiles)
-    registry.counter(
-        "repro_cholesky_truncations_total",
-        "Accumulating low-rank tiles settled (truncated once)",
-    ).inc(stats.truncations)
-    registry.counter(
-        "repro_cholesky_kept_dense_total",
-        "Settles that could not get under max_rank (tile stays dense)",
-    ).inc(stats.kept_dense)
-    registry.counter(
-        "repro_cholesky_retries_total",
-        "Task retries inside factorization",
-    ).inc(stats.retries)
-    registry.gauge(
-        "repro_cholesky_max_rank_seen",
-        "Widest low-rank factor pair carried after a GEMM, last factorization",
-    ).set(stats.max_rank_seen)
-
-
-def record_engine_stats(registry: MetricsRegistry, stats) -> None:
-    """Cumulative :class:`~repro.core.engine.EngineStats`."""
-    registry.gauge(
-        "repro_engine_evaluations",
-        "Likelihood evaluations served by the evaluation engine",
-    ).set(stats.evaluations)
-    hits = registry.gauge(
-        "repro_engine_geometry_cache",
-        "Geometry cache traffic of the evaluation engine", ("result",),
-    )
-    hits.set(stats.geometry_hits, "hit")
-    hits.set(stats.geometry_misses, "miss")
-    registry.gauge(
-        "repro_engine_warm_tiles",
-        "Tiles kept warm across evaluations",
-    ).set(stats.warm_tiles)
-
-
-def record_serving_stats(registry: MetricsRegistry, stats) -> None:
-    """Cumulative :class:`~repro.core.serving.ServingStats`."""
-    gauge = registry.gauge(
-        "repro_serving", "Prediction serving engine counters", ("field",),
-    )
-    for name in (
-        "predict_calls", "predictions", "batches", "weight_solves",
-        "tile_casts", "solves", "clamped_variances", "failed_calls",
-        "batch_retries",
-    ):
-        gauge.set(getattr(stats, name), name)
-    cross = registry.gauge(
-        "repro_serving_cross_cache",
-        "Cross-covariance cache traffic", ("result",),
-    )
-    cross.set(stats.cross_hits, "hit")
-    cross.set(stats.cross_misses, "miss")
-    registry.gauge(
-        "repro_serving_cross_cache_bytes",
-        "Bytes held by the cross-covariance cache",
-    ).set(stats.cross_cache_bytes)
-
-
-def record_comm_stats(registry: MetricsRegistry, stats) -> None:
-    """One run's :class:`~repro.runtime.comm.CommStats` deltas."""
-    reads = registry.counter(
-        "repro_comm_tile_reads_total",
-        "Tile reads by locality (owner-computes accounting)",
-        ("locality",),
-    )
-    reads.inc(stats.remote_reads, "remote")
-    reads.inc(stats.local_reads, "local")
-    registry.counter(
-        "repro_comm_remote_bytes_total",
-        "Bytes moved across ownership boundaries",
-    ).inc(stats.remote_bytes)
-
-
-def record_chaos_stats(registry: MetricsRegistry, stats) -> None:
-    """Cumulative :class:`~repro.resilience.chaos.ChaosStats`."""
-    gauge = registry.gauge(
-        "repro_chaos_injections",
-        "Faults injected by the chaos hooks", ("kind",),
-    )
-    gauge.set(stats.corrupted_tiles, "corrupted_tile")
-    gauge.set(stats.failed_tasks, "failed_task")
-    gauge.set(stats.delayed_tasks, "delayed_task")
-    gauge.set(stats.failed_batches, "failed_batch")
-
-
-def record_run_report(registry: MetricsRegistry, report) -> None:
-    """One execution's :class:`~repro.runtime.parallel.ParallelRunReport`
-    (threaded / batched / process backends)."""
-    registry.counter(
-        "repro_run_tasks_total", "Tasks executed by the DAG executors",
-    ).inc(report.tasks)
-    registry.counter(
-        "repro_run_retries_total", "Task retries in the DAG executors",
-    ).inc(report.retries)
-    registry.counter(
-        "repro_run_chaos_events_total", "Chaos events hit during runs",
-    ).inc(report.chaos_events)
-    registry.counter(
-        "repro_run_batches_total", "Fused batches dispatched",
-    ).inc(report.batches)
-    registry.counter(
-        "repro_run_batched_tasks_total", "Tasks executed inside batches",
-    ).inc(report.batched_tasks)
-    registry.counter(
-        "repro_run_fallback_tasks_total",
-        "Batch members retried on the scalar path",
-    ).inc(report.fallback_tasks)
-    registry.gauge(
-        "repro_run_workers", "Worker count of the last run",
-    ).set(report.workers)
-    registry.gauge(
-        "repro_run_max_concurrency",
-        "Peak concurrent tasks observed in the last run",
-    ).set(report.max_concurrency)
-    registry.histogram(
-        "repro_run_wall_seconds", "Wall time of DAG executor runs",
-    ).observe(report.wall_time_s)
-    # report.stats (CholeskyStats) is NOT recorded here — the
-    # likelihood layer records it once per evaluation, covering the
-    # sequential path too, so executor-level recording would
-    # double-count kernels.
-    if report.comm is not None:
-        record_comm_stats(registry, report.comm)
-
-
-def record_health(registry: MetricsRegistry, health) -> None:
-    """Serving :class:`~repro.resilience.health.HealthReport` — maps
-    circuit-breaker state into gauges."""
-    breaker = getattr(health, "breaker", None) or {}
-    if isinstance(breaker, dict):
-        consecutive = breaker.get("consecutive", 0)
-        trips = breaker.get("trips", 0)
-        is_open = breaker.get("is_open", False)
-    else:  # snapshot object
-        consecutive = getattr(breaker, "consecutive", 0)
-        trips = getattr(breaker, "trips", 0)
-        is_open = getattr(breaker, "is_open", False)
-    registry.gauge(
-        "repro_breaker_open",
-        "1 when the serving circuit breaker is open",
-    ).set(1.0 if is_open else 0.0)
-    registry.gauge(
-        "repro_breaker_consecutive_failures",
-        "Consecutive serving failures seen by the breaker",
-    ).set(consecutive)
-    registry.gauge(
-        "repro_breaker_trips", "Times the serving breaker has tripped",
-    ).set(trips)

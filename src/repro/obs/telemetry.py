@@ -10,16 +10,15 @@ It bundles a :class:`~repro.obs.tracer.Tracer` and a
 :class:`~repro.obs.metrics.MetricsRegistry`, and forwards the span /
 event / record APIs so instrumented code holds a single handle.
 
-Every instrumented call site is guarded by ``telemetry is None`` (or
-an early-returned no-op), so the untraced paths execute exactly the
-code they executed before this layer existed.
+Every instrumented call site is guarded by ``telemetry is None`` — the
+one way to be off — so the untraced paths execute exactly the code
+they executed before this layer existed.
 """
 
 from __future__ import annotations
 
 from contextlib import nullcontext
 
-from . import metrics as _metrics
 from .export import (
     chrome_trace_events,
     profile_dump,
@@ -38,9 +37,8 @@ _NULL = nullcontext()
 def maybe_span(telemetry: "Telemetry | None", name: str, **attrs):
     """``telemetry.span(...)`` or a shared no-op context manager.
 
-    The one-line guard of every instrumented call site: ``telemetry``
-    may be ``None`` (the untraced path) or a disabled bundle — both
-    cost a ``None`` check and nothing else.
+    The one-line guard of every instrumented call site: ``None`` (the
+    untraced path) costs a ``None`` check and nothing else.
     """
     if telemetry is None:
         return _NULL
@@ -48,22 +46,11 @@ def maybe_span(telemetry: "Telemetry | None", name: str, **attrs):
 
 
 class Telemetry:
-    """Tracer + metrics registry bundle.
+    """Tracer + metrics registry bundle (``max_series`` is the
+    registry's label-cardinality bound)."""
 
-    Parameters
-    ----------
-    enabled:
-        When false, the bundle is a recording no-op: spans/events
-        vanish and stats recording is skipped.  Engines still accept
-        the object, so a single flag flips a deployment between
-        profiled and bare.
-    max_series:
-        Label-cardinality bound of the metrics registry.
-    """
-
-    def __init__(self, *, enabled: bool = True, max_series: int = 256):
-        self.enabled = bool(enabled)
-        self.tracer = Tracer(enabled=self.enabled)
+    def __init__(self, *, max_series: int = 256):
+        self.tracer = Tracer()
         self.registry = MetricsRegistry(max_series=max_series)
 
     # -- tracing -------------------------------------------------------
@@ -73,34 +60,11 @@ class Telemetry:
     def event(self, name: str, **attrs) -> None:
         self.tracer.event(name, **attrs)
 
-    # -- legacy stats adapters ----------------------------------------
-    def record_cholesky_stats(self, stats) -> None:
-        if self.enabled and stats is not None:
-            _metrics.record_cholesky_stats(self.registry, stats)
-
-    def record_engine_stats(self, stats) -> None:
-        if self.enabled and stats is not None:
-            _metrics.record_engine_stats(self.registry, stats)
-
-    def record_serving_stats(self, stats) -> None:
-        if self.enabled and stats is not None:
-            _metrics.record_serving_stats(self.registry, stats)
-
-    def record_comm_stats(self, stats) -> None:
-        if self.enabled and stats is not None:
-            _metrics.record_comm_stats(self.registry, stats)
-
-    def record_chaos_stats(self, stats) -> None:
-        if self.enabled and stats is not None:
-            _metrics.record_chaos_stats(self.registry, stats)
-
-    def record_run_report(self, report) -> None:
-        if self.enabled and report is not None:
-            _metrics.record_run_report(self.registry, report)
-
-    def record_health(self, health) -> None:
-        if self.enabled and health is not None:
-            _metrics.record_health(self.registry, health)
+    # -- metrics -------------------------------------------------------
+    def record(self, stats) -> None:
+        """Mirror one stats object into the registry
+        (:meth:`MetricsRegistry.publish`)."""
+        self.registry.publish(stats)
 
     # -- exports -------------------------------------------------------
     def chrome_trace_events(self) -> list:
@@ -120,7 +84,6 @@ class Telemetry:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"Telemetry(enabled={self.enabled}, "
-            f"spans={len(self.tracer.spans)}, "
+            f"Telemetry(spans={len(self.tracer.spans)}, "
             f"metrics={len(self.registry.metrics())})"
         )

@@ -11,9 +11,8 @@ without any explicit parent plumbing on the happy path.
 
 Design constraints (pinned by tests and the overhead benchmark):
 
-* **near-zero cost when disabled** — every instrumented call site
-  checks ``telemetry is None`` (or ``tracer.enabled``) and takes the
-  original code path; a disabled tracer records nothing;
+* **near-zero cost when off** — every instrumented call site checks
+  ``telemetry is None`` and takes the original code path;
 * **thread-aware** — spans carry the recording thread id; worker
   threads buffer locally and flush under one lock, so the hot loops
   never contend per task;
@@ -105,23 +104,8 @@ def span_tuple(name: str, start: float, end: float, attrs: dict) -> tuple:
     return (name, float(start), float(end), attrs)
 
 
-class _NullSpan:
-    """Shared no-op context manager of every disabled call site."""
-
-    __slots__ = ()
-
-    def __enter__(self):
-        return None
-
-    def __exit__(self, *exc):
-        return False
-
-
-_NULL_SPAN = _NullSpan()
-
-
 class _SpanContext:
-    """Context manager of one live span (enabled tracers only)."""
+    """Context manager of one live span."""
 
     __slots__ = ("_tracer", "_name", "_parent", "_attrs", "_sid",
                  "_start", "_token")
@@ -167,8 +151,7 @@ class Tracer:
     ordering.
     """
 
-    def __init__(self, *, enabled: bool = True):
-        self.enabled = bool(enabled)
+    def __init__(self):
         self.spans: list[Span] = []
         self.events: list[SpanEvent] = []
         self._lock = _make_lock()
@@ -183,16 +166,11 @@ class Tracer:
         ``parent`` defaults to the context's current span; executors
         pass the enclosing span id explicitly when crossing a thread
         or process boundary (fresh threads have no context parent).
-        Disabled tracers return a shared no-op context manager.
         """
-        if not self.enabled:
-            return _NULL_SPAN
         return _SpanContext(self, name, parent, attrs)
 
     def event(self, name: str, *, parent=None, **attrs) -> None:
-        """Record an instantaneous event (no-op when disabled)."""
-        if not self.enabled:
-            return
+        """Record an instantaneous event."""
         record = SpanEvent(
             name=name, ts=time.perf_counter(), pid=DRIVER_PID,
             tid=threading.get_ident(), attrs=attrs,
@@ -213,8 +191,6 @@ class Tracer:
     ) -> int:
         """Append a fully-formed span (executor buffers, merged worker
         records).  Returns the assigned span id."""
-        if not self.enabled:
-            return 0
         sid = next(self._ids)
         record = Span(
             sid=sid, name=name, parent=parent, start=float(start),
@@ -235,8 +211,6 @@ class Tracer:
     ) -> None:
         """Merge :func:`span_tuple` records shipped from a worker
         process into this timeline under process id ``pid``."""
-        if not self.enabled:
-            return
         for name, start, end, attrs in records:
             self.add_span(
                 name, start, end, parent=parent, pid=pid,
@@ -275,8 +249,4 @@ class Tracer:
             return [s for s in self.spans if s.name == name]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        state = "enabled" if self.enabled else "disabled"
-        return (
-            f"Tracer({state}, spans={len(self.spans)}, "
-            f"events={len(self.events)})"
-        )
+        return f"Tracer(spans={len(self.spans)}, events={len(self.events)})"

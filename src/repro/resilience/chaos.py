@@ -82,6 +82,10 @@ class ChaosConfig:
 class ChaosStats:
     """Tally of injections that actually fired."""
 
+    #: Published as a cumulative snapshot of its injector
+    #: (:meth:`MetricsRegistry.publish`).
+    metric_kind = "gauge"
+
     corrupted_tiles: int = 0
     failed_tasks: int = 0
     delayed_tasks: int = 0

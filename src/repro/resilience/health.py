@@ -23,6 +23,10 @@ __all__ = ["HealthReport", "CircuitBreaker"]
 class HealthReport:
     """Point-in-time error budget of one engine."""
 
+    #: Published as a cumulative snapshot
+    #: (:meth:`MetricsRegistry.publish`).
+    metric_kind = "gauge"
+
     calls: int
     failures: int
     consecutive_failures: int

@@ -87,7 +87,6 @@ def execute_cholesky_batched(
     clamp: bool = True,
     deadline=None,
     telemetry=None,
-    collect_trace: bool | None = None,
 ) -> tuple[TileMatrix, ParallelRunReport]:
     """Factor ``matrix`` in place by draining the DAG in waves of
     homogeneous batched kernel calls.
@@ -112,10 +111,8 @@ def execute_cholesky_batched(
     other kernel failure in :class:`~repro.exceptions.SchedulingError`.
 
     ``telemetry`` records one span per wave with one child span per
-    stacked group / scalar fallback; ``collect_trace`` (default: on
-    exactly when an enabled telemetry is passed) attaches the
-    wall-clock :class:`~repro.runtime.trace.ExecutionTrace` — group
-    members share their stacked call's interval — to the report.
+    stacked group / scalar fallback (group members share their stacked
+    call's interval).
     """
     if workers < 1:
         raise SchedulingError("need at least one worker")
@@ -123,7 +120,7 @@ def execute_cholesky_batched(
     if clamp:
         eff_workers = max(1, min(workers, os.cpu_count() or 1))
     ready = ReadySet(matrix.nt, deadline=deadline)
-    recorder = RunRecorder(telemetry, collect_trace)
+    recorder = RunRecorder(telemetry)
     # Hot-loop access to the tile dict; keys come from the task plan.
     body = TaskBody(
         matrix._tiles, tile_tol=tile_tol, max_rank=max_rank,
@@ -131,7 +128,7 @@ def execute_cholesky_batched(
         pool=ScratchPool() if pool is None else pool, recorder=recorder,
     )
     f16_ok = bool(fp16_accumulate_fp32)
-    batches = batched_tasks = fallback_tasks = max_wave = wave_index = 0
+    batches = batched_tasks = fallback_tasks = max_units = wave_index = 0
     # Oversubscription guard: eff_workers dispatch threads each issuing
     # BLAS calls must share the physical cores (restored on exit).
     with clamp_blas_threads(eff_workers) as blas_clamp, (
@@ -150,7 +147,6 @@ def execute_cholesky_batched(
                     raise SchedulingError(
                         f"stalled with {ready.remaining} tasks unreached"
                     )
-                max_wave = max(max_wave, len(wave))
                 wave_t0 = time.perf_counter()
                 groups, singles = split_wave(
                     wave, body.tiles, f16_ok, min_batch
@@ -160,7 +156,9 @@ def execute_cholesky_batched(
                         unit for group in groups
                         for unit in _chunk(group, eff_workers, min_batch)
                     ]
-                if executor is not None and len(groups) + len(singles) > 1:
+                units = len(groups) + len(singles)
+                max_units = max(max_units, units)
+                if executor is not None and units > 1:
                     # The first failure (in submission order) surfaces;
                     # the pool's exit joins whatever is still running.
                     for future in [
@@ -200,7 +198,8 @@ def execute_cholesky_batched(
     report = recorder.report(
         workers=eff_workers,
         tasks=len(ready.tasks),
-        max_concurrency=max_wave if eff_workers > 1 else 1,
+        # The pool runs at most its width of a wave's units at once.
+        max_concurrency=min(eff_workers, max_units),
         placement="inline" if eff_workers == 1 else "thread",
         grouping="stacked",
         stats=body.stats,

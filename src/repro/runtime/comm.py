@@ -37,6 +37,9 @@ class CommStats:
     two must match exactly (pinned by a golden check).
     """
 
+    #: Published as a per-run delta (:meth:`MetricsRegistry.publish`).
+    metric_kind = "counter"
+
     #: Input-tile reads whose owner differs from the executing rank.
     remote_reads: int = 0
     #: Bytes of those reads, in each tile's wire representation at

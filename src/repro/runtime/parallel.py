@@ -61,7 +61,6 @@ def execute_cholesky_parallel(
     chaos=None,
     check_finite: bool | None = None,
     telemetry=None,
-    collect_trace: bool | None = None,
 ) -> tuple[TileMatrix, ParallelRunReport]:
     """Factor ``matrix`` in place with worker threads pulling the task
     DAG from a priority heap (``workers=1`` runs the same loop on the
@@ -84,10 +83,7 @@ def execute_cholesky_parallel(
 
     ``telemetry`` (a :class:`~repro.obs.Telemetry`) records one span
     per executed task, parented to the caller's enclosing span;
-    ``collect_trace`` forces the wall-clock
-    :class:`~repro.runtime.trace.ExecutionTrace` on the report even
-    without a telemetry bundle (default: collect exactly when an
-    enabled telemetry is passed); with both off nothing is timed.
+    without one nothing is timed.
     """
     if workers < 1:
         raise SchedulingError("need at least one worker")
@@ -96,7 +92,7 @@ def execute_cholesky_parallel(
     if cancel is None:
         cancel = CancellationToken()
     ready = ReadySet(matrix.nt, deadline=deadline, cancel=cancel)
-    recorder = RunRecorder(telemetry, collect_trace)
+    recorder = RunRecorder(telemetry)
     body = TaskBody(
         MatrixTiles(matrix), tile_tol=tile_tol, max_rank=max_rank,
         fp16_accumulate_fp32=fp16_accumulate_fp32, retry=retry,
@@ -192,7 +188,6 @@ def execute_cholesky_parallel(
         max_concurrency=max_running,
         placement="inline" if workers == 1 else "thread",
         stats=body.stats,
-        retries=body.stats.retries,
         chaos_events=(
             chaos.stats.events - chaos_before if chaos is not None else 0
         ),

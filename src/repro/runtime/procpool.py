@@ -273,7 +273,6 @@ class ProcessPoolEngine:
         check_finite: bool | None = None,
         batch: bool = False,
         telemetry=None,
-        collect_trace: bool | None = None,
     ) -> tuple[TileMatrix, ParallelRunReport]:
         """Factor ``matrix`` in place across the worker processes.
 
@@ -293,18 +292,15 @@ class ProcessPoolEngine:
 
         ``telemetry`` merges the workers' shipped span timings into
         the parent tracer (worker ``rank`` appears as process
-        ``rank + 1``), giving one cross-process timeline;
-        ``collect_trace`` attaches the wall-clock
-        :class:`~repro.runtime.trace.ExecutionTrace` (``node`` =
-        worker rank) to the report.  Workers and parent share the
-        ``time.perf_counter`` epoch (CLOCK_MONOTONIC), so no clock
-        translation happens anywhere.
+        ``rank + 1``), giving one cross-process timeline.  Workers and
+        parent share the ``time.perf_counter`` epoch (CLOCK_MONOTONIC),
+        so no clock translation happens anywhere.
         """
         reject_stacked_hooks(batch, retry, chaos)
         self.start()
         chaos, epoch, check_finite = resolve_hooks(retry, chaos, check_finite)
         chaos_before = chaos.stats.events if chaos is not None else 0
-        recorder = RunRecorder(telemetry, collect_trace, process_lanes=True)
+        recorder = RunRecorder(telemetry, process_lanes=True)
         ready = ReadySet(matrix.nt, deadline=deadline, cancel=cancel)
         tasks = ready.tasks
 
@@ -315,7 +311,7 @@ class ProcessPoolEngine:
                 "nt": matrix.nt,
                 "grid": self.grid,
                 "batch": batch,
-                "trace": recorder.tracing,
+                "trace": recorder.tracer is not None,
                 "chaos": None if chaos is None else chaos.config,
                 # TaskBody arguments; the worker adds its own injector.
                 "body": dict(
@@ -426,7 +422,6 @@ class ProcessPoolEngine:
                 placement="process",
                 grouping="stacked" if batch else "per-tile",
                 stats=stats,
-                retries=stats.retries,
                 chaos_events=(
                     chaos.stats.events - chaos_before
                     if chaos is not None else 0

@@ -13,9 +13,9 @@ differ only in *scheduling*; the rest lives here, once:
 * :class:`TaskBody` — the per-task and per-group kernel bodies with
   the retry / chaos / finite-check hooks and the low-rank update
   tally (GEMM and settle outcomes);
-* :class:`RunRecorder` — a run's wall-clock timeline, and from it the
-  :class:`~repro.runtime.trace.ExecutionTrace`, the telemetry spans
-  and the :class:`ParallelRunReport`.
+* :class:`RunRecorder` — a traced run's wall-clock timeline, and from
+  it the telemetry spans; it also closes the run into its
+  :class:`ParallelRunReport`.
 
 :func:`repro.tile.cholesky.tile_cholesky` stays separate on purpose:
 it is the hook-free reference every executor is pinned bit-identical
@@ -57,7 +57,6 @@ from .comm import CommStats
 from .scheduler import panel_priorities_tasks
 from .task import Task
 from .taskgraph import cholesky_tasks
-from .trace import ExecutionTrace, TaskRecord
 
 __all__ = [
     "MIN_BATCH", "CholeskyPlan", "MatrixTiles", "ParallelRunReport",
@@ -408,7 +407,7 @@ class TaskBody:
             self.retry is None and self.chaos is None
             and not self.check_finite
         )
-        traces = self.recorder is not None and self.recorder.tracing
+        traces = self.recorder is not None and self.recorder.tracer is not None
         self._note = self.recorder.note if traces else None
 
     def kernel(self, task: Task) -> Tile:
@@ -530,16 +529,23 @@ class TaskBody:
 
 
 # ----------------------------------------------------------------------
-# timeline -> trace, spans, report
+# timeline -> spans, report
 # ----------------------------------------------------------------------
 @dataclass
 class ParallelRunReport:
     """Outcome of one executor run."""
 
-    workers: int
+    #: Published as a per-run delta (:meth:`MetricsRegistry.publish`);
+    #: the fields that describe the run rather than count its work
+    #: override the kind.
+    metric_kind = "counter"
+
+    workers: int = field(metadata={"metric": "gauge"})
     tasks: int
-    wall_time_s: float
-    max_concurrency: int = 1
+    wall_time_s: float = field(metadata={"metric": "histogram"})
+    #: Most task bodies observed in flight at once — never more than
+    #: :attr:`workers`.
+    max_concurrency: int = field(default=1, metadata={"metric": "gauge"})
     #: Where task bodies ran: ``"inline"`` (the caller's thread),
     #: ``"thread"`` (a worker-thread pool) or ``"process"`` (the
     #: shared-memory worker processes).  With :attr:`grouping` and
@@ -550,10 +556,10 @@ class ParallelRunReport:
     #: stacked-BLAS calls).
     grouping: str = "per-tile"
     #: Kernel counts / densification tallies of the run, matching what
-    #: the sequential :func:`~repro.tile.cholesky.tile_cholesky` reports.
+    #: the sequential :func:`~repro.tile.cholesky.tile_cholesky` reports
+    #: (``stats.retries``: transient task failures the retry policy
+    #: absorbed).
     stats: CholeskyStats = field(default_factory=CholeskyStats)
-    #: Transient task failures absorbed by the retry policy.
-    retries: int = 0
     #: Chaos injections that fired during this run (0 without chaos).
     chaos_events: int = 0
     #: Homogeneous groups executed as single stacked-BLAS calls (only
@@ -566,36 +572,24 @@ class ParallelRunReport:
     fallback_tasks: int = 0
     #: Per-worker BLAS thread clamp applied for this run (``None`` when
     #: no clamp was needed — a single worker keeps the library default).
-    blas_clamp: int | None = None
+    blas_clamp: int | None = field(default=None, metadata={"metric": "gauge"})
     #: Measured cross-owner tile traffic (process placement only).
     comm: CommStats | None = None
-    #: Real wall-clock task timeline (monotonic start/end relative to
-    #: run start, ``node``/``core`` = worker slot) — same shape the
-    #: simulator emits, so :func:`repro.runtime.gantt.render_gantt`
-    #: renders real runs too.  Only populated when tracing was
-    #: requested; ``None`` keeps the untraced path free.
-    trace: "ExecutionTrace | None" = None
 
 
 class RunRecorder:
-    """Wall-clock timeline of one run and everything built from it.
+    """Wall-clock timeline of one run, turned into telemetry spans.
 
     One entry per kernel *call* — ``(op, tasks, slot, start, end,
     attempts, batched)`` with absolute ``perf_counter`` times; members
     of a stacked group share their call's interval.  In-process task
     bodies :meth:`note` their own calls (``slot`` = the calling
     thread's lane); the process engine appends its workers' entries.
-    ``tracing`` is on when ``collect_trace`` asks for it or an enabled
-    telemetry bundle is passed; with both off nothing is timed.
+    Without a telemetry bundle (``tracer is None``) nothing is timed.
     """
 
-    def __init__(self, telemetry, collect_trace: bool | None,
-                 *, process_lanes: bool = False):
-        self.tracer = (
-            telemetry.tracer
-            if telemetry is not None and telemetry.tracer.enabled else None
-        )
-        self.tracing = self.tracer is not None or bool(collect_trace)
+    def __init__(self, telemetry, *, process_lanes: bool = False):
+        self.tracer = None if telemetry is None else telemetry.tracer
         #: The caller's enclosing span; pool threads and worker
         #: processes do not inherit it, so spans name it explicitly.
         self.parent_sid = (
@@ -642,25 +636,8 @@ class RunRecorder:
         self._emitted = len(self.timeline)
 
     def report(self, **fields) -> ParallelRunReport:
-        """Close the run: remaining spans, the trace (one node per
-        worker lane that ran a call), and the report carrying
+        """Close the run: remaining spans, and the report carrying
         ``fields``."""
         wall = time.perf_counter() - self.t0
         self.emit_spans(self.parent_sid)
-        trace = None
-        if self.tracing and self.timeline:
-            t0 = self.t0
-            records = [
-                TaskRecord(
-                    uid=task.uid, op=op, node=slot, core=slot,
-                    start=start - t0, end=end - t0, attempts=attempts,
-                )
-                for op, tasks, slot, start, end, attempts, _ in self.timeline
-                for task in tasks
-            ]
-            records.sort(key=lambda r: (r.start, r.uid))
-            trace = ExecutionTrace(
-                records=records, nodes=1 + max(r.node for r in records),
-                cores_per_node=1,
-            )
-        return ParallelRunReport(wall_time_s=wall, trace=trace, **fields)
+        return ParallelRunReport(wall_time_s=wall, **fields)

@@ -37,14 +37,18 @@ __all__ = ["CholeskyStats", "tile_cholesky"]
 class CholeskyStats:
     """Execution statistics of one factorization."""
 
+    #: Published as a per-run delta (:meth:`MetricsRegistry.publish`).
+    metric_kind = "counter"
+
     kernel_counts: dict[str, int] = field(default_factory=dict)
     #: Low-rank tiles whose accumulator switched from stacked factors
     #: to a dense block during their updates (transient: the settle
     #: may still truncate them back, see :attr:`kept_dense`).
     densified_tiles: int = 0
     #: Widest factor pair a low-rank tile carried after a GEMM (its
-    #: settled rank plus the updates stacked since).
-    max_rank_seen: int = 0
+    #: settled rank plus the updates stacked since) — a maximum, so
+    #: the registry keeps the last factorization's, not a sum.
+    max_rank_seen: int = field(default=0, metadata={"metric": "gauge"})
     #: Settles performed: accumulating tiles truncated to the
     #: ``(tol, max_rank)`` they owed — at most one per planned-low-rank
     #: tile.

@@ -41,7 +41,12 @@ from repro.kernels import MaternKernel
 from repro.obs import Telemetry
 from repro.ordering import order_points
 from repro.resilience import ChaosConfig, Deadline, ResilienceConfig, RetryPolicy
-from repro.runtime import ProcessPoolEngine
+from repro.runtime import (
+    ParallelRunReport,
+    ProcessPoolEngine,
+    execute_cholesky_batched,
+    execute_cholesky_parallel,
+)
 from repro.tile import build_planned_covariance, leaked_segments, tile_cholesky
 
 TILE = 16
@@ -86,9 +91,10 @@ class RunCapture(Telemetry):
         super().__init__()
         self.runs = []
 
-    def record_run_report(self, report):
-        self.runs.append(report)
-        super().record_run_report(report)
+    def record(self, stats):
+        if isinstance(stats, ParallelRunReport):
+            self.runs.append(stats)
+        super().record(stats)
 
 
 def _problem(n):
@@ -224,19 +230,20 @@ def test_cell(placement, grouping, hook, variant, shape, procpool,
     (run,) = capture.runs
     assert (run.placement, run.grouping) == (placement, grouping)
     assert run.workers == factorize.attrs["workers"] == workers
+    assert 1 <= run.max_concurrency <= workers
     if grouping == "stacked":
         assert run.batched_tasks + run.fallback_tasks == run.tasks
         if variant == "dense-fp64" and shape != "nt1":
             assert run.batches > 0 and run.batched_tasks > 0
     if hook == "retry+chaos" and shape != "nt1":
         assert run.chaos_events > 0
-        assert run.retries == result.stats.retries > 0
+        assert run.stats.retries == result.stats.retries > 0
 
 
 def test_inline_run_lets_an_interrupt_through(monkeypatch):
     """At workers=1 the heap loop runs on the caller's thread: a
     Ctrl-C there is the caller's, not a task failure to wrap."""
-    from repro.runtime import execute_cholesky_parallel, taskcore
+    from repro.runtime import taskcore
 
     def interrupted(*args, **kwargs):
         raise KeyboardInterrupt
@@ -264,3 +271,19 @@ EXECUTION_SETTINGS = {"workers", "batch", "backend"}
 def test_execution_settings_ride_on_the_variant_only(api):
     assert not EXECUTION_SETTINGS & set(inspect.signature(api).parameters)
     assert EXECUTION_SETTINGS <= set(VariantConfig.__dataclass_fields__)
+
+
+@pytest.mark.parametrize("api", [
+    loglikelihood, loglikelihood_replicated, fit_mle,
+    EvaluationEngine, ExaGeoStatModel,
+    execute_cholesky_parallel, execute_cholesky_batched,
+    ProcessPoolEngine.execute,
+], ids=lambda api: api.__qualname__)
+def test_no_api_asks_for_a_second_timeline(api):
+    """Spans are the only timeline: ``telemetry=`` arms it, nothing
+    else does."""
+    assert not [
+        name for name in inspect.signature(api).parameters if "trace" in name
+    ]
+    assert "trace" not in ParallelRunReport.__dataclass_fields__
+    assert "retries" not in ParallelRunReport.__dataclass_fields__

@@ -3,18 +3,37 @@ and the instrumented real execution paths)."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from repro.core import fit_mle, get_variant, loglikelihood
+from repro.core import (
+    EngineStats,
+    PredictionEngine,
+    ServingStats,
+    fit_mle,
+    get_variant,
+    loglikelihood,
+)
 from repro.core.model import ExaGeoStatModel
+from repro.exceptions import ChaosError
 from repro.kernels import MaternKernel
 from repro.obs import MetricsRegistry, Telemetry, maybe_span
 from repro.obs.export import op_breakdown, render_prometheus
 from repro.obs.tracer import Tracer, current_span_id, span_tuple
 from repro.ordering import order_points
+from repro.resilience import (
+    ChaosConfig,
+    ChaosInjector,
+    ChaosStats,
+    HealthReport,
+    ResilienceConfig,
+    RetryPolicy,
+)
+from repro.runtime import CommStats, ParallelRunReport
+from repro.tile import CholeskyStats
 
 THETA = np.array([1.0, 0.1, 0.5])
 NUGGET = 1.0e-8
@@ -29,6 +48,13 @@ def problem():
     sigma = kernel.covariance_matrix(THETA, x, nugget=NUGGET)
     z = np.linalg.cholesky(sigma) @ gen.standard_normal(160)
     return kernel, x, z
+
+
+def _value(snap, name):
+    """The one unlabelled series of metric ``name`` in a snapshot."""
+    (series,) = snap[name]["series"]
+    assert series["labels"] == {}
+    return series["value"]
 
 
 # ----------------------------------------------------------------------
@@ -64,18 +90,6 @@ class TestTracer:
                 raise ValueError("boom")
         span = tracer.by_name("doomed")[0]
         assert span.attrs["error"] == "ValueError"
-
-    def test_disabled_tracer_records_nothing(self):
-        tracer = Tracer(enabled=False)
-        first = tracer.span("x")
-        second = tracer.span("y", op="potrf")
-        assert first is second  # shared no-op context manager
-        with first:
-            tracer.event("e")
-            assert current_span_id() is None
-        assert len(tracer) == 0
-        assert tracer.sorted_events() == []
-        assert tracer.add_span("z", 0.0, 1.0) == 0
 
     def test_cross_process_merge_ordering(self):
         tracer = Tracer()
@@ -147,6 +161,139 @@ class TestMetrics:
 
 
 # ----------------------------------------------------------------------
+# the registry mirrors the stats dataclasses
+# ----------------------------------------------------------------------
+#: class -> (family prefix, class kind, {field: kind that overrides it}).
+MIRRORED = {
+    CholeskyStats: ("repro_cholesky", "counter", {"max_rank_seen": "gauge"}),
+    ParallelRunReport: ("repro_parallel_run", "counter", {
+        "workers": "gauge", "max_concurrency": "gauge",
+        "blas_clamp": "gauge", "wall_time_s": "histogram",
+    }),
+    CommStats: ("repro_comm", "counter", {}),
+    EngineStats: ("repro_engine", "gauge", {}),
+    ServingStats: ("repro_serving", "gauge", {}),
+    ChaosStats: ("repro_chaos", "gauge", {}),
+    HealthReport: ("repro_health", "gauge", {}),
+}
+
+
+def _filled(cls):
+    """An instance of ``cls`` with a distinct non-zero value in every
+    numeric field and two keys in every dict field; returns it with
+    ``{field: value}`` for exactly those fields."""
+    values = {}
+    for i, f in enumerate(dataclasses.fields(cls), start=2):
+        if f.type == "bool":
+            values[f.name] = True
+        elif f.type in ("int", "float", "int | None"):
+            values[f.name] = i + (0.5 if f.type == "float" else 0)
+        elif f.type.startswith("dict"):
+            values[f.name] = {"a": 100 + i, "b": 200 + i}
+    return cls(**values), values
+
+
+class TestMirror:
+    @pytest.mark.parametrize("cls", MIRRORED, ids=lambda cls: cls.__name__)
+    def test_snapshot_is_the_object(self, cls):
+        prefix, class_kind, overrides = MIRRORED[cls]
+        obj, values = _filled(cls)
+        assert values, "no numeric field to mirror"
+        reg = MetricsRegistry()
+        reg.publish(obj)
+        reg.publish(obj)
+        snap = reg.snapshot()
+        del snap["_meta"]
+        want = {}
+        for name, value in values.items():
+            kind = overrides.get(name, class_kind)
+            metric = f"{prefix}_{name}" + ("_total" if kind == "counter" else "")
+            want[metric] = (kind, value)
+        assert set(snap) == set(want)
+        for metric, (kind, value) in want.items():
+            assert snap[metric]["kind"] == kind, metric
+            series = snap[metric]["series"]
+            if isinstance(value, dict):
+                # One labelled family; deltas add, snapshots overwrite.
+                times = 2 if kind == "counter" else 1
+                assert {
+                    s["labels"]["key"]: s["value"] for s in series
+                } == {key: times * v for key, v in value.items()}
+            elif kind == "histogram":
+                assert (series[0]["count"], series[0]["sum"]) == (2, 2 * value)
+            else:
+                times = 2 if kind == "counter" else 1
+                assert _value(snap, metric) == times * value
+
+    def test_breaker_state_reaches_the_exposition(self, problem):
+        kernel, x, z = problem
+        factor = loglikelihood(
+            kernel, THETA, x, z, tile_size=40, nugget=NUGGET,
+        ).factor
+        telemetry = Telemetry()
+        engine = PredictionEngine(
+            kernel, THETA, x, z, factor, batch=8, telemetry=telemetry,
+            resilience=ResilienceConfig(
+                chaos=ChaosConfig(seed=5, batch_fail_rate=1.0),
+            ),
+        )
+        for _ in range(3):
+            with pytest.raises(ChaosError):
+                engine.predict(x[:16])
+        lines = telemetry.render_prometheus().splitlines()
+        assert "repro_health_breaker_open 1" in lines
+        assert "repro_health_breaker_trips 1" in lines
+        assert "repro_health_consecutive_failures 3" in lines
+        assert "repro_serving_failed_calls 3" in lines
+        assert "repro_chaos_failed_batches 3" in lines
+
+    def test_chaos_fit_publishes_injector_and_health(self, problem):
+        kernel, x, z = problem
+        telemetry = Telemetry()
+        injector = ChaosInjector(ChaosConfig(seed=12, tile_nan_rate=0.3))
+        result = fit_mle(
+            kernel, x, z, tile_size=40, theta0=THETA, max_iter=3,
+            nugget=NUGGET, telemetry=telemetry,
+            resilience=ResilienceConfig(
+                retry=RetryPolicy(
+                    max_attempts=12, base_delay_s=0.0, max_delay_s=0.0
+                ),
+                chaos=injector,
+            ),
+        )
+        snap = telemetry.registry.snapshot()
+        tally = injector.stats
+        assert _value(snap, "repro_chaos_corrupted_tiles") \
+            == tally.corrupted_tiles > 0
+        assert _value(snap, "repro_health_calls") == result.nfev
+        # Every corrupted tile was retried, and the engine's health and
+        # the per-factorization deltas agree on how often.
+        assert _value(snap, "repro_health_retries") \
+            == _value(snap, "repro_cholesky_retries_total") \
+            == tally.corrupted_tiles
+
+    def test_retries_appear_in_one_family(self, problem):
+        kernel, x, z = problem
+        telemetry = Telemetry()
+        result = loglikelihood(
+            kernel, THETA, x, z, tile_size=40, nugget=NUGGET,
+            variant=get_variant("dense-fp64").with_(workers=2),
+            telemetry=telemetry,
+            resilience=ResilienceConfig(
+                retry=RetryPolicy(
+                    max_attempts=12, base_delay_s=0.0, max_delay_s=0.0
+                ),
+                chaos=ChaosConfig(seed=12, tile_nan_rate=0.3),
+            ),
+        )
+        snap = telemetry.registry.snapshot()
+        assert [name for name in snap if "retries" in name] \
+            == ["repro_cholesky_retries_total"]
+        assert _value(snap, "repro_cholesky_retries_total") \
+            == result.stats.retries > 0
+
+
+# ----------------------------------------------------------------------
 # exporters
 # ----------------------------------------------------------------------
 class TestExporters:
@@ -188,7 +335,7 @@ class TestExporters:
         for ln in samples:
             float(ln.rsplit(" ", 1)[1])  # every sample value parses
         assert any(
-            ln.startswith("repro_cholesky_kernels_total{") for ln in samples
+            ln.startswith("repro_cholesky_kernel_counts_total{") for ln in samples
         )
 
     def test_breakdown_self_time(self, traced):
@@ -234,9 +381,10 @@ class TestRealPaths:
         assert len(telemetry.tracer) > 0
         # The low-rank settle tally: registry == stats == the one event.
         stats = traced.stats
+        snap = telemetry.registry.snapshot()
         for name in ("truncations", "kept_dense"):
-            counter = telemetry.registry.counter(f"repro_cholesky_{name}_total")
-            assert counter.value() == getattr(stats, name)
+            (series,) = snap[f"repro_cholesky_{name}_total"]["series"]
+            assert series["value"] == getattr(stats, name)
         (settle,) = [
             e for e in telemetry.tracer.sorted_events()
             if e.name == "lr_settle"
@@ -359,24 +507,9 @@ class TestRealPaths:
         assert len(batches) == 3
         assert all(b.parent == predict.sid for b in batches)
         snap = telemetry.registry.snapshot()
-        assert "repro_serving" in snap
-        assert "repro_breaker_open" in snap
-        assert "repro_engine_evaluations" in snap
-
-    def test_disabled_bundle_is_silent(self, problem):
-        kernel, x, z = problem
-        off = Telemetry(enabled=False)
-        result = loglikelihood(
-            kernel, THETA, x, z, tile_size=40, variant="mp-dense",
-            nugget=NUGGET, telemetry=off,
-        )
-        plain = loglikelihood(
-            kernel, THETA, x, z, tile_size=40, variant="mp-dense",
-            nugget=NUGGET,
-        )
-        assert result.value == plain.value
-        assert len(off.tracer) == 0
-        assert off.registry.metrics() == []
+        assert _value(snap, "repro_serving_predictions") == 30
+        assert _value(snap, "repro_health_breaker_open") == 0
+        assert _value(snap, "repro_engine_evaluations") == model.result_.nfev
 
     def test_maybe_span_shares_null_context(self):
         assert maybe_span(None, "a") is maybe_span(None, "b")

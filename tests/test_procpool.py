@@ -238,7 +238,7 @@ class TestChaosParity:
             runs[workers] = (
                 par.to_dense(lower_only=True),
                 report.chaos_events,
-                report.retries,
+                report.stats.retries,
             )
         assert runs[1][1] > 0
         assert runs[1][1:] == runs[3][1:]

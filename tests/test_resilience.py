@@ -382,7 +382,7 @@ class TestExecutorResilience:
                               max_delay_s=0.0),
             chaos=ChaosConfig(seed=6, task_fail_rate=0.2),
         )
-        assert report.chaos_events > 0 and report.retries > 0
+        assert report.chaos_events > 0 and report.stats.retries > 0
         np.testing.assert_array_equal(
             ref.to_dense(lower_only=True), par.to_dense(lower_only=True)
         )

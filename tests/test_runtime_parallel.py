@@ -120,7 +120,7 @@ class TestStressChaos:
             ref.to_dense(lower_only=True), par.to_dense(lower_only=True)
         )
         assert report.chaos_events > 0
-        assert report.retries >= report.chaos_events
+        assert report.stats.retries >= report.chaos_events
 
     def test_chaos_stress_under_sanitizer_zero_findings(self):
         """The same stress run with the dynamic race sanitizer watching

@@ -216,7 +216,11 @@ class TestPredictionEngine:
         chunks = list(
             engine.predict_iter(x_test, return_uncertainty=True, batch=16)
         )
-        assert all(len(c.mean) <= 16 for c in chunks)
+        assert len(chunks) > 1 and all(len(c.mean) <= 16 for c in chunks)
+        # A stream is one call, however many batches it yields.
+        stats = engine.stats()
+        assert stats.predict_calls == engine.health().calls == 2
+        assert stats.predictions == 2 * len(x_test)
         np.testing.assert_array_equal(
             np.concatenate([c.mean for c in chunks]), p.mean
         )
@@ -290,7 +294,7 @@ class TestPredictionEngine:
 class TestClampVariance:
     def test_counts_and_clamps(self, caplog):
         v = np.array([0.5, -1e-12, 0.0, -3e-9])
-        with caplog.at_level(logging.DEBUG, logger="repro.core.prediction"):
+        with caplog.at_level(logging.DEBUG, logger="repro.core.serving"):
             out, count = clamp_variance(v, where="unit-test")
         assert count == 2
         np.testing.assert_array_equal(out, [0.5, 0.0, 0.0, 0.0])
@@ -298,7 +302,7 @@ class TestClampVariance:
 
     def test_clean_input_untouched(self, caplog):
         v = np.array([0.5, 0.1])
-        with caplog.at_level(logging.DEBUG, logger="repro.core.prediction"):
+        with caplog.at_level(logging.DEBUG, logger="repro.core.serving"):
             out, count = clamp_variance(v)
         assert count == 0
         assert out is v  # no copy on the clean path
