@@ -174,6 +174,11 @@ def _cmd_profile(args) -> int:
     wall = time.perf_counter() - t0
     print(f"  loglik={model.loglik_:.4f} nfev={model.result_.nfev} "
           f"wall={wall:.2f}s")
+    # What the variant's execution settings resolved to (the span
+    # carries what ran, not what was asked).
+    resolved = telemetry.tracer.by_name("factorize")[0].attrs
+    print("  factorized on: placement={placement} grouping={grouping} "
+          "workers={workers}".format(**resolved))
     print(f"  {len(telemetry.tracer)} span(s), "
           f"{len(telemetry.tracer.sorted_events())} event(s), "
           f"{len(telemetry.registry.metrics())} metric(s)")

@@ -525,20 +525,13 @@ def _install_patches() -> None:
     from ..obs import tracer as obs_tracer
     from ..resilience.health import CircuitBreaker
     from ..runtime import taskcore
-    from ..tile import batch as tile_batch
     from ..tile.geometry import GeometryCache
     from ..tile.matrix import TileMatrix
 
-    # --- the DAG executor's dispatch lock ------------------------------
+    # --- the executors' dispatch / tally lock --------------------------
     _patch(
         taskcore, "_make_lock",
         lambda: sanitized_lock(name="parallel.dispatch"),
-    )
-
-    # --- the batched dispatcher's scratch-pool free lists --------------
-    _patch(
-        tile_batch, "_make_lock",
-        lambda: sanitized_lock(name="batch.scratch"),
     )
 
     # --- the telemetry tracer's span/event buffers ---------------------
@@ -569,6 +562,31 @@ def _install_patches() -> None:
 
     _patch(TileMatrix, "get", instrumented_get)
     _patch(TileMatrix, "set", instrumented_set)
+
+    # --- the panel sweep's column-stack map (ordered by the panel
+    # barrier's fork/join edges, like tiles: RACE003 exempt) ------------
+    ColumnStacks = taskcore.ColumnStacks
+    original_runs_get = ColumnStacks.get
+    original_runs_set = ColumnStacks.set
+
+    def instrumented_runs_get(self, n):
+        sanitized_access(
+            ("stack", id(self), n), f"stack({n})",
+            write=False, site=f"ColumnStacks.get({n})",
+            expect_lock=False,
+        )
+        return original_runs_get(self, n)
+
+    def instrumented_runs_set(self, n, runs):
+        sanitized_access(
+            ("stack", id(self), n), f"stack({n})",
+            write=True, site=f"ColumnStacks.set({n})",
+            expect_lock=False,
+        )
+        return original_runs_set(self, n, runs)
+
+    _patch(ColumnStacks, "get", instrumented_runs_get)
+    _patch(ColumnStacks, "set", instrumented_runs_set)
 
     # --- geometry cache ------------------------------------------------
     original_geom_init = GeometryCache.__init__
@@ -718,9 +736,10 @@ def run_sanitized_workload(
     retries), the serving engine (parallel batches, a repeated batch
     for the LRU-hit path, 20% batch chaos under retry), the geometry
     cache, a breaker trip (three consecutive hard failures →
-    cross-LRU clear), and the batched homogeneous-group dispatcher
-    (``clamp=False`` so its pool really is ``workers`` wide) with its
-    shared :class:`~repro.tile.batch.ScratchPool`.  Chaos schedules
+    cross-LRU clear), and the panel sweep (``clamp=False`` so its pool
+    really is ``workers`` wide) with what its units share: the
+    column-stack map, the published tiles and the tally lock.  Chaos
+    schedules
     are keyed on ``(seed, site, attempt)``, so the workload — and any
     finding it produces — is deterministic at a fixed seed.
 
@@ -795,21 +814,26 @@ def run_sanitized_workload(
             except ChaosError:
                 hard_failures += 1
         assert hard_failures == 3, "breaker workload must fail 3x"
-        # Batched dispatcher: real dispatch threads (clamp off so the
-        # pool is genuinely concurrent even on few-core hosts) sharing
-        # one ScratchPool — exercises the pool's free-list lock and the
-        # per-tile fallback's stats lock.
+        # The panel sweep on real threads (clamp off so the pool is
+        # genuinely concurrent even on few-core hosts): units read the
+        # finished column's stacks and published tiles and replace
+        # their own column's runs while the driving thread runs the
+        # per-tile leftovers against the same matrix and tally.
+        # Three times the fit's tiles a side, Morton-ordered: several
+        # columns ride runs of two precisions beside loose tiles, so
+        # every panel hands the pool more than one unit.
+        from ..ordering import order_points
         from ..runtime.batchdispatch import execute_cholesky_batched
         from ..tile.assembly import build_planned_covariance
-        from ..tile.batch import ScratchPool
 
+        x_sweep = gen.uniform(size=(3 * n, 2))
         planned, assembly = build_planned_covariance(
-            kernel, theta, x, tile, nugget=1.0e-8,
-            use_mp=True, use_tlr=True, batch=True,
+            kernel, theta, x_sweep[order_points(x_sweep, "morton")], tile,
+            nugget=1.0e-8, use_mp=True, use_tlr=True, batch=True,
         )
         execute_cholesky_batched(
             planned, workers=workers, tile_tol=assembly.tile_tol,
-            pool=ScratchPool(), clamp=False,
+            clamp=False,
         )
         report = state.report()
         stats = state.stats

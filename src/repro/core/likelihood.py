@@ -76,7 +76,7 @@ def _check_observations(x: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 
 def _resolve_execution(
-    cfg: VariantConfig, resilience, procpool
+    cfg: VariantConfig, resilience, deadline, procpool
 ) -> tuple[str, str, int]:
     """``(placement, grouping, workers)`` the variant's execution
     settings resolve to — decided once per evaluation, before anything
@@ -84,27 +84,35 @@ def _resolve_execution(
 
     *placement*: ``"process"`` for ``backend="process"``, else
     ``"inline"`` (the caller's thread) at one worker and ``"thread"``
-    above.  *grouping*: ``"stacked"`` for ``batch=True`` (its pools are
-    sized to the physical cores: extra threads only add overhead
-    around vectorized calls and never change results), else
-    ``"per-tile"``.  A combination that cannot run raises
-    :class:`~repro.exceptions.ConfigurationError`; none is dropped.
+    above.  *grouping*, in process: ``"stacked"`` for ``batch=True``,
+    else ``"per-tile"``.  In this process it is ``"per-tile"`` exactly
+    when something needs one tile op at a time — a task-level
+    retry / chaos hook (the heap loop), or nothing at all (one worker,
+    no deadline: the reference ``tile_cholesky``) — and ``"stacked"``
+    otherwise: the panel sweep.  ``batch=True`` sizes the sweep's pool
+    to the physical cores (extra threads only add overhead around
+    stacked calls and never change results).  A combination that
+    cannot run raises :class:`~repro.exceptions.ConfigurationError`;
+    none is dropped.
     """
-    workers = cfg.workers
-    if cfg.batch:
-        workers = min(workers, os.cpu_count() or 1)
-    if cfg.backend == "process":
-        placement = "process"
-        if procpool is not None:
-            workers = procpool.workers
-    else:
-        placement = "inline" if workers == 1 else "thread"
-    if cfg.batch and resilience is not None:
+    hooked = resilience is not None and resilience.task_level
+    if cfg.batch and hooked:
         # The runtime package is imported only by the paths that run it.
         from ..runtime.taskcore import reject_stacked_hooks
 
         reject_stacked_hooks(True, resilience.retry, resilience.resolve_chaos())
-    return placement, "stacked" if cfg.batch else "per-tile", workers
+    workers = cfg.workers
+    if cfg.batch:
+        workers = min(workers, os.cpu_count() or 1)
+    if cfg.backend == "process":
+        if procpool is not None:
+            workers = procpool.workers
+        return "process", "stacked" if cfg.batch else "per-tile", workers
+    placement = "inline" if workers == 1 else "thread"
+    per_tile = hooked or not (
+        cfg.batch or placement == "thread" or deadline is not None
+    )
+    return placement, "per-tile" if per_tile else "stacked", workers
 
 
 def _factor_and_solve(
@@ -130,15 +138,18 @@ def _factor_and_solve(
     cfg = get_variant(variant)
     if resilience is not None:
         resilience = resilience.bind()  # one chaos injector per call
-    placement, grouping, workers = _resolve_execution(cfg, resilience, procpool)
+    placement, grouping, workers = _resolve_execution(
+        cfg, resilience, deadline, procpool
+    )
     resolved = dict(placement=placement, grouping=grouping, workers=workers)
-    stacked = grouping == "stacked"
     chaos = None if resilience is None else resilience.resolve_chaos()
     hooks = {} if resilience is None else dict(
         retry=resilience.retry, chaos=chaos
     )
+    # Per tile on the caller's thread with no hook to attach: the
+    # reference loop itself.
     reference = (
-        placement == "inline" and not stacked and deadline is None
+        (placement, grouping) == ("inline", "per-tile")
         and not (resilience is not None and resilience.task_level)
     )
     max_rank = int(cfg.max_rank_fraction * tile_size) or None
@@ -148,7 +159,7 @@ def _factor_and_solve(
         return build_planned_covariance(
             kernel, theta, x, tile_size, nugget=nugget + extra,
             geometry=geometry, cache=cache, rank_hints=rank_hints,
-            workers=workers, batch=stacked,
+            workers=workers, batch=cfg.batch,
             telemetry=telemetry, **overrides, **cfg.assembly_kwargs(),
         )
 
@@ -172,16 +183,18 @@ def _factor_and_solve(
                     engine = procpool or ProcessPoolEngine(workers=workers)
                     try:
                         _, run = engine.execute(
-                            matrix, batch=stacked, **args, **hooks
+                            matrix, batch=cfg.batch, **args, **hooks
                         )
                     finally:
                         if procpool is None:
                             engine.close()
-                elif stacked:
+                elif cfg.batch:
                     _, run = execute_cholesky_batched(
                         matrix, workers=workers, **args
                     )
                 else:
+                    # The sweep at the requested width, or the heap
+                    # loop when a task-level hook is set.
                     _, run = execute_cholesky_parallel(
                         matrix, workers=workers, **args, **hooks
                     )

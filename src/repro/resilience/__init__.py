@@ -62,7 +62,19 @@ __all__ = [
     "CircuitBreaker",
     "HealthReport",
     "require_finite",
+    "task_level_hooks",
 ]
+
+
+def task_level_hooks(retry, chaos, check_finite: bool | None = None) -> bool:
+    """Whether a factorization asks for per-task attempts — the one
+    thing only a per-tile loop can give it.  The router
+    (``core/likelihood.py::_resolve_execution``, through
+    :attr:`ResilienceConfig.task_level`) and
+    :func:`~repro.runtime.parallel.execute_cholesky_parallel` both
+    decide panel-sweep-or-heap-loop by this, so span and run report
+    agree."""
+    return retry is not None or chaos is not None or bool(check_finite)
 
 
 @dataclass(frozen=True)
@@ -96,7 +108,9 @@ class ResilienceConfig:
         """Whether the factorization needs the instrumented executor
         (retry or chaos hooks); degradation alone is fit-level and
         leaves the factorization path untouched."""
-        return self.retry is not None or self.chaos_enabled
+        return task_level_hooks(
+            self.retry, self.chaos if self.chaos_enabled else None
+        )
 
     @property
     def active(self) -> bool:

@@ -1,45 +1,46 @@
-"""Homogeneous ready-set dispatch: wave-based batched DAG execution.
+"""The panel sweep: schedule a panel column, not a tile op.
 
-The heap executor (:mod:`repro.runtime.parallel`) pops one task at a
-time and pays Python dispatch per tile.  This executor instead drains
-the *entire ready set* each step — tasks that are simultaneously ready
-share no DAG edge, so they are mutually independent — splits it into
-homogeneous groups (:func:`~repro.runtime.taskcore.split_wave`), and
-executes each group as **one** stacked BLAS call from
-:mod:`repro.tile.batch`:
+The right-looking tile Cholesky visits panel ``k = 0, 1, ...``; within
+a panel every tile receives exactly one operation, and operations on
+different tiles are independent.  This executor makes *that* the
+schedule — no task graph, no ready set.  The dense tiles of each
+column that can ride a stack (:class:`~repro.runtime.taskcore.
+ColumnStacks`) are gathered once into ``(rows, m, n)`` arrays, and
+panel ``k`` is
 
-======  =============================================================
-group   key
-======  =============================================================
-POTRF   ``("potrf", tile shape, precision)``
-TRSM    ``("trsm", L index, tile shape, precision)`` — one wide-RHS
-        solve needs a *shared* triangular factor, so the diagonal
-        tile's index joins the key
-SYRK    ``("syrk", A shape, precision of C)``
-GEMM    ``("gemm", A shape, B shape, precision of C)``
-======  =============================================================
+1. POTRF of the diagonal tile;
+2. one wide triangular solve per run of column ``k``, whose solved
+   slices are published to the matrix as views (the column is final),
+   and the per-tile TRSM of each loose tile of the column;
+3. for every trailing column ``n``, one stacked
+   ``C_run <- C_run - A_run B^T`` per run.  With ``workers > 1`` the
+   trailing columns are dealt round-robin into ``workers`` *units* —
+   columns' stacked calls and nothing else — one run by the driving
+   thread, the others by the pool; the driving thread then runs the
+   leftovers per tile in reference order: every SYRK, and the GEMM of
+   every loose tile (low-rank or accumulating operand or output,
+   binary16 compute, ragged or lone rows);
+4. the barrier: the panel's units have all returned.
 
-A task joins a group only when every operand is dense and the group's
-compute dtype is not binary16 (the emulated HGEMM mode); everything
-else — low-rank TLR tiles, mixed structures after densification —
-falls back to the per-tile kernels in deterministic uid order.
+O(nt^2) Python-level calls carry the O(nt^3) tile operations.  Each
+tile still sees its updates ``k = 0, 1, ...`` in order, each from the
+same BLAS routine on the same operands as the per-tile kernel (a
+stacked ``matmul`` is a GEMM per slice, a multi-RHS solve is
+column-independent), so every factor is bit-identical to
+:func:`~repro.tile.cholesky.tile_cholesky` (pinned by
+``tests/test_execution_matrix.py``).
 
-Determinism: waves are a function of the DAG alone, groups are built
-in sorted-uid order, large groups are chunked by *slice* (stacked
-gufuncs are slice-independent), and each tile's sequence of updates is
-fully ordered by its DAG edges — so the accumulate order within every
-tile matches the sequential reference exactly, and results are
-bit-identical to the other executors (pinned by tests).
-
-A ``deadline`` is honoured at wave boundaries.
-Task-level retry and chaos have no stacked counterpart (one call runs
-many tasks), so this executor does not take them.
+A ``deadline`` is honoured at panel boundaries.  Task-level retry and
+chaos have no stacked counterpart (one call runs many tasks), so this
+executor does not take them; a run that sets one gets the per-tile
+heap loop of :mod:`repro.runtime.parallel`.
 """
 
 from __future__ import annotations
 
 import os
 import time
+from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 
@@ -48,31 +49,21 @@ from ..exceptions import (
     NotPositiveDefiniteError,
     SchedulingError,
 )
-from ..tile.batch import ScratchPool
 from ..tile.matrix import TileMatrix
 from .blasclamp import clamp_blas_threads
 from .taskcore import (
-    MIN_BATCH,
+    ColumnStacks,
+    MatrixTiles,
     ParallelRunReport,
-    ReadySet,
     RunRecorder,
     TaskBody,
     finish_run,
-    split_wave,
+    stop_reason,
+    stopped,
 )
+from .taskgraph import cholesky_task, cholesky_task_count
 
 __all__ = ["execute_cholesky_batched"]
-
-
-def _chunk(group, nchunks: int, min_batch: int) -> list:
-    """Split a large ``(op, tasks)`` group into slice chunks for
-    worker-level parallelism; stacked gufuncs are slice-independent,
-    so the per-tile results do not change."""
-    op, batch = group
-    if nchunks <= 1 or len(batch) < 2 * min_batch:
-        return [group]
-    size = max(min_batch, (len(batch) + nchunks - 1) // nchunks)
-    return [(op, batch[i:i + size]) for i in range(0, len(batch), size)]
 
 
 def execute_cholesky_batched(
@@ -82,130 +73,132 @@ def execute_cholesky_batched(
     tile_tol: float = 0.0,
     max_rank: int | None = None,
     fp16_accumulate_fp32: bool = True,
-    pool: ScratchPool | None = None,
-    min_batch: int = MIN_BATCH,
     clamp: bool = True,
     deadline=None,
     telemetry=None,
 ) -> tuple[TileMatrix, ParallelRunReport]:
-    """Factor ``matrix`` in place by draining the DAG in waves of
-    homogeneous batched kernel calls.
+    """Factor ``matrix`` in place by sweeping its panels over column
+    stacks.
 
-    ``workers > 1`` chunks each wave's groups (and large groups by
-    slice) across a thread pool; results are identical to ``workers=1``
-    because tasks within a wave are mutually independent and stacked
-    gufuncs are slice-independent.  The pool is sized to
-    ``min(workers, physical cores)`` — oversubscribed dispatch threads
-    only add overhead around stacked calls, and since chunking never
-    changes results, clamping cannot either (``clamp=False`` keeps the
-    requested width; the concurrency sanitizer uses it to drive real
-    thread interleavings).  ``pool`` is the scratch-buffer pool (fresh
-    per call when ``None``); pass one in to reuse buffers across the
-    evaluations of a fit.
+    ``workers > 1`` spreads each panel's column updates over that many
+    threads (the caller's and a pool of ``workers - 1``); columns share
+    nothing they write, so the result is identical to ``workers=1``.
+    The width is ``min(workers, physical cores)`` — oversubscribed
+    threads only add overhead around stacked calls — unless
+    ``clamp=False`` keeps the requested one (the concurrency sanitizer
+    uses it to drive real thread interleavings).
 
     Raises :class:`~repro.exceptions.NotPositiveDefiniteError` directly
     on an indefinite diagonal tile (same contract as the sequential
     reference), :class:`~repro.exceptions.DeadlineExceededError` when
-    ``deadline`` expired at a wave boundary (the finished waves'
-    threads have all returned), and wraps any
-    other kernel failure in :class:`~repro.exceptions.SchedulingError`.
+    ``deadline`` expired at a panel boundary (every unit of the
+    finished panels has returned), and wraps any other kernel failure
+    in :class:`~repro.exceptions.SchedulingError`.
 
-    ``telemetry`` records one span per wave with one child span per
-    stacked group / scalar fallback (group members share their stacked
-    call's interval).
+    ``telemetry`` records one ``"panel"`` span per ``k`` with one child
+    span per stacked call or per-tile leftover.
     """
     if workers < 1:
         raise SchedulingError("need at least one worker")
     eff_workers = workers
     if clamp:
         eff_workers = max(1, min(workers, os.cpu_count() or 1))
-    ready = ReadySet(matrix.nt, deadline=deadline)
+    nt = matrix.nt
     recorder = RunRecorder(telemetry)
-    # Hot-loop access to the tile dict; keys come from the task plan.
+    columns = ColumnStacks(matrix, bool(fp16_accumulate_fp32))
     body = TaskBody(
-        matrix._tiles, tile_tol=tile_tol, max_rank=max_rank,
-        fp16_accumulate_fp32=fp16_accumulate_fp32,
-        pool=ScratchPool() if pool is None else pool, recorder=recorder,
+        MatrixTiles(matrix), tile_tol=tile_tol, max_rank=max_rank,
+        fp16_accumulate_fp32=fp16_accumulate_fp32, columns=columns,
+        recorder=recorder,
     )
-    f16_ok = bool(fp16_accumulate_fp32)
-    batches = batched_tasks = fallback_tasks = max_units = wave_index = 0
-    # Oversubscription guard: eff_workers dispatch threads each issuing
-    # BLAS calls must share the physical cores (restored on exit).
+    #: Stacked calls per column and panel (a column's runs never change
+    #: rows, only stacks).
+    calls = [len(columns.get(n)) for n in range(nt)]
+    batches = batched_tasks = running = max_running = 0
+
+    def unit(k: int, cols: list, facing: list) -> None:
+        """Panel ``k``'s stacked calls into columns ``cols``."""
+        nonlocal running, max_running
+        with body.lock:
+            running += 1
+            max_running = max(max_running, running)
+        try:
+            for n in cols:
+                body.update_column(k, n, facing)
+        finally:
+            with body.lock:
+                running -= 1
+
+    # Oversubscription guard: eff_workers threads each issuing BLAS
+    # calls must share the physical cores (restored on exit).
     with clamp_blas_threads(eff_workers) as blas_clamp, (
-        ThreadPoolExecutor(max_workers=eff_workers)
+        ThreadPoolExecutor(max_workers=eff_workers - 1)
         if eff_workers > 1 else nullcontext()
     ) as executor:
         try:
-            while ready.remaining:
-                reason = ready.stop_reason()
+            for k in range(nt):
+                reason = stop_reason(deadline)
                 if reason is not None:
-                    raise ready.stopped(
-                        reason, recorder.t0, "execute_cholesky_batched"
+                    raise stopped(
+                        reason, deadline, recorder.t0,
+                        "execute_cholesky_batched",
                     )
-                wave = ready.drain()
-                if not wave:  # pragma: no cover - DAG invariant
-                    raise SchedulingError(
-                        f"stalled with {ready.remaining} tasks unreached"
-                    )
-                wave_t0 = time.perf_counter()
-                groups, singles = split_wave(
-                    wave, body.tiles, f16_ok, min_batch
+                panel_t0 = time.perf_counter()
+                body.run(cholesky_task(nt, "potrf", k, k))
+                body.solve_column(k)
+                for m in columns.loose_rows[k]:
+                    body.run(cholesky_task(nt, "trsm", k, m))
+                facing = body.facing(k)
+                stacked = [n for n in range(k + 1, nt) if columns.riding[n]]
+                # Round-robin: a column's work shrinks with its height.
+                shares = [stacked[i::eff_workers] for i in range(eff_workers)]
+                futures = [
+                    executor.submit(unit, k, share, facing)
+                    for share in shares[1:] if share
+                ]
+                if shares[0]:
+                    unit(k, shares[0], facing)
+                for m in range(k + 1, nt):
+                    body.run(cholesky_task(nt, "syrk", k, m))
+                    loose = columns.loose_cols[m]
+                    for n in loose[bisect_right(loose, k):]:
+                        body.run(cholesky_task(nt, "gemm", k, m, n))
+                # The barrier.  The first failure (in column order)
+                # surfaces; the pool's exit joins whatever still runs.
+                for future in futures:
+                    future.result()
+                batches += calls[k] + sum(calls[n] for n in stacked)
+                batched_tasks += columns.riding[k] + sum(
+                    columns.riding[n] for n in stacked
                 )
-                if executor is not None:
-                    groups = [
-                        unit for group in groups
-                        for unit in _chunk(group, eff_workers, min_batch)
-                    ]
-                units = len(groups) + len(singles)
-                max_units = max(max_units, units)
-                if executor is not None and units > 1:
-                    # The first failure (in submission order) surfaces;
-                    # the pool's exit joins whatever is still running.
-                    for future in [
-                        executor.submit(body.run_group, *g) for g in groups
-                    ] + [executor.submit(body.run, t) for t in singles]:
-                        future.result()
-                else:
-                    for group in groups:
-                        body.run_group(*group)
-                    for task in singles:
-                        body.run(task)
-                batches += len(groups)
-                batched_tasks += sum(len(batch) for _, batch in groups)
-                fallback_tasks += len(singles)
                 if recorder.tracer is not None:
-                    # The wave's futures have all resolved, so the
+                    # The panel's units have all returned, so the
                     # timeline has no concurrent writers.
                     recorder.emit_spans(recorder.tracer.add_span(
-                        "wave", wave_t0, time.perf_counter(),
+                        "panel", panel_t0, time.perf_counter(),
                         parent=recorder.parent_sid,
-                        attrs={"wave": wave_index, "tasks": len(wave),
-                               "groups": len(groups),
-                               "singles": len(singles)},
+                        attrs={"panel": k, "columns": len(stacked)},
                     ))
-                wave_index += 1
-                for task in wave:
-                    ready.complete(task.uid)
         except (NotPositiveDefiniteError, SchedulingError,
                 DeadlineExceededError):
             raise
-        except BaseException as exc:
+        except Exception as exc:
             raise SchedulingError(
                 f"batched execution failed: {exc!r}"
             ) from exc
 
     finish_run(body.stats, matrix)
+    tasks = cholesky_task_count(nt)
     report = recorder.report(
         workers=eff_workers,
-        tasks=len(ready.tasks),
-        # The pool runs at most its width of a wave's units at once.
-        max_concurrency=min(eff_workers, max_units),
+        tasks=tasks,
+        max_concurrency=max(1, max_running),
         placement="inline" if eff_workers == 1 else "thread",
         grouping="stacked",
         stats=body.stats,
         batches=batches,
         batched_tasks=batched_tasks,
-        fallback_tasks=fallback_tasks,
+        fallback_tasks=tasks - batched_tasks,
         blas_clamp=blas_clamp,
     )
     return matrix, report

@@ -1,11 +1,14 @@
 """Threaded parallel execution engine.
 
-The discrete-event simulator predicts schedules; this engine *runs*
-them: a worker pool consumes ready tasks from a priority queue,
-dependence counters release successors as results land, and each tile
-kernel executes for real.  NumPy/BLAS releases the GIL inside the
-heavy kernels, so on a multi-core host the DAG parallelism is genuine
-— a working single-node analogue of PaRSEC's shared-memory scheduling.
+A run that asks for nothing per task *is* the panel sweep of
+:mod:`repro.runtime.batchdispatch` at the requested width: one tile
+op per Python-level dispatch loses to the inline loop as soon as two
+threads trade the interpreter lock around microsecond BLAS calls
+(EXPERIMENTS.md).  What remains here is the one thing the sweep cannot
+do — per-task attempts for the retry / chaos / finite-check hooks and
+per-task cancellation: a worker pool consumes ready tasks from a
+priority queue, dependence counters release successors as results
+land, and each tile kernel executes under its hooks.
 
 Determinism note: tiles are replaced atomically under a lock and the
 dependence structure serializes conflicting accesses, so results are
@@ -31,9 +34,15 @@ from __future__ import annotations
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
-from ..exceptions import DeadlineExceededError, SchedulingError
+from ..exceptions import (
+    DeadlineExceededError,
+    NotPositiveDefiniteError,
+    SchedulingError,
+)
+from ..resilience import task_level_hooks
 from ..resilience.deadline import CancellationToken
 from ..tile.matrix import TileMatrix
+from .batchdispatch import execute_cholesky_batched
 from .blasclamp import clamp_blas_threads
 from .taskcore import (
     MatrixTiles,
@@ -43,6 +52,8 @@ from .taskcore import (
     TaskBody,
     finish_run,
     resolve_hooks,
+    stop_reason,
+    stopped,
 )
 
 __all__ = ["ParallelRunReport", "execute_cholesky_parallel"]
@@ -62,9 +73,14 @@ def execute_cholesky_parallel(
     check_finite: bool | None = None,
     telemetry=None,
 ) -> tuple[TileMatrix, ParallelRunReport]:
-    """Factor ``matrix`` in place with worker threads pulling the task
-    DAG from a priority heap (``workers=1`` runs the same loop on the
-    caller's thread, no pool).
+    """Factor ``matrix`` in place on ``workers`` threads
+    (``workers=1``: the caller's thread, no pool).
+
+    Without ``retry`` / ``chaos`` / ``check_finite`` / ``cancel`` this
+    is :func:`~repro.runtime.batchdispatch.execute_cholesky_batched`
+    at that width (the report says ``grouping="stacked"``); with one,
+    worker threads pull the task DAG from a priority heap, one tile op
+    per attempt (``grouping="per-tile"``).
 
     Raises :class:`~repro.exceptions.SchedulingError` if any task
     failed (the first underlying exception is chained), or
@@ -87,11 +103,24 @@ def execute_cholesky_parallel(
     """
     if workers < 1:
         raise SchedulingError("need at least one worker")
+    if cancel is None and not task_level_hooks(retry, chaos, check_finite):
+        try:
+            return execute_cholesky_batched(
+                matrix, workers=workers, tile_tol=tile_tol,
+                max_rank=max_rank, fp16_accumulate_fp32=fp16_accumulate_fp32,
+                clamp=False, deadline=deadline, telemetry=telemetry,
+            )
+        except NotPositiveDefiniteError as exc:
+            # This function's contract: every task failure is a
+            # SchedulingError with the cause chained.
+            raise SchedulingError(
+                f"parallel execution failed: {exc!r}"
+            ) from exc
     chaos, epoch, check_finite = resolve_hooks(retry, chaos, check_finite)
     chaos_before = chaos.stats.events if chaos is not None else 0
     if cancel is None:
         cancel = CancellationToken()
-    ready = ReadySet(matrix.nt, deadline=deadline, cancel=cancel)
+    ready = ReadySet(matrix.nt)
     recorder = RunRecorder(telemetry)
     body = TaskBody(
         MatrixTiles(matrix), tile_tol=tile_tol, max_rank=max_rank,
@@ -112,7 +141,7 @@ def execute_cholesky_parallel(
             while True:
                 with done:
                     while ready.remaining and not errors:
-                        reason = ready.stop_reason()
+                        reason = stop_reason(deadline, cancel)
                         if reason is not None:
                             cancel.cancel(reason)
                             break
@@ -176,8 +205,8 @@ def execute_cholesky_parallel(
     if cancel.cancelled:
         # Deadline expiry / external cancellation noticed at a
         # dispatch boundary: the pool has drained, no task raised.
-        raise ready.stopped(
-            cancel.reason, recorder.t0, "execute_cholesky_parallel"
+        raise stopped(
+            cancel.reason, deadline, recorder.t0, "execute_cholesky_parallel"
         )
     if ready.remaining:  # pragma: no cover - invariant
         raise SchedulingError(f"{ready.remaining} tasks never executed")

@@ -66,6 +66,8 @@ from .taskcore import (
     finish_run,
     reject_stacked_hooks,
     resolve_hooks,
+    stop_reason,
+    stopped,
     tally_gemm,
     tally_settle,
 )
@@ -301,7 +303,7 @@ class ProcessPoolEngine:
         chaos, epoch, check_finite = resolve_hooks(retry, chaos, check_finite)
         chaos_before = chaos.stats.events if chaos is not None else 0
         recorder = RunRecorder(telemetry, process_lanes=True)
-        ready = ReadySet(matrix.nt, deadline=deadline, cancel=cancel)
+        ready = ReadySet(matrix.nt)
         tasks = ready.tasks
 
         store = SharedTileStore(matrix.layout)
@@ -357,7 +359,7 @@ class ProcessPoolEngine:
                     raise SchedulingError(
                         f"stalled with {ready.remaining} tasks unreached"
                     )
-                stop = stop or ready.stop_reason() or ""
+                stop = stop or stop_reason(deadline, cancel) or ""
                 msg = self._poll(
                     f"mid-factorization with {len(in_flight)} tasks in flight"
                 )
@@ -380,7 +382,7 @@ class ProcessPoolEngine:
                     span = info["span"]
                     if span is not None:
                         recorder.timeline.append(
-                            (task.op, (task,), rank, *span)
+                            (task.op, 1, task, rank, *span)
                         )
                     comm.remote_reads += info["remote_reads"]
                     comm.remote_bytes += info["remote_bytes"]
@@ -410,8 +412,8 @@ class ProcessPoolEngine:
                     f"process execution failed: {first!r}"
                 ) from first
             if stop:
-                raise ready.stopped(
-                    stop, recorder.t0, "ProcessPoolEngine.execute"
+                raise stopped(
+                    stop, deadline, recorder.t0, "ProcessPoolEngine.execute"
                 )
             store.read_into(matrix)
             finish_run(stats, matrix)

@@ -14,8 +14,9 @@ worker is a small loop over three message kinds:
   per task (the parent's dependence counters need per-task
   completion).  Items in one message are pairwise independent (they
   were simultaneously ready), so when batching is armed the worker
-  splits them with the wave loop's
-  :func:`~repro.runtime.taskcore.split_wave` into stacked calls;
+  splits them with :func:`~repro.runtime.taskcore.split_wave` into
+  gathered stacked calls (an owner's rows are scattered over slabs:
+  they cannot form the views the in-process panel sweep runs on);
 * ``("stop",)`` — detach from every segment and exit.
 
 Owner-computes accounting: every input tile whose

@@ -1,18 +1,22 @@
 """The Cholesky task core: what every executor shares.
 
-Three executors run the tile Cholesky DAG — worker threads pulling a
-priority heap (:mod:`~repro.runtime.parallel`), wave barriers over
-stacked groups (:mod:`~repro.runtime.batchdispatch`), per-owner
-messages to worker processes (:mod:`~repro.runtime.procpool`).  They
-differ only in *scheduling*; the rest lives here, once:
+Three executors run the tile Cholesky — a panel sweep over column
+stacks (:mod:`~repro.runtime.batchdispatch`), worker threads pulling
+a priority heap for runs with task-level hooks
+(:mod:`~repro.runtime.parallel`), per-owner messages to worker
+processes (:mod:`~repro.runtime.procpool`).  They differ only in
+*scheduling*; the rest lives here, once:
 
-* :func:`cholesky_plan` — cached task stream, dependence structure,
-  priorities and per-op counts of an ``nt x nt`` factorization;
-* :class:`ReadySet` — one run's dependence counters, ready heap and
-  stop conditions (deadline, cancellation);
-* :class:`TaskBody` — the per-task and per-group kernel bodies with
-  the retry / chaos / finite-check hooks and the low-rank update
-  tally (GEMM and settle outcomes);
+* :func:`cholesky_plan` — cached task stream, dependence structure
+  and priorities of an ``nt x nt`` factorization;
+* :class:`ReadySet` — one run's dependence counters and ready heap;
+  :func:`stop_reason` / :func:`stopped` — the stop conditions
+  (deadline, cancellation) every loop polls;
+* :class:`ColumnStacks` — which dense tiles of a matrix ride
+  ``(rows, m, n)`` stacks through the sweep, and their current values;
+* :class:`TaskBody` — the per-task, per-column and per-group kernel
+  bodies with the retry / chaos / finite-check hooks and the low-rank
+  update tally (GEMM and settle outcomes);
 * :class:`RunRecorder` — a traced run's wall-clock timeline, and from
   it the telemetry spans; it also closes the run into its
   :class:`ParallelRunReport`.
@@ -27,9 +31,9 @@ from __future__ import annotations
 import heapq
 import threading
 import time
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import groupby
 from typing import NamedTuple
 
 import numpy as np
@@ -40,6 +44,7 @@ from ..exceptions import (
     NumericalCorruptionError,
 )
 from ..obs.tracer import DRIVER_PID, current_span_id
+from ..resilience import task_level_hooks
 from ..resilience.chaos import ChaosInjector
 from ..tile import kernels as K
 from ..tile.batch import (
@@ -48,21 +53,24 @@ from ..tile.batch import (
     batched_potrf,
     batched_syrk,
     batched_trsm,
+    stacked_gemm,
+    stacked_trsm,
 )
 from ..tile.cholesky import CholeskyStats
 from ..tile.matrix import TileMatrix
 from ..tile.precision import Precision
-from ..tile.tile import LowRankTile, Tile
+from ..tile.tile import DenseTile, LowRankTile, Tile
 from .comm import CommStats
 from .scheduler import panel_priorities_tasks
 from .task import Task
-from .taskgraph import cholesky_tasks
+from .taskgraph import cholesky_op_counts, cholesky_tasks
 
 __all__ = [
-    "MIN_BATCH", "CholeskyPlan", "MatrixTiles", "ParallelRunReport",
-    "ReadySet", "RunRecorder", "TaskBody", "cholesky_plan", "finish_run",
-    "gemm_outcome", "reject_stacked_hooks", "resolve_hooks",
-    "settle_outcome", "split_wave", "tally_gemm", "tally_settle",
+    "MIN_BATCH", "CholeskyPlan", "ColumnStacks", "MatrixTiles",
+    "ParallelRunReport", "ReadySet", "RunRecorder", "StackRun", "TaskBody",
+    "cholesky_plan", "finish_run", "gemm_outcome", "reject_stacked_hooks",
+    "resolve_hooks", "settle_outcome", "split_wave", "stop_reason",
+    "stopped", "tally_gemm", "tally_settle",
 ]
 
 #: Below this group size a stacked call buys nothing over the per-tile
@@ -93,8 +101,6 @@ class CholeskyPlan(NamedTuple):
     indegree: dict[int, int]
     successors: dict[int, list[int]]
     priority: dict[int, float]
-    #: Tasks per op — the ``kernel_counts`` of any completed run.
-    op_counts: Counter
 
 
 def _dependences(
@@ -139,7 +145,6 @@ def cholesky_plan(nt: int) -> CholeskyPlan:
     indegree, successors = _dependences(tasks)
     return CholeskyPlan(
         tasks, indegree, successors, panel_priorities_tasks(tasks),
-        Counter(t.op for t in tasks),
     )
 
 
@@ -149,21 +154,18 @@ def cholesky_plan(nt: int) -> CholeskyPlan:
 class ReadySet:
     """Dependence bookkeeping of one run over the cached plan.
 
-    Holds a private indegree copy, the ready tasks as a priority heap,
-    and the stop conditions every scheduling loop polls.  Not
-    synchronized: the thread executor guards it with its dispatch
-    lock, the wave and process loops drive it from one thread.
+    Holds a private indegree copy and the ready tasks as a priority
+    heap.  Not synchronized: the thread executor guards it with its
+    dispatch lock, the process loop drives it from one thread.
     """
 
-    __slots__ = ("tasks", "remaining", "deadline", "cancel",
+    __slots__ = ("tasks", "remaining",
                  "_indegree", "_successors", "_priority", "_heap")
 
-    def __init__(self, nt: int, *, deadline=None, cancel=None):
+    def __init__(self, nt: int):
         plan = cholesky_plan(nt)
         self.tasks = plan.tasks
         self.remaining = len(plan.tasks)
-        self.deadline = deadline
-        self.cancel = cancel
         self._indegree = dict(plan.indegree)
         self._successors = plan.successors
         self._priority = priority = plan.priority
@@ -181,15 +183,6 @@ class ReadySet:
         """The highest-priority ready task."""
         return self.tasks[heapq.heappop(self._heap)[1]]
 
-    def drain(self) -> list[Task]:
-        """The whole ready set in uid order — one wave.  Simultaneously
-        ready tasks share no DAG edge, so they are pairwise
-        independent, and uid order makes waves a function of the DAG
-        alone."""
-        uids = sorted(uid for _, uid in self._heap)
-        self._heap.clear()
-        return [self.tasks[uid] for uid in uids]
-
     def complete(self, uid: int) -> None:
         """Task ``uid`` finished: release its newly ready successors."""
         self.remaining -= 1
@@ -199,28 +192,27 @@ class ReadySet:
             if indegree[succ] == 0:
                 heapq.heappush(self._heap, (-self._priority[succ], succ))
 
-    def stop_reason(self) -> str | None:
-        """Why dispatch must stop now (token cancelled / deadline
-        passed), or ``None``.  Cooperative: in-flight work finishes,
-        nothing new starts."""
-        cancel = self.cancel
-        if cancel is not None and cancel.cancelled:
-            return cancel.reason or "cancelled"
-        deadline = self.deadline
-        if deadline is not None and deadline.expired:
-            return f"deadline of {deadline.budget_s:.3g}s exceeded"
-        return None
 
-    def stopped(self, reason: str, t0: float, where: str):
-        """The error a run stopped for ``reason`` surfaces once it has
-        drained (``t0``: its ``perf_counter`` start)."""
-        return DeadlineExceededError(
-            f"execution cancelled after {time.perf_counter() - t0:.3g}s: "
-            f"{reason}",
-            budget_s=None if self.deadline is None
-            else self.deadline.budget_s,
-            where=where,
-        )
+def stop_reason(deadline, cancel=None) -> str | None:
+    """Why dispatch must stop now (token cancelled / deadline passed),
+    or ``None``.  Cooperative: in-flight work finishes, nothing new
+    starts."""
+    if cancel is not None and cancel.cancelled:
+        return cancel.reason or "cancelled"
+    if deadline is not None and deadline.expired:
+        return f"deadline of {deadline.budget_s:.3g}s exceeded"
+    return None
+
+
+def stopped(reason: str, deadline, t0: float, where: str):
+    """The error a run stopped for ``reason`` surfaces once it has
+    drained (``t0``: its ``perf_counter`` start)."""
+    return DeadlineExceededError(
+        f"execution cancelled after {time.perf_counter() - t0:.3g}s: "
+        f"{reason}",
+        budget_s=None if deadline is None else deadline.budget_s,
+        where=where,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -245,6 +237,99 @@ class MatrixTiles:
         self._set(*key, tile)
 
 
+class StackRun(NamedTuple):
+    """Tile rows ``lo .. hi - 1`` of one column as one ``(hi - lo, m,
+    n)`` array at storage ``precision``.  Immutable: an update makes a
+    new run around a fresh array."""
+
+    lo: int
+    hi: int
+    precision: Precision
+    stack: np.ndarray
+
+
+class ColumnStacks:
+    """The tiles of a matrix that ride stacks through the panel sweep,
+    column by column.
+
+    A sub-diagonal tile ``(m, n)`` *rides* when its TRSM and every
+    GEMM it will receive can be a slice of a stacked call: it is a
+    settled dense tile whose compute dtype is not binary16, rows ``m``
+    and ``n`` hold only settled dense tiles left of column ``n`` (its
+    operands ``(m, k)`` and ``(n, k)``, ``k < n``), and a vertical
+    neighbour of the same shape and precision rides with it — a *run*
+    of at least :data:`MIN_BATCH`.  Riding tiles are gathered here,
+    once; until the TRSM of their column publishes them they live only
+    in their run's stack, so no per-tile kernel ever reads or writes
+    one.  Every other tile is *loose*: it stays in the matrix and runs
+    per tile.
+
+    Stack-view invariant: a stacked call reads views of arrays nobody
+    writes any more and returns a fresh one; runs are replaced
+    (:meth:`set`), never mutated.  Distinct columns are distinct
+    variables, so the sweep's units — disjoint sets of columns — share
+    nothing they write; :meth:`get` / :meth:`set` are the seam the
+    concurrency sanitizer watches, like :meth:`TileMatrix.get` /
+    ``set``.
+    """
+
+    def __init__(self, matrix: TileMatrix, fp16_accumulate_fp32: bool):
+        nt = matrix.nt
+        get = matrix.get
+
+        def dense(tile: Tile) -> bool:
+            return not tile.is_low_rank and tile.owed is None
+
+        #: Leading tiles of each row that are settled dense.
+        dense_left = []
+        for m in range(nt):
+            n = 0
+            while n < m and dense(get(m, n)):
+                n += 1
+            dense_left.append(n)
+        self._runs: dict[int, list[StackRun]] = {}
+        #: Tiles riding in each column (a stacked call's task count).
+        self.riding: list[int] = []
+        #: Loose rows of each column, and loose columns of each row
+        #: (both ascending).
+        self.loose_rows: list[list[int]] = [[] for _ in range(nt)]
+        self.loose_cols: list[list[int]] = [[] for _ in range(nt)]
+        for n in range(nt):
+
+            def run_key(m: int, n: int = n):
+                tile = get(m, n)
+                if (
+                    dense_left[m] < n or dense_left[n] < n or not dense(tile)
+                    or (tile.precision is Precision.FP16
+                        and not fp16_accumulate_fp32)
+                ):
+                    return None
+                return tile.shape, tile.precision
+
+            runs = []
+            for key, rows in groupby(range(n + 1, nt), run_key):
+                rows = list(rows)
+                if key is None or len(rows) < MIN_BATCH:
+                    for m in rows:
+                        self.loose_rows[n].append(m)
+                        self.loose_cols[m].append(n)
+                else:
+                    runs.append(StackRun(
+                        rows[0], rows[-1] + 1, key[1],
+                        np.stack([get(m, n).data for m in rows]),
+                    ))
+            self._runs[n] = runs
+            self.riding.append(sum(run.hi - run.lo for run in runs))
+
+    def get(self, n: int) -> list[StackRun]:
+        """The current runs of column ``n``."""
+        return self._runs[n]
+
+    def set(self, n: int, runs: list[StackRun]) -> None:
+        """Replace the runs of column ``n`` (same rows, fresh stacks)."""
+        self._runs[n] = runs
+
+
 def resolve_hooks(retry, chaos, check_finite: bool | None):
     """Normalize the task-level hooks of one run.
 
@@ -265,7 +350,7 @@ def reject_stacked_hooks(stacked: bool, retry, chaos) -> None:
     """A stacked call runs many tasks as one kernel, so per-task retry
     and chaos have nothing to attach to; the combination is refused
     rather than silently dropping either setting."""
-    if stacked and (retry is not None or chaos is not None):
+    if stacked and task_level_hooks(retry, chaos):
         raise ConfigurationError(
             "stacked grouping (batch=True) cannot run with task-level "
             "retry/chaos hooks: they need per-task attempts; use "
@@ -314,9 +399,10 @@ def tally_settle(stats: CholeskyStats, truncated: bool,
 
 def finish_run(stats: CholeskyStats, matrix: TileMatrix) -> None:
     """Close the tally of a completed run over ``matrix``: the per-op
-    counts are the plan's, and no tile of the factor is still
-    accumulating (every one met the TRSM that settles it)."""
-    stats.count_batch(cholesky_plan(matrix.nt).op_counts)
+    counts are the task stream's (closed form — no plan is built for
+    them), and no tile of the factor is still accumulating (every one
+    met the TRSM that settles it)."""
+    stats.count_batch(cholesky_op_counts(matrix.nt))
     assert matrix.settled, "factor contains an unsettled tile"
 
 
@@ -354,7 +440,7 @@ def _group_key(task: Task, tiles, f16_ok: bool):
 
 
 def split_wave(
-    wave: list[Task], tiles, f16_ok: bool, min_batch: int = MIN_BATCH,
+    wave: list[Task], tiles, f16_ok: bool,
 ) -> tuple[list[tuple[str, tuple[Task, ...]]], list[Task]]:
     """Split pairwise-independent tasks into homogeneous stacked groups
     ``(op, tasks)`` and per-tile singles, in input order (so grouping
@@ -369,7 +455,7 @@ def split_wave(
             keyed.setdefault(key, []).append(task)
     groups = []
     for key, batch in keyed.items():
-        if len(batch) >= min_batch:
+        if len(batch) >= MIN_BATCH:
             groups.append((key[0], tuple(batch)))
         else:
             singles.extend(batch)
@@ -380,12 +466,15 @@ def split_wave(
 class TaskBody:
     """Kernel bodies of one run over a ``tiles`` mapping.
 
-    :meth:`run` executes one task (hooks, kernel, tally, write-back),
-    :meth:`run_group` one homogeneous dense group as a single stacked
-    call.  ``tiles`` is anything indexable by tile key — a
-    :class:`MatrixTiles` view or a plain dict.  Safe to call from many
-    threads on DAG-independent tasks: :attr:`lock` guards the shared
-    tally (executors also build their dispatch condition on it).
+    :meth:`run` executes one task (hooks, kernel, tally, write-back);
+    :meth:`solve_column` / :meth:`update_column` are the panel sweep's
+    stacked calls over :attr:`columns`; :meth:`run_group` is one
+    gathered group of scattered tiles as a single stacked call (the
+    process workers', whose rows cannot form views).  ``tiles`` is
+    anything indexable by tile key — a :class:`MatrixTiles` view or a
+    plain dict.  Safe to call from many threads on independent tasks
+    and distinct columns: :attr:`lock` guards the shared tally
+    (executors also build their dispatch state on it).
     """
 
     tiles: object
@@ -397,6 +486,8 @@ class TaskBody:
     epoch: int = 0
     check_finite: bool = False
     pool: ScratchPool | None = None
+    #: The riding tiles of a panel sweep (``None`` on per-tile loops).
+    columns: ColumnStacks | None = None
     #: Every call is timed onto its timeline when it traces.
     recorder: "RunRecorder | None" = None
 
@@ -485,7 +576,74 @@ class TaskBody:
                 self.stats.retries += attempts - 1
         tiles[task.output] = out
         if note is not None:
-            note(task.op, (task,), start, attempts, False)
+            note(task.op, 1, task, start, attempts, False)
+
+    def solve_column(self, k: int) -> None:
+        """Panel ``k``'s TRSM of every run of column ``k`` — one wide
+        solve each against the factored diagonal tile — and the
+        column's publication: each solved slice is written to
+        ``tiles`` as a view of its run's new stack.  The column is
+        final from here on."""
+        tiles = self.tiles
+        note = self._note
+        low = tiles[(k, k)]
+        runs = []
+        for run in self.columns.get(k):
+            if note is not None:
+                start = time.perf_counter()
+            stack = stacked_trsm(
+                low, run.stack, run.precision,
+                fp16_accumulate_fp32=self.fp16_accumulate_fp32,
+            )
+            for m in range(run.lo, run.hi):
+                tiles[(m, k)] = DenseTile(stack[m - run.lo], run.precision)
+            runs.append(run._replace(stack=stack))
+            if note is not None:
+                note("trsm", run.hi - run.lo, None, start, 1, True)
+        self.columns.set(k, runs)
+
+    def facing(self, k: int) -> list:
+        """Where the dense tiles of the finished column ``k`` live, by
+        row: ``(array, first row)`` — a run's stack, or a loose tile's
+        own data as a one-row stack.  Rows no riding tile can face
+        (low-rank, at or above the diagonal) hold ``None``."""
+        tiles = self.tiles
+        columns = self.columns
+        rows: list = [None] * len(columns.riding)
+        for run in columns.get(k):
+            rows[run.lo:run.hi] = [(run.stack, run.lo)] * (run.hi - run.lo)
+        for m in columns.loose_rows[k]:
+            tile = tiles[(m, k)]
+            if not tile.is_low_rank:
+                rows[m] = (tile.data[None], m)
+        return rows
+
+    def update_column(self, k: int, n: int, facing: list) -> None:
+        """Panel ``k``'s GEMMs into every run of column ``n`` — one
+        stacked call each: ``C_run <- C_run - A_run B^T`` with ``A_run``
+        the views of column ``k`` (:meth:`facing`) beside the run and
+        ``B`` the tile ``(n, k)``.  What the sweep's units are made
+        of: it writes no state another column's call touches."""
+        note = self._note
+        b = self.tiles[(n, k)].data
+        runs = []
+        for run in self.columns.get(n):
+            if note is not None:
+                start = time.perf_counter()
+            parts = []
+            m = run.lo
+            while m < run.hi:
+                stack, first = facing[m]
+                stop = min(run.hi, first + len(stack))
+                parts.append(stack[m - first:stop - first])
+                m = stop
+            runs.append(run._replace(stack=stacked_gemm(
+                parts, b, run.stack, run.precision,
+                fp16_accumulate_fp32=self.fp16_accumulate_fp32,
+            )))
+            if note is not None:
+                note("gemm", run.hi - run.lo, None, start, 1, True)
+        self.columns.set(n, runs)
 
     def run_group(self, op: str, batch: tuple[Task, ...]) -> None:
         """One stacked call for a whole homogeneous dense group
@@ -525,7 +683,7 @@ class TaskBody:
         for task, out in zip(batch, outs):
             tiles[task.output] = out
         if note is not None:
-            note(op, batch, start, 1, True)
+            note(op, len(batch), None, start, 1, True)
 
 
 # ----------------------------------------------------------------------
@@ -580,9 +738,10 @@ class ParallelRunReport:
 class RunRecorder:
     """Wall-clock timeline of one run, turned into telemetry spans.
 
-    One entry per kernel *call* — ``(op, tasks, slot, start, end,
-    attempts, batched)`` with absolute ``perf_counter`` times; members
-    of a stacked group share their call's interval.  In-process task
+    One entry per kernel *call* — ``(op, tasks, task, slot, start,
+    end, attempts, batched)`` with absolute ``perf_counter`` times:
+    ``tasks`` tile ops ran inside the call, ``task`` names the one of
+    a per-tile call (``None`` for a stacked one).  In-process task
     bodies :meth:`note` their own calls (``slot`` = the calling
     thread's lane); the process engine appends its workers' entries.
     Without a telemetry bundle (``tracer is None``) nothing is timed.
@@ -603,15 +762,15 @@ class RunRecorder:
         self._emitted = 0
         self.t0 = time.perf_counter()
 
-    def note(self, op: str, tasks: tuple, start: float, attempts: int,
-             batched: bool) -> None:
+    def note(self, op: str, tasks: int, task: Task | None, start: float,
+             attempts: int, batched: bool) -> None:
         """Record a call that began at ``start`` and just returned."""
         end = time.perf_counter()
         ident = threading.get_ident()
         with self._lock:
             slot = self._lanes.setdefault(ident, len(self._lanes))
             self.timeline.append(
-                (op, tasks, slot, start, end, attempts, batched)
+                (op, tasks, task, slot, start, end, attempts, batched)
             )
 
     def emit_spans(self, parent: int | None) -> None:
@@ -620,14 +779,14 @@ class RunRecorder:
         if self.tracer is None:
             return
         add_span = self.tracer.add_span
-        for op, tasks, slot, start, end, attempts, batched in (
+        for op, tasks, task, slot, start, end, attempts, batched in (
             self.timeline[self._emitted:]
         ):
-            attrs = {"tasks": len(tasks), "worker": slot,
+            attrs = {"tasks": tasks, "worker": slot,
                      "attempt": attempts, "batched": batched}
-            if len(tasks) == 1:
-                attrs["uid"] = tasks[0].uid
-                attrs["tile"] = list(tasks[0].output)
+            if task is not None:
+                attrs["uid"] = task.uid
+                attrs["tile"] = list(task.output)
             add_span(
                 op, start, end, parent=parent,
                 pid=slot + 1 if self.process_lanes else DRIVER_PID,

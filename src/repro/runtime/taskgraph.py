@@ -14,7 +14,10 @@ from collections.abc import Iterator
 
 from .task import Task
 
-__all__ = ["cholesky_tasks", "cholesky_task_count", "forward_solve_tasks"]
+__all__ = [
+    "cholesky_tasks", "cholesky_task", "cholesky_task_count",
+    "cholesky_op_counts", "forward_solve_tasks",
+]
 
 
 def cholesky_tasks(nt: int) -> Iterator[Task]:
@@ -36,11 +39,47 @@ def cholesky_tasks(nt: int) -> Iterator[Task]:
                 uid += 1
 
 
+def cholesky_op_counts(nt: int) -> dict[str, int]:
+    """Closed-form tasks per op of the Cholesky task stream: ``nt``
+    POTRFs, ``nt(nt-1)/2`` TRSMs and SYRKs each, and
+    ``nt(nt-1)(nt-2)/6`` GEMMs (ops that do not occur are absent, as
+    in a tally of the stream)."""
+    pairs = nt * (nt - 1) // 2
+    counts = {
+        "potrf": nt, "trsm": pairs, "syrk": pairs,
+        "gemm": nt * (nt - 1) * (nt - 2) // 6,
+    }
+    return {op: n for op, n in counts.items() if n}
+
+
 def cholesky_task_count(nt: int) -> int:
-    """Closed-form size of the Cholesky task stream:
-    ``nt`` POTRFs, ``nt(nt-1)/2`` TRSMs and SYRKs each, and
-    ``nt(nt-1)(nt-2)/6`` GEMMs."""
+    """Closed-form size of the Cholesky task stream."""
     return nt + nt * (nt - 1) + nt * (nt - 1) * (nt - 2) // 6
+
+
+def cholesky_task(
+    nt: int, op: str, k: int, m: int, n: int | None = None
+) -> Task:
+    """The one task of :func:`cholesky_tasks` that applies ``op`` in
+    panel ``k`` to tile row ``m`` (of column ``n`` for a GEMM), built
+    without generating the stream: its uid is its closed-form position.
+
+    Panels ``k ..`` are the stream of an ``nt - k`` factorization, so
+    panel ``k`` starts ``count(nt) - count(nt - k)`` tasks in; row
+    ``m`` follows the ``i = m - k - 1`` rows above it, one SYRK and
+    ``0 .. i - 1`` GEMMs each."""
+    uid = cholesky_task_count(nt) - cholesky_task_count(nt - k)
+    if op == "potrf":
+        return Task(uid, "potrf", k, output=(k, k))
+    if op == "trsm":
+        return Task(uid + m - k, "trsm", k, output=(m, k), inputs=((k, k),))
+    i = m - k - 1
+    uid += nt - k + i + i * (i - 1) // 2
+    if op == "syrk":
+        return Task(uid, "syrk", k, output=(m, m), inputs=((m, k),))
+    return Task(
+        uid + n - k, "gemm", k, output=(m, n), inputs=((m, k), (n, k))
+    )
 
 
 def forward_solve_tasks(nt: int, *, base_uid: int = 0) -> Iterator[Task]:

@@ -15,6 +15,8 @@ from .batch import (
     batched_potrf,
     batched_syrk,
     batched_trsm,
+    stacked_gemm,
+    stacked_trsm,
 )
 from .cholesky import CholeskyStats, tile_cholesky
 from .compression import (
@@ -109,6 +111,8 @@ __all__ = [
     "batched_trsm",
     "batched_syrk",
     "batched_gemm",
+    "stacked_trsm",
+    "stacked_gemm",
     "PanelSolver",
     "forward_solve",
     "backward_solve",

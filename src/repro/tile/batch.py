@@ -3,10 +3,19 @@
 The paper's single-node performance comes from dispatching *batches* of
 same-shape tile kernels to vendor BLAS instead of one tiny call at a
 time (the batched kernels of ExaGeoStat / HiCMA).  This module is the
-numerical half of that design: each ``batched_*`` function takes a
-*homogeneous group* of tile operations — same operation, same operand
-shapes, same structure (dense), same lead precision — and executes the
-whole group as one stacked NumPy/SciPy call:
+numerical half of that design, in two families.
+
+*Run kernels* (``stacked_trsm``, ``stacked_gemm``) work on a column's
+dense tiles held as one contiguous ``(rows, m, n)`` array — the panel
+sweep's (:mod:`repro.runtime.batchdispatch`) representation: operands
+are views, the result is one fresh array, nothing is gathered.
+
+*Gather kernels* take a *homogeneous group* of scattered tiles — same
+operation, same operand shapes, same structure (dense), same lead
+precision — copy the operands into one stack and execute the whole
+group as one stacked NumPy/SciPy call; they remain for the process
+workers, whose rows live in per-owner shared-memory slabs and cannot
+form views:
 
 * ``batched_potrf`` — one stacked :func:`numpy.linalg.cholesky` over a
   3-D ``(P, n, n)`` array (LAPACK ``potrf`` per slice);
@@ -26,7 +35,10 @@ equals ``f16 -> f32`` exactly).  The equivalence is pinned by
 ``tests/test_batched_kernels.py``.  Groups whose lead compute dtype is
 binary16 (the emulated pure-HGEMM mode) and groups containing any
 low-rank operand are *not* batchable — the dispatcher falls back to the
-per-tile kernels for those.
+per-tile kernels for those.  Every narrowing to storage goes through
+:func:`~repro.tile.precision.cast_storage`, so a value the storage
+format cannot hold raises the per-tile kernels'
+:class:`~repro.exceptions.NumericalCorruptionError` from here too.
 
 Scratch buffers
 ---------------
@@ -53,7 +65,7 @@ from scipy import linalg as sla
 from ..exceptions import ShapeError
 
 from . import kernels as K
-from .precision import Precision, compute_dtype
+from .precision import Precision, cast_storage, compute_dtype
 from .tile import DenseTile, Tile
 
 # Raw LAPACK ``trtrs`` handles per supported compute dtype: the wrapper
@@ -75,18 +87,9 @@ __all__ = [
     "batched_trsm",
     "batched_syrk",
     "batched_gemm",
+    "stacked_trsm",
+    "stacked_gemm",
 ]
-
-
-def _make_lock():
-    """Pool-internal lock constructor.
-
-    The concurrency sanitizer (:mod:`repro.analysis.sanitize`)
-    monkeypatches this seam to observe the scratch pool's
-    acquire/release edges, exactly like the DAG executor's
-    ``taskcore._make_lock``.
-    """
-    return threading.Lock()
 
 
 class ScratchPool:
@@ -99,16 +102,15 @@ class ScratchPool:
     ``k = 0`` panel), one allocation per dtype typically serves the
     whole factorization.
 
-    Thread-safe: group executors borrow concurrently under ``workers >
-    1``; the free lists are guarded by one lock, and a borrowed buffer
-    is owned exclusively by its borrower until returned.  Borrowed
-    buffers hold *transient* operand copies only — results are never
-    returned as views into pooled storage, so reuse can never alias a
-    live tile.
+    Thread-safe: the free lists are guarded by one lock, and a
+    borrowed buffer is owned exclusively by its borrower until
+    returned.  Borrowed buffers hold *transient* operand copies only —
+    results are never returned as views into pooled storage, so reuse
+    can never alias a live tile.
     """
 
     def __init__(self) -> None:
-        self._lock = _make_lock()
+        self._lock = threading.Lock()
         self._free: dict[str, list[np.ndarray]] = {}
         #: Buffers created because no free one had enough capacity.
         self.allocations = 0
@@ -208,8 +210,8 @@ def _split_tiles(
     intermediate widening to float64 is exact).  Tiles keep views of
     the stack — it is freshly allocated by the caller, never pooled.
     """
-    stored = stack.astype(precision.dtype) if stack.dtype != precision.dtype else stack
-    return [DenseTile(stored[p]) for p in range(stored.shape[0])]
+    stored = cast_storage(stack, precision)
+    return [DenseTile(stored[p], precision) for p in range(stored.shape[0])]
 
 
 def _subtract_split(
@@ -223,14 +225,10 @@ def _subtract_split(
     either way — so the result matches the per-tile kernel bit for bit
     without ever gathering ``C``.
     """
-    storage = precision.dtype
-    outs = []
-    for p, c in enumerate(c_tiles):
-        out = c.data - update[p]  # type: ignore[union-attr]
-        if out.dtype != storage:
-            out = out.astype(storage)
-        outs.append(DenseTile(out))
-    return outs
+    return [
+        DenseTile(cast_storage(c.data - update[p], precision), precision)
+        for p, c in enumerate(c_tiles)
+    ]
 
 
 def batched_potrf(
@@ -302,12 +300,14 @@ def batched_trsm(
         x, info = _TRTRS[np.dtype(dtype)](low, wide, lower=1)
     if info != 0:
         raise np.linalg.LinAlgError(f"triangular solve failed (info={info})")
-    stored = x.astype(precision.dtype) if x.dtype != precision.dtype else x
+    stored = cast_storage(x, precision)
     # Contiguous copies (not views of the wide solve): downstream
     # SYRK/GEMM groups gather these tiles, and a strided source would
     # slow every one of those copies.
     return [
-        DenseTile(np.ascontiguousarray(stored[:, p * m:(p + 1) * m].T))
+        DenseTile(
+            np.ascontiguousarray(stored[:, p * m:(p + 1) * m].T), precision
+        )
         for p in range(len(tiles))
     ]
 
@@ -380,3 +380,72 @@ def batched_gemm(
         _gather(b_tiles, bufb)
         np.matmul(bufa, bufb.transpose(0, 2, 1), out=update)
         return _subtract_split(c_tiles, update, precision)
+
+
+# ----------------------------------------------------------------------
+# run kernels: a column's dense tiles as one (rows, m, n) stack
+# ----------------------------------------------------------------------
+def stacked_trsm(
+    l_tile: Tile,
+    stack: np.ndarray,
+    precision: Precision,
+    *,
+    fp16_accumulate_fp32: bool = True,
+) -> np.ndarray:
+    """:func:`batched_trsm` on a run that already is one contiguous
+    ``(rows, m, nk)`` stack at storage ``precision``: one wide
+    ``trtrs`` against the shared triangle, returned as a fresh stack
+    of the same shape and precision.
+
+    ``stack`` viewed as ``(rows * m, nk)`` and transposed *is* the
+    wide right-hand side the gather kernel builds tile by tile, and
+    the Fortran-ordered solution transposed back *is* the output
+    stack — no per-tile copy on either side.
+    """
+    dtype = compute_dtype(precision, fp16_accumulate_fp32=fp16_accumulate_fp32)
+    rows, m, nk = stack.shape
+    low = K._as_compute(l_tile.to_dense64(), dtype)
+    wide = K._as_compute(stack.reshape(rows * m, nk).T, dtype)
+    x, info = _TRTRS[dtype](low, wide, lower=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"triangular solve failed (info={info})")
+    return np.ascontiguousarray(cast_storage(x, precision).T).reshape(
+        rows, m, nk
+    )
+
+
+def stacked_gemm(
+    a_parts: list[np.ndarray],
+    b: np.ndarray,
+    c_stack: np.ndarray,
+    precision: Precision,
+    *,
+    fp16_accumulate_fp32: bool = True,
+) -> np.ndarray:
+    """``C_p <- C_p - A_p B^T`` for every slice of a run sharing one
+    ``B``: ``c_stack`` is the run's ``(rows, m, n)`` stack at storage
+    ``precision``, ``a_parts`` the consecutive ``(r_i, m, k)`` pieces
+    of the panel column facing it (``sum r_i == rows``; pieces may
+    differ in storage precision), ``b`` the ``(n, k)`` panel tile of
+    the run's column.  Returns a fresh stack; no operand is written.
+
+    Slice-wise bit-identical to :func:`repro.tile.kernels.gemm`: the
+    stacked ``matmul`` issues the same GEMM per slice against the
+    same (broadcast) transposed ``B``, ``c_stack - update`` promotes
+    the stored ``C`` exactly as the per-tile operand cast does, and
+    the narrowing to storage is the same single rounding.
+    """
+    dtype = compute_dtype(precision, fp16_accumulate_fp32=fp16_accumulate_fp32)
+    bt = K._as_compute(b, dtype).T
+    if len(a_parts) == 1:
+        update = np.matmul(K._as_compute(a_parts[0], dtype), bt)
+    else:
+        update = np.empty(c_stack.shape, dtype=dtype)
+        row = 0
+        for part in a_parts:
+            stop = row + part.shape[0]
+            np.matmul(K._as_compute(part, dtype), bt, out=update[row:stop])
+            row = stop
+    # The update buffer is this call's own: subtract into it.
+    np.subtract(c_stack, update, out=update)
+    return cast_storage(update, precision)

@@ -29,6 +29,8 @@ from repro.tile import (
     batched_syrk,
     batched_trsm,
     build_planned_covariance,
+    stacked_gemm,
+    stacked_trsm,
     tile_cholesky,
 )
 from repro.tile import kernels as K
@@ -120,6 +122,34 @@ class TestBatchedKernelsEquivalence:
     @pytest.mark.parametrize(
         "precision", [Precision.FP64, Precision.FP32, Precision.FP16]
     )
+    def test_stacked_gemm_matches_per_tile(self, precision):
+        """A run of ``C`` facing pieces of a panel column stored at
+        other precisions, one shared ``B``."""
+        parts = [
+            _dense_tiles(2, (8, 6), 1, Precision.FP64),
+            _dense_tiles(3, (8, 6), 2, Precision.FP16),
+            _dense_tiles(1, (8, 6), 3, Precision.FP32),
+        ]
+        (b,) = _dense_tiles(1, (7, 6), 4, Precision.FP32)
+        c = _dense_tiles(6, (8, 7), 5, precision)
+        ref = [K.gemm(ai, b, ci) for ai, ci in zip(sum(parts, []), c)]
+        stack = np.stack([ci.data for ci in c])
+        before = stack.copy()
+        for a_parts in (parts, [parts[0]]):
+            rows = sum(len(part) for part in a_parts)
+            got = stacked_gemm(
+                [np.stack([t.data for t in part]) for part in a_parts],
+                b.data, stack[:rows], precision,
+            )
+            assert got.dtype == precision.dtype and got.flags.c_contiguous
+            assert not np.shares_memory(got, stack)
+            for r, g in zip(ref, got):
+                np.testing.assert_array_equal(g, r.data)
+        np.testing.assert_array_equal(stack, before)
+
+    @pytest.mark.parametrize(
+        "precision", [Precision.FP64, Precision.FP32, Precision.FP16]
+    )
     def test_syrk_matches_per_tile(self, precision):
         a = _dense_tiles(4, (8, 6), 4, precision)
         c = _spd_tiles(4, 8, 5, precision)
@@ -139,6 +169,10 @@ class TestBatchedKernelsEquivalence:
         for r, g in zip(ref, got):
             np.testing.assert_array_equal(g.data, r.data)
             assert g.data.flags.c_contiguous
+        stack = stacked_trsm(low, np.stack([t.data for t in tiles]), precision)
+        assert stack.dtype == precision.dtype and stack.flags.c_contiguous
+        for r, g in zip(ref, stack):
+            np.testing.assert_array_equal(g, r.data)
 
     @pytest.mark.parametrize("precision", [Precision.FP64, Precision.FP32])
     def test_potrf_matches_per_tile(self, precision):
@@ -214,21 +248,6 @@ class TestBatchedDispatcher:
         )
         assert report.workers == 4
 
-    def test_min_batch_one_forces_stacked_singletons(self):
-        tm = random_spd_tilematrix(64, 16, seed=22)
-        ref, _ = tile_cholesky(tm.copy())
-        got, report = execute_cholesky_batched(tm.copy(), min_batch=1)
-        np.testing.assert_array_equal(
-            ref.to_dense(lower_only=True), got.to_dense(lower_only=True)
-        )
-        assert report.fallback_tasks == 0
-
-    def test_scratch_pool_reused_across_waves(self):
-        tm = random_spd_tilematrix(160, 16, seed=24)
-        pool = ScratchPool()
-        execute_cholesky_batched(tm, pool=pool)
-        assert pool.reuses > pool.allocations
-
     def test_indefinite_raises_npd(self):
         from repro.tile import TileMatrix
 
@@ -298,10 +317,10 @@ class TestBatchedLikelihood:
         assert got.loglik_ == ref.loglik_
         np.testing.assert_array_equal(got.theta_, ref.theta_)
 
-    def test_deadline_runs_on_the_wave_loop(self, matern, theta_matern,
-                                            locations_200):
-        """A deadline does not drop batching: the wave loop polls it at
-        wave boundaries (tests/test_execution_matrix.py pins the
+    def test_deadline_runs_on_the_sweep(self, matern, theta_matern,
+                                        locations_200):
+        """A deadline does not drop batching: the sweep polls it at
+        panel boundaries (tests/test_execution_matrix.py pins the
         expired case), and an unexpired one changes no result bit."""
         from repro.core.likelihood import loglikelihood
         from repro.resilience import Deadline

@@ -1,19 +1,26 @@
 """The execution matrix: every way a factorization can be asked to run.
 
-placement {inline, thread, process} x grouping {per-tile, stacked} x
-hook {none, deadline, retry+chaos} x variant {dense-fp64, mp-dense-tlr}
-at ``nt`` in {1, 4} and a ragged last tile, plus an ``mp-dense-tlr``
-shape large enough that low-rank tiles accumulate several Schur
-updates and settle from both accumulator forms.  Every cell goes through
-the public :func:`loglikelihood` with the execution settings on the
-variant, and either
+placement {inline, thread, process} x requested grouping {per-tile,
+stacked} (``batch``) x hook
+{none, deadline, retry+chaos} x variant {dense-fp64, mp-dense-tlr} at
+``nt`` in {1, 4} and a ragged last tile, plus three shapes chosen for
+what they do to the executors: ``settling`` (``mp-dense-tlr`` large
+enough that low-rank tiles accumulate several Schur updates and settle
+from both accumulator forms), ``smalltile`` (``mp-dense`` with runs of
+all three precisions riding in one column, lone tiles between them
+and a ragged last row) and ``interrupted`` (``mp-dense-tlr`` where
+low-rank tiles split a column's riding run and accumulators settle
+mid-sweep).  Every cell goes through the public :func:`loglikelihood`
+with the execution settings on the variant, and either
 
 * produces a factor bit-identical to :func:`tile_cholesky` on the same
   planned covariance, with the setting *demonstrably applied* (the run
-  report names the resolved placement and grouping, stacked cells ran
-  stacked calls, chaos fired and was retried, an expired deadline
-  raises from the loop that was asked for), or
-* raises :class:`ConfigurationError` (stacked grouping with task-level
+  report names the resolved placement and grouping — in this process
+  the panel sweep, ``"stacked"``, unless a task-level hook needs the
+  per-tile heap loop or nothing at all is asked and the reference loop
+  runs — stacked cells ran stacked calls, chaos fired and was retried,
+  an expired deadline raises from the loop the cell resolved to), or
+* raises :class:`ConfigurationError` (``batch=True`` with task-level
   retry/chaos) — never a silently dropped setting.
 
 No ``/dev/shm`` segment or thread outlives a cell.
@@ -26,6 +33,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     EvaluationEngine,
@@ -36,7 +45,12 @@ from repro.core import (
     loglikelihood_replicated,
 )
 from repro.core.variants import VariantConfig
-from repro.exceptions import ConfigurationError, DeadlineExceededError
+from repro.exceptions import (
+    ConfigurationError,
+    DeadlineExceededError,
+    NumericalCorruptionError,
+    SchedulingError,
+)
 from repro.kernels import MaternKernel
 from repro.obs import Telemetry
 from repro.ordering import order_points
@@ -47,40 +61,55 @@ from repro.runtime import (
     execute_cholesky_batched,
     execute_cholesky_parallel,
 )
-from repro.tile import build_planned_covariance, leaked_segments, tile_cholesky
+from repro.runtime.taskcore import ColumnStacks
+from repro.tile import (
+    DenseTile,
+    LowRankTile,
+    Precision,
+    TileLayout,
+    TileMatrix,
+    build_planned_covariance,
+    leaked_segments,
+    tile_cholesky,
+)
 
-TILE = 16
-#: Short range: the off-band tiles of mp-dense-tlr compress even at tile 16.
-THETA = np.array([1.0, 0.03, 0.5])
 NUGGET = 1.0e-8
-#: name -> n: one tile, four tiles, three and a half tiles, and twelve
-#: and a half — where mp-dense-tlr settles some tiles from stacked
-#: factors, some from a dense accumulator, and keeps one dense.
-SHAPES = {"nt1": 16, "nt4": 64, "ragged": 56, "settling": 200}
+#: name -> (n, tile, Matern range): one tile, four tiles, three and a
+#: half tiles, and twelve and a half — where mp-dense-tlr settles some
+#: tiles from stacked factors, some from a dense accumulator, and keeps
+#: one dense (the short range makes its off-band tiles compress even at
+#: tile 16) — then the two sweep shapes of the module docstring.
+SHAPES = {
+    "nt1": (16, 16, 0.03), "nt4": (64, 16, 0.03), "ragged": (56, 16, 0.03),
+    "settling": (200, 16, 0.03),
+    "smalltile": (116, 8, 0.03), "interrupted": (150, 12, 0.1),
+}
 CELLS = [
     (variant, shape)
-    for variant in ("dense-fp64", "mp-dense-tlr") for shape in SHAPES
-    if (variant, shape) != ("dense-fp64", "settling")
+    for variant in ("dense-fp64", "mp-dense-tlr")
+    for shape in ("nt1", "nt4", "ragged")
+] + [
+    ("mp-dense-tlr", "settling"), ("mp-dense-tlr", "interrupted"),
+    ("mp-dense", "smalltile"),
 ]
 PLACEMENTS = {
     "inline": dict(workers=1),
     "thread": dict(workers=2),
     "process": dict(workers=2, backend="process"),
 }
+#: What the variant asks for (``batch``); what ran is in the report.
 GROUPINGS = {"per-tile": dict(batch=False), "stacked": dict(batch=True)}
 HOOKS = ("none", "deadline", "retry+chaos")
 _RETRY_CHAOS = ResilienceConfig(
     retry=RetryPolicy(max_attempts=12, base_delay_s=0.0, max_delay_s=0.0),
     chaos=ChaosConfig(seed=12, tile_nan_rate=0.3),
 )
-#: Where an expired deadline must surface from, per (placement, grouping).
+#: Where an expired deadline must surface from, per placement: in this
+#: process always the sweep (a panel boundary), whoever was asked.
 LOOPS = {
-    ("inline", "per-tile"): "execute_cholesky_parallel",
-    ("thread", "per-tile"): "execute_cholesky_parallel",
-    ("inline", "stacked"): "execute_cholesky_batched",
-    ("thread", "stacked"): "execute_cholesky_batched",
-    ("process", "per-tile"): "ProcessPoolEngine.execute",
-    ("process", "stacked"): "ProcessPoolEngine.execute",
+    "inline": "execute_cholesky_batched",
+    "thread": "execute_cholesky_batched",
+    "process": "ProcessPoolEngine.execute",
 }
 
 
@@ -97,11 +126,28 @@ class RunCapture(Telemetry):
         super().record(stats)
 
 
-def _problem(n):
+def _problem(shape):
+    """``(x, z, tile, theta)`` of a named shape."""
+    n, tile, matern_range = SHAPES[shape]
     gen = np.random.default_rng(n)
     x = gen.uniform(size=(n, 2))
     x = x[order_points(x, "morton")]
-    return x, gen.standard_normal(n)
+    return x, gen.standard_normal(n), tile, np.array([1.0, matern_range, 0.5])
+
+
+def _planned(variant, shape):
+    """The cell's planned covariance and its factorization arguments."""
+    cfg = get_variant(variant)
+    x, _, tile, theta = _problem(shape)
+    matrix, report = build_planned_covariance(
+        MaternKernel(), theta, x, tile, nugget=NUGGET,
+        **cfg.assembly_kwargs(),
+    )
+    return matrix, dict(
+        tile_tol=report.tile_tol,
+        max_rank=int(cfg.max_rank_fraction * tile) or None,
+        fp16_accumulate_fp32=cfg.fp16_accumulate_fp32,
+    )
 
 
 _REFERENCE = {}
@@ -111,19 +157,12 @@ def _reference(variant, shape):
     """``tile_cholesky`` on the cell's planned covariance."""
     key = (variant, shape)
     if key not in _REFERENCE:
-        cfg = get_variant(variant)
-        x, _ = _problem(SHAPES[shape])
-        matrix, report = build_planned_covariance(
-            MaternKernel(), THETA, x, TILE, nugget=NUGGET,
-            **cfg.assembly_kwargs(),
-        )
-        factor, stats = tile_cholesky(
-            matrix, tile_tol=report.tile_tol,
-            max_rank=int(cfg.max_rank_fraction * TILE) or None,
-            fp16_accumulate_fp32=cfg.fp16_accumulate_fp32,
-        )
+        matrix, args = _planned(variant, shape)
+        factor, stats = tile_cholesky(matrix, **args)
         low_rank = sum(tile.is_low_rank for _, tile in factor.items())
-        assert bool(low_rank) == (cfg.use_tlr and shape != "nt1")
+        assert bool(low_rank) == (
+            get_variant(variant).use_tlr and shape != "nt1"
+        )
         if shape == "settling":
             # densified_tiles settled from the dense form, the rest of
             # the truncations from stacked factors.
@@ -150,10 +189,10 @@ def _assert_bit_identical(factor, reference):
 def procpool():
     """One worker pool for every process cell; a warm-up run starts
     its queue feeder threads before any cell counts threads."""
-    x, z = _problem(SHAPES["nt4"])
+    x, z, tile, theta = _problem("nt4")
     with ProcessPoolEngine(workers=2) as pool:
         loglikelihood(
-            MaternKernel(), THETA, x, z, tile_size=TILE, nugget=NUGGET,
+            MaternKernel(), theta, x, z, tile_size=tile, nugget=NUGGET,
             variant=get_variant("dense-fp64").with_(backend="process"),
             procpool=pool,
         )
@@ -171,6 +210,12 @@ def nothing_outlives_the_cell():
         time.sleep(0.01)
 
 
+def _assert_same_stats(stats, reference):
+    for name in ("kernel_counts", "densified_tiles", "max_rank_seen",
+                 "truncations", "kept_dense"):
+        assert getattr(stats, name) == getattr(reference, name), name
+
+
 @pytest.mark.parametrize("variant,shape", CELLS)
 @pytest.mark.parametrize("hook", HOOKS)
 @pytest.mark.parametrize("grouping", GROUPINGS)
@@ -180,13 +225,13 @@ def test_cell(placement, grouping, hook, variant, shape, procpool,
     cfg = get_variant(variant).with_(
         **PLACEMENTS[placement], **GROUPINGS[grouping]
     )
-    x, z = _problem(SHAPES[shape])
+    x, z, tile, theta = _problem(shape)
     pool = procpool if placement == "process" else None
 
     def evaluate(**hooks):
         capture = RunCapture()
         result = loglikelihood(
-            MaternKernel(), THETA, x, z, tile_size=TILE, variant=cfg,
+            MaternKernel(), theta, x, z, tile_size=tile, variant=cfg,
             nugget=NUGGET, procpool=pool, telemetry=capture, **hooks,
         )
         return result, capture
@@ -196,10 +241,11 @@ def test_cell(placement, grouping, hook, variant, shape, procpool,
             evaluate(resilience=_RETRY_CHAOS)
         return
     if hook == "deadline":
-        # Expired: raised by the loop the cell asked for, not another.
+        # Expired: raised at the first panel boundary of the sweep (or
+        # by the process loop), with nothing left running.
         with pytest.raises(DeadlineExceededError) as expired:
             evaluate(deadline=Deadline(0.0))
-        assert expired.value.where == LOOPS[placement, grouping]
+        assert expired.value.where == LOOPS[placement]
 
     hooks = {
         "none": {},
@@ -209,18 +255,25 @@ def test_cell(placement, grouping, hook, variant, shape, procpool,
     result, capture = evaluate(**hooks)
     reference, ref_stats = _reference(variant, shape)
     _assert_bit_identical(result.factor, reference)
-    assert result.stats.kernel_counts == ref_stats.kernel_counts
-    assert result.stats.densified_tiles == ref_stats.densified_tiles
-    assert result.stats.max_rank_seen == ref_stats.max_rank_seen
-    assert result.stats.truncations == ref_stats.truncations
-    assert result.stats.kept_dense == ref_stats.kept_dense
+    _assert_same_stats(result.stats, ref_stats)
 
-    # Stacked pools are sized to the physical cores, so a one-core
-    # host resolves thread x stacked to the caller's thread.
+    # What the settings resolve to.  batch=True sizes its pool to the
+    # physical cores, so a one-core host resolves it to the caller's
+    # thread.  In this process everything is the sweep ("stacked")
+    # except the per-tile heap loop a task-level hook needs and the
+    # reference loop, which runs when nothing at all is asked.
     workers = cfg.workers
     if grouping == "stacked" and placement == "thread":
         workers = min(workers, os.cpu_count() or 1)
         placement = "thread" if workers > 1 else "inline"
+    if placement != "process":
+        reference_loop = (placement, grouping, hook) == (
+            "inline", "per-tile", "none"
+        )
+        grouping = (
+            "per-tile" if hook == "retry+chaos" or reference_loop
+            else "stacked"
+        )
     factorize = capture.tracer.by_name("factorize")[0]
     resolved = (factorize.attrs["placement"], factorize.attrs["grouping"])
     assert resolved == (placement, grouping)
@@ -233,29 +286,251 @@ def test_cell(placement, grouping, hook, variant, shape, procpool,
     assert 1 <= run.max_concurrency <= workers
     if grouping == "stacked":
         assert run.batched_tasks + run.fallback_tasks == run.tasks
-        if variant == "dense-fp64" and shape != "nt1":
+        if variant != "mp-dense-tlr" and shape != "nt1":
             assert run.batches > 0 and run.batched_tasks > 0
+    else:
+        assert run.batches == run.batched_tasks == run.fallback_tasks == 0
     if hook == "retry+chaos" and shape != "nt1":
         assert run.chaos_events > 0
         assert run.stats.retries == result.stats.retries > 0
 
 
+# ----------------------------------------------------------------------
+# the panel sweep
+# ----------------------------------------------------------------------
+def _riding(matrix, fp16_accumulate_fp32=True):
+    """``{column: [(lo, hi, precision), ...]}`` of the runs the sweep
+    forms over ``matrix``."""
+    columns = ColumnStacks(matrix, fp16_accumulate_fp32)
+    return {
+        n: [(run.lo, run.hi, run.precision) for run in columns.get(n)]
+        for n in range(matrix.nt) if columns.get(n)
+    }
+
+
+def test_sweep_shapes_are_what_they_claim():
+    """``smalltile`` rides runs of all three precisions in one column
+    beside lone tiles and a ragged row; ``interrupted`` has a column
+    whose riding rows a low-rank tile splits."""
+    matrix, _ = _planned("mp-dense", "smalltile")
+    runs = _riding(matrix)
+    assert {precision for _, _, precision in runs[0]} == set(Precision)
+    riding = {m for lo, hi, _ in runs[0] for m in range(lo, hi)}
+    assert set(range(1, matrix.nt)) - riding  # lone tiles stay loose
+    last = matrix.nt - 1
+    assert last not in riding
+    assert matrix.get(last, 0).shape[0] < matrix.layout.tile_size
+
+    matrix, _ = _planned("mp-dense-tlr", "interrupted")
+    split = [
+        n for n, column in _riding(matrix).items()
+        if any(
+            matrix.get(m, n).is_low_rank
+            for m in range(column[0][0], column[-1][1])
+        )
+    ]
+    assert split
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
+@pytest.mark.parametrize("variant,shape", [
+    ("mp-dense", "smalltile"), ("mp-dense-tlr", "interrupted"),
+])
+def test_sweep_at_every_width(variant, shape, workers,
+                              nothing_outlives_the_cell):
+    """Real pool widths (``clamp=False``), through both entry points:
+    bit-identical factor and tallies, and a report that adds up."""
+    reference, ref_stats = _reference(variant, shape)
+    for run_sweep in (
+        lambda m, **kw: execute_cholesky_batched(m, clamp=False, **kw),
+        execute_cholesky_parallel,
+    ):
+        matrix, args = _planned(variant, shape)
+        factor, run = run_sweep(matrix, workers=workers, **args)
+        _assert_bit_identical(factor, reference)
+        _assert_same_stats(run.stats, ref_stats)
+        assert run.grouping == "stacked"
+        assert run.placement == ("inline" if workers == 1 else "thread")
+        assert run.workers == workers
+        assert 1 <= run.max_concurrency <= workers
+        assert run.batched_tasks + run.fallback_tasks == run.tasks
+        assert run.tasks == sum(ref_stats.kernel_counts.values())
+        assert (run.blas_clamp is None) == (workers == 1)
+        assert 0 < run.batches < run.batched_tasks
+
+
+def test_hgemm_mode_keeps_fp16_tiles_off_the_stacks():
+    """Binary16 compute has no stacked kernel: FP16 tiles run per tile
+    and the factor still matches the reference bit for bit."""
+    matrix, args = _planned("mp-dense", "smalltile")
+    args["fp16_accumulate_fp32"] = False
+    assert all(
+        precision is not Precision.FP16
+        for column in _riding(matrix, False).values()
+        for _, _, precision in column
+    )
+    reference, ref_stats = tile_cholesky(matrix.copy(), **args)
+    factor, run = execute_cholesky_batched(matrix, **args)
+    _assert_bit_identical(factor, reference)
+    _assert_same_stats(run.stats, ref_stats)
+    assert run.batches > 0
+
+
+def test_expired_deadline_stops_the_sweep_between_panels(
+        nothing_outlives_the_cell):
+    """A deadline that expires mid-run surfaces at the next panel
+    boundary: some panels ran, the pool has been joined."""
+
+    class ExpiresAfter:
+        """Deadline double: not expired for the first ``polls`` polls."""
+
+        budget_s = 1.0
+
+        def __init__(self, polls):
+            self.polls = polls
+
+        @property
+        def expired(self):
+            self.polls -= 1
+            return self.polls < 0
+
+    matrix, args = _planned("mp-dense", "smalltile")
+    with pytest.raises(DeadlineExceededError) as expired:
+        execute_cholesky_batched(
+            matrix, workers=4, clamp=False, deadline=ExpiresAfter(3), **args
+        )
+    assert expired.value.where == "execute_cholesky_batched"
+    reference, _ = _reference("mp-dense", "smalltile")
+    # Panels 0..2 ran to their barrier — those columns are final —
+    # and panel 3 never started.
+    for k in range(3):
+        for m in range(k, matrix.nt):
+            np.testing.assert_array_equal(
+                matrix.get(m, k).data, reference.get(m, k).data
+            )
+    assert not np.array_equal(
+        matrix.get(3, 3).data, reference.get(3, 3).data
+    )
+
+
+_PRECISIONS = st.sampled_from(list(Precision))
+
+
+@st.composite
+def _tile_maps(draw):
+    """A small SPD tile matrix with a random precision per tile and
+    random low-rank flags off the diagonal."""
+    nt = draw(st.integers(1, 6))
+    tile = 4
+    n = nt * tile - draw(st.integers(0, tile - 1)) * (nt > 1)
+    gen = np.random.default_rng(draw(st.integers(0, 2**16)))
+    x = np.sort(gen.uniform(size=n))
+    # Exponential covariance on a line: SPD, smooth off the diagonal.
+    dense = np.exp(-np.abs(x[:, None] - x[None, :]) / 0.3) + 1e-3 * np.eye(n)
+    layout = TileLayout(n, tile)
+    matrix = TileMatrix(layout)
+    for i, j in layout.lower_tiles():
+        block = dense[layout.block_slice(i), layout.block_slice(j)]
+        precision = Precision.FP64 if i == j else draw(_PRECISIONS)
+        if i != j and draw(st.booleans()):
+            u, s, vt = np.linalg.svd(block)
+            rank = draw(st.integers(0, min(2, *block.shape)))
+            matrix.set(i, j, LowRankTile(
+                u[:, :rank] * s[:rank], vt[:rank].T, precision
+            ))
+        else:
+            matrix.set(i, j, DenseTile(block, precision))
+    return matrix
+
+
+@settings(max_examples=25, deadline=None)
+@given(matrix=_tile_maps(), workers=st.sampled_from([1, 3]),
+       fp16_accumulate_fp32=st.booleans())
+def test_sweep_equals_reference_on_any_tile_map(
+        matrix, workers, fp16_accumulate_fp32):
+    args = dict(
+        tile_tol=1e-6, max_rank=2,
+        fp16_accumulate_fp32=fp16_accumulate_fp32,
+    )
+    try:
+        reference, ref_stats = tile_cholesky(matrix.copy(), **args)
+    except Exception as exc:
+        # Aggressive maps may break down; the sweep must break down
+        # the same way (wrapped, unless indefinite).
+        with pytest.raises((type(exc), SchedulingError)):
+            execute_cholesky_batched(
+                matrix, workers=workers, clamp=False, **args
+            )
+        return
+    factor, run = execute_cholesky_batched(
+        matrix, workers=workers, clamp=False, **args
+    )
+    _assert_bit_identical(factor, reference)
+    _assert_same_stats(run.stats, ref_stats)
+    assert run.batched_tasks + run.fallback_tasks == run.tasks
+
+
+def _overflowing_matrix():
+    """Four 4x4 tiles a side; panel 0 updates the FP16 tiles ``(2, 1)``
+    and ``(3, 1)`` (100) by ``-(300 * -300) * 4``: 3.6e5 cannot be
+    stored in FP16.  The identity in ``(0, 0)`` makes the panel's
+    TRSMs no-ops, so the operands are exactly as written."""
+    ones = np.ones((4, 4))
+    matrix = TileMatrix(TileLayout(16, 4))
+    for i, j in matrix.layout.lower_tiles():
+        matrix.set(i, j, DenseTile(1e7 * np.eye(4) if i == j else ones))
+    matrix.set(0, 0, DenseTile(np.eye(4)))
+    matrix.set(1, 0, DenseTile(-300.0 * ones))
+    matrix.set(2, 0, DenseTile(300.0 * ones))
+    matrix.set(3, 0, DenseTile(300.0 * ones))
+    matrix.set(2, 1, DenseTile(100.0 * ones, Precision.FP16))
+    matrix.set(3, 1, DenseTile(100.0 * ones, Precision.FP16))
+    return matrix
+
+
+@pytest.mark.parametrize("placement", [
+    "inline", "thread", "stacked", "process",
+])
+def test_fp16_overflow_is_the_same_typed_error_everywhere(
+        placement, procpool, nothing_outlives_the_cell):
+    """A narrowing cast that overflows raises
+    :class:`NumericalCorruptionError` from the per-tile kernels; the
+    stacked and gathered kernels must not store ``inf`` under a
+    ``RuntimeWarning`` instead."""
+    run = {
+        "inline": tile_cholesky,
+        "thread": lambda m: execute_cholesky_parallel(
+            m, workers=2, check_finite=True
+        ),
+        "stacked": lambda m: execute_cholesky_batched(
+            m, workers=2, clamp=False
+        ),
+        "process": lambda m: procpool.execute(m, batch=True),
+    }[placement]
+    matrix = _overflowing_matrix()
+    assert _riding(matrix)[1] == [(2, 4, Precision.FP16)]
+    with pytest.raises((NumericalCorruptionError, SchedulingError)) as raised:
+        run(matrix)
+    error = raised.value
+    if isinstance(error, SchedulingError):
+        error = error.__cause__
+    assert isinstance(error, NumericalCorruptionError)
+    assert "overflows FP16 storage" in str(error)
+
+
 def test_inline_run_lets_an_interrupt_through(monkeypatch):
-    """At workers=1 the heap loop runs on the caller's thread: a
-    Ctrl-C there is the caller's, not a task failure to wrap."""
+    """At workers=1 the loop runs on the caller's thread: a Ctrl-C
+    there is the caller's, not a task failure to wrap."""
     from repro.runtime import taskcore
 
     def interrupted(*args, **kwargs):
         raise KeyboardInterrupt
 
-    x, _ = _problem(SHAPES["nt4"])
-    matrix, _ = build_planned_covariance(
-        MaternKernel(), THETA, x, TILE, nugget=NUGGET,
-        **get_variant("dense-fp64").assembly_kwargs(),
-    )
     monkeypatch.setattr(taskcore.K, "potrf", interrupted)
-    with pytest.raises(KeyboardInterrupt):
-        execute_cholesky_parallel(matrix, workers=1)
+    for hooks in ({}, dict(check_finite=True)):  # the sweep, the heap loop
+        matrix, _ = _planned("dense-fp64", "nt4")
+        with pytest.raises(KeyboardInterrupt):
+            execute_cholesky_parallel(matrix, workers=1, **hooks)
 
 
 # ----------------------------------------------------------------------
@@ -287,3 +562,13 @@ def test_no_api_asks_for_a_second_timeline(api):
     ]
     assert "trace" not in ParallelRunReport.__dataclass_fields__
     assert "retries" not in ParallelRunReport.__dataclass_fields__
+
+
+def test_the_sweep_takes_no_tuning():
+    """No scratch pool to pass in, no group-size threshold: the sweep's
+    signature is the harness's arguments plus deadline / telemetry /
+    clamp."""
+    assert set(inspect.signature(execute_cholesky_batched).parameters) == {
+        "matrix", "workers", "tile_tol", "max_rank", "fp16_accumulate_fp32",
+        "clamp", "deadline", "telemetry",
+    }

@@ -393,12 +393,15 @@ class TestRealPaths:
         assert settle.attrs["kept_dense"] == stats.kept_dense
 
     def test_thread_backend_span_nesting(self, problem):
+        """A task-level hook keeps the per-tile heap loop: one span per
+        task, straight under ``factorize``."""
         kernel, x, z = problem
         telemetry = Telemetry()
         loglikelihood(
             kernel, THETA, x, z, tile_size=40,
             variant=get_variant("mp-dense").with_(workers=2),
             nugget=NUGGET, telemetry=telemetry,
+            resilience=ResilienceConfig(retry=RetryPolicy(max_attempts=2)),
         )
         factorize = telemetry.tracer.by_name("factorize")[0]
         # The span records what ran, resolved from the variant.
@@ -417,10 +420,14 @@ class TestRealPaths:
         )
         assert {"uid", "tile", "worker", "attempt"} <= set(tasks[0].attrs)
 
-    def test_batched_backend_wave_spans(self, problem):
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_sweep_panel_spans(self, problem, batch):
+        """Hook-free threads run the sweep, ``batch`` or not: one
+        ``"panel"`` span per ``k``, a child per stacked call or
+        per-tile leftover."""
         kernel, x, z = problem
         telemetry = Telemetry()
-        variant = get_variant("mp-dense").with_(batch=True, workers=2)
+        variant = get_variant("mp-dense").with_(batch=batch, workers=2)
         plain = loglikelihood(
             kernel, THETA, x, z, tile_size=40, variant=variant,
             nugget=NUGGET,
@@ -432,15 +439,26 @@ class TestRealPaths:
         assert traced.value == plain.value
         factorize = telemetry.tracer.by_name("factorize")[0]
         assert factorize.attrs["grouping"] == "stacked"
-        waves = telemetry.tracer.by_name("wave")
-        assert waves and all(w.parent == factorize.sid for w in waves)
-        wave_sids = {w.sid for w in waves}
-        tasks = [
+        panels = telemetry.tracer.by_name("panel")
+        assert [p.attrs["panel"] for p in panels] == list(
+            range(factorize.attrs["nt"])
+        )
+        assert all(p.parent == factorize.sid for p in panels)
+        panel_sids = {p.sid for p in panels}
+        calls = [
             s for s in telemetry.tracer.spans
             if s.name in ("potrf", "trsm", "syrk", "gemm")
         ]
-        assert tasks and all(s.parent in wave_sids for s in tasks)
-        assert any(s.attrs.get("batched") for s in tasks)
+        assert calls and all(s.parent in panel_sids for s in calls)
+        stacked = [s for s in calls if s.attrs["batched"]]
+        assert stacked and all(s.attrs["tasks"] > 1 for s in stacked)
+        assert {s.name for s in stacked} == {"trsm", "gemm"}
+        leftovers = [s for s in calls if not s.attrs["batched"]]
+        assert all({"uid", "tile"} <= set(s.attrs) for s in leftovers)
+        # Every tile op is inside exactly one call.
+        assert sum(s.attrs["tasks"] for s in calls) == sum(
+            traced.stats.kernel_counts.values()
+        )
 
     def test_process_backend_merged_timeline(self, problem):
         kernel, x, z = problem

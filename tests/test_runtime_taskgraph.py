@@ -1,5 +1,7 @@
 """Tests for task objects and the PTG-style generators."""
 
+from collections import Counter
+
 import pytest
 
 from repro.runtime import (
@@ -8,6 +10,7 @@ from repro.runtime import (
     cholesky_tasks,
     forward_solve_tasks,
 )
+from repro.runtime.taskgraph import cholesky_op_counts, cholesky_task
 
 
 class TestTask:
@@ -27,9 +30,18 @@ class TestTask:
 
 class TestCholeskyTasks:
     def test_count_matches_closed_form(self):
-        for nt in (1, 2, 3, 5, 8):
+        for nt in range(13):
             tasks = list(cholesky_tasks(nt))
             assert len(tasks) == cholesky_task_count(nt)
+            assert cholesky_op_counts(nt) == Counter(t.op for t in tasks)
+
+    def test_one_task_built_without_the_stream(self):
+        for nt in range(1, 9):
+            for task in cholesky_tasks(nt):
+                m, n = task.output
+                assert cholesky_task(
+                    nt, task.op, task.k, m, n if task.op == "gemm" else None
+                ) == task
 
     def test_uids_sequential(self):
         tasks = list(cholesky_tasks(5))
