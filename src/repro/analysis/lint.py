@@ -31,13 +31,13 @@ LINT009   warning   a class that spawns ``ThreadPoolExecutor``s holds a
                     (:mod:`repro.analysis.lockcheck`) and the dynamic
                     sanitizer cannot recognize its guard role
 LINT010   error     a tile kernel call (``K.potrf/trsm/syrk/gemm``,
-                    ``batched_potrf/trsm/syrk/gemm``,
-                    ``stacked_trsm/gemm``) inside the
-                    ``repro`` package outside its three homes —
+                    ``stacked_trsm/gemm``) inside the ``repro``
+                    package outside its three homes —
                     ``tile/cholesky.py`` (the reference loop),
-                    ``tile/batch.py`` and ``runtime/taskcore.py`` (the
-                    one task core) — i.e. a copy of the Cholesky task
-                    body growing back in an executor
+                    ``tile/batch.py`` (the stacked kernels) and
+                    ``runtime/taskcore.py`` (the one task core) —
+                    i.e. a copy of the Cholesky task body growing
+                    back in an executor
 ========  ========  =====================================================
 
 A finding on a given line is suppressed by a trailing
@@ -93,9 +93,7 @@ _LOCK_CONSTRUCTORS = {"Lock", "RLock", "Condition", "Semaphore",
 #: attribute whose name contains "lock" (``_lock``, ``_tile_lock``, ...).
 _LOCK_NAME_RE = re.compile(r"_\w*lock\w*", re.IGNORECASE)
 _TILE_OPS = {"potrf", "trsm", "syrk", "gemm"}
-_BATCHED_OPS = {f"batched_{op}" for op in _TILE_OPS} | {
-    "stacked_trsm", "stacked_gemm",
-}
+_STACKED_OPS = {"stacked_trsm", "stacked_gemm"}
 #: Package files allowed to call the tile kernels (LINT010).
 _KERNEL_HOMES = (
     "repro/tile/cholesky.py", "repro/tile/batch.py",
@@ -214,7 +212,7 @@ class _LintVisitor(ast.NodeVisitor):
                 node,
             )
         if self.polices_kernels and (
-            name in _BATCHED_OPS
+            name in _STACKED_OPS
             or (name in _TILE_OPS and chain[:-1] in (["K"], ["kernels"]))
         ):
             self._report(

@@ -9,6 +9,8 @@ defaults never have to be mutated globally.
 
 from __future__ import annotations
 
+import os
+
 #: Default tile (block) size for tiled algorithms at laptop scale.  The
 #: paper uses 800 (Fig. 7) and 2700 (Fig. 9) on Fugaku; numeric tests in
 #: this repo run at much smaller matrix sizes so the default is smaller.
@@ -43,6 +45,17 @@ PREDICT_BATCH: int = 4096
 #: evaluation (and, for variances, the half-solve) entirely.  0
 #: disables value caching; geometry caching is governed separately.
 SERVING_CROSS_CACHE_BYTES: int = 128 * 2**20
+
+
+def usable_cores() -> int:
+    """CPUs this process may run on — what every pool width and BLAS
+    clamp is sized against.  ``os.cpu_count()`` counts the machine's
+    CPUs and ignores a restricted set (``taskset``, a container's
+    cpuset); the affinity mask does not."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1  # pragma: no cover - non-Linux
+
 
 # ----------------------------------------------------------------------
 # Resilience defaults (runtime fault model + numerical recovery ladder)

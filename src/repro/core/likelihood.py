@@ -12,12 +12,13 @@ FP64 path is provided as the independent reference for tests.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
+from ..config import usable_cores
 from ..exceptions import (
+    ConfigurationError,
     NotPositiveDefiniteError,
     SchedulingError,
     ShapeError,
@@ -84,30 +85,32 @@ def _resolve_execution(
 
     *placement*: ``"process"`` for ``backend="process"``, else
     ``"inline"`` (the caller's thread) at one worker and ``"thread"``
-    above.  *grouping*, in process: ``"stacked"`` for ``batch=True``,
-    else ``"per-tile"``.  In this process it is ``"per-tile"`` exactly
+    above.  *grouping*: process workers run one tile op per message,
+    always ``"per-tile"``.  In this process it is ``"per-tile"`` exactly
     when something needs one tile op at a time — a task-level
     retry / chaos hook (the heap loop), or nothing at all (one worker,
     no deadline: the reference ``tile_cholesky``) — and ``"stacked"``
     otherwise: the panel sweep.  ``batch=True`` sizes the sweep's pool
-    to the physical cores (extra threads only add overhead around
-    stacked calls and never change results).  A combination that
-    cannot run raises :class:`~repro.exceptions.ConfigurationError`;
+    to the usable CPUs (extra threads only add overhead around stacked
+    calls and never change results).  A combination that cannot run
+    raises :class:`~repro.exceptions.ConfigurationError` — here, or at
+    variant construction (``backend="process"`` with ``batch=True``);
     none is dropped.
     """
     hooked = resilience is not None and resilience.task_level
     if cfg.batch and hooked:
-        # The runtime package is imported only by the paths that run it.
-        from ..runtime.taskcore import reject_stacked_hooks
-
-        reject_stacked_hooks(True, resilience.retry, resilience.resolve_chaos())
+        raise ConfigurationError(
+            "stacked grouping (batch=True) cannot run with task-level "
+            "retry/chaos hooks: a stacked call runs many tasks as one "
+            "kernel and they need per-task attempts; use batch=False or "
+            "drop the task-level resilience settings"
+        )
+    if cfg.backend == "process":
+        workers = cfg.workers if procpool is None else procpool.workers
+        return "process", "per-tile", workers
     workers = cfg.workers
     if cfg.batch:
-        workers = min(workers, os.cpu_count() or 1)
-    if cfg.backend == "process":
-        if procpool is not None:
-            workers = procpool.workers
-        return "process", "stacked" if cfg.batch else "per-tile", workers
+        workers = min(workers, usable_cores())
     placement = "inline" if workers == 1 else "thread"
     per_tile = hooked or not (
         cfg.batch or placement == "thread" or deadline is not None
@@ -182,9 +185,7 @@ def _factor_and_solve(
                 if placement == "process":
                     engine = procpool or ProcessPoolEngine(workers=workers)
                     try:
-                        _, run = engine.execute(
-                            matrix, batch=cfg.batch, **args, **hooks
-                        )
+                        _, run = engine.execute(matrix, **args, **hooks)
                     finally:
                         if procpool is None:
                             engine.close()
@@ -276,7 +277,10 @@ def loglikelihood(
     ``variant=get_variant("mp-dense").with_(workers=4, batch=True)``
     (see :class:`~repro.core.variants.VariantConfig`).  Every
     combination returns bit-identical results or raises
-    :class:`~repro.exceptions.ConfigurationError`.  ``procpool``
+    :class:`~repro.exceptions.ConfigurationError` (``batch=True`` with
+    task-level retry/chaos; the variant itself refuses ``batch=True``
+    with ``backend="process"``, whose workers run one tile op per
+    message).  ``procpool``
     supplies a persistent
     :class:`~repro.runtime.procpool.ProcessPoolEngine` so repeated
     ``backend="process"`` evaluations reuse one worker pool; the

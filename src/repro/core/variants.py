@@ -58,12 +58,14 @@ class VariantConfig:
       (default; a worker-thread pool, or the caller's thread at
       ``workers=1`` — with no deadline or task-level hook that is the
       reference :func:`~repro.tile.cholesky.tile_cholesky`) or
-      ``"process"`` (shared-memory worker processes,
-      :mod:`repro.runtime.procpool`).
-    * ``batch`` — stacked grouping: assembly and factorization run
-      homogeneous tile groups as single stacked-BLAS calls
-      (:mod:`repro.tile.batch`), pools sized to the physical cores.
-      Cannot combine with task-level retry/chaos (raises).
+      ``"process"`` (shared-memory worker processes running one tile
+      op per message, :mod:`repro.runtime.procpool`).
+    * ``batch`` — stacked grouping: assembly generates tile groups in
+      stacked calls and the factorization is the panel sweep (a
+      column's dense tiles as single stacked-BLAS calls,
+      :mod:`repro.tile.batch`), pools sized to the usable CPUs.
+      Cannot combine with task-level retry/chaos or with
+      ``backend="process"`` (both raise).
 
     How a low-rank tile is updated is not a setting: every execution
     accumulates its Schur updates exactly and truncates once, when the
@@ -96,6 +98,12 @@ class VariantConfig:
             raise ConfigurationError(
                 f"unknown backend {self.backend!r}; expected 'thread' "
                 "or 'process' (one worker is workers=1)"
+            )
+        if self.backend == "process" and self.batch:
+            raise ConfigurationError(
+                "backend='process' cannot run with batch=True: process "
+                "placement runs one tile op per message; use "
+                "backend='thread' for stacked grouping or batch=False"
             )
         if self.mp_mode not in ("adaptive", "band"):
             raise ConfigurationError(f"unknown mp_mode {self.mp_mode!r}")

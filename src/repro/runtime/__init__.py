@@ -8,12 +8,12 @@ Components:
 * :mod:`~repro.runtime.distribution` — 2-D block-cyclic ownership;
 * :mod:`~repro.runtime.scheduler` — list-scheduling priorities;
 * :mod:`~repro.runtime.taskcore` — the one Cholesky task core (cached
-  plan, ready set, task/group bodies with hooks, run report) that the
-  three real executors schedule around: worker threads
-  (:mod:`~repro.runtime.parallel`), stacked waves
-  (:mod:`~repro.runtime.batchdispatch`), worker processes
+  plan, ready set, column stacks, task and column bodies with hooks,
+  run report) that the three real executors schedule around: the panel
+  sweep over column stacks (:mod:`~repro.runtime.batchdispatch`), the
+  heap loop on worker threads for runs with task-level hooks
+  (:mod:`~repro.runtime.parallel`), worker processes
   (:mod:`~repro.runtime.procpool`);
-* :mod:`~repro.runtime.engine` — real sequential forward solve;
 * :mod:`~repro.runtime.simulator` — discrete-event distributed
   simulation (time), the documented stand-in for Fugaku;
 * :mod:`~repro.runtime.comm` / :mod:`~repro.runtime.trace` —
@@ -22,7 +22,8 @@ Components:
   checkpoint/restart modeling for the simulator;
 * :mod:`~repro.runtime.procpool` / :mod:`~repro.runtime.procworker` —
   the multiprocess shared-memory execution backend (owner-computes
-  tile Cholesky across persistent worker processes);
+  tile Cholesky across persistent worker processes, one tile op per
+  message);
 * :mod:`~repro.runtime.blasclamp` — BLAS thread-oversubscription
   guard shared by the threaded and process executors.
 """
@@ -38,7 +39,6 @@ from .comm import (
 )
 from .dag import build_dag, critical_path_length, validate_schedule
 from .distribution import BlockCyclic2D, square_process_grid
-from .engine import execute_forward_solve_tasks
 from .faults import CheckpointConfig, CrashTimes, FaultModel
 from .gantt import render_gantt, utilization_profile
 from .parallel import execute_cholesky_parallel
@@ -64,7 +64,6 @@ __all__ = [
     "upward_ranks",
     "panel_priorities",
     "panel_priorities_tasks",
-    "execute_forward_solve_tasks",
     "render_gantt",
     "execute_cholesky_parallel",
     "execute_cholesky_batched",

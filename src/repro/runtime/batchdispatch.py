@@ -38,12 +38,12 @@ heap loop of :mod:`repro.runtime.parallel`.
 
 from __future__ import annotations
 
-import os
 import time
 from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 
+from ..config import usable_cores
 from ..exceptions import (
     DeadlineExceededError,
     NotPositiveDefiniteError,
@@ -83,7 +83,7 @@ def execute_cholesky_batched(
     ``workers > 1`` spreads each panel's column updates over that many
     threads (the caller's and a pool of ``workers - 1``); columns share
     nothing they write, so the result is identical to ``workers=1``.
-    The width is ``min(workers, physical cores)`` — oversubscribed
+    The width is ``min(workers, usable CPUs)`` — oversubscribed
     threads only add overhead around stacked calls — unless
     ``clamp=False`` keeps the requested one (the concurrency sanitizer
     uses it to drive real thread interleavings).
@@ -102,7 +102,7 @@ def execute_cholesky_batched(
         raise SchedulingError("need at least one worker")
     eff_workers = workers
     if clamp:
-        eff_workers = max(1, min(workers, os.cpu_count() or 1))
+        eff_workers = min(workers, usable_cores())
     nt = matrix.nt
     recorder = RunRecorder(telemetry)
     columns = ColumnStacks(matrix, bool(fp16_accumulate_fp32))
@@ -130,7 +130,7 @@ def execute_cholesky_batched(
                 running -= 1
 
     # Oversubscription guard: eff_workers threads each issuing BLAS
-    # calls must share the physical cores (restored on exit).
+    # calls must share the usable CPUs (restored on exit).
     with clamp_blas_threads(eff_workers) as blas_clamp, (
         ThreadPoolExecutor(max_workers=eff_workers - 1)
         if eff_workers > 1 else nullcontext()

@@ -1,10 +1,11 @@
 """BLAS thread clamping: the oversubscription guard.
 
 Every parallel backend in this package multiplies its own workers by
-whatever thread count the BLAS library was started with.  On a host
-with C cores, W workers each driving a C-thread OpenBLAS oversubscribe
-the machine W-fold — the classic silent slowdown of nested
-parallelism.  :func:`clamp_blas_threads` bounds the product: it picks
+whatever thread count the BLAS library was started with.  On C usable
+CPUs (:func:`repro.config.usable_cores` — the affinity mask, not the
+machine), W workers each driving a C-thread OpenBLAS oversubscribe
+them W-fold — the classic silent slowdown of nested parallelism.
+:func:`clamp_blas_threads` bounds the product: it picks
 ``max(1, cores // workers)`` BLAS threads per worker, exports it
 through the portable environment variables (which newly *spawned*
 worker processes honor at BLAS load time), and best-effort applies it
@@ -23,6 +24,8 @@ import os
 import sys
 from contextlib import contextmanager
 from functools import lru_cache
+
+from ..config import usable_cores
 
 __all__ = ["BLAS_THREAD_ENV", "blas_clamp_for", "clamp_blas_threads"]
 
@@ -44,7 +47,7 @@ def blas_clamp_for(workers: int, *, cores: int | None = None) -> int:
     """Per-worker BLAS thread budget for ``workers`` parallel workers:
     ``max(1, cores // workers)``."""
     if cores is None:
-        cores = os.cpu_count() or 1
+        cores = usable_cores()
     return max(1, int(cores) // max(1, int(workers)))
 
 

@@ -7,10 +7,12 @@ the exact parallelism a superscalar task runtime discovers:
 * WAW — a write depends on the previous writer;
 * WAR — a write depends on every reader since the previous write.
 
-The result is a :class:`networkx.DiGraph` whose nodes are task uids.
-Helpers compute the critical path under a per-task duration map and
-validate that a schedule respects every edge — the property tests of
-the runtime hang off these.
+The pass is written once, in :func:`dependences` (plain dicts, what the
+executors schedule from); :func:`build_dag` wraps it in a
+:class:`networkx.DiGraph` whose nodes are task uids.  Helpers compute
+the critical path under a per-task duration map and validate that a
+schedule respects every edge — the property tests of the runtime hang
+off these.
 """
 
 from __future__ import annotations
@@ -22,39 +24,63 @@ import networkx as nx
 from ..exceptions import SchedulingError
 from .task import Task
 
-__all__ = ["build_dag", "critical_path_length", "validate_schedule"]
+__all__ = [
+    "build_dag", "critical_path_length", "dependences", "validate_schedule",
+]
 
 
-def build_dag(tasks: Sequence[Task]) -> nx.DiGraph:
-    """Dependence DAG of a sequential task stream.
+def dependences(
+    tasks: Sequence[Task],
+) -> tuple[dict[int, int], dict[int, list[int]]]:
+    """``(indegree, successors)`` of a sequential task stream, keyed by
+    uid.
 
-    Nodes carry the task object under the ``"task"`` attribute.
-    Transitively implied edges are *not* removed (the schedulers only
-    need correctness, and reduction costs O(V E)).
+    Plain dicts — all the executors ever need, and a
+    :class:`networkx.DiGraph` costs more to build than a whole
+    factorization panel takes to run.  Transitively implied edges are
+    *not* removed (the schedulers only need correctness, and reduction
+    costs O(V E)).
     """
-    dag = nx.DiGraph()
     last_writer: dict[tuple[int, int], int] = {}
     readers_since_write: dict[tuple[int, int], list[int]] = {}
+    indegree: dict[int, int] = {}
+    successors: dict[int, list[int]] = {}
     for task in tasks:
-        if dag.has_node(task.uid):
-            raise SchedulingError(f"duplicate task uid {task.uid}")
-        dag.add_node(task.uid, task=task)
         deps: set[int] = set()
         # RAW for each input (the output is read-modify-write: RAW+WAW).
         for tile in task.tiles:
-            if tile in last_writer:
-                deps.add(last_writer[tile])
+            writer = last_writer.get(tile)
+            if writer is not None:
+                deps.add(writer)
         # WAR on the output tile.
         for reader in readers_since_write.get(task.output, ()):
             deps.add(reader)
         deps.discard(task.uid)
+        successors[task.uid] = []
+        indegree[task.uid] = len(deps)
         for dep in deps:
-            dag.add_edge(dep, task.uid)
+            successors[dep].append(task.uid)
         # Update bookkeeping: this task writes `output`, reads `inputs`.
         last_writer[task.output] = task.uid
         readers_since_write[task.output] = []
         for tile in task.inputs:
             readers_since_write.setdefault(tile, []).append(task.uid)
+    return indegree, successors
+
+
+def build_dag(tasks: Sequence[Task]) -> nx.DiGraph:
+    """Dependence DAG of a sequential task stream: :func:`dependences`
+    as a graph.  Nodes carry the task object under the ``"task"``
+    attribute."""
+    dag = nx.DiGraph()
+    for task in tasks:
+        if dag.has_node(task.uid):
+            raise SchedulingError(f"duplicate task uid {task.uid}")
+        dag.add_node(task.uid, task=task)
+    _, successors = dependences(tasks)
+    dag.add_edges_from(
+        (uid, succ) for uid, succs in successors.items() for succ in succs
+    )
     if not nx.is_directed_acyclic_graph(dag):  # pragma: no cover - invariant
         raise SchedulingError("dependence analysis produced a cycle")
     return dag

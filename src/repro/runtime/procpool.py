@@ -32,7 +32,8 @@ PaRSEC's distributed owner-computes execution:
 
 Determinism: identical kernels, identical per-tile dependence order,
 byte-exact shared-memory round-trips — results are bit-identical to
-the sequential, threaded, and batched engines (pinned by tests).
+the reference loop, the heap loop and the panel sweep (pinned by
+tests).
 """
 
 from __future__ import annotations
@@ -64,7 +65,6 @@ from .taskcore import (
     ReadySet,
     RunRecorder,
     finish_run,
-    reject_stacked_hooks,
     resolve_hooks,
     stop_reason,
     stopped,
@@ -273,7 +273,6 @@ class ProcessPoolEngine:
         retry=None,
         chaos=None,
         check_finite: bool | None = None,
-        batch: bool = False,
         telemetry=None,
     ) -> tuple[TileMatrix, ParallelRunReport]:
         """Factor ``matrix`` in place across the worker processes.
@@ -286,11 +285,10 @@ class ProcessPoolEngine:
         :class:`~repro.exceptions.DeadlineExceededError` on
         deadline/cancellation — in every case only after in-flight
         tasks have drained (or the pool has been torn down) and the
-        shared-memory store has been unlinked.  ``batch=True`` lets
-        workers run homogeneous groups of one dispatch as stacked BLAS
-        calls (dense results bit-identical); combined with
-        ``retry``/``chaos``, which need per-task semantics, it raises
-        :class:`~repro.exceptions.ConfigurationError`.
+        shared-memory store has been unlinked.  Workers run one tile
+        op per task (``grouping="per-tile"``, always): an owner's rows
+        are scattered over slabs and cannot form the views the
+        in-process panel sweep stacks.
 
         ``telemetry`` merges the workers' shipped span timings into
         the parent tracer (worker ``rank`` appears as process
@@ -298,7 +296,6 @@ class ProcessPoolEngine:
         parent share the ``time.perf_counter`` epoch (CLOCK_MONOTONIC),
         so no clock translation happens anywhere.
         """
-        reject_stacked_hooks(batch, retry, chaos)
         self.start()
         chaos, epoch, check_finite = resolve_hooks(retry, chaos, check_finite)
         chaos_before = chaos.stats.events if chaos is not None else 0
@@ -312,7 +309,6 @@ class ProcessPoolEngine:
             cfg = {
                 "nt": matrix.nt,
                 "grid": self.grid,
-                "batch": batch,
                 "trace": recorder.tracer is not None,
                 "chaos": None if chaos is None else chaos.config,
                 # TaskBody arguments; the worker adds its own injector.
@@ -330,7 +326,7 @@ class ProcessPoolEngine:
             stop = ""  # why dispatch stopped; in-flight tasks still drain
             comm = CommStats()
             stats = CholeskyStats()
-            batches = batched_tasks = max_busy = 0
+            max_busy = 0
             last_progress = time.monotonic()
 
             def flush() -> None:
@@ -382,7 +378,7 @@ class ProcessPoolEngine:
                     span = info["span"]
                     if span is not None:
                         recorder.timeline.append(
-                            (task.op, 1, task, rank, *span)
+                            (task.op, 1, task, rank, *span, False)
                         )
                     comm.remote_reads += info["remote_reads"]
                     comm.remote_bytes += info["remote_bytes"]
@@ -392,9 +388,6 @@ class ProcessPoolEngine:
                         chaos.absorb(info["chaos"])
                     tally_gemm(stats, info["densified"], info["lr_rank"])
                     tally_settle(stats, info["truncated"], info["kept_dense"])
-                    if info["stacked"]:
-                        batches += 1
-                        batched_tasks += info["stacked"]
                     ready.complete(uid)
                     flush()
                 elif kind == "err":
@@ -422,15 +415,12 @@ class ProcessPoolEngine:
                 tasks=len(tasks),
                 max_concurrency=max_busy,
                 placement="process",
-                grouping="stacked" if batch else "per-tile",
+                grouping="per-tile",
                 stats=stats,
                 chaos_events=(
                     chaos.stats.events - chaos_before
                     if chaos is not None else 0
                 ),
-                batches=batches,
-                batched_tasks=batched_tasks,
-                fallback_tasks=len(tasks) - batched_tasks if batch else 0,
                 blas_clamp=self.blas_clamp if self.workers > 1 else None,
                 comm=comm,
             )

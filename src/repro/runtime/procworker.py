@@ -10,13 +10,10 @@ worker is a small loop over three message kinds:
   rebuilt locally from ``nt`` (and cached across evaluations) — the
   parent never ships tasks, only uids;
 * ``("run", items)`` — execute task descriptors ``(uid, out_handle,
-  in_handles)`` against shared-memory tile views, one result message
-  per task (the parent's dependence counters need per-task
-  completion).  Items in one message are pairwise independent (they
-  were simultaneously ready), so when batching is armed the worker
-  splits them with :func:`~repro.runtime.taskcore.split_wave` into
-  gathered stacked calls (an owner's rows are scattered over slabs:
-  they cannot form the views the in-process panel sweep runs on);
+  in_handles)`` against shared-memory tile views through
+  :meth:`TaskBody.compute <repro.runtime.taskcore.TaskBody.compute>`,
+  one tile op and one result message per task (the parent's dependence
+  counters need per-task completion);
 * ``("stop",)`` — detach from every segment and exit.
 
 Owner-computes accounting: every input tile whose
@@ -41,18 +38,10 @@ import time
 from dataclasses import dataclass
 
 from ..resilience.chaos import ChaosInjector, ChaosStats
-from ..tile.batch import ScratchPool
 from ..tile.shm import SegmentCache, payload_nbytes
 from ..tile.tile import DenseTile, LowRankTile, Tile
 from .blasclamp import _set_inprocess
-from .taskcore import (
-    MIN_BATCH,
-    TaskBody,
-    cholesky_plan,
-    gemm_outcome,
-    settle_outcome,
-    split_wave,
-)
+from .taskcore import TaskBody, cholesky_plan, gemm_outcome, settle_outcome
 from .task import Task
 
 __all__ = ["worker_main"]
@@ -65,7 +54,6 @@ class _EvalState:
     rank: int
     tasks: tuple[Task, ...]
     grid: object
-    batch: bool
     #: Task bodies over ``body.tiles``, a dict refilled per run message.
     body: TaskBody
     #: Ship per-task span timings back with results.  Clocks are
@@ -75,15 +63,14 @@ class _EvalState:
     trace: bool = False
 
 
-def _arm(rank: int, cfg: dict, pool: ScratchPool) -> _EvalState:
+def _arm(rank: int, cfg: dict) -> _EvalState:
     chaos = cfg["chaos"]
     return _EvalState(
         rank=rank,
         tasks=cholesky_plan(cfg["nt"]).tasks,
         grid=cfg["grid"],
-        batch=cfg["batch"],
         body=TaskBody(
-            {}, pool=pool, **cfg["body"],
+            {}, **cfg["body"],
             chaos=None if chaos is None else ChaosInjector(chaos),
         ),
         trace=cfg["trace"],
@@ -147,23 +134,33 @@ def _gather_tiles(items, st: _EvalState, cache: SegmentCache) -> dict:
 def _run_items(rank, items, st: _EvalState, cache: SegmentCache,
                result_q) -> None:
     per_task_comm = _gather_tiles(items, st, cache)
-    handles = {uid: out_handle for uid, out_handle, _ in items}
     body = st.body
     tiles = body.tiles
     chaos = body.chaos
     clock = time.perf_counter
 
-    def finish(task: Task, before: Tile, attempts: int, span: tuple | None,
-               stacked: int = 0) -> None:
-        """Write the task's output to its home slab and report it;
-        ``stacked`` is the size of the stacked call this task led (0:
-        a later member, or a per-tile task)."""
-        out = tiles[task.output]
-        info = dict(per_task_comm[task.uid])
+    for uid, out_handle, _ in items:
+        task = st.tasks[uid]
+        if chaos is not None:
+            chaos.stats = ChaosStats()  # per-task tally, shipped below
+        before = tiles[task.output]
+        start = clock()
+        try:
+            # compute(), not run(): the parent keeps the run's one
+            # tally, from the outcome shipped below.
+            out, attempts = body.compute(task)
+        except BaseException as exc:
+            info = _exc_info(exc)
+            info["chaos"] = None if chaos is None else chaos.stats
+            result_q.put(("err", rank, uid, info))
+            continue
+        info = per_task_comm[uid]
+        # (start_abs, end_abs, attempts) — the task's wall-clock
+        # interval on this worker, for the parent's merged trace.
+        info["span"] = (start, clock(), attempts) if st.trace else None
         info["retries"] = attempts - 1
         # Injections that fired during this task, for the parent's tally.
         info["chaos"] = None if chaos is None else chaos.stats
-        info["stacked"] = stacked
         info["densified"], info["lr_rank"] = (
             gemm_outcome(before, out) if task.op == "gemm" else (False, None)
         )
@@ -171,61 +168,13 @@ def _run_items(rank, items, st: _EvalState, cache: SegmentCache,
             settle_outcome(before, out) if task.op == "trsm"
             else (False, False)
         )
-        # (start_abs, end_abs, attempts, batched) — the task's
-        # wall-clock interval on this worker, for the parent's merged
-        # trace.  Group members share their stacked call's interval.
-        info["span"] = span
-        result_q.put((
-            "ok", rank, task.uid, cache.write(handles[task.uid], out), info,
-        ))
-
-    def run_single(task: Task) -> None:
-        if chaos is not None:
-            chaos.stats = ChaosStats()  # per-task tally, shipped below
-        before = tiles[task.output]
-        start = clock()
-        try:
-            # compute(), not run(): the parent keeps the run's one
-            # tally, from the outcome finish() ships.
-            tiles[task.output], attempts = body.compute(task)
-        except BaseException as exc:
-            info = _exc_info(exc)
-            info["chaos"] = None if chaos is None else chaos.stats
-            result_q.put(("err", rank, task.uid, info))
-            return
-        finish(
-            task, before, attempts,
-            (start, clock(), attempts, False) if st.trace else None,
-        )
-
-    tasks = [st.tasks[uid] for uid, _, _ in items]
-    groups: list = []
-    singles = tasks
-    if st.batch and len(tasks) >= MIN_BATCH:
-        groups, singles = split_wave(tasks, tiles, body.fp16_accumulate_fp32)
-
-    for op, batch in groups:
-        before = [tiles[t.output] for t in batch]
-        start = clock()
-        try:
-            body.run_group(op, batch)
-        except BaseException:
-            # A stacked call cannot attribute its failure to one
-            # task; nothing was written, so replay the group
-            # per-tile (bit-identical) to pin the failing uid.
-            singles.extend(batch)
-            continue
-        span = (start, clock(), 1, True) if st.trace else None
-        for i, (task, was) in enumerate(zip(batch, before)):
-            finish(task, was, 1, span, stacked=0 if i else len(batch))
-    for task in singles:
-        run_single(task)
+        # The output reaches its home slab before it is reported.
+        result_q.put(("ok", rank, uid, cache.write(out_handle, out), info))
 
 
 def worker_main(rank: int, task_q, result_q, init: dict) -> None:
     """Entry point of one worker process (fork- and spawn-safe)."""
     cache = SegmentCache()
-    pool = ScratchPool()
     state: _EvalState | None = None
     try:
         if init.get("blas_threads"):
@@ -241,7 +190,7 @@ def worker_main(rank: int, task_q, result_q, init: dict) -> None:
             if kind == "stop":
                 break
             if kind == "eval":
-                state = _arm(rank, msg[1], pool)
+                state = _arm(rank, msg[1])
             elif kind == "run":
                 _run_items(rank, msg[1], state, cache, result_q)
     except (KeyboardInterrupt, EOFError, OSError):  # pragma: no cover

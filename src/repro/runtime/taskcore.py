@@ -14,9 +14,9 @@ processes (:mod:`~repro.runtime.procpool`).  They differ only in
   (deadline, cancellation) every loop polls;
 * :class:`ColumnStacks` — which dense tiles of a matrix ride
   ``(rows, m, n)`` stacks through the sweep, and their current values;
-* :class:`TaskBody` — the per-task, per-column and per-group kernel
-  bodies with the retry / chaos / finite-check hooks and the low-rank
-  update tally (GEMM and settle outcomes);
+* :class:`TaskBody` — the per-task and per-column kernel bodies with
+  the retry / chaos / finite-check hooks and the low-rank update tally
+  (GEMM and settle outcomes);
 * :class:`RunRecorder` — a traced run's wall-clock timeline, and from
   it the telemetry spans; it also closes the run into its
   :class:`ParallelRunReport`.
@@ -38,29 +38,17 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..exceptions import (
-    ConfigurationError,
-    DeadlineExceededError,
-    NumericalCorruptionError,
-)
+from ..exceptions import DeadlineExceededError, NumericalCorruptionError
 from ..obs.tracer import DRIVER_PID, current_span_id
-from ..resilience import task_level_hooks
 from ..resilience.chaos import ChaosInjector
 from ..tile import kernels as K
-from ..tile.batch import (
-    ScratchPool,
-    batched_gemm,
-    batched_potrf,
-    batched_syrk,
-    batched_trsm,
-    stacked_gemm,
-    stacked_trsm,
-)
+from ..tile.batch import stacked_gemm, stacked_trsm
 from ..tile.cholesky import CholeskyStats
 from ..tile.matrix import TileMatrix
 from ..tile.precision import Precision
 from ..tile.tile import DenseTile, LowRankTile, Tile
 from .comm import CommStats
+from .dag import dependences
 from .scheduler import panel_priorities_tasks
 from .task import Task
 from .taskgraph import cholesky_op_counts, cholesky_tasks
@@ -68,13 +56,12 @@ from .taskgraph import cholesky_op_counts, cholesky_tasks
 __all__ = [
     "MIN_BATCH", "CholeskyPlan", "ColumnStacks", "MatrixTiles",
     "ParallelRunReport", "ReadySet", "RunRecorder", "StackRun", "TaskBody",
-    "cholesky_plan", "finish_run", "gemm_outcome", "reject_stacked_hooks",
-    "resolve_hooks", "settle_outcome", "split_wave", "stop_reason",
-    "stopped", "tally_gemm", "tally_settle",
+    "cholesky_plan", "finish_run", "gemm_outcome", "resolve_hooks",
+    "settle_outcome", "stop_reason", "stopped", "tally_gemm", "tally_settle",
 ]
 
-#: Below this group size a stacked call buys nothing over the per-tile
-#: kernel; smaller groups run through :mod:`repro.tile.kernels`.
+#: Below this run length a stacked call buys nothing over the per-tile
+#: kernel; shorter runs go through :mod:`repro.tile.kernels`.
 MIN_BATCH = 2
 
 
@@ -103,46 +90,12 @@ class CholeskyPlan(NamedTuple):
     priority: dict[int, float]
 
 
-def _dependences(
-    tasks: tuple[Task, ...],
-) -> tuple[dict[int, int], dict[int, list[int]]]:
-    """Indegrees and successor lists of a sequential task stream.
-
-    Same RAW/WAW/WAR analysis as :func:`repro.runtime.dag.build_dag`,
-    but producing plain dicts — the executors only ever need these
-    two, and a :class:`networkx.DiGraph` costs more to build than a
-    whole factorization panel takes to run.
-    """
-    last_writer: dict[tuple[int, int], int] = {}
-    readers_since_write: dict[tuple[int, int], list[int]] = {}
-    indegree: dict[int, int] = {}
-    successors: dict[int, list[int]] = {}
-    for task in tasks:
-        deps: set[int] = set()
-        for tile in task.tiles:
-            writer = last_writer.get(tile)
-            if writer is not None:
-                deps.add(writer)
-        for reader in readers_since_write.get(task.output, ()):
-            deps.add(reader)
-        deps.discard(task.uid)
-        successors[task.uid] = []
-        indegree[task.uid] = len(deps)
-        for dep in deps:
-            successors[dep].append(task.uid)
-        last_writer[task.output] = task.uid
-        readers_since_write[task.output] = []
-        for tile in task.inputs:
-            readers_since_write.setdefault(tile, []).append(task.uid)
-    return indegree, successors
-
-
 @lru_cache(maxsize=8)
 def cholesky_plan(nt: int) -> CholeskyPlan:
     """The plan of an ``nt x nt`` Cholesky (theta-independent, so the
     evaluations of one MLE fit all share it)."""
     tasks = tuple(cholesky_tasks(nt))
-    indegree, successors = _dependences(tasks)
+    indegree, successors = dependences(tasks)
     return CholeskyPlan(
         tasks, indegree, successors, panel_priorities_tasks(tasks),
     )
@@ -216,13 +169,13 @@ def stopped(reason: str, deadline, t0: float, where: str):
 
 
 # ----------------------------------------------------------------------
-# task and group bodies
+# task and column bodies
 # ----------------------------------------------------------------------
 class MatrixTiles:
     """``tiles[key]`` access through :meth:`TileMatrix.get` /
     :meth:`TileMatrix.set` — the seam the concurrency sanitizer
-    watches, so concurrently running task bodies use it; the
-    single-threaded-per-tile wave and worker loops index a plain dict."""
+    watches, so concurrently running task bodies use it; a worker
+    process, alone with its tiles, indexes a plain dict."""
 
     __slots__ = ("_get", "_set")
 
@@ -346,18 +299,6 @@ def resolve_hooks(retry, chaos, check_finite: bool | None):
     return chaos, epoch, bool(check_finite)
 
 
-def reject_stacked_hooks(stacked: bool, retry, chaos) -> None:
-    """A stacked call runs many tasks as one kernel, so per-task retry
-    and chaos have nothing to attach to; the combination is refused
-    rather than silently dropping either setting."""
-    if stacked and task_level_hooks(retry, chaos):
-        raise ConfigurationError(
-            "stacked grouping (batch=True) cannot run with task-level "
-            "retry/chaos hooks: they need per-task attempts; use "
-            "batch=False or drop the task-level resilience settings"
-        )
-
-
 def _tile_is_finite(tile: Tile) -> bool:
     """Cheap non-finite scan of a task's output representation."""
     if isinstance(tile, LowRankTile):
@@ -406,73 +347,15 @@ def finish_run(stats: CholeskyStats, matrix: TileMatrix) -> None:
     assert matrix.settled, "factor contains an unsettled tile"
 
 
-def _group_key(task: Task, tiles, f16_ok: bool):
-    """Homogeneity key for ``task``, or ``None`` when it must run
-    per-tile (low-rank or accumulating operand / binary16 compute /
-    HGEMM mode).
-
-    TRSM groups share one triangular factor (a single wide-RHS solve),
-    so the diagonal tile's index joins their key."""
-    out = tiles[task.output]
-    if out.is_low_rank or out.owed is not None:
-        # A dense-form accumulator looks dense but carries float64
-        # state the stacked kernels would drop.
-        return None
-    op = task.op
-    if op == "potrf":
-        # potrf always computes in compute_dtype(precision) (fp16 ->
-        # f32), so it is always batchable when dense.
-        return ("potrf", out.shape, out.precision)
-    if not f16_ok and out.precision is Precision.FP16:
-        # compute_dtype would be binary16: the emulated pure-HGEMM mode.
-        return None
-    a = tiles[task.inputs[0]]
-    if a.is_low_rank:
-        return None
-    if op == "trsm":
-        return ("trsm", task.inputs[0], out.shape, out.precision)
-    if op == "syrk":
-        return ("syrk", a.shape, a.precision, out.precision)
-    b = tiles[task.inputs[1]]
-    if b.is_low_rank:
-        return None
-    return ("gemm", a.shape, a.precision, b.shape, b.precision, out.precision)
-
-
-def split_wave(
-    wave: list[Task], tiles, f16_ok: bool,
-) -> tuple[list[tuple[str, tuple[Task, ...]]], list[Task]]:
-    """Split pairwise-independent tasks into homogeneous stacked groups
-    ``(op, tasks)`` and per-tile singles, in input order (so grouping
-    is deterministic)."""
-    keyed: dict[tuple, list[Task]] = {}
-    singles: list[Task] = []
-    for task in wave:
-        key = _group_key(task, tiles, f16_ok)
-        if key is None:
-            singles.append(task)
-        else:
-            keyed.setdefault(key, []).append(task)
-    groups = []
-    for key, batch in keyed.items():
-        if len(batch) >= MIN_BATCH:
-            groups.append((key[0], tuple(batch)))
-        else:
-            singles.extend(batch)
-    return groups, singles
-
-
 @dataclass(eq=False, repr=False)
 class TaskBody:
     """Kernel bodies of one run over a ``tiles`` mapping.
 
     :meth:`run` executes one task (hooks, kernel, tally, write-back);
     :meth:`solve_column` / :meth:`update_column` are the panel sweep's
-    stacked calls over :attr:`columns`; :meth:`run_group` is one
-    gathered group of scattered tiles as a single stacked call (the
-    process workers', whose rows cannot form views).  ``tiles`` is
-    anything indexable by tile key — a :class:`MatrixTiles` view or a
-    plain dict.  Safe to call from many threads on independent tasks
+    stacked calls over :attr:`columns`.  ``tiles`` is anything
+    indexable by tile key — a :class:`MatrixTiles` view or a plain
+    dict.  Safe to call from many threads on independent tasks
     and distinct columns: :attr:`lock` guards the shared tally
     (executors also build their dispatch state on it).
     """
@@ -485,7 +368,6 @@ class TaskBody:
     chaos: ChaosInjector | None = None
     epoch: int = 0
     check_finite: bool = False
-    pool: ScratchPool | None = None
     #: The riding tiles of a panel sweep (``None`` on per-tile loops).
     columns: ColumnStacks | None = None
     #: Every call is timed onto its timeline when it traces.
@@ -645,47 +527,6 @@ class TaskBody:
                 note("gemm", run.hi - run.lo, None, start, 1, True)
         self.columns.set(n, runs)
 
-    def run_group(self, op: str, batch: tuple[Task, ...]) -> None:
-        """One stacked call for a whole homogeneous dense group
-        (:func:`split_wave` built it, so the kernels' direct-caller
-        validation is skipped).  Nothing is written unless the whole
-        call succeeds."""
-        tiles = self.tiles
-        pool = self.pool
-        f16 = self.fp16_accumulate_fp32
-        note = self._note
-        if note is not None:
-            start = time.perf_counter()
-        if op == "potrf":
-            outs = batched_potrf(
-                [tiles[t.output] for t in batch],
-                [t.output for t in batch], pool=pool, validate=False,
-            )
-        elif op == "trsm":
-            outs = batched_trsm(
-                tiles[batch[0].inputs[0]],
-                [tiles[t.output] for t in batch],
-                fp16_accumulate_fp32=f16, pool=pool, validate=False,
-            )
-        elif op == "syrk":
-            outs = batched_syrk(
-                [tiles[t.inputs[0]] for t in batch],
-                [tiles[t.output] for t in batch],
-                fp16_accumulate_fp32=f16, pool=pool, validate=False,
-            )
-        else:
-            outs = batched_gemm(
-                [tiles[t.inputs[0]] for t in batch],
-                [tiles[t.inputs[1]] for t in batch],
-                [tiles[t.output] for t in batch],
-                fp16_accumulate_fp32=f16, pool=pool, validate=False,
-            )
-        for task, out in zip(batch, outs):
-            tiles[task.output] = out
-        if note is not None:
-            note(op, len(batch), None, start, 1, True)
-
-
 # ----------------------------------------------------------------------
 # timeline -> spans, report
 # ----------------------------------------------------------------------
@@ -710,8 +551,9 @@ class ParallelRunReport:
     #: :attr:`workers` (the *effective* width) this is the resolved
     #: execution, not the requested one.
     placement: str = "thread"
-    #: ``"per-tile"`` or ``"stacked"`` (homogeneous groups as single
-    #: stacked-BLAS calls).
+    #: ``"per-tile"`` or ``"stacked"`` (the panel sweep: a column's
+    #: runs of dense tiles as single stacked-BLAS calls; in-process
+    #: placements only).
     grouping: str = "per-tile"
     #: Kernel counts / densification tallies of the run, matching what
     #: the sequential :func:`~repro.tile.cholesky.tile_cholesky` reports
@@ -720,13 +562,13 @@ class ParallelRunReport:
     stats: CholeskyStats = field(default_factory=CholeskyStats)
     #: Chaos injections that fired during this run (0 without chaos).
     chaos_events: int = 0
-    #: Homogeneous groups executed as single stacked-BLAS calls (only
-    #: non-zero under stacked grouping).
+    #: Stacked-BLAS calls of the run (only non-zero under stacked
+    #: grouping).
     batches: int = 0
-    #: Tasks that ran inside a stacked group.
+    #: Tasks that ran inside a stacked call.
     batched_tasks: int = 0
-    #: Tasks of a stacked run that fell back to the per-tile kernels
-    #: (low-rank or otherwise non-batchable groups).
+    #: Tasks of a stacked run that went through the per-tile kernels
+    #: (loose tiles: low-rank, binary16 or too short a run).
     fallback_tasks: int = 0
     #: Per-worker BLAS thread clamp applied for this run (``None`` when
     #: no clamp was needed — a single worker keeps the library default).

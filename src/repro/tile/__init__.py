@@ -9,22 +9,13 @@ Layering inside this subpackage (no cycles):
 
 from .assembly import AssemblyReport, assemble_dense, build_planned_covariance
 from .bandtuning import autotune_band_size, subdiagonal_times
-from .batch import (
-    ScratchPool,
-    batched_gemm,
-    batched_potrf,
-    batched_syrk,
-    batched_trsm,
-    stacked_gemm,
-    stacked_trsm,
-)
+from .batch import stacked_gemm, stacked_trsm
 from .cholesky import CholeskyStats, tile_cholesky
 from .compression import (
     compress_block,
     compress_or_rank,
     compress_tile,
     frobenius_rank,
-    lr_add,
     rank_of_block,
     recompress,
     truncated_svd,
@@ -88,7 +79,6 @@ __all__ = [
     "compress_or_rank",
     "compress_tile",
     "recompress",
-    "lr_add",
     "rank_of_block",
     "GeometryCache",
     "TileGeometry",
@@ -106,11 +96,6 @@ __all__ = [
     "build_planned_covariance",
     "tile_cholesky",
     "CholeskyStats",
-    "ScratchPool",
-    "batched_potrf",
-    "batched_trsm",
-    "batched_syrk",
-    "batched_gemm",
     "stacked_trsm",
     "stacked_gemm",
     "PanelSolver",

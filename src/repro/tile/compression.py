@@ -32,7 +32,6 @@ __all__ = [
     "compress_or_rank",
     "compress_tile",
     "recompress",
-    "lr_add",
     "rank_of_block",
 ]
 
@@ -241,26 +240,3 @@ def recompress(
     new_v = qv @ cvt[:rank, :].T
     return new_u, new_v
 
-
-def lr_add(
-    u1: np.ndarray,
-    v1: np.ndarray,
-    u2: np.ndarray,
-    v2: np.ndarray,
-    tol: float,
-    max_rank: int | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sum of two low-rank representations, recompressed to ``tol``.
-
-    ``u1 @ v1.T + u2 @ v2.T`` is represented exactly by the stacked
-    factors ``[u1 u2] @ [v1 v2].T`` (rank ``k1 + k2``), then truncated.
-    """
-    u = np.concatenate(
-        [np.asarray(u1, dtype=np.float64), np.asarray(u2, dtype=np.float64)],
-        axis=1,
-    )
-    v = np.concatenate(
-        [np.asarray(v1, dtype=np.float64), np.asarray(v2, dtype=np.float64)],
-        axis=1,
-    )
-    return recompress(u, v, tol, max_rank)

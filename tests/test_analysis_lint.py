@@ -209,13 +209,13 @@ class Quiet:
 class TestLint010KernelHomes:
     BODY = """
 from ..tile import kernels as K
-from ..tile.batch import batched_gemm
+from ..tile.batch import stacked_gemm
 
 def run(task, tiles):
     return K.gemm(tiles[0], tiles[1], tiles[2])
 
-def run_group(a, b, c):
-    return batched_gemm(a, b, c)
+def update_column(parts, b, c, precision):
+    return stacked_gemm(parts, b, c, precision)
 """
 
     def test_kernel_call_in_an_executor_flagged(self):

@@ -1,17 +1,17 @@
-"""Batched kernel execution layer: stacked kernels, scratch pool,
-homogeneous-group dispatch, and batched covariance generation.
+"""Batched kernel execution layer: stacked kernels, the panel sweep
+and batched covariance generation.
 
-The load-bearing property is the bit-identity contract: for dense
-groups every batched call must reproduce the per-tile kernels exactly,
-so routing a factorization (or a whole fit) through the batched layer
-changes no result bits.
+The load-bearing property is the bit-identity contract: every stacked
+call must reproduce the per-tile kernels slice for slice, so routing a
+factorization (or a whole fit) through the batched layer changes no
+result bits.
 """
 
 import numpy as np
 import pytest
 
 from repro.core.variants import get_variant
-from repro.exceptions import NotPositiveDefiniteError, ShapeError
+from repro.exceptions import NotPositiveDefiniteError
 from repro.kernels import (
     ExponentialKernel,
     GaussianKernel,
@@ -23,11 +23,6 @@ from repro.runtime import execute_cholesky_batched
 from repro.tile import (
     DenseTile,
     Precision,
-    ScratchPool,
-    batched_gemm,
-    batched_potrf,
-    batched_syrk,
-    batched_trsm,
     build_planned_covariance,
     stacked_gemm,
     stacked_trsm,
@@ -56,69 +51,7 @@ def _spd_tiles(count, n, seed, precision=Precision.FP64):
     return out
 
 
-class TestScratchPool:
-    def test_reuse_after_return(self):
-        pool = ScratchPool()
-        with pool.stack((4, 8, 8), np.float64) as buf:
-            assert buf.shape == (4, 8, 8)
-        assert pool.allocations == 1
-        with pool.stack((2, 8, 8), np.float64):
-            pass
-        assert pool.reuses == 1
-        assert pool.allocations == 1
-
-    def test_per_dtype_free_lists(self):
-        pool = ScratchPool()
-        with pool.stack((8, 8), np.float64):
-            pass
-        with pool.stack((8, 8), np.float32):
-            pass
-        assert pool.allocations == 2
-        assert pool.nbytes == 8 * 8 * 8 + 8 * 8 * 4
-
-    def test_growth_allocates_once(self):
-        pool = ScratchPool()
-        with pool.stack((2, 4, 4), np.float64):
-            pass
-        # Larger request: the parked buffer is too small.
-        with pool.stack((16, 4, 4), np.float64):
-            pass
-        assert pool.allocations == 2
-        # Smaller request now reuses the *smallest* sufficient buffer.
-        with pool.stack((1, 4, 4), np.float64):
-            pass
-        assert pool.reuses == 1
-
-    def test_concurrent_borrows_are_distinct(self):
-        pool = ScratchPool()
-        with pool.stack((4, 4), np.float64) as a:
-            with pool.stack((4, 4), np.float64) as b:
-                assert a.base is not b.base
-        assert pool.allocations == 2
-
-    def test_clear(self):
-        pool = ScratchPool()
-        with pool.stack((4, 4), np.float64):
-            pass
-        assert pool.nbytes > 0
-        pool.clear()
-        assert pool.nbytes == 0
-
-
 class TestBatchedKernelsEquivalence:
-    @pytest.mark.parametrize(
-        "precision", [Precision.FP64, Precision.FP32, Precision.FP16]
-    )
-    def test_gemm_matches_per_tile(self, precision):
-        a = _dense_tiles(5, (8, 6), 1, precision)
-        b = _dense_tiles(5, (7, 6), 2, precision)
-        c = _dense_tiles(5, (8, 7), 3, precision)
-        ref = [K.gemm(ai, bi, ci) for ai, bi, ci in zip(a, b, c)]
-        got = batched_gemm(a, b, c)
-        for r, g in zip(ref, got):
-            assert g.precision is r.precision
-            np.testing.assert_array_equal(g.data, r.data)
-
     @pytest.mark.parametrize(
         "precision", [Precision.FP64, Precision.FP32, Precision.FP16]
     )
@@ -150,57 +83,14 @@ class TestBatchedKernelsEquivalence:
     @pytest.mark.parametrize(
         "precision", [Precision.FP64, Precision.FP32, Precision.FP16]
     )
-    def test_syrk_matches_per_tile(self, precision):
-        a = _dense_tiles(4, (8, 6), 4, precision)
-        c = _spd_tiles(4, 8, 5, precision)
-        ref = [K.syrk(ai, ci) for ai, ci in zip(a, c)]
-        got = batched_syrk(a, c)
-        for r, g in zip(ref, got):
-            np.testing.assert_array_equal(g.data, r.data)
-
-    @pytest.mark.parametrize(
-        "precision", [Precision.FP64, Precision.FP32, Precision.FP16]
-    )
     def test_trsm_matches_per_tile(self, precision):
         low = K.potrf(_spd_tiles(1, 6, 6)[0])
         tiles = _dense_tiles(5, (8, 6), 7, precision)
         ref = [K.trsm(low, t) for t in tiles]
-        got = batched_trsm(low, tiles)
-        for r, g in zip(ref, got):
-            np.testing.assert_array_equal(g.data, r.data)
-            assert g.data.flags.c_contiguous
         stack = stacked_trsm(low, np.stack([t.data for t in tiles]), precision)
         assert stack.dtype == precision.dtype and stack.flags.c_contiguous
         for r, g in zip(ref, stack):
             np.testing.assert_array_equal(g, r.data)
-
-    @pytest.mark.parametrize("precision", [Precision.FP64, Precision.FP32])
-    def test_potrf_matches_per_tile(self, precision):
-        tiles = _spd_tiles(4, 8, 8, precision)
-        ref = [K.potrf(t) for t in tiles]
-        got = batched_potrf(tiles, [(i, i) for i in range(4)])
-        for r, g in zip(ref, got):
-            np.testing.assert_array_equal(g.data, r.data)
-
-    def test_potrf_indefinite_names_failing_tile(self):
-        tiles = _spd_tiles(3, 4, 9)
-        tiles[1] = DenseTile(np.diag([1.0, -2.0, 1.0, 1.0]))
-        with pytest.raises(NotPositiveDefiniteError) as exc:
-            batched_potrf(tiles, [(0, 0), (5, 5), (7, 7)])
-        assert "(5, 5)" in str(exc.value)
-
-    def test_heterogeneous_group_rejected(self):
-        tiles = _dense_tiles(2, (4, 4), 10) + _dense_tiles(1, (4, 4), 11, Precision.FP32)
-        with pytest.raises(ShapeError):
-            batched_potrf(tiles, [(0, 0), (1, 1), (2, 2)])
-        with pytest.raises(ShapeError):
-            batched_gemm([], [], [])
-
-    def test_hgemm_group_rejected(self):
-        a = _dense_tiles(2, (4, 4), 12, Precision.FP16)
-        c = _dense_tiles(2, (4, 4), 13, Precision.FP16)
-        with pytest.raises(ShapeError):
-            batched_gemm(a, a, c, fp16_accumulate_fp32=False)
 
 
 class TestBatchedDispatcher:

@@ -21,13 +21,14 @@ with the execution settings on the variant, and either
   runs — stacked cells ran stacked calls, chaos fired and was retried,
   an expired deadline raises from the loop the cell resolved to), or
 * raises :class:`ConfigurationError` (``batch=True`` with task-level
-  retry/chaos) — never a silently dropped setting.
+  retry/chaos; ``batch=True`` with ``backend="process"``, whose workers
+  run one tile op per message — refused when the variant is built,
+  whatever the hook) — never a silently dropped setting.
 
 No ``/dev/shm`` segment or thread outlives a cell.
 """
 
 import inspect
-import os
 import threading
 import time
 
@@ -44,6 +45,7 @@ from repro.core import (
     loglikelihood,
     loglikelihood_replicated,
 )
+from repro.config import usable_cores
 from repro.core.variants import VariantConfig
 from repro.exceptions import (
     ConfigurationError,
@@ -222,9 +224,13 @@ def _assert_same_stats(stats, reference):
 @pytest.mark.parametrize("placement", PLACEMENTS)
 def test_cell(placement, grouping, hook, variant, shape, procpool,
               nothing_outlives_the_cell):
-    cfg = get_variant(variant).with_(
-        **PLACEMENTS[placement], **GROUPINGS[grouping]
-    )
+    asked = {**PLACEMENTS[placement], **GROUPINGS[grouping]}
+    if (placement, grouping) == ("process", "stacked"):
+        # Refused where the setting is made, before any hook matters.
+        with pytest.raises(ConfigurationError, match="one tile op"):
+            get_variant(variant).with_(**asked)
+        return
+    cfg = get_variant(variant).with_(**asked)
     x, z, tile, theta = _problem(shape)
     pool = procpool if placement == "process" else None
 
@@ -258,13 +264,14 @@ def test_cell(placement, grouping, hook, variant, shape, procpool,
     _assert_same_stats(result.stats, ref_stats)
 
     # What the settings resolve to.  batch=True sizes its pool to the
-    # physical cores, so a one-core host resolves it to the caller's
+    # usable CPUs, so a one-CPU host resolves it to the caller's
     # thread.  In this process everything is the sweep ("stacked")
     # except the per-tile heap loop a task-level hook needs and the
-    # reference loop, which runs when nothing at all is asked.
+    # reference loop, which runs when nothing at all is asked; process
+    # workers always run per tile.
     workers = cfg.workers
     if grouping == "stacked" and placement == "thread":
-        workers = min(workers, os.cpu_count() or 1)
+        workers = min(workers, usable_cores())
         placement = "thread" if workers > 1 else "inline"
     if placement != "process":
         reference_loop = (placement, grouping, hook) == (
@@ -495,8 +502,8 @@ def test_fp16_overflow_is_the_same_typed_error_everywhere(
         placement, procpool, nothing_outlives_the_cell):
     """A narrowing cast that overflows raises
     :class:`NumericalCorruptionError` from the per-tile kernels; the
-    stacked and gathered kernels must not store ``inf`` under a
-    ``RuntimeWarning`` instead."""
+    stacked kernels must not store ``inf`` under a ``RuntimeWarning``
+    instead, and the process workers must ship the same error home."""
     run = {
         "inline": tile_cholesky,
         "thread": lambda m: execute_cholesky_parallel(
@@ -505,7 +512,7 @@ def test_fp16_overflow_is_the_same_typed_error_everywhere(
         "stacked": lambda m: execute_cholesky_batched(
             m, workers=2, clamp=False
         ),
-        "process": lambda m: procpool.execute(m, batch=True),
+        "process": procpool.execute,
     }[placement]
     matrix = _overflowing_matrix()
     assert _riding(matrix)[1] == [(2, 4, Precision.FP16)]
@@ -542,6 +549,8 @@ EXECUTION_SETTINGS = {"workers", "batch", "backend"}
 @pytest.mark.parametrize("api", [
     loglikelihood, loglikelihood_replicated, fit_mle,
     EvaluationEngine, ExaGeoStatModel,
+    # Process placement has one grouping, so nothing to ask it for.
+    ProcessPoolEngine.execute,
 ], ids=lambda api: api.__name__)
 def test_execution_settings_ride_on_the_variant_only(api):
     assert not EXECUTION_SETTINGS & set(inspect.signature(api).parameters)

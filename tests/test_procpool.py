@@ -134,20 +134,22 @@ class TestBitIdentity:
             thr.to_dense(lower_only=True), par.to_dense(lower_only=True)
         )
 
-    def test_batched_execution_matches(self):
-        """batch=True (stacked BLAS inside each worker dispatch) keeps
-        bit-identity and reuses one persistent pool across calls."""
+    def test_second_execute_reuses_live_workers(self):
+        """One persistent pool across calls: the second factorization
+        re-arms the live workers and stays bit-identical."""
         mat, rep = golden_problem("mp-dense-tlr", 8)
         ref, _ = tile_cholesky(mat.copy(), tile_tol=rep.tile_tol)
         with ProcessPoolEngine(workers=2) as engine:
-            for _ in range(2):  # second call reuses the live workers
-                par, _ = engine.execute(
-                    mat.copy(), tile_tol=rep.tile_tol, batch=True
+            for _ in range(2):
+                par, report = engine.execute(
+                    mat.copy(), tile_tol=rep.tile_tol
                 )
                 np.testing.assert_array_equal(
                     ref.to_dense(lower_only=True),
                     par.to_dense(lower_only=True),
                 )
+                assert report.grouping == "per-tile"
+                assert report.batches == report.batched_tasks == 0
 
     def test_single_worker(self):
         tm = random_spd_tilematrix(48, 16, seed=5)
@@ -284,6 +286,18 @@ class TestBlasClamp:
         assert blas_clamp_for(2, cores=8) == 4
         assert blas_clamp_for(16, cores=8) == 1
         assert blas_clamp_for(1, cores=8) == 8
+
+    def test_cores_are_the_affinity_mask_not_the_machine(self, monkeypatch):
+        """``os.cpu_count()`` ignores ``taskset`` / a container's
+        cpuset; pool widths and the clamp must not."""
+        from repro.runtime import execute_cholesky_batched
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert blas_clamp_for(1) == 1
+        _, report = execute_cholesky_batched(
+            random_spd_tilematrix(64, 16, seed=14), workers=4
+        )
+        assert report.workers == 1 and report.placement == "inline"
 
     def test_context_sets_and_restores_env(self):
         name = BLAS_THREAD_ENV[0]

@@ -248,11 +248,11 @@ class TestDegradationLadderShape:
         assert [s.name for s in steps] == ["dense-fp64"]
 
     def test_every_rung_keeps_the_execution_settings(self):
-        v = MP_DENSE_TLR.with_(
-            workers=3, backend="process", batch=True)
-        for step in degradation_steps(v, DegradationPolicy()):
-            assert (step.workers, step.backend, step.batch) \
-                == (3, "process", True), step.name
+        for backend, batch in (("process", False), ("thread", True)):
+            v = MP_DENSE_TLR.with_(workers=3, backend=backend, batch=batch)
+            for step in degradation_steps(v, DegradationPolicy()):
+                assert (step.workers, step.backend, step.batch) \
+                    == (3, backend, batch), step.name
 
     def test_dense_fp64_has_nowhere_to_fall(self):
         assert degradation_steps(DENSE_FP64, DegradationPolicy()) == []

@@ -2,18 +2,50 @@
 
 import numpy as np
 import pytest
+from scipy import linalg as sla
 
 from repro.exceptions import SchedulingError
 from repro.runtime import (
     SimConfig,
     Task,
     build_dag,
-    execute_forward_solve_tasks,
     forward_solve_tasks,
     simulate_tasks,
     validate_schedule,
 )
-from repro.tile import build_planned_covariance, forward_solve, tile_cholesky
+from repro.tile import (
+    build_planned_covariance,
+    forward_solve,
+    tile_apply,
+    tile_cholesky,
+)
+
+
+def execute_forward_solve_tasks(factor, tasks, b):
+    """Interpret a :func:`forward_solve_tasks` stream (RHS blocks keyed
+    ``(i, -1)``) against a real factor and right-hand side: GEMM tasks
+    apply ``y_i -= L_ij y_j``, TRSM tasks the diagonal solve — the real
+    counterpart of the simulated prediction phase."""
+    layout = factor.layout
+    y = np.asarray(b, dtype=np.float64).copy()
+    if y.shape[0] != factor.n:
+        raise SchedulingError("rhs dimension does not match the factor")
+    for task in tasks:
+        sl_i = layout.block_slice(task.output[0])
+        if task.op == "gemm":
+            lij, (j, _) = task.inputs
+            y[sl_i] -= tile_apply(factor.get(*lij), y[layout.block_slice(j)])
+        elif task.op == "trsm":
+            (lii,) = task.inputs
+            y[sl_i] = sla.solve_triangular(
+                factor.get(*lii).to_dense64(), y[sl_i],
+                lower=True, check_finite=False,
+            )
+        else:
+            raise SchedulingError(
+                f"unexpected op {task.op!r} in a solve stream"
+            )
+    return y
 
 
 @pytest.fixture(scope="module")

@@ -10,7 +10,6 @@ from repro.tile import DenseTile, Precision
 from repro.tile.compression import (
     compress_block,
     compress_tile,
-    lr_add,
     rank_of_block,
     recompress,
     truncated_svd,
@@ -120,38 +119,3 @@ class TestRecompress:
         v = rng.standard_normal((20, 10))
         with pytest.raises(CompressionError):
             recompress(u, v, 1e-15, max_rank=2)
-
-
-class TestLRAdd:
-    def test_exact_sum(self, rng):
-        a1 = low_rank_matrix(rng, rank=2)
-        a2 = low_rank_matrix(rng, rank=3)
-        u1, v1, _ = truncated_svd(a1, 1e-12)
-        u2, v2, _ = truncated_svd(a2, 1e-12)
-        nu, nv = lr_add(u1, v1, u2, v2, 1e-10)
-        np.testing.assert_allclose(nu @ nv.T, a1 + a2, atol=1e-8)
-
-    def test_subtraction_via_negation(self, rng):
-        a = low_rank_matrix(rng, rank=4)
-        u, v, _ = truncated_svd(a, 1e-12)
-        nu, nv = lr_add(u, v, -u, v, 1e-10)
-        assert nu.shape[1] == 0 or np.linalg.norm(nu @ nv.T) < 1e-8
-
-    def test_rank_capped_by_tolerance(self, rng):
-        """Adding correlated updates must not inflate rank."""
-        a = low_rank_matrix(rng, rank=3)
-        u, v, _ = truncated_svd(a, 1e-12)
-        nu, nv = lr_add(u, v, 0.5 * u, v, 1e-10)
-        assert nu.shape[1] <= 3
-
-    @given(seed=st.integers(0, 100))
-    @settings(max_examples=20, deadline=None)
-    def test_property_sum_accuracy(self, seed):
-        rng = np.random.default_rng(seed)
-        a1 = low_rank_matrix(rng, rank=rng.integers(1, 6))
-        a2 = low_rank_matrix(rng, rank=rng.integers(1, 6))
-        u1, v1, _ = truncated_svd(a1, 1e-12)
-        u2, v2, _ = truncated_svd(a2, 1e-12)
-        tol = 1e-8 * np.linalg.norm(a1 + a2)
-        nu, nv = lr_add(u1, v1, u2, v2, tol)
-        assert np.linalg.norm((a1 + a2) - nu @ nv.T) <= tol * (1 + 1e-6) + 1e-12
