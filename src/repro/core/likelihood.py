@@ -86,16 +86,21 @@ def _resolve_execution(
     *placement*: ``"process"`` for ``backend="process"``, else
     ``"inline"`` (the caller's thread) at one worker and ``"thread"``
     above.  *grouping*: process workers run one tile op per message,
-    always ``"per-tile"``.  In this process it is ``"per-tile"`` exactly
-    when something needs one tile op at a time — a task-level
-    retry / chaos hook (the heap loop), or nothing at all (one worker,
-    no deadline: the reference ``tile_cholesky``) — and ``"stacked"``
-    otherwise: the panel sweep.  ``batch=True`` sizes the sweep's pool
-    to the usable CPUs (extra threads only add overhead around stacked
-    calls and never change results).  A combination that cannot run
-    raises :class:`~repro.exceptions.ConfigurationError` — here, or at
-    variant construction (``backend="process"`` with ``batch=True``);
-    none is dropped.
+    always ``"per-tile"``.  In this process it is ``"stacked"`` — the
+    panel sweep, on the caller's thread at one worker — unless a
+    task-level retry / chaos hook needs one tile op at a time (the heap
+    loop), or the variant plans low-rank tiles and nothing else is
+    asked (one worker, no ``batch``, no deadline): only a band's
+    corner of a TLR matrix rides the sweep's stacks and every other
+    tile would pay its per-task wrapper, so that run keeps the
+    reference ``tile_cholesky`` (measured in DESIGN.md section 14; the
+    exception goes when low-rank columns can ride).  ``batch=True``
+    sizes the sweep's pool to the usable CPUs (extra threads only add
+    overhead around stacked calls and never change results).  A
+    combination that cannot run raises
+    :class:`~repro.exceptions.ConfigurationError` — here, or at variant
+    construction (``backend="process"`` with ``batch=True``); none is
+    dropped.
     """
     hooked = resilience is not None and resilience.task_level
     if cfg.batch and hooked:
@@ -112,9 +117,9 @@ def _resolve_execution(
     if cfg.batch:
         workers = min(workers, usable_cores())
     placement = "inline" if workers == 1 else "thread"
-    per_tile = hooked or not (
+    per_tile = hooked or (cfg.use_tlr and not (
         cfg.batch or placement == "thread" or deadline is not None
-    )
+    ))
     return placement, "per-tile" if per_tile else "stacked", workers
 
 
@@ -129,9 +134,11 @@ def _factor_and_solve(
     has one), and forward-solve ``rhs``.  Returns ``(cfg, factor,
     stats, assembly report, recovery report or None, logdet, y)``.
 
-    Inline per-tile execution with no hook is the reference
+    Inline per-tile execution with no hook — the plain call of a TLR
+    variant — is the reference
     :func:`~repro.tile.cholesky.tile_cholesky`; every other cell of
-    the placement x grouping x hook table runs on an executor over
+    the placement x grouping x hook table, the plain call of a dense
+    variant included, runs on an executor over
     :mod:`repro.runtime.taskcore`.  Those wrap task failures in
     :class:`~repro.exceptions.SchedulingError`; an underlying
     :class:`~repro.exceptions.NotPositiveDefiniteError` is unwrapped
@@ -149,8 +156,8 @@ def _factor_and_solve(
     hooks = {} if resilience is None else dict(
         retry=resilience.retry, chaos=chaos
     )
-    # Per tile on the caller's thread with no hook to attach: the
-    # reference loop itself.
+    # Per tile on the caller's thread with no hook to attach (a TLR
+    # variant's plain call): the reference loop itself.
     reference = (
         (placement, grouping) == ("inline", "per-tile")
         and not (resilience is not None and resilience.task_level)
@@ -275,7 +282,10 @@ def loglikelihood(
     Execution settings — ``workers``, ``batch``, ``backend`` — ride
     on the variant and nowhere else:
     ``variant=get_variant("mp-dense").with_(workers=4, batch=True)``
-    (see :class:`~repro.core.variants.VariantConfig`).  Every
+    (see :class:`~repro.core.variants.VariantConfig`).  With none
+    set the factorization is the panel sweep on the caller's thread
+    (:mod:`repro.runtime.batchdispatch`) — for a TLR variant, the
+    reference :func:`~repro.tile.cholesky.tile_cholesky`.  Every
     combination returns bit-identical results or raises
     :class:`~repro.exceptions.ConfigurationError` (``batch=True`` with
     task-level retry/chaos; the variant itself refuses ``batch=True``

@@ -56,8 +56,9 @@ class VariantConfig:
       compression and the factorization.
     * ``backend`` — where factorization tasks run: ``"thread"``
       (default; a worker-thread pool, or the caller's thread at
-      ``workers=1`` — with no deadline or task-level hook that is the
-      reference :func:`~repro.tile.cholesky.tile_cholesky`) or
+      ``workers=1`` — the panel sweep there too, except that a TLR
+      variant with nothing else asked keeps the reference
+      :func:`~repro.tile.cholesky.tile_cholesky`) or
       ``"process"`` (shared-memory worker processes running one tile
       op per message, :mod:`repro.runtime.procpool`).
     * ``batch`` — stacked grouping: assembly generates tile groups in

@@ -18,11 +18,16 @@ off these.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from ..exceptions import SchedulingError
 from .task import Task
+
+# networkx is imported where a graph is built or walked: the executors
+# schedule from :func:`dependences` alone, and a factorization should
+# not pay the library's import.
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = [
     "build_dag", "critical_path_length", "dependences", "validate_schedule",
@@ -72,6 +77,8 @@ def build_dag(tasks: Sequence[Task]) -> nx.DiGraph:
     """Dependence DAG of a sequential task stream: :func:`dependences`
     as a graph.  Nodes carry the task object under the ``"task"``
     attribute."""
+    import networkx as nx
+
     dag = nx.DiGraph()
     for task in tasks:
         if dag.has_node(task.uid):
@@ -91,6 +98,8 @@ def critical_path_length(
 ) -> float:
     """Length of the longest path weighting each node by its duration
     (edges are free) — the makespan lower bound on infinite resources."""
+    import networkx as nx
+
     finish: dict[int, float] = {}
     for uid in nx.topological_sort(dag):
         est = max((finish[p] for p in dag.predecessors(uid)), default=0.0)
@@ -121,5 +130,7 @@ def validate_schedule(
 
 def topological_tasks(dag: nx.DiGraph) -> Iterable[Task]:
     """Tasks in one valid topological order."""
+    import networkx as nx
+
     for uid in nx.topological_sort(dag):
         yield dag.nodes[uid]["task"]

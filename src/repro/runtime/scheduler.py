@@ -8,7 +8,10 @@ panel-based priority is provided for comparison/ablation.
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:  # imported where a graph is walked (see dag.py)
+    import networkx as nx
 
 __all__ = ["upward_ranks", "panel_priorities", "panel_priorities_tasks"]
 
@@ -18,6 +21,8 @@ _OP_WEIGHT = {"potrf": 3.0, "trsm": 2.0, "syrk": 1.0, "gemm": 0.0}
 def upward_ranks(dag: nx.DiGraph, durations: dict[int, float]) -> dict[int, float]:
     """Upward rank of every task: its duration plus the longest
     downstream chain.  Computed in reverse topological order."""
+    import networkx as nx
+
     rank: dict[int, float] = {}
     for uid in reversed(list(nx.topological_sort(dag))):
         downstream = max((rank[s] for s in dag.successors(uid)), default=0.0)

@@ -42,8 +42,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from ..exceptions import ConfigurationError, SchedulingError
 from ..perfmodel.kernelmodel import TaskShape, task_flops, task_time
@@ -57,6 +56,9 @@ from .faults import CheckpointConfig, FaultModel
 from .scheduler import panel_priorities, upward_ranks
 from .task import Task
 from .trace import ExecutionTrace, TaskRecord
+
+if TYPE_CHECKING:  # imported where a graph is walked (see dag.py)
+    import networkx as nx
 
 __all__ = ["SimConfig", "shape_for_task", "plan_rank_of", "simulate_tasks"]
 
@@ -162,6 +164,8 @@ def simulate_tasks(
     :class:`~repro.exceptions.PlanValidationError` on error-severity
     findings before any simulated time is spent.
     """
+    import networkx as nx
+
     if dag is None:
         dag = build_dag(tasks)
     if validate_plan:

@@ -14,9 +14,14 @@ The right-looking tile algorithm:
 Each tile keeps the structure (dense / low-rank) and storage precision
 assigned by the :class:`~repro.tile.decisions.TilePlan`; the kernels in
 :mod:`repro.tile.kernels` convert operands on demand.  This module is
-the *sequentially executed* reference; the task-based runtime
-(:mod:`repro.runtime`) generates the identical operation stream as a
-DAG and a consistency test pins the two together.
+the *sequentially executed* reference: every executor of
+:mod:`repro.runtime` is pinned bit-identical to it
+(``tests/test_execution_matrix.py``) and the benchmark harness replays
+it.  It is not what an evaluation runs by default — a hook-free
+``dense-fp64`` / ``mp-dense`` evaluation runs the panel sweep
+(:mod:`repro.runtime.batchdispatch`); only the plain one-worker call
+of a TLR variant still lands here
+(``core/likelihood.py::_resolve_execution``).
 """
 
 from __future__ import annotations

@@ -38,7 +38,15 @@ __all__ = ["potrf", "trsm", "syrk", "gemm"]
 
 def _as_compute(tile_data: np.ndarray, dtype: np.dtype) -> np.ndarray:
     """Cast operand data to the kernel's compute dtype (a no-op when
-    it already matches)."""
+    it already matches).
+
+    The dense kernels hand it the stored payload itself, one cast per
+    operand: widening is exact and ``f32 -> f64 -> f16`` rounds the
+    same value as ``f32 -> f16``, so a detour through float64 would
+    change no bit.  Results go back the same way — the compute-dtype
+    array straight into :class:`DenseTile`, whose constructor narrows
+    it through :func:`~repro.tile.precision.cast_storage`.
+    """
     if tile_data.dtype == dtype:
         return tile_data
     return tile_data.astype(dtype)
@@ -92,14 +100,14 @@ def potrf(c: Tile, index: tuple[int, int] | None = None) -> DenseTile:
     if c.is_low_rank:
         raise ShapeError("POTRF requires a dense diagonal tile")
     dtype = compute_dtype(c.precision)
-    data = _as_compute(c.to_dense64(), dtype)
+    data = _as_compute(c.data, dtype)
     try:
         low = np.linalg.cholesky(data)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError(
             f"diagonal tile {index} is not positive definite: {exc}", index
         ) from exc
-    return DenseTile(np.asarray(low, dtype=np.float64), c.precision)
+    return DenseTile(low, c.precision)
 
 
 def trsm(
@@ -128,10 +136,10 @@ def trsm(
         )
         return LowRankTile(a.u.astype(np.float64), v, a.precision)
     dtype = compute_dtype(a.precision, fp16_accumulate_fp32=fp16_accumulate_fp32)
-    low = _as_compute(l_tile.to_dense64(), dtype)
-    rhs = _as_compute(a.to_dense64(), dtype)
+    low = _as_compute(l_tile.data, dtype)
+    rhs = _as_compute(a.data, dtype)
     x = sla.solve_triangular(low, rhs.T, lower=True, check_finite=False).T
-    return DenseTile(np.asarray(x, dtype=np.float64), a.precision)
+    return DenseTile(x, a.precision)
 
 
 def syrk(
@@ -144,7 +152,7 @@ def syrk(
     if c.is_low_rank:
         raise ShapeError("SYRK output (diagonal tile) must be dense")
     dtype = compute_dtype(c.precision, fp16_accumulate_fp32=fp16_accumulate_fp32)
-    cdat = _as_compute(c.to_dense64(), dtype)
+    cdat = _as_compute(c.data, dtype)
     if isinstance(a, LowRankTile):
         if a.rank == 0:
             return c
@@ -153,10 +161,9 @@ def syrk(
         w = v.T @ v
         update = (u @ w) @ u.T
     else:
-        adat = _as_compute(a.to_dense64(), dtype)
+        adat = _as_compute(a.data, dtype)
         update = adat @ adat.T
-    out = cdat - update
-    return DenseTile(np.asarray(out, dtype=np.float64), c.precision)
+    return DenseTile(cdat - update, c.precision)
 
 
 def _lr_update_factors(a: Tile, b: Tile) -> tuple[np.ndarray, np.ndarray]:
@@ -260,11 +267,10 @@ def gemm(
                 )
         return out
     dtype = compute_dtype(c.precision, fp16_accumulate_fp32=fp16_accumulate_fp32)
-    cdat = _as_compute(c.to_dense64(), dtype)
+    cdat = _as_compute(c.data, dtype)
     if a.is_low_rank or b.is_low_rank:
         du, dv = _lr_update_factors(a, b)
         update = _as_compute(du, dtype) @ _as_compute(dv, dtype).T
     else:
-        update = _matmul_emulated(a.to_dense64(), b.to_dense64().T, dtype)
-    out = cdat - update
-    return DenseTile(np.asarray(out, dtype=np.float64), c.precision)
+        update = _matmul_emulated(a.data, b.data.T, dtype)
+    return DenseTile(cdat - update, c.precision)

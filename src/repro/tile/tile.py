@@ -74,7 +74,12 @@ class DenseTile(Tile):
         elif owed is not None:  # an accumulator stays exact until settled
             arr = np.asarray(arr, dtype=np.float64)
         elif arr.dtype != precision.dtype:
-            arr = cast_storage(np.asarray(arr, dtype=np.float64), precision)
+            # Float to float is one rounding whichever way it goes
+            # (widening is exact): only non-float input takes the
+            # detour through float64.
+            if arr.dtype.kind != "f":
+                arr = np.asarray(arr, dtype=np.float64)
+            arr = cast_storage(arr, precision)
         self.data = arr
         self.precision = precision
         self.owed = owed

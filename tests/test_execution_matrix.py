@@ -17,8 +17,9 @@ with the execution settings on the variant, and either
   planned covariance, with the setting *demonstrably applied* (the run
   report names the resolved placement and grouping — in this process
   the panel sweep, ``"stacked"``, unless a task-level hook needs the
-  per-tile heap loop or nothing at all is asked and the reference loop
-  runs — stacked cells ran stacked calls, chaos fired and was retried,
+  per-tile heap loop or nothing at all is asked of a TLR variant and
+  the reference loop runs — stacked cells ran stacked calls, chaos
+  fired and was retried,
   an expired deadline raises from the loop the cell resolved to), or
 * raises :class:`ConfigurationError` (``batch=True`` with task-level
   retry/chaos; ``batch=True`` with ``backend="process"``, whose workers
@@ -29,14 +30,20 @@ No ``/dev/shm`` segment or thread outlives a cell.
 """
 
 import inspect
+import math
+import os
+import subprocess
+import sys
 import threading
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.core import (
     EvaluationEngine,
     ExaGeoStatModel,
@@ -50,6 +57,7 @@ from repro.core.variants import VariantConfig
 from repro.exceptions import (
     ConfigurationError,
     DeadlineExceededError,
+    NotPositiveDefiniteError,
     NumericalCorruptionError,
     SchedulingError,
 )
@@ -71,8 +79,10 @@ from repro.tile import (
     TileLayout,
     TileMatrix,
     build_planned_covariance,
+    forward_solve,
     leaked_segments,
     tile_cholesky,
+    tile_logdet,
 )
 
 NUGGET = 1.0e-8
@@ -267,14 +277,15 @@ def test_cell(placement, grouping, hook, variant, shape, procpool,
     # usable CPUs, so a one-CPU host resolves it to the caller's
     # thread.  In this process everything is the sweep ("stacked")
     # except the per-tile heap loop a task-level hook needs and the
-    # reference loop, which runs when nothing at all is asked; process
-    # workers always run per tile.
+    # reference loop, which runs when nothing at all is asked of a
+    # variant that plans low-rank tiles; process workers always run
+    # per tile.
     workers = cfg.workers
     if grouping == "stacked" and placement == "thread":
         workers = min(workers, usable_cores())
         placement = "thread" if workers > 1 else "inline"
     if placement != "process":
-        reference_loop = (placement, grouping, hook) == (
+        reference_loop = cfg.use_tlr and (placement, grouping, hook) == (
             "inline", "per-tile", "none"
         )
         grouping = (
@@ -538,6 +549,95 @@ def test_inline_run_lets_an_interrupt_through(monkeypatch):
         matrix, _ = _planned("dense-fp64", "nt4")
         with pytest.raises(KeyboardInterrupt):
             execute_cholesky_parallel(matrix, workers=1, **hooks)
+
+
+# ----------------------------------------------------------------------
+# the plain call of a dense variant: the sweep on the caller's thread
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("variant,shape", [
+    ("dense-fp64", "nt1"), ("dense-fp64", "nt4"), ("dense-fp64", "ragged"),
+    ("mp-dense", "nt1"), ("mp-dense", "smalltile"),
+])
+def test_plain_call_equals_the_reference_loop(variant, shape):
+    """Nothing asked for: the likelihood's three numbers are *equal* to
+    the ones computed from ``tile_cholesky``'s factor."""
+    x, z, tile, theta = _problem(shape)
+    result = loglikelihood(
+        MaternKernel(), theta, x, z, tile_size=tile, variant=variant,
+        nugget=NUGGET,
+    )
+    factor, _ = _reference(variant, shape)
+    logdet = tile_logdet(factor)
+    y = forward_solve(factor, z)
+    quadratic = float(y @ y)
+    assert result.logdet == logdet
+    assert result.quadratic == quadratic
+    assert result.value == (
+        -0.5 * len(z) * math.log(2.0 * math.pi) - 0.5 * logdet
+        - 0.5 * quadratic
+    )
+
+
+def _indefinite_matrix():
+    """Eight 2x2 tiles a side, tile ``(5, 5)`` with a negative pivot."""
+    diagonal = np.ones(16)
+    diagonal[11] = -5.0
+    return TileMatrix.from_dense(np.diag(diagonal), 2)
+
+
+@pytest.mark.parametrize("matrix,error,index,message", [
+    (_indefinite_matrix, NotPositiveDefiniteError, (5, 5),
+     "not positive definite"),
+    (_overflowing_matrix, NumericalCorruptionError, None,
+     "overflows FP16 storage"),
+])
+def test_plain_call_raises_what_the_reference_loop_raised(
+        monkeypatch, matrix, error, index, message):
+    """A breakdown in the default evaluation surfaces as the loop's own
+    typed error — what MLE drivers and the recovery ladder catch —
+    not as the executor's ``SchedulingError``."""
+    from repro.core import likelihood
+
+    with pytest.raises(error, match=message) as reference:
+        tile_cholesky(matrix())
+    assert type(reference.value) is error
+    monkeypatch.setattr(
+        likelihood, "build_planned_covariance",
+        lambda *args, **kwargs: (matrix(), SimpleNamespace(tile_tol=0.0)),
+    )
+    capture = RunCapture()
+    with pytest.raises(error, match=message) as raised:
+        loglikelihood(
+            MaternKernel(), np.array([1.0, 0.1, 0.5]),
+            np.random.default_rng(0).uniform(size=(16, 2)), np.zeros(16),
+            tile_size=matrix().layout.tile_size, telemetry=capture,
+        )
+    assert type(raised.value) is error
+    assert raised.value.tile_index == reference.value.tile_index == index
+    factorize = capture.tracer.by_name("factorize")[0]
+    assert factorize.attrs["grouping"] == "stacked"
+
+
+def test_plain_call_does_not_import_networkx():
+    """The sweep schedules from panel indices: a process that only
+    evaluates never pays for the graph library the simulator and the
+    DAG helpers use (a fresh interpreter — this one has it loaded)."""
+    script = (
+        "import sys, numpy as np\n"
+        "import repro, repro.runtime.batchdispatch\n"
+        "from repro.core import loglikelihood\n"
+        "from repro.kernels import MaternKernel\n"
+        "x = np.random.default_rng(0).uniform(size=(32, 2))\n"
+        "loglikelihood(MaternKernel(), np.array([1.0, 0.1, 0.5]), x,\n"
+        "              np.zeros(32), tile_size=8, nugget=1e-8)\n"
+        "sys.exit('networkx' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", script], timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 0
 
 
 # ----------------------------------------------------------------------

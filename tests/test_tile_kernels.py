@@ -6,10 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import linalg as sla
 
-from repro.exceptions import NotPositiveDefiniteError, ShapeError
+from repro.exceptions import (
+    NotPositiveDefiniteError,
+    NumericalCorruptionError,
+    ShapeError,
+)
 from repro.tile import DenseTile, LowRankTile, Precision
 from repro.tile import kernels as K
 from repro.tile.compression import truncated_svd
+from repro.tile.precision import cast_storage, compute_dtype
 
 
 def spd(n, seed=0):
@@ -326,3 +331,82 @@ class TestPrecisionSemantics:
         err_mixed = np.linalg.norm(mixed.to_dense64() - exact)
         err_pure = np.linalg.norm(pure.to_dense64() - exact)
         assert err_mixed <= err_pure
+
+
+class TestDenseKernelsConvertOnce:
+    """The dense kernels cast each stored operand straight to the
+    compute dtype and hand the compute-dtype result to ``DenseTile``;
+    the bytes are those of the arithmetic written out here, which reads
+    every operand through float64 and returns the result through it."""
+
+    @staticmethod
+    def _read(tile, dtype):
+        return tile.to_dense64().astype(dtype)
+
+    @staticmethod
+    def _stored(out, precision):
+        return cast_storage(np.asarray(out, dtype=np.float64), precision)
+
+    @pytest.mark.parametrize("accumulate_fp32", [True, False])
+    @pytest.mark.parametrize("operand", list(Precision))
+    @pytest.mark.parametrize("lead", list(Precision))
+    def test_bytes_of_the_float64_round_trip(self, rng, lead, operand,
+                                             accumulate_fp32):
+        n = 12
+        tri = DenseTile(np.linalg.cholesky(spd(n, 2)), operand)
+        a = DenseTile(rng.standard_normal((n, n)), operand)
+        b = DenseTile(rng.standard_normal((n, n)), operand)
+        c = DenseTile(rng.standard_normal((n, n)), lead)
+        diag = DenseTile(spd(n, 3) + n * np.eye(n), lead)
+        read, stored = self._read, self._stored
+        dtype = compute_dtype(lead, fp16_accumulate_fp32=accumulate_fp32)
+        if dtype == np.float16:
+            # The emulated pure HGEMM is untouched; what changed is what
+            # it is handed (the parent gave it float64 operands).
+            product = K._matmul_emulated(
+                a.to_dense64(), b.to_dense64().T, dtype
+            )
+        else:
+            product = read(a, dtype) @ read(b, dtype).T
+        adat = read(a, dtype)
+        want = {
+            "potrf": np.linalg.cholesky(read(diag, compute_dtype(lead))),
+            "trsm": sla.solve_triangular(
+                read(tri, dtype), read(c, dtype).T, lower=True,
+                check_finite=False,
+            ).T,
+            # One array against its own transpose, as the kernel has
+            # it: NumPy then calls BLAS SYRK, not GEMM.
+            "syrk": read(diag, dtype) - adat @ adat.T,
+            "gemm": read(c, dtype) - product,
+        }
+        flag = dict(fp16_accumulate_fp32=accumulate_fp32)
+        got = {
+            "potrf": K.potrf(diag),
+            "trsm": K.trsm(tri, c, **flag),
+            "syrk": K.syrk(a, diag, **flag),
+            "gemm": K.gemm(a, b, c, **flag),
+        }
+        for op, tile in got.items():
+            expected = stored(want[op], lead)
+            assert tile.precision is lead, op
+            assert tile.data.dtype == expected.dtype == lead.dtype, op
+            assert tile.data.tobytes() == expected.tobytes(), op
+
+    @pytest.mark.parametrize("operand", list(Precision))
+    def test_fp16_overflow_still_raises(self, operand):
+        """The narrowing to storage is one ``cast_storage`` from the
+        compute dtype: 3.6e5 does not fit binary16."""
+        ones = np.ones((4, 4))
+        a = DenseTile(300.0 * ones, operand)
+        b = DenseTile(-300.0 * ones, operand)
+        c = DenseTile(100.0 * ones, Precision.FP16)
+        with pytest.raises(NumericalCorruptionError,
+                           match="overflows FP16 storage"):
+            K.gemm(a, b, c)
+        with pytest.raises(NumericalCorruptionError,
+                           match="overflows FP16 storage"):
+            K.syrk(a, DenseTile(100.0 * ones, Precision.FP16))
+        with pytest.raises(NumericalCorruptionError,
+                           match="overflows FP16 storage"):
+            DenseTile(np.full((2, 2), 1e5, dtype=np.float32), Precision.FP16)
