@@ -731,17 +731,18 @@ def run_sanitized_workload(
     sanitizer enabled; returns the findings plus one INFO coverage
     line.
 
-    The workload exercises every instrumented seam: the DAG executor
-    (``workers`` threads, 5% seeded tile-NaN chaos absorbed by
-    retries), the serving engine (parallel batches, a repeated batch
-    for the LRU-hit path, 20% batch chaos under retry), the geometry
-    cache, a breaker trip (three consecutive hard failures →
-    cross-LRU clear), and the panel sweep (``clamp=False`` so its pool
-    really is ``workers`` wide) with what its units share: the
-    column-stack map, the published tiles and the tally lock.  Chaos
-    schedules
-    are keyed on ``(seed, site, attempt)``, so the workload — and any
-    finding it produces — is deterministic at a fixed seed.
+    The workload exercises every instrumented seam: the hooked panel
+    sweep of a fit (``workers`` threads, 5% seeded NaN chaos on its
+    per-tile and stacked calls absorbed by retries, the retry tally
+    under the shared lock), the serving engine (parallel batches, a
+    repeated batch for the LRU-hit path, 20% batch chaos under
+    retry), the geometry cache, a breaker trip (three consecutive
+    hard failures → cross-LRU clear), and a hook-free sweep of a
+    larger matrix (``clamp=False`` so its pool really is ``workers``
+    wide) with what its units share: the column-stack map, the
+    published tiles and the tally lock.  Chaos schedules are keyed on
+    ``(seed, site, attempt)``, so the workload — and any finding it
+    produces — is deterministic at a fixed seed.
 
     The fit and the serving calls run *traced* (a live
     :class:`~repro.obs.Telemetry` built after the sanitizer installed
@@ -814,8 +815,10 @@ def run_sanitized_workload(
             except ChaosError:
                 hard_failures += 1
         assert hard_failures == 3, "breaker workload must fail 3x"
-        # The panel sweep on real threads (clamp off so the pool is
-        # genuinely concurrent even on few-core hosts): units read the
+        # The fit above ran the sweep hooked, on a matrix of nt tiles
+        # a side.  Here it runs plain on real threads (clamp off so
+        # the pool is genuinely concurrent even on few-core hosts)
+        # with more than one unit per panel: units read the
         # finished column's stacks and published tiles and replace
         # their own column's runs while the driving thread runs the
         # per-tile leftovers against the same matrix and tally.

@@ -18,7 +18,6 @@ import numpy as np
 
 from ..config import usable_cores
 from ..exceptions import (
-    ConfigurationError,
     NotPositiveDefiniteError,
     SchedulingError,
     ShapeError,
@@ -87,29 +86,21 @@ def _resolve_execution(
     ``"inline"`` (the caller's thread) at one worker and ``"thread"``
     above.  *grouping*: process workers run one tile op per message,
     always ``"per-tile"``.  In this process it is ``"stacked"`` — the
-    panel sweep, on the caller's thread at one worker — unless a
-    task-level retry / chaos hook needs one tile op at a time (the heap
-    loop), or the variant plans low-rank tiles and nothing else is
-    asked (one worker, no ``batch``, no deadline): only a band's
-    corner of a TLR matrix rides the sweep's stacks and every other
-    tile would pay its per-task wrapper, so that run keeps the
-    reference ``tile_cholesky`` (measured in DESIGN.md section 14; the
-    exception goes when low-rank columns can ride).  ``batch=True``
-    sizes the sweep's pool to the usable CPUs (extra threads only add
-    overhead around stacked calls and never change results).  A
-    combination that cannot run raises
-    :class:`~repro.exceptions.ConfigurationError` — here, or at variant
-    construction (``backend="process"`` with ``batch=True``); none is
-    dropped.
+    panel sweep, on the caller's thread at one worker; retry / chaos
+    hooks attach to the calls it makes — unless the variant plans
+    low-rank tiles and nothing else is asked (one worker, no
+    ``batch``, no deadline, no hook): only a band's corner of a TLR
+    matrix rides the sweep's stacks and every other tile would pay its
+    per-task wrapper, so that run keeps the reference ``tile_cholesky``
+    (measured in DESIGN.md section 14; the exception goes when low-rank
+    columns can ride).  ``batch=True`` sizes the sweep's pool to the
+    usable CPUs (extra threads only add overhead around stacked calls
+    and never change results).  The one combination that cannot run —
+    ``backend="process"`` with ``batch=True`` — raises
+    :class:`~repro.exceptions.ConfigurationError` at variant
+    construction; none is dropped.
     """
     hooked = resilience is not None and resilience.task_level
-    if cfg.batch and hooked:
-        raise ConfigurationError(
-            "stacked grouping (batch=True) cannot run with task-level "
-            "retry/chaos hooks: a stacked call runs many tasks as one "
-            "kernel and they need per-task attempts; use batch=False or "
-            "drop the task-level resilience settings"
-        )
     if cfg.backend == "process":
         workers = cfg.workers if procpool is None else procpool.workers
         return "process", "per-tile", workers
@@ -117,9 +108,9 @@ def _resolve_execution(
     if cfg.batch:
         workers = min(workers, usable_cores())
     placement = "inline" if workers == 1 else "thread"
-    per_tile = hooked or (cfg.use_tlr and not (
-        cfg.batch or placement == "thread" or deadline is not None
-    ))
+    per_tile = cfg.use_tlr and not (
+        cfg.batch or placement == "thread" or deadline is not None or hooked
+    )
     return placement, "per-tile" if per_tile else "stacked", workers
 
 
@@ -134,12 +125,11 @@ def _factor_and_solve(
     has one), and forward-solve ``rhs``.  Returns ``(cfg, factor,
     stats, assembly report, recovery report or None, logdet, y)``.
 
-    Inline per-tile execution with no hook — the plain call of a TLR
-    variant — is the reference
-    :func:`~repro.tile.cholesky.tile_cholesky`; every other cell of
-    the placement x grouping x hook table, the plain call of a dense
-    variant included, runs on an executor over
-    :mod:`repro.runtime.taskcore`.  Those wrap task failures in
+    Inline per-tile execution — the plain call of a TLR variant — is
+    the reference :func:`~repro.tile.cholesky.tile_cholesky`; every
+    other in-process cell is the panel sweep at the resolved width
+    with the task-level hooks on its calls, and process placement is
+    the worker pool.  Executors wrap task failures in
     :class:`~repro.exceptions.SchedulingError`; an underlying
     :class:`~repro.exceptions.NotPositiveDefiniteError` is unwrapped
     here, once, so MLE drivers and the recovery ladder see the same
@@ -156,12 +146,9 @@ def _factor_and_solve(
     hooks = {} if resilience is None else dict(
         retry=resilience.retry, chaos=chaos
     )
-    # Per tile on the caller's thread with no hook to attach (a TLR
-    # variant's plain call): the reference loop itself.
-    reference = (
-        (placement, grouping) == ("inline", "per-tile")
-        and not (resilience is not None and resilience.task_level)
-    )
+    # Per tile on the caller's thread (a TLR variant's plain call):
+    # the reference loop itself.
+    reference = (placement, grouping) == ("inline", "per-tile")
     max_rank = int(cfg.max_rank_fraction * tile_size) or None
 
     def rebuild(**overrides):
@@ -181,11 +168,7 @@ def _factor_and_solve(
         with maybe_span(telemetry, "factorize", nt=matrix.nt, **resolved):
             if reference:
                 return tile_cholesky(matrix, **args)
-            from ..runtime import (
-                ProcessPoolEngine,
-                execute_cholesky_batched,
-                execute_cholesky_parallel,
-            )
+            from ..runtime import ProcessPoolEngine, execute_cholesky_batched
 
             args.update(deadline=deadline, telemetry=telemetry)
             try:
@@ -196,15 +179,12 @@ def _factor_and_solve(
                     finally:
                         if procpool is None:
                             engine.close()
-                elif cfg.batch:
-                    _, run = execute_cholesky_batched(
-                        matrix, workers=workers, **args
-                    )
                 else:
-                    # The sweep at the requested width, or the heap
-                    # loop when a task-level hook is set.
-                    _, run = execute_cholesky_parallel(
-                        matrix, workers=workers, **args, **hooks
+                    # The width is already resolved (batch=True clamped
+                    # it to the usable CPUs above).
+                    _, run = execute_cholesky_batched(
+                        matrix, workers=workers, clamp=False, **args,
+                        **hooks,
                     )
             except SchedulingError as exc:
                 if isinstance(exc.__cause__, NotPositiveDefiniteError):
@@ -287,11 +267,9 @@ def loglikelihood(
     (:mod:`repro.runtime.batchdispatch`) — for a TLR variant, the
     reference :func:`~repro.tile.cholesky.tile_cholesky`.  Every
     combination returns bit-identical results or raises
-    :class:`~repro.exceptions.ConfigurationError` (``batch=True`` with
-    task-level retry/chaos; the variant itself refuses ``batch=True``
-    with ``backend="process"``, whose workers run one tile op per
-    message).  ``procpool``
-    supplies a persistent
+    :class:`~repro.exceptions.ConfigurationError` (the variant itself
+    refuses ``batch=True`` with ``backend="process"``, whose workers
+    run one tile op per message).  ``procpool`` supplies a persistent
     :class:`~repro.runtime.procpool.ProcessPoolEngine` so repeated
     ``backend="process"`` evaluations reuse one worker pool; the
     hot-path inputs (``geometry``/``cache``, ``rank_hints``) are

@@ -132,8 +132,7 @@ def fit_mle(
     evaluation of the fit.  Every setting combination produces the
     same log-likelihoods and optimizer iterates bit-for-bit, or raises
     :class:`~repro.exceptions.ConfigurationError` (``batch=True`` with
-    task-level retry/chaos here, or with ``backend="process"`` when
-    the variant is built).
+    ``backend="process"``, when the variant is built).
 
     ``resilience`` opts into the hardening layer: transient tile
     failures retry with seeded backoff, chaos injection (when

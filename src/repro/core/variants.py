@@ -65,8 +65,8 @@ class VariantConfig:
       stacked calls and the factorization is the panel sweep (a
       column's dense tiles as single stacked-BLAS calls,
       :mod:`repro.tile.batch`), pools sized to the usable CPUs.
-      Cannot combine with task-level retry/chaos or with
-      ``backend="process"`` (both raise).
+      Task-level retry/chaos attach to the sweep's calls; cannot
+      combine with ``backend="process"`` (raises).
 
     How a low-rank tile is updated is not a setting: every execution
     accumulates its Schur updates exactly and truncates once, when the

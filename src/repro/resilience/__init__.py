@@ -5,13 +5,14 @@ failures; this package *survives* them in the executors that actually
 compute:
 
 * :mod:`~repro.resilience.deadline` — :class:`Deadline` budgets and
-  :class:`CancellationToken` poisoning, threaded through the DAG
-  executor, the likelihood, ``fit_mle(time_budget_s=...)`` and
+  :class:`CancellationToken` poisoning, threaded through the
+  executors, the likelihood, ``fit_mle(time_budget_s=...)`` and
   ``PredictionEngine.predict(deadline_s=...)``; pools drain, threads
   join, partial results are discarded;
 * :mod:`~repro.resilience.retry` — :class:`RetryPolicy` with
   exponential backoff and deterministic seeded jitter for transient
-  tile failures, applied *before* the per-factorization recovery
+  tile failures, applied per kernel call (a tile op, or one stacked
+  call of the panel sweep) *before* the per-factorization recovery
   ladder escalates;
 * :mod:`~repro.resilience.degrade` — :class:`DegradationPolicy`:
   a fit that keeps breaking down numerically downgrades its variant
@@ -62,19 +63,7 @@ __all__ = [
     "CircuitBreaker",
     "HealthReport",
     "require_finite",
-    "task_level_hooks",
 ]
-
-
-def task_level_hooks(retry, chaos, check_finite: bool | None = None) -> bool:
-    """Whether a factorization asks for per-task attempts — the one
-    thing only a per-tile loop can give it.  The router
-    (``core/likelihood.py::_resolve_execution``, through
-    :attr:`ResilienceConfig.task_level`) and
-    :func:`~repro.runtime.parallel.execute_cholesky_parallel` both
-    decide panel-sweep-or-heap-loop by this, so span and run report
-    agree."""
-    return retry is not None or chaos is not None or bool(check_finite)
 
 
 @dataclass(frozen=True)
@@ -105,12 +94,11 @@ class ResilienceConfig:
 
     @property
     def task_level(self) -> bool:
-        """Whether the factorization needs the instrumented executor
-        (retry or chaos hooks); degradation alone is fit-level and
-        leaves the factorization path untouched."""
-        return task_level_hooks(
-            self.retry, self.chaos if self.chaos_enabled else None
-        )
+        """Whether the factorization runs under retry or chaos hooks
+        (the router, ``core/likelihood.py::_resolve_execution``, sends
+        such a run to the panel sweep); degradation alone is fit-level
+        and leaves the factorization path untouched."""
+        return self.retry is not None or self.chaos_enabled
 
     @property
     def active(self) -> bool:

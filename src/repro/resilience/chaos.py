@@ -1,16 +1,16 @@
 """Deterministic chaos injection for the real executors.
 
-Opt-in fault injection aimed at the *production* paths — the threaded
-DAG Cholesky executor and the prediction serving engine — rather than
+Opt-in fault injection aimed at the *production* paths — the Cholesky
+executors and the prediction serving engine — rather than
 the discrete-event simulator (:mod:`repro.runtime.faults` covers
 that).  A :class:`ChaosConfig` declares seeded failure rates; a
 :class:`ChaosInjector` draws every decision from a generator keyed on
 ``(seed, epoch, site, attempt)``, so
 
 * two runs of the same configuration inject the *identical* fault
-  schedule regardless of thread scheduling (chaos suites are
-  bit-reproducible), and
-* a retried task (``attempt + 1``) re-rolls its fate — exactly the
+  schedule regardless of thread scheduling and of the worker count
+  (chaos suites are bit-reproducible), and
+* a retried call (``attempt + 1``) re-rolls its fate — exactly the
   transient-failure model the retry policy is built for.
 
 With every rate at zero the injector is inert and the hooks cost one
@@ -36,7 +36,17 @@ __all__ = ["ChaosConfig", "ChaosInjector", "ChaosStats"]
 
 @dataclass(frozen=True)
 class ChaosConfig:
-    """Seeded chaos knobs (all rates are per-attempt probabilities).
+    """Seeded chaos knobs.  All rates are probabilities per *attempt
+    of a kernel call*.  A per-tile call — POTRF, SYRK, the TRSM / GEMM
+    of every tile that does not ride a stack, and every task of a
+    worker process — draws on its own task's uid.  A stacked call of
+    the in-process panel sweep (one TRSM or GEMM over a column's run
+    of dense tiles) draws once, on the uid of the run's first task,
+    and a corruption lands in that task's tile.  Which calls a matrix
+    makes depends on the matrix alone, so a seeded schedule is
+    independent of thread scheduling and of the worker count; process
+    placement, which runs every task per tile, draws a different (per
+    task) schedule from the same seed.
 
     ``tile_nan_rate`` / ``tile_overflow_rate`` corrupt a task's output
     tile with NaNs or an FP16-overflowing magnitude (``~1e6``, far
@@ -140,10 +150,11 @@ class ChaosInjector:
         )
 
     # ------------------------------------------------------------------
-    # task-level injections (threaded DAG executor)
+    # call-level injections (Cholesky executors)
     # ------------------------------------------------------------------
     def perturb_task(self, epoch: int, uid: int, attempt: int) -> None:
-        """Maybe delay, then maybe fail, task ``uid`` on this attempt."""
+        """Maybe delay, then maybe fail, the call at site ``uid`` on
+        this attempt."""
         cfg = self.config
         if cfg.task_delay_rate and cfg.task_delay_s:
             if self._rng(epoch, uid, attempt, 1).random() < cfg.task_delay_rate:

@@ -7,13 +7,14 @@ Components:
 * :mod:`~repro.runtime.dag` — dataflow dependence analysis;
 * :mod:`~repro.runtime.distribution` — 2-D block-cyclic ownership;
 * :mod:`~repro.runtime.scheduler` — list-scheduling priorities;
-* :mod:`~repro.runtime.taskcore` — the one Cholesky task core (cached
-  plan, ready set, column stacks, task and column bodies with hooks,
-  run report) that the three real executors schedule around: the panel
-  sweep over column stacks (:mod:`~repro.runtime.batchdispatch`), the
-  heap loop on worker threads for runs with task-level hooks
-  (:mod:`~repro.runtime.parallel`), worker processes
-  (:mod:`~repro.runtime.procpool`);
+* :mod:`~repro.runtime.taskcore` — the one Cholesky task core (column
+  stacks, task and column bodies with one hook wrapper per kernel
+  call, run report; cached plan and ready set for the process loop)
+  that the two real executors schedule around: the panel sweep over
+  column stacks, in this process at any width
+  (:mod:`~repro.runtime.batchdispatch`;
+  :mod:`~repro.runtime.parallel` is its entry point at the requested
+  width), and worker processes (:mod:`~repro.runtime.procpool`);
 * :mod:`~repro.runtime.simulator` — discrete-event distributed
   simulation (time), the documented stand-in for Fugaku;
 * :mod:`~repro.runtime.comm` / :mod:`~repro.runtime.trace` —

@@ -30,10 +30,15 @@ column-independent), so every factor is bit-identical to
 :func:`~repro.tile.cholesky.tile_cholesky` (pinned by
 ``tests/test_execution_matrix.py``).
 
-A ``deadline`` is honoured at panel boundaries.  Task-level retry and
-chaos have no stacked counterpart (one call runs many tasks), so this
-executor does not take them; a run that sets one gets the per-tile
-heap loop of :mod:`repro.runtime.parallel`.
+A ``deadline`` is honoured at panel boundaries.  ``retry`` / ``chaos``
+/ ``check_finite`` attach to the kernel *calls* the sweep makes
+(:meth:`~repro.runtime.taskcore.TaskBody.hooked`): a per-tile call —
+POTRF, SYRK, every loose tile's TRSM / GEMM — is one attempt at its
+own task's uid, a stacked call is one attempt at its run's first
+task's.  A stacked call reads views nobody writes and returns a fresh
+array, so re-running it is as safe as re-running a task; and the calls
+a matrix makes do not depend on the pool width, so a seeded chaos
+schedule is the same at every ``workers``.
 """
 
 from __future__ import annotations
@@ -58,6 +63,7 @@ from .taskcore import (
     RunRecorder,
     TaskBody,
     finish_run,
+    resolve_hooks,
     stop_reason,
     stopped,
 )
@@ -75,6 +81,9 @@ def execute_cholesky_batched(
     fp16_accumulate_fp32: bool = True,
     clamp: bool = True,
     deadline=None,
+    retry=None,
+    chaos=None,
+    check_finite: bool | None = None,
     telemetry=None,
 ) -> tuple[TileMatrix, ParallelRunReport]:
     """Factor ``matrix`` in place by sweeping its panels over column
@@ -95,6 +104,16 @@ def execute_cholesky_batched(
     finished panels has returned), and wraps any other kernel failure
     in :class:`~repro.exceptions.SchedulingError`.
 
+    ``retry`` (a :class:`~repro.resilience.retry.RetryPolicy`) retries
+    transiently failing kernel calls; ``chaos`` (a
+    :class:`~repro.resilience.chaos.ChaosConfig` or
+    :class:`~repro.resilience.chaos.ChaosInjector`) opts into seeded
+    fault injection, counted in the report's ``chaos_events``.
+    ``check_finite`` scans each call's output for NaN/inf, raising
+    :class:`~repro.exceptions.NumericalCorruptionError` with the first
+    bad tile's index (default: on exactly when ``retry`` or ``chaos``
+    is set, so the plain path pays nothing).
+
     ``telemetry`` records one ``"panel"`` span per ``k`` with one child
     span per stacked call or per-tile leftover.
     """
@@ -104,12 +123,15 @@ def execute_cholesky_batched(
     if clamp:
         eff_workers = min(workers, usable_cores())
     nt = matrix.nt
+    chaos, epoch, check_finite = resolve_hooks(retry, chaos, check_finite)
+    chaos_before = chaos.stats.events if chaos is not None else 0
     recorder = RunRecorder(telemetry)
     columns = ColumnStacks(matrix, bool(fp16_accumulate_fp32))
     body = TaskBody(
         MatrixTiles(matrix), tile_tol=tile_tol, max_rank=max_rank,
-        fp16_accumulate_fp32=fp16_accumulate_fp32, columns=columns,
-        recorder=recorder,
+        fp16_accumulate_fp32=fp16_accumulate_fp32, retry=retry,
+        chaos=chaos, epoch=epoch, check_finite=check_finite,
+        columns=columns, recorder=recorder,
     )
     #: Stacked calls per column and panel (a column's runs never change
     #: rows, only stacks).
@@ -196,6 +218,9 @@ def execute_cholesky_batched(
         placement="inline" if eff_workers == 1 else "thread",
         grouping="stacked",
         stats=body.stats,
+        chaos_events=(
+            chaos.stats.events - chaos_before if chaos is not None else 0
+        ),
         batches=batches,
         batched_tasks=batched_tasks,
         fallback_tasks=tasks - batched_tasks,

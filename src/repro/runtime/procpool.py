@@ -32,8 +32,7 @@ PaRSEC's distributed owner-computes execution:
 
 Determinism: identical kernels, identical per-tile dependence order,
 byte-exact shared-memory round-trips — results are bit-identical to
-the reference loop, the heap loop and the panel sweep (pinned by
-tests).
+the reference loop and the panel sweep (pinned by tests).
 """
 
 from __future__ import annotations
@@ -277,7 +276,7 @@ class ProcessPoolEngine:
     ) -> tuple[TileMatrix, ParallelRunReport]:
         """Factor ``matrix`` in place across the worker processes.
 
-        Same contract as
+        Same failure contract as
         :func:`~repro.runtime.parallel.execute_cholesky_parallel`:
         raises :class:`~repro.exceptions.SchedulingError` on task
         failure (first worker exception chained; a dead worker raises

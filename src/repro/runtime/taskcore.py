@@ -1,25 +1,27 @@
 """The Cholesky task core: what every executor shares.
 
-Three executors run the tile Cholesky — a panel sweep over column
-stacks (:mod:`~repro.runtime.batchdispatch`), worker threads pulling
-a priority heap for runs with task-level hooks
-(:mod:`~repro.runtime.parallel`), per-owner messages to worker
-processes (:mod:`~repro.runtime.procpool`).  They differ only in
-*scheduling*; the rest lives here, once:
+Two executors run the tile Cholesky — a panel sweep over column
+stacks, on the caller's thread or a thread pool
+(:mod:`~repro.runtime.batchdispatch`), and per-owner messages to
+worker processes (:mod:`~repro.runtime.procpool`).  They differ only
+in *scheduling*; the rest lives here, once:
 
-* :func:`cholesky_plan` — cached task stream, dependence structure
-  and priorities of an ``nt x nt`` factorization;
-* :class:`ReadySet` — one run's dependence counters and ready heap;
-  :func:`stop_reason` / :func:`stopped` — the stop conditions
-  (deadline, cancellation) every loop polls;
 * :class:`ColumnStacks` — which dense tiles of a matrix ride
   ``(rows, m, n)`` stacks through the sweep, and their current values;
-* :class:`TaskBody` — the per-task and per-column kernel bodies with
-  the retry / chaos / finite-check hooks and the low-rank update tally
-  (GEMM and settle outcomes);
+* :class:`TaskBody` — the per-task and per-column kernel bodies, the
+  one hook wrapper every kernel *call* goes through (retry / chaos /
+  finite check: :meth:`TaskBody.hooked`) and the low-rank update
+  tally (GEMM and settle outcomes);
+* :func:`stop_reason` / :func:`stopped` — the stop conditions
+  (deadline, cancellation) every loop polls;
 * :class:`RunRecorder` — a traced run's wall-clock timeline, and from
   it the telemetry spans; it also closes the run into its
-  :class:`ParallelRunReport`.
+  :class:`ParallelRunReport`;
+* process loop only — :func:`cholesky_plan` (cached task stream,
+  dependence structure and priorities of an ``nt x nt``
+  factorization) and :class:`ReadySet` (one run's dependence counters
+  and ready heap); the sweep schedules from panel indices and builds
+  neither.
 
 :func:`repro.tile.cholesky.tile_cholesky` stays separate on purpose:
 it is the hook-free reference every executor is pinned bit-identical
@@ -51,7 +53,7 @@ from .comm import CommStats
 from .dag import dependences
 from .scheduler import panel_priorities_tasks
 from .task import Task
-from .taskgraph import cholesky_op_counts, cholesky_tasks
+from .taskgraph import cholesky_op_counts, cholesky_task, cholesky_tasks
 
 __all__ = [
     "MIN_BATCH", "CholeskyPlan", "ColumnStacks", "MatrixTiles",
@@ -108,8 +110,8 @@ class ReadySet:
     """Dependence bookkeeping of one run over the cached plan.
 
     Holds a private indegree copy and the ready tasks as a priority
-    heap.  Not synchronized: the thread executor guards it with its
-    dispatch lock, the process loop drives it from one thread.
+    heap.  Not synchronized: the process loop drives it from one
+    thread.
     """
 
     __slots__ = ("tasks", "remaining",
@@ -353,11 +355,12 @@ class TaskBody:
 
     :meth:`run` executes one task (hooks, kernel, tally, write-back);
     :meth:`solve_column` / :meth:`update_column` are the panel sweep's
-    stacked calls over :attr:`columns`.  ``tiles`` is anything
-    indexable by tile key — a :class:`MatrixTiles` view or a plain
-    dict.  Safe to call from many threads on independent tasks
-    and distinct columns: :attr:`lock` guards the shared tally
-    (executors also build their dispatch state on it).
+    stacked calls over :attr:`columns`, each under the same hooks
+    (:meth:`hooked`: one attempt is one kernel call).  ``tiles`` is
+    anything indexable by tile key — a :class:`MatrixTiles` view or a
+    plain dict.  Safe to call from many threads on independent tasks
+    and distinct columns: :attr:`lock` guards the shared tally (the
+    sweep also counts its units in flight under it).
     """
 
     tiles: object
@@ -368,7 +371,7 @@ class TaskBody:
     chaos: ChaosInjector | None = None
     epoch: int = 0
     check_finite: bool = False
-    #: The riding tiles of a panel sweep (``None`` on per-tile loops).
+    #: The riding tiles of a panel sweep (``None`` in a worker process).
     columns: ColumnStacks | None = None
     #: Every call is timed onto its timeline when it traces.
     recorder: "RunRecorder | None" = None
@@ -406,35 +409,86 @@ class TaskBody:
             )
         return K.potrf(tiles[task.output], index=task.output)
 
-    def compute(self, task: Task) -> tuple[Tile, int]:
-        """``(output tile, attempts)`` of ``task`` under the hooks,
-        without writing anything back."""
-        if self._plain:
-            return self.kernel(task), 1
+    def hooked(self, site: Task, call, corrupt, bad_tile) -> tuple:
+        """``(result, attempts)`` of one kernel call — a tile op or a
+        stacked call — under the hooks.  ``site`` is the task whose
+        uid keys the chaos draws and the retry jitter.  One attempt is
+        the chaos perturbation, ``call()``, the chaos corruption
+        (``corrupt(out, inject)`` hands ``inject`` the site's output
+        tile and returns ``out`` with whatever came back) and the
+        finite check (``bad_tile(out)``: index of the first non-finite
+        output tile, or ``None``) — no state update, so a failure is
+        retryable; what the retry policy absorbed is tallied here
+        (``stats.retries``: ``attempts - 1`` per call)."""
         chaos = self.chaos
-        attempts = 0
+        tries = 0
 
-        def attempt(number: int) -> Tile:
-            # Chaos perturbation, the kernel, chaos corruption, the
-            # finite check — no state update, so a failure is retryable.
-            nonlocal attempts
-            attempts = number
+        def attempt(number: int):
+            nonlocal tries
+            tries = number
             if chaos is not None:
-                chaos.perturb_task(self.epoch, task.uid, number)
-            out = self.kernel(task)
+                chaos.perturb_task(self.epoch, site.uid, number)
+            out = call()
             if chaos is not None:
-                out = chaos.corrupt_tile(out, self.epoch, task.uid, number)
-            if self.check_finite and not _tile_is_finite(out):
+                out = corrupt(out, lambda tile: chaos.corrupt_tile(
+                    tile, self.epoch, site.uid, number
+                ))
+            bad = bad_tile(out) if self.check_finite else None
+            if bad is not None:
                 raise NumericalCorruptionError(
-                    f"task {task.op}@{task.output} produced non-finite "
+                    f"task {site.op}@{bad} produced non-finite "
                     f"values (attempt {number})",
-                    tile_index=task.output,
+                    tile_index=bad,
                 )
             return out
 
         if self.retry is None:
             return attempt(1), 1
-        return self.retry.call(attempt, site=task.uid), attempts
+        out = self.retry.call(attempt, site=site.uid)
+        if tries > 1:
+            with self.lock:
+                self.stats.retries += tries - 1
+        return out, tries
+
+    def compute(self, task: Task) -> tuple[Tile, int]:
+        """``(output tile, attempts)`` of ``task`` under the hooks,
+        without writing anything back."""
+        if self._plain:
+            return self.kernel(task), 1
+        return self.hooked(
+            task, lambda: self.kernel(task),
+            lambda out, inject: inject(out),
+            lambda out: None if _tile_is_finite(out) else task.output,
+        )
+
+    def stacked(self, op: str, k: int, n: int, run: StackRun, call):
+        """``(new stack, attempts)`` of the stacked call ``call()``
+        that applies panel ``k``'s ``op`` to ``run`` of column ``n``,
+        under the hooks.  The site is the run's first task, one
+        attempt is the whole call, the injector is handed that task's
+        slice (a hit replaces it in a copy of the stack), and a failed
+        finite check names the first non-finite *tile* of the run."""
+        if self._plain:
+            return call(), 1
+
+        def corrupt(stack, inject):
+            tile = DenseTile(stack[0], run.precision)
+            hit = inject(tile)
+            if hit is not tile:
+                stack = stack.copy()
+                stack[0] = hit.data
+            return stack
+
+        def bad_tile(stack):
+            finite = np.isfinite(stack)
+            if finite.all():
+                return None
+            return run.lo + int(np.argmin(finite.all(axis=(1, 2)))), n
+
+        return self.hooked(
+            cholesky_task(len(self.columns.riding), op, k, run.lo, n),
+            call, corrupt, bad_tile,
+        )
 
     def run(self, task: Task) -> None:
         """Execute ``task``, tally it and write its output back."""
@@ -453,9 +507,6 @@ class TaskBody:
             if truncated:
                 with self.lock:
                     tally_settle(self.stats, truncated, kept_dense)
-        if attempts > 1:
-            with self.lock:
-                self.stats.retries += attempts - 1
         tiles[task.output] = out
         if note is not None:
             note(task.op, 1, task, start, attempts, False)
@@ -473,15 +524,17 @@ class TaskBody:
         for run in self.columns.get(k):
             if note is not None:
                 start = time.perf_counter()
-            stack = stacked_trsm(
-                low, run.stack, run.precision,
-                fp16_accumulate_fp32=self.fp16_accumulate_fp32,
+            stack, attempts = self.stacked(
+                "trsm", k, k, run, lambda: stacked_trsm(
+                    low, run.stack, run.precision,
+                    fp16_accumulate_fp32=self.fp16_accumulate_fp32,
+                ),
             )
             for m in range(run.lo, run.hi):
                 tiles[(m, k)] = DenseTile(stack[m - run.lo], run.precision)
             runs.append(run._replace(stack=stack))
             if note is not None:
-                note("trsm", run.hi - run.lo, None, start, 1, True)
+                note("trsm", run.hi - run.lo, None, start, attempts, True)
         self.columns.set(k, runs)
 
     def facing(self, k: int) -> list:
@@ -519,12 +572,15 @@ class TaskBody:
                 stop = min(run.hi, first + len(stack))
                 parts.append(stack[m - first:stop - first])
                 m = stop
-            runs.append(run._replace(stack=stacked_gemm(
-                parts, b, run.stack, run.precision,
-                fp16_accumulate_fp32=self.fp16_accumulate_fp32,
-            )))
+            updated, attempts = self.stacked(
+                "gemm", k, n, run, lambda: stacked_gemm(
+                    parts, b, run.stack, run.precision,
+                    fp16_accumulate_fp32=self.fp16_accumulate_fp32,
+                ),
+            )
+            runs.append(run._replace(stack=updated))
             if note is not None:
-                note("gemm", run.hi - run.lo, None, start, 1, True)
+                note("gemm", run.hi - run.lo, None, start, attempts, True)
         self.columns.set(n, runs)
 
 # ----------------------------------------------------------------------

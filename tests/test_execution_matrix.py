@@ -16,15 +16,15 @@ with the execution settings on the variant, and either
 * produces a factor bit-identical to :func:`tile_cholesky` on the same
   planned covariance, with the setting *demonstrably applied* (the run
   report names the resolved placement and grouping — in this process
-  the panel sweep, ``"stacked"``, unless a task-level hook needs the
-  per-tile heap loop or nothing at all is asked of a TLR variant and
-  the reference loop runs — stacked cells ran stacked calls, chaos
-  fired and was retried,
-  an expired deadline raises from the loop the cell resolved to), or
-* raises :class:`ConfigurationError` (``batch=True`` with task-level
-  retry/chaos; ``batch=True`` with ``backend="process"``, whose workers
-  run one tile op per message — refused when the variant is built,
-  whatever the hook) — never a silently dropped setting.
+  the panel sweep, ``"stacked"``, retry / chaos hooks on its calls,
+  unless nothing at all is asked of a TLR variant and the reference
+  loop runs — stacked cells ran stacked calls, chaos fired and was
+  retried, an expired deadline raises from the loop the cell resolved
+  to), or
+* raises :class:`ConfigurationError` (``batch=True`` with
+  ``backend="process"``, whose workers run one tile op per message —
+  refused when the variant is built, whatever the hook) — never a
+  silently dropped setting.
 
 No ``/dev/shm`` segment or thread outlives a cell.
 """
@@ -252,10 +252,6 @@ def test_cell(placement, grouping, hook, variant, shape, procpool,
         )
         return result, capture
 
-    if hook == "retry+chaos" and grouping == "stacked":
-        with pytest.raises(ConfigurationError, match="stacked"):
-            evaluate(resilience=_RETRY_CHAOS)
-        return
     if hook == "deadline":
         # Expired: raised at the first panel boundary of the sweep (or
         # by the process loop), with nothing left running.
@@ -275,11 +271,10 @@ def test_cell(placement, grouping, hook, variant, shape, procpool,
 
     # What the settings resolve to.  batch=True sizes its pool to the
     # usable CPUs, so a one-CPU host resolves it to the caller's
-    # thread.  In this process everything is the sweep ("stacked")
-    # except the per-tile heap loop a task-level hook needs and the
-    # reference loop, which runs when nothing at all is asked of a
-    # variant that plans low-rank tiles; process workers always run
-    # per tile.
+    # thread.  In this process everything is the sweep ("stacked"),
+    # hooked or not, except the reference loop, which runs when nothing
+    # at all is asked of a variant that plans low-rank tiles; process
+    # workers always run per tile.
     workers = cfg.workers
     if grouping == "stacked" and placement == "thread":
         workers = min(workers, usable_cores())
@@ -288,10 +283,7 @@ def test_cell(placement, grouping, hook, variant, shape, procpool,
         reference_loop = cfg.use_tlr and (placement, grouping, hook) == (
             "inline", "per-tile", "none"
         )
-        grouping = (
-            "per-tile" if hook == "retry+chaos" or reference_loop
-            else "stacked"
-        )
+        grouping = "per-tile" if reference_loop else "stacked"
     factorize = capture.tracer.by_name("factorize")[0]
     resolved = (factorize.attrs["placement"], factorize.attrs["grouping"])
     assert resolved == (placement, grouping)
@@ -431,6 +423,89 @@ def test_expired_deadline_stops_the_sweep_between_panels(
     )
 
 
+# ----------------------------------------------------------------------
+# hooks on the sweep's calls
+# ----------------------------------------------------------------------
+def test_hooked_sweep_schedule_depends_on_the_matrix_alone(
+        nothing_outlives_the_cell):
+    """Seeded chaos under retry on the sweep itself: stacked calls
+    are retried whole, the factor is the reference's, and what fired
+    repeats exactly — across repeats and across pool widths."""
+    reference, ref_stats = _reference("mp-dense", "smalltile")
+    fired = []
+    for workers in (1, 2, 2):
+        matrix, args = _planned("mp-dense", "smalltile")
+        factor, run = execute_cholesky_batched(
+            matrix, workers=workers, clamp=False, retry=_RETRY_CHAOS.retry,
+            chaos=_RETRY_CHAOS.chaos, **args,
+        )
+        _assert_bit_identical(factor, reference)
+        _assert_same_stats(run.stats, ref_stats)
+        assert run.grouping == "stacked" and run.workers == workers
+        assert run.batches > 0
+        fired.append((run.chaos_events, run.stats.retries))
+    assert fired[0][0] > 0 and fired[0][1] > 0
+    assert fired[1:] == fired[:1] * 2
+
+
+def test_finite_check_names_the_riding_tile(nothing_outlives_the_cell):
+    """A stacked call's finite check reports the *tile* that went bad,
+    not the row its run starts at."""
+    gen = np.random.default_rng(5)
+    a = gen.standard_normal((32, 32))
+    matrix = TileMatrix.from_dense(a @ a.T + 32.0 * np.eye(32), 4)
+    assert _riding(matrix)[0] == [(1, 8, Precision.FP64)]
+    poisoned = matrix.get(5, 0).data.copy()
+    poisoned[2, 1] = np.nan
+    matrix.set(5, 0, DenseTile(poisoned))
+    with pytest.raises(NumericalCorruptionError, match="trsm") as raised:
+        execute_cholesky_batched(matrix, check_finite=True)
+    assert raised.value.tile_index == (5, 0)
+
+
+@pytest.mark.parametrize("variant,shape,default_grouping", [
+    ("mp-dense", "smalltile", "stacked"),
+    ("mp-dense-tlr", "interrupted", "per-tile"),
+])
+def test_hooks_through_the_likelihood(variant, shape, default_grouping,
+                                      nothing_outlives_the_cell):
+    """``batch=True`` with retry + chaos runs, and returns the
+    hook-free call's numbers; an expired deadline beside the hooks
+    surfaces from the sweep; inert hooks resolve exactly as none."""
+    x, z, tile, theta = _problem(shape)
+
+    def evaluate(cfg, **hooks):
+        capture = RunCapture()
+        result = loglikelihood(
+            MaternKernel(), theta, x, z, tile_size=tile, variant=cfg,
+            nugget=NUGGET, telemetry=capture, **hooks,
+        )
+        return result, capture
+
+    batched = get_variant(variant).with_(batch=True, workers=2)
+    plain, _ = evaluate(batched)
+    hooked, capture = evaluate(batched, resilience=_RETRY_CHAOS)
+    assert (hooked.value, hooked.logdet, hooked.quadratic) == (
+        plain.value, plain.logdet, plain.quadratic
+    )
+    (run,) = capture.runs
+    assert run.grouping == "stacked"
+    assert run.chaos_events > 0 and run.stats.retries > 0
+
+    with pytest.raises(DeadlineExceededError) as expired:
+        evaluate(batched, resilience=_RETRY_CHAOS, deadline=Deadline(0.0))
+    assert expired.value.where == "execute_cholesky_batched"
+
+    for hooks in ({}, dict(resilience=ResilienceConfig(chaos=ChaosConfig()))):
+        _, capture = evaluate(get_variant(variant), **hooks)
+        factorize = capture.tracer.by_name("factorize")[0]
+        assert (
+            factorize.attrs["placement"], factorize.attrs["grouping"]
+        ) == ("inline", default_grouping)
+        # The reference loop files no run report.
+        assert len(capture.runs) == (default_grouping == "stacked")
+
+
 _PRECISIONS = st.sampled_from(list(Precision))
 
 
@@ -545,7 +620,7 @@ def test_inline_run_lets_an_interrupt_through(monkeypatch):
         raise KeyboardInterrupt
 
     monkeypatch.setattr(taskcore.K, "potrf", interrupted)
-    for hooks in ({}, dict(check_finite=True)):  # the sweep, the heap loop
+    for hooks in ({}, dict(check_finite=True)):  # plain, hooked
         matrix, _ = _planned("dense-fp64", "nt4")
         with pytest.raises(KeyboardInterrupt):
             execute_cholesky_parallel(matrix, workers=1, **hooks)
@@ -676,8 +751,13 @@ def test_no_api_asks_for_a_second_timeline(api):
 def test_the_sweep_takes_no_tuning():
     """No scratch pool to pass in, no group-size threshold: the sweep's
     signature is the harness's arguments plus deadline / telemetry /
-    clamp."""
-    assert set(inspect.signature(execute_cholesky_batched).parameters) == {
+    clamp and the three hook values; the thread door is the same minus
+    ``clamp`` — no ``cancel``."""
+    sweep = set(inspect.signature(execute_cholesky_batched).parameters)
+    assert sweep == {
         "matrix", "workers", "tile_tol", "max_rank", "fp16_accumulate_fp32",
-        "clamp", "deadline", "telemetry",
+        "clamp", "deadline", "retry", "chaos", "check_finite", "telemetry",
     }
+    assert set(
+        inspect.signature(execute_cholesky_parallel).parameters
+    ) == sweep - {"clamp"}

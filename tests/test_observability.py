@@ -393,8 +393,8 @@ class TestRealPaths:
         assert settle.attrs["kept_dense"] == stats.kept_dense
 
     def test_thread_backend_span_nesting(self, problem):
-        """A task-level hook keeps the per-tile heap loop: one span per
-        task, straight under ``factorize``."""
+        """A task-level hook rides the sweep's calls: kernel spans
+        under ``"panel"`` spans under ``factorize``, one per call."""
         kernel, x, z = problem
         telemetry = Telemetry()
         loglikelihood(
@@ -406,19 +406,52 @@ class TestRealPaths:
         factorize = telemetry.tracer.by_name("factorize")[0]
         # The span records what ran, resolved from the variant.
         assert factorize.attrs["placement"] == "thread"
-        assert factorize.attrs["grouping"] == "per-tile"
+        assert factorize.attrs["grouping"] == "stacked"
         assert factorize.attrs["workers"] == 2
-        tasks = [
+        panels = telemetry.tracer.by_name("panel")
+        assert panels and all(p.parent == factorize.sid for p in panels)
+        by_sid = {p.sid: p for p in panels}
+        calls = [
             s for s in telemetry.tracer.spans
             if s.name in ("potrf", "trsm", "syrk", "gemm")
         ]
-        assert tasks, "threaded executor emitted no per-task spans"
-        assert all(s.parent == factorize.sid for s in tasks)
-        assert all(
-            factorize.start <= s.start <= s.end <= factorize.end
-            for s in tasks
+        assert calls, "the hooked sweep emitted no kernel spans"
+        for span in calls:
+            panel = by_sid[span.parent]
+            assert panel.start <= span.start <= span.end <= panel.end
+        per_tile = [s for s in calls if not s.attrs["batched"]]
+        assert per_tile and all(
+            {"uid", "tile", "worker", "attempt"} <= set(s.attrs)
+            for s in per_tile
         )
-        assert {"uid", "tile", "worker", "attempt"} <= set(tasks[0].attrs)
+
+    def test_retried_stacked_call_says_so(self, problem):
+        """Seeded chaos under retry: a stacked call that was re-run
+        carries its attempt count, and the spans' extra attempts are
+        exactly the report's retries."""
+        kernel, x, z = problem
+        telemetry = Telemetry()
+        result = loglikelihood(
+            kernel, THETA, x, z, tile_size=20,
+            variant=get_variant("mp-dense").with_(workers=2),
+            nugget=NUGGET, telemetry=telemetry,
+            resilience=ResilienceConfig(
+                retry=RetryPolicy(
+                    max_attempts=12, base_delay_s=0.0, max_delay_s=0.0
+                ),
+                chaos=ChaosConfig(seed=12, tile_nan_rate=0.3),
+            ),
+        )
+        calls = [
+            s for s in telemetry.tracer.spans
+            if s.name in ("potrf", "trsm", "syrk", "gemm")
+        ]
+        assert any(
+            s.attrs["batched"] and s.attrs["attempt"] > 1 for s in calls
+        )
+        assert sum(s.attrs["attempt"] - 1 for s in calls) == (
+            result.stats.retries
+        )
 
     @pytest.mark.parametrize("batch", [False, True])
     def test_sweep_panel_spans(self, problem, batch):

@@ -355,15 +355,27 @@ class TestChaosInjector:
 class TestExecutorResilience:
     def test_worker_crash_drains_pool(self):
         """A crashing task must propagate its error and join every
-        worker — the seed executor deadlocked here (satellite 1)."""
+        worker — the seed executor deadlocked here (satellite 1).
+        Without retry the first call's injection is the failure, at
+        either width; a corrupted POTRF output is caught at tile
+        ``(0, 0)``."""
         tm = random_spd_tilematrix(96, 16, seed=4)
         before = threading.active_count()
-        with pytest.raises(SchedulingError) as excinfo:
-            execute_cholesky_parallel(
-                tm, workers=4,
-                chaos=ChaosConfig(seed=2, task_fail_rate=1.0),
-            )
-        assert isinstance(excinfo.value.__cause__, ChaosError)
+        for workers in (1, 4):
+            with pytest.raises(SchedulingError) as excinfo:
+                execute_cholesky_parallel(
+                    tm.copy(), workers=workers,
+                    chaos=ChaosConfig(seed=2, task_fail_rate=1.0),
+                )
+            assert isinstance(excinfo.value.__cause__, ChaosError)
+            with pytest.raises(SchedulingError) as excinfo:
+                execute_cholesky_parallel(
+                    tm.copy(), workers=workers,
+                    chaos=ChaosConfig(seed=2, tile_nan_rate=1.0),
+                )
+            cause = excinfo.value.__cause__
+            assert isinstance(cause, NumericalCorruptionError)
+            assert cause.tile_index == (0, 0)
         deadline = time.monotonic() + 5.0
         while threading.active_count() > before:
             assert time.monotonic() < deadline, "worker threads leaked"
