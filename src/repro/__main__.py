@@ -179,6 +179,9 @@ def _cmd_profile(args) -> int:
     resolved = telemetry.tracer.by_name("factorize")[0].attrs
     print("  factorized on: placement={placement} grouping={grouping} "
           "workers={workers}".format(**resolved))
+    generated = telemetry.tracer.by_name("generate")[0].attrs
+    print("  generated on: elementwise={elementwise} chunks={chunks} "
+          "workers={workers}".format(**generated))
     print(f"  {len(telemetry.tracer)} span(s), "
           f"{len(telemetry.tracer.sorted_events())} event(s), "
           f"{len(telemetry.registry.metrics())} metric(s)")

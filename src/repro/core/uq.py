@@ -28,8 +28,8 @@ from scipy import special
 from ..exceptions import NotPositiveDefiniteError, OptimizationError, ParameterError
 from ..kernels.base import CovarianceKernel
 from ..tile.geometry import GeometryCache
-from .likelihood import loglikelihood
-from .variants import DENSE_FP64, VariantConfig, get_variant
+from .engine import EvaluationEngine
+from .variants import DENSE_FP64, VariantConfig
 
 __all__ = [
     "MLEUncertainty",
@@ -39,26 +39,13 @@ __all__ = [
 ]
 
 
-def _loglik_fn(
-    kernel: CovarianceKernel,
-    x: np.ndarray,
-    z: np.ndarray,
-    tile_size: int,
-    variant: VariantConfig,
-    nugget: float,
-    cache: GeometryCache | None = None,
-):
-    def fn(theta: np.ndarray) -> float:
-        try:
-            return loglikelihood(
-                kernel, theta, x, z,
-                tile_size=tile_size, variant=variant, nugget=nugget,
-                cache=cache,
-            ).value
-        except (NotPositiveDefiniteError, ParameterError):
-            return -np.inf
-
-    return fn
+def _value(engine: EvaluationEngine, theta: np.ndarray) -> float:
+    """Log-likelihood at ``theta``; ``-inf`` where the covariance is
+    not positive definite or ``theta`` leaves the parameter domain."""
+    try:
+        return engine.evaluate(theta).value
+    except (NotPositiveDefiniteError, ParameterError):
+        return -np.inf
 
 
 def _steps(kernel: CovarianceKernel, theta: np.ndarray, rel: float) -> np.ndarray:
@@ -89,42 +76,45 @@ def observed_information(
     """Observed information ``I = -Hessian(loglik)`` at ``theta_hat``
     by central second differences (O(p^2) likelihood evaluations).
 
-    ``cache`` shares theta-independent tile geometry across the
-    evaluations — the Hessian's O(p^2) factorizations all reuse one
-    geometry build, the same amortization the serving engine applies
-    to prediction.
+    All ``1 + 2p + 2p(p-1)`` evaluations run on one
+    :class:`~repro.core.engine.EvaluationEngine`, so they share one
+    geometry build (and, for TLR variants, warm rank hints) — the same
+    amortization the serving engine applies to prediction.  ``cache``
+    shares that geometry with other calls as well; by default the
+    engine owns one for the duration of this call.
     """
-    cfg = get_variant(variant)
     theta_hat = kernel.validate_theta(theta_hat)
-    fn = _loglik_fn(kernel, x, z, tile_size, cfg, nugget, cache)
     p = theta_hat.shape[0]
     h = _steps(kernel, theta_hat, rel_step)
-    f0 = fn(theta_hat)
-    if not np.isfinite(f0):
-        raise OptimizationError("likelihood not finite at theta_hat")
-
     hess = np.empty((p, p))
-    # Diagonal: standard central second difference.
-    for i in range(p):
-        e = np.zeros(p)
-        e[i] = h[i]
-        fp = fn(theta_hat + e)
-        fm = fn(theta_hat - e)
-        hess[i, i] = (fp - 2.0 * f0 + fm) / h[i] ** 2
-    # Off-diagonal: four-point formula.
-    for i in range(p):
-        for j in range(i + 1, p):
-            ei = np.zeros(p)
-            ej = np.zeros(p)
-            ei[i] = h[i]
-            ej[j] = h[j]
-            fpp = fn(theta_hat + ei + ej)
-            fpm = fn(theta_hat + ei - ej)
-            fmp = fn(theta_hat - ei + ej)
-            fmm = fn(theta_hat - ei - ej)
-            hess[i, j] = hess[j, i] = (
-                (fpp - fpm - fmp + fmm) / (4.0 * h[i] * h[j])
-            )
+    with EvaluationEngine(
+        kernel, x, z, tile_size=tile_size, variant=variant, nugget=nugget,
+        cache=cache,
+    ) as engine:
+        f0 = _value(engine, theta_hat)
+        if not np.isfinite(f0):
+            raise OptimizationError("likelihood not finite at theta_hat")
+        # Diagonal: standard central second difference.
+        for i in range(p):
+            e = np.zeros(p)
+            e[i] = h[i]
+            fp = _value(engine, theta_hat + e)
+            fm = _value(engine, theta_hat - e)
+            hess[i, i] = (fp - 2.0 * f0 + fm) / h[i] ** 2
+        # Off-diagonal: four-point formula.
+        for i in range(p):
+            for j in range(i + 1, p):
+                ei = np.zeros(p)
+                ej = np.zeros(p)
+                ei[i] = h[i]
+                ej[j] = h[j]
+                fpp = _value(engine, theta_hat + ei + ej)
+                fpm = _value(engine, theta_hat + ei - ej)
+                fmp = _value(engine, theta_hat - ei + ej)
+                fmm = _value(engine, theta_hat - ei - ej)
+                hess[i, j] = hess[j, i] = (
+                    (fpp - fpm - fmp + fmm) / (4.0 * h[i] * h[j])
+                )
     if not np.all(np.isfinite(hess)):
         raise OptimizationError(
             "Hessian evaluation hit the parameter boundary; "
@@ -221,8 +211,9 @@ def profile_likelihood(
     cache: GeometryCache | None = None,
 ) -> np.ndarray:
     """Log-likelihood along one parameter axis with the others fixed at
-    ``theta_hat`` (the cheap fixed-profile, not the re-optimized one)."""
-    cfg = get_variant(variant)
+    ``theta_hat`` (the cheap fixed-profile, not the re-optimized one).
+    One :class:`~repro.core.engine.EvaluationEngine` serves every
+    value, as in :func:`observed_information`."""
     theta_hat = kernel.validate_theta(theta_hat)
     try:
         k = kernel.param_names.index(param)
@@ -230,10 +221,13 @@ def profile_likelihood(
         raise ParameterError(
             f"unknown parameter {param!r}; choose from {kernel.param_names}"
         ) from None
-    fn = _loglik_fn(kernel, x, z, tile_size, cfg, nugget, cache)
     out = np.empty(len(values))
-    for i, v in enumerate(np.asarray(values, dtype=np.float64)):
-        theta = theta_hat.copy()
-        theta[k] = v
-        out[i] = fn(theta)
+    with EvaluationEngine(
+        kernel, x, z, tile_size=tile_size, variant=variant, nugget=nugget,
+        cache=cache,
+    ) as engine:
+        for i, v in enumerate(np.asarray(values, dtype=np.float64)):
+            theta = theta_hat.copy()
+            theta[k] = v
+            out[i] = _value(engine, theta)
     return out

@@ -52,8 +52,10 @@ class VariantConfig:
     :class:`~repro.exceptions.ConfigurationError` — none is silently
     dropped (DESIGN.md "Execution").
 
-    * ``workers`` — width of the pools for tile generation,
-      compression and the factorization.
+    * ``workers`` — threads the covariance generation deals its
+      slices over (an element-wise kernel evaluates one flat buffer in
+      cache-sized slices; any other kernel's tiles are dealt instead),
+      and width of the pools for compression and the factorization.
     * ``backend`` — where factorization tasks run: ``"thread"``
       (default; a worker-thread pool, or the caller's thread at
       ``workers=1`` — the panel sweep there too, except that a TLR
@@ -61,10 +63,11 @@ class VariantConfig:
       :func:`~repro.tile.cholesky.tile_cholesky`) or
       ``"process"`` (shared-memory worker processes running one tile
       op per message, :mod:`repro.runtime.procpool`).
-    * ``batch`` — stacked grouping: assembly generates tile groups in
-      stacked calls and the factorization is the panel sweep (a
-      column's dense tiles as single stacked-BLAS calls,
-      :mod:`repro.tile.batch`), pools sized to the usable CPUs.
+    * ``batch`` — stacked grouping: assembly compresses whole shape
+      classes of tiles in stacked SVD calls and the factorization is
+      the panel sweep (a column's dense tiles as single stacked-BLAS
+      calls, :mod:`repro.tile.batch`), pools sized to the usable CPUs.
+      It does not touch covariance generation, which has one path.
       Task-level retry/chaos attach to the sweep's calls; cannot
       combine with ``backend="process"`` (raises).
 

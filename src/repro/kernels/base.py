@@ -13,7 +13,8 @@ can label estimates.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -27,16 +28,30 @@ __all__ = [
     "check_theta",
     "concat_flat",
     "split_flat",
+    "array_fields",
+    "merge_geometry",
+    "GEOMETRY_CHUNK",
 ]
+
+#: Entries of a flat geometry evaluated per kernel call.  32 K float64
+#: entries are 256 KB: the slice of distances, the scaled copy the
+#: kernel makes of it and the values it returns stay in a core's L2
+#: from one ufunc pass to the next, where a whole covariance (13 MB at
+#: n = 1800) streams through memory once per pass and a single small
+#: tile (7 KB at tile 30) pays a Python call per 900 entries.
+#: Not larger: two 512 KB temporaries per slice cross glibc's default
+#: trim threshold and every slice then maps and unmaps its memory
+#: (n = 3600: 72 ms against 40 ms); between 8 K and 32 K entries the
+#: time is flat (EXPERIMENTS.md, PR 23).
+GEOMETRY_CHUNK = 1 << 15
 
 
 def concat_flat(arrays: list[np.ndarray]) -> tuple[np.ndarray, list[tuple[int, ...]]]:
     """Concatenate arrays into one flat buffer, remembering shapes.
 
-    The workhorse of ``_cross_geometry_batch`` overrides: element-wise
-    kernel math on the concatenation is bit-identical to per-array
-    evaluation (ufuncs have no cross-element coupling), so one
-    vectorized call covers every tile of a fit.
+    Element-wise kernel math on the concatenation is bit-identical to
+    per-array evaluation (ufuncs have no cross-element coupling), so
+    the entries of many tiles can be evaluated in slices of any length.
     """
     shapes = [a.shape for a in arrays]
     if not arrays:
@@ -57,6 +72,29 @@ def split_flat(
         out.append(flat[pos:pos + n].reshape(shape))
         pos += n
     return out
+
+
+def array_fields(geom: object) -> dict[str, np.ndarray]:
+    """The array-valued fields of a geometry object, by name."""
+    return {
+        name: value for name, value in vars(geom).items()
+        if isinstance(value, np.ndarray)
+    }
+
+
+def merge_geometry(geoms: list[object]) -> tuple[object, list[tuple[int, ...]]]:
+    """Merge the geometries of many tiles of an element-wise kernel
+    (:attr:`CovarianceKernel.elementwise_geometry`) into one whose
+    array fields are the flat concatenations, plus the tile shapes
+    :func:`split_flat` needs to cut the evaluated values apart again.
+    Non-array fields are the first geometry's; element-wise math reads
+    none of them.
+    """
+    shapes: list[tuple[int, ...]] = []
+    merged = {}
+    for name in array_fields(geoms[0]):
+        merged[name], shapes = concat_flat([getattr(g, name) for g in geoms])
+    return replace(geoms[0], **merged), shapes
 
 
 @dataclass(frozen=True)
@@ -116,11 +154,30 @@ class CovarianceKernel(abc.ABC):
     entry points are :meth:`__call__` (cross-covariance between two
     location sets) and :meth:`covariance_matrix` (symmetric matrix for
     one set, exact-zero-distance diagonal handled).
+
+    Repeated evaluation at many ``theta`` goes through theta-independent
+    geometry: :meth:`prepare_geometry` / :meth:`from_geometry` per
+    tile, and — for a kernel that declares
+    :attr:`elementwise_geometry` — :meth:`from_flat_geometry` over the
+    merged geometry of many tiles, evaluated in slices of
+    :data:`GEOMETRY_CHUNK` entries.  The base class owns that merge,
+    slice and split; a subclass writes its geometry math once, in
+    :meth:`_cross_geometry`.
     """
 
     #: Expected number of columns of the location arrays (e.g. 2 for 2-D
     #: space, 3 for 2-D space + time).  ``None`` means any.
     ndim_locations: int | None = None
+
+    #: True when :meth:`_cross_geometry` is element-wise: every array
+    #: field of the geometry has the shape of the tile, and entry
+    #: ``[a, b]`` of the result is a function of entry ``[a, b]`` of
+    #: those fields and ``theta`` alone.  Such a kernel's tiles are
+    #: evaluated together from one flat buffer in cache-sized slices
+    #: (:meth:`from_flat_geometry`); any other kernel is evaluated tile
+    #: by tile.  A fact about the kernel's math, not a setting; kernels
+    #: that share a :meth:`geometry_key` share it too.
+    elementwise_geometry: bool = False
 
     @property
     @abc.abstractmethod
@@ -194,9 +251,13 @@ class CovarianceKernel(abc.ABC):
         computation.  Kernels that opt in must keep the arithmetic
         bit-compatible with ``_cross`` wherever possible (the geometry
         cache is on by default in :func:`~repro.core.mle.fit_mle`) and
-        must never mutate the cached arrays.
+        must never mutate the cached arrays.  Every kernel also accepts
+        a :class:`PairGeometry` — the location pair itself, evaluated
+        by ``_cross``.
         """
         theta = self.validate_theta(theta)
+        if isinstance(geom, PairGeometry):
+            return self._cross(theta, geom.x1, geom.x2)
         return self._cross_geometry(theta, geom)
 
     def _cross_geometry(self, theta: np.ndarray, geom: object) -> np.ndarray:
@@ -208,19 +269,54 @@ class CovarianceKernel(abc.ABC):
             )
         return self._cross(theta, geom.x1, geom.x2)
 
+    def from_flat_geometry(
+        self, theta: np.ndarray, flat: object, *, workers: int = 1
+    ) -> np.ndarray:
+        """Values of an element-wise kernel over a merged geometry
+        (:func:`merge_geometry`), as one flat float64 array.
+
+        The entries are evaluated by :meth:`_cross_geometry` in slices
+        of :data:`GEOMETRY_CHUNK`, dealt round-robin over ``workers``
+        threads when there is more than one slice and more than one
+        worker (the ufuncs and ``special.kve`` release the GIL; one
+        task per thread, because a pool task per slice costs more than
+        a cheap kernel's slice).  Each slice writes its own part of the
+        result, so the values do not depend on the chunk size, the
+        width or the scheduling.
+        """
+        theta = self.validate_theta(theta)
+        fields = array_fields(flat)
+        out = np.empty_like(next(iter(fields.values())), dtype=np.float64)
+        starts = range(0, out.size, GEOMETRY_CHUNK)
+        width = max(1, min(workers, len(starts)))
+
+        def deal(worker: int) -> None:
+            for lo in starts[worker::width]:
+                hi = lo + GEOMETRY_CHUNK  # past the end on the last slice
+                piece = replace(
+                    flat, **{name: arr[lo:hi] for name, arr in fields.items()}
+                )
+                out[lo:hi] = self._cross_geometry(theta, piece)
+
+        if width == 1:
+            deal(0)
+        else:
+            with ThreadPoolExecutor(max_workers=width) as pool:
+                # Reading the results re-raises a slice's error.
+                list(pool.map(deal, range(width)))
+        return out
+
     def from_geometry_batch(
         self, theta: np.ndarray, geoms: list[object]
     ) -> list[np.ndarray]:
         """Cross-covariances of *many* tiles at one ``theta``.
 
-        Equivalent to ``[self.from_geometry(theta, g) for g in geoms]``
-        but with ``theta`` validated once and — for kernels that
-        override :meth:`_cross_geometry_batch` — the transcendental
-        kernel math evaluated in a single vectorized call over the
-        concatenated geometry (one ``special.kve`` invocation per fit
-        instead of one per tile).  Overrides must stay bit-identical to
-        the per-tile path; element-wise math on a concatenation
-        guarantees that for free.
+        Equal, bit for bit, to ``[self.from_geometry(theta, g) for g in
+        geoms]`` with ``theta`` validated once.  An element-wise kernel
+        (:attr:`elementwise_geometry`) merges the geometries and
+        evaluates them in cache-sized slices
+        (:meth:`from_flat_geometry`); the tiles returned are views of
+        one buffer.  Any other kernel is evaluated tile by tile.
         """
         theta = self.validate_theta(theta)
         return self._cross_geometry_batch(theta, list(geoms))
@@ -228,11 +324,11 @@ class CovarianceKernel(abc.ABC):
     def _cross_geometry_batch(
         self, theta: np.ndarray, geoms: list[object]
     ) -> list[np.ndarray]:
-        """Batched evaluation on validated ``theta``.  The base
-        implementation loops :meth:`_cross_geometry` (full correctness,
-        no fusion); kernels whose math is element-wise override it with
-        a concat-evaluate-split."""
-        return [self._cross_geometry(theta, geom) for geom in geoms]
+        """:meth:`from_geometry_batch` on validated ``theta``."""
+        if not (self.elementwise_geometry and geoms):
+            return [self._cross_geometry(theta, geom) for geom in geoms]
+        flat, shapes = merge_geometry(geoms)
+        return split_flat(self.from_flat_geometry(theta, flat), shapes)
 
     def covariance_matrix(
         self, theta: np.ndarray, x: np.ndarray, *, nugget: float = 0.0

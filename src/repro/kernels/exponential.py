@@ -15,27 +15,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import CovarianceKernel, ParameterSpec, concat_flat, split_flat
-from .distance import as_locations, cross_distance, cross_sq_distance
-from .matern import DistanceGeometry
+from .base import CovarianceKernel, ParameterSpec
+from .distance import cross_distance, cross_sq_distance
+from .matern import DistanceGeometry, _DistanceGeometryMixin
 
 __all__ = ["ExponentialKernel", "PoweredExponentialKernel", "GaussianKernel"]
-
-
-class _DistanceGeometryMixin:
-    """Shared geometry plumbing for kernels that only need the
-    Euclidean distance matrix (theta enters afterwards)."""
-
-    def geometry_key(self) -> str:
-        return f"dist/{self.ndim_locations}"
-
-    def prepare_geometry(
-        self, x1: np.ndarray, x2: np.ndarray | None = None
-    ) -> DistanceGeometry:
-        x1 = as_locations(x1, dim=self.ndim_locations)
-        same = x2 is None
-        x2v = x1 if same else as_locations(x2, dim=self.ndim_locations)
-        return DistanceGeometry(cross_distance(x1, x2v), same)
 
 
 class ExponentialKernel(_DistanceGeometryMixin, CovarianceKernel):
@@ -63,20 +47,6 @@ class ExponentialKernel(_DistanceGeometryMixin, CovarianceKernel):
         variance, rng = theta
         r = geom.r / -rng
         return variance * np.exp(r, out=r)
-
-    def _cross_geometry_batch(
-        self, theta: np.ndarray, geoms: list[DistanceGeometry]
-    ) -> list[np.ndarray]:
-        # Element-wise exp over the concatenated distances of every
-        # tile; bit-identical to the per-tile loop.  ``flat`` is a fresh
-        # concatenation, so the whole sweep runs in place — at n=1800
-        # the three temporaries this avoids are ~26 MB each.
-        variance, rng = theta
-        flat, shapes = concat_flat([g.r for g in geoms])
-        flat /= -rng
-        np.exp(flat, out=flat)
-        flat *= variance
-        return split_flat(flat, shapes)
 
 
 class PoweredExponentialKernel(_DistanceGeometryMixin, CovarianceKernel):
@@ -113,10 +83,14 @@ class PoweredExponentialKernel(_DistanceGeometryMixin, CovarianceKernel):
         return variance * np.exp(-out, out=out)
 
 
-class GaussianKernel(CovarianceKernel):
+class GaussianKernel(_DistanceGeometryMixin, CovarianceKernel):
     """``C(r) = variance * exp(-(r / range)^2 / 2)`` (squared
     exponential); analytically smooth, so its covariance matrices have
     near-minimal off-diagonal tile ranks."""
+
+    # Squared distances (what the kernel consumes directly).
+    _distance = staticmethod(cross_sq_distance)
+    _geometry_tag = "sqdist"
 
     def __init__(self, ndim: int | None = 2):
         self.ndim_locations = ndim
@@ -134,29 +108,9 @@ class GaussianKernel(CovarianceKernel):
         d2 /= -2.0 * rng * rng
         return variance * np.exp(d2, out=d2)
 
-    def geometry_key(self) -> str:
-        return f"sqdist/{self.ndim_locations}"
-
-    def prepare_geometry(
-        self, x1: np.ndarray, x2: np.ndarray | None = None
-    ) -> DistanceGeometry:
-        # Squared distances (what the kernel consumes directly).
-        x1 = as_locations(x1, dim=self.ndim_locations)
-        same = x2 is None
-        x2v = x1 if same else as_locations(x2, dim=self.ndim_locations)
-        return DistanceGeometry(cross_sq_distance(x1, x2v), same)
-
     def _cross_geometry(
         self, theta: np.ndarray, geom: DistanceGeometry
     ) -> np.ndarray:
         variance, rng = theta
         d2 = geom.r / (-2.0 * rng * rng)
         return variance * np.exp(d2, out=d2)
-
-    def _cross_geometry_batch(
-        self, theta: np.ndarray, geoms: list[DistanceGeometry]
-    ) -> list[np.ndarray]:
-        variance, rng = theta
-        flat, shapes = concat_flat([g.r for g in geoms])
-        d2 = flat / (-2.0 * rng * rng)
-        return split_flat(variance * np.exp(d2, out=d2), shapes)

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import CovarianceKernel, ParameterSpec, concat_flat, split_flat
+from .base import CovarianceKernel, ParameterSpec
 from .distance import as_locations, cross_space_time_lags
 from .matern import matern_correlation
 
@@ -71,6 +71,8 @@ class GneitingMaternKernel(CovarianceKernel):
     Locations are ``(n, space_dim + 1)`` arrays whose last column is
     time.  Default ``space_dim = 2`` (the paper's 2-D space-time data).
     """
+
+    elementwise_geometry = True
 
     def __init__(self, space_dim: int = 2):
         if space_dim < 1:
@@ -132,27 +134,6 @@ class GneitingMaternKernel(CovarianceKernel):
         c *= variance
         c /= psi
         return c
-
-    def _cross_geometry_batch(
-        self, theta: np.ndarray, geoms: list[SpaceTimeGeometry]
-    ) -> list[np.ndarray]:
-        # Concatenate the spatial and temporal lags of every tile and
-        # run Eq. (6) once — element-wise throughout (temporal_decay,
-        # matern_correlation, the scalings), so bit-identical to the
-        # per-tile loop but with a single special.kve sweep per fit.
-        variance, a_s, nu, a_t, alpha, beta = theta
-        h, shapes = concat_flat([g.h for g in geoms])
-        u, _ = concat_flat([g.u for g in geoms])
-        psi = temporal_decay(u, a_t, alpha)
-        if beta > 0.0:
-            scale = np.exp((beta / 2.0) * np.log(psi))
-            arg = h / (a_s * scale)
-        else:
-            arg = h / a_s
-        c = matern_correlation(arg, nu)
-        c *= variance
-        c /= psi
-        return split_flat(c, shapes)
 
     def is_separable(self, theta: np.ndarray, *, tol: float = 1.0e-12) -> bool:
         """True when the interaction parameter ``beta`` is (numerically)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .base import CovarianceKernel, ParameterSpec, concat_flat, split_flat
+from .base import CovarianceKernel, ParameterSpec
 from .distance import as_locations, cross_distance
 
 __all__ = ["matern_correlation", "DistanceGeometry", "MaternKernel"]
@@ -32,7 +32,8 @@ __all__ = ["matern_correlation", "DistanceGeometry", "MaternKernel"]
 
 @dataclass(frozen=True)
 class DistanceGeometry:
-    """Cached Euclidean distances for isotropic kernels.
+    """Cached Euclidean distances (squared, for the Gaussian kernel)
+    for isotropic kernels.
 
     ``r`` carries the exact-zero diagonal of same-set evaluation when
     ``same`` is true; consumers must not mutate it.
@@ -40,6 +41,30 @@ class DistanceGeometry:
 
     r: np.ndarray
     same: bool
+
+
+class _DistanceGeometryMixin:
+    """Shared geometry plumbing for kernels that only need a matrix of
+    Euclidean distances (theta enters afterwards, element by element)."""
+
+    elementwise_geometry = True
+
+    #: What is cached of a location pair, and its tag in the cache key:
+    #: kernels with the same tag share geometry over the same locations.
+    _distance = staticmethod(cross_distance)
+    _geometry_tag = "dist"
+
+    def geometry_key(self) -> str:
+        return f"{self._geometry_tag}/{self.ndim_locations}"
+
+    def prepare_geometry(
+        self, x1: np.ndarray, x2: np.ndarray | None = None
+    ) -> DistanceGeometry:
+        x1 = as_locations(x1, dim=self.ndim_locations)
+        same = x2 is None
+        x2v = x1 if same else as_locations(x2, dim=self.ndim_locations)
+        return DistanceGeometry(self._distance(x1, x2v), same)
+
 
 _HALF_INTEGER_TOL = 1.0e-12
 
@@ -109,7 +134,7 @@ def matern_correlation(r: np.ndarray, nu: float, *, scaled: bool = True) -> np.n
     return out
 
 
-class MaternKernel(CovarianceKernel):
+class MaternKernel(_DistanceGeometryMixin, CovarianceKernel):
     """Stationary isotropic Matérn kernel.
 
     ``theta = (variance, range, smoothness)`` matching Table I of the
@@ -149,19 +174,6 @@ class MaternKernel(CovarianceKernel):
             c[r == 0.0] += self.nugget
         return c
 
-    def geometry_key(self) -> str:
-        # Plain Euclidean distances: shareable with every other
-        # isotropic kernel over the same locations.
-        return f"dist/{self.ndim_locations}"
-
-    def prepare_geometry(
-        self, x1: np.ndarray, x2: np.ndarray | None = None
-    ) -> DistanceGeometry:
-        x1 = as_locations(x1, dim=self.ndim_locations)
-        same = x2 is None
-        x2v = x1 if same else as_locations(x2, dim=self.ndim_locations)
-        return DistanceGeometry(cross_distance(x1, x2v), same)
-
     def _cross_geometry(
         self, theta: np.ndarray, geom: DistanceGeometry
     ) -> np.ndarray:
@@ -173,20 +185,6 @@ class MaternKernel(CovarianceKernel):
         if self.nugget:
             c[r == 0.0] += self.nugget
         return c
-
-    def _cross_geometry_batch(
-        self, theta: np.ndarray, geoms: list[DistanceGeometry]
-    ) -> list[np.ndarray]:
-        # One matern_correlation call (hence one special.kve sweep on
-        # the generic-nu path) over all tiles; element-wise math on the
-        # concatenation is bit-identical to the per-tile loop.
-        variance, rng, nu = theta
-        flat, shapes = concat_flat([g.r for g in geoms])
-        r = flat / rng
-        c = variance * matern_correlation(r, nu)
-        if self.nugget:
-            c[r == 0.0] += self.nugget
-        return split_flat(c, shapes)
 
     def correlation_at(self, theta: np.ndarray, distance: float) -> float:
         """Scalar correlation at a given distance — handy for

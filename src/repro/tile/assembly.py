@@ -6,8 +6,10 @@ the global Frobenius norm on the fly, decides each tile's precision
 and only then starts the factorization.  :func:`build_planned_covariance`
 reproduces that pipeline:
 
-1. generate every lower tile dense FP64 (one kernel evaluation per
-   tile — the full matrix is never formed as a single array);
+1. generate every lower tile dense FP64 from theta-independent
+   geometry (an element-wise kernel evaluates the tiles' one flat
+   buffer in cache-sized slices, any other kernel tile by tile — the
+   full square matrix is never formed);
 2. accumulate tile norms -> global norm;
 3. precision map (adaptive Frobenius rule, or the legacy band rule);
 4. TLR compression of off-diagonal tiles at the tile-level tolerance
@@ -29,7 +31,7 @@ from ..config import (
     DEFAULT_TLR_TOLERANCE,
 )
 from ..exceptions import ConfigurationError
-from ..kernels.base import CovarianceKernel
+from ..kernels.base import GEOMETRY_CHUNK, CovarianceKernel, split_flat
 from ..kernels.distance import as_locations
 from ..obs.telemetry import maybe_span
 from ..perfmodel.machine import A64FX, MachineSpec
@@ -41,7 +43,12 @@ from .decisions import (
     frobenius_precision_map,
     structure_map,
 )
-from .geometry import GeometryCache, TileGeometry, locations_fingerprint
+from .geometry import (
+    GeometryCache,
+    TileGeometry,
+    build_tile_geometry,
+    locations_fingerprint,
+)
 from .layout import TileLayout
 from .matrix import TileMatrix
 from .precision import Precision
@@ -70,80 +77,50 @@ def _generate_blocks(
     *,
     geometry: TileGeometry | None = None,
     workers: int = 1,
-    batch: bool = False,
     need_norms: bool = True,
 ) -> tuple[dict[tuple[int, int], np.ndarray], dict[tuple[int, int], float], float]:
     """Evaluate every lower tile of the covariance; return blocks,
     per-tile Frobenius norms, and the accumulated global norm.
 
-    With ``geometry`` set, tiles are produced from the precomputed
-    theta-independent geometry through
-    :meth:`~repro.kernels.base.CovarianceKernel.from_geometry`.  With
-    ``workers > 1`` tiles are generated by a thread pool; norms are
-    reduced afterwards in layout order, so the accumulated global norm
-    is independent of thread scheduling.
-
-    ``batch=True`` evaluates *all* tiles in one
-    :meth:`~repro.kernels.base.CovarianceKernel.from_geometry_batch`
-    call over the concatenated geometry — one transcendental sweep per
-    evaluation instead of one per tile, bit-identical for the shipped
-    kernels (element-wise math commutes with concatenation).  When no
-    precomputed ``geometry`` is supplied, per-tile geometry is prepared
-    inline (diagonal tiles in same-set form, preserving exact-zero
-    self-distances).
+    Tiles are produced from theta-independent ``geometry`` (built here,
+    for this evaluation only, when none is passed).  An element-wise
+    kernel evaluates the geometry's flat buffer in cache-sized slices
+    (:meth:`~repro.kernels.base.CovarianceKernel.from_flat_geometry`,
+    slices dealt over ``workers`` threads) and the blocks are views of
+    the one result buffer; any other kernel is evaluated tile by tile
+    (over a thread pool when ``workers > 1``).  Norms are reduced
+    afterwards in layout order, so the accumulated global norm is
+    independent of thread scheduling.
 
     ``need_norms=False`` skips the Frobenius-norm reduction and returns
     ``({}, 0.0)`` for the norm outputs — for callers like
     :func:`assemble_dense` that would throw the norms away.
     """
-
-    keys = list(layout.lower_tiles())
-
-    def symmetrize(key: tuple[int, int], block: np.ndarray) -> np.ndarray:
-        i, j = key
-        if i == j:
-            block = 0.5 * (block + block.T)
-            if nugget:
-                block[np.diag_indices_from(block)] += nugget
-        return block
-
-    if batch:
-        if geometry is not None:
-            geoms = [geometry.tile(i, j) for i, j in keys]
-        else:
-            geoms = [
-                kernel.prepare_geometry(x[layout.block_slice(i)])
-                if i == j
-                else kernel.prepare_geometry(
-                    x[layout.block_slice(i)], x[layout.block_slice(j)]
-                )
-                for i, j in keys
-            ]
-        evaluated = kernel.from_geometry_batch(theta, geoms)
-        blocks = {
-            key: symmetrize(key, block)
-            for key, block in zip(keys, evaluated)
-        }
+    keys = layout.lower_tiles()
+    geometry = geometry or build_tile_geometry(
+        kernel, x, layout.tile_size, reuse=False
+    )
+    if kernel.elementwise_geometry:
+        values = kernel.from_flat_geometry(theta, geometry.flat, workers=workers)
+        sizes = layout.block_sizes().tolist()
+        evaluated = split_flat(values, [(sizes[i], sizes[j]) for i, j in keys])
     else:
 
         def make(key: tuple[int, int]) -> np.ndarray:
-            i, j = key
-            if geometry is not None:
-                block = kernel.from_geometry(theta, geometry.tile(i, j))
-            elif i == j:
-                # Same-set call: exact-zero self-distances on the diagonal.
-                block = kernel(theta, x[layout.block_slice(i)])
-            else:
-                block = kernel(
-                    theta, x[layout.block_slice(i)], x[layout.block_slice(j)]
-                )
-            return symmetrize(key, block)
+            return kernel.from_geometry(theta, geometry.tile(*key))
 
         if workers > 1 and len(keys) > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                blocks = dict(zip(keys, pool.map(make, keys)))
+                evaluated = list(pool.map(make, keys))
         else:
-            blocks = {key: make(key) for key in keys}
+            evaluated = [make(key) for key in keys]
+    blocks = dict(zip(keys, evaluated))
+    for i in range(layout.nt):
+        # In place, so a diagonal tile stays a view of the result buffer.
+        block = blocks[(i, i)]
+        block[...] = 0.5 * (block + block.T)
+        if nugget:
+            block[np.diag_indices_from(block)] += nugget
 
     if not need_norms:
         return blocks, {}, 0.0
@@ -224,24 +201,29 @@ def build_planned_covariance(
     is applied *before* band tuning and the structure decision so the
     downstream pipeline stays self-consistent.
 
-    Hot-path knobs (all default off, leaving results bit-identical to
-    the sequential cold path):
+    Hot-path inputs (results are bit-identical whatever they are):
 
     * ``geometry`` / ``cache`` — reuse theta-independent per-tile
       geometry (:mod:`repro.tile.geometry`) across evaluations.  A
       passed ``geometry`` is verified against a content hash of ``x``,
       so stale reuse raises instead of silently corrupting results.
+      With neither, the geometry is built for this evaluation only.
     * ``rank_hints`` — per-tile ranks from a previous evaluation at a
       nearby ``theta``; tiles expected over the rank cap take a
       values-only SVD early-out.
-    * ``workers`` — thread pool size for tile generation and
-      compression (results independent of scheduling).
-    * ``batch`` — evaluate all tiles of the covariance in one
-      vectorized :meth:`~repro.kernels.base.CovarianceKernel.from_geometry_batch`
-      call (bit-identical for the shipped kernels).
+    * ``workers`` — threads the generation deals its slices over (its
+      tiles, for a kernel evaluated tile by tile) and the per-tile
+      compression runs on.
+    * ``batch`` — compress the off-diagonal tiles in stacked SVD sweeps
+      over whole shape classes (:func:`~repro.tile.compression.compress_many`)
+      instead of per tile.  It does not touch generation: an
+      element-wise kernel always evaluates one flat buffer in
+      cache-sized slices, any other kernel always tile by tile.
 
     ``telemetry`` (a :class:`~repro.obs.Telemetry`) wraps generation
-    and TLR compression in spans; it never touches the numbers.
+    and TLR compression in spans — ``"generate"`` records what ran
+    (``nt``, ``workers``, ``elementwise``, and the number of slices in
+    ``chunks``, 0 for a per-tile kernel); it never touches the numbers.
     """
     layout = TileLayout(len(x), tile_size)
     nt = layout.nt
@@ -259,12 +241,14 @@ def build_planned_covariance(
                 "precomputed geometry does not match (kernel, x, tile_size); "
                 "rebuild it for the current locations"
             )
+    elementwise = kernel.elementwise_geometry
     with maybe_span(
-        telemetry, "generate", nt=nt, workers=workers, batch=bool(batch),
+        telemetry, "generate", nt=nt, workers=workers, elementwise=elementwise,
+        chunks=-(-layout.lower_entries() // GEOMETRY_CHUNK) if elementwise else 0,
     ):
         blocks, norms, global_norm = _generate_blocks(
             kernel, theta, x, layout, nugget,
-            geometry=geometry, workers=workers, batch=batch,
+            geometry=geometry, workers=workers,
         )
 
     # --- precision decision -------------------------------------------------
@@ -361,6 +345,15 @@ def build_planned_covariance(
                 use_lr[key] = False
 
     # --- materialize ----------------------------------------------------
+    # An element-wise kernel's blocks are views of one n^2/2 buffer.  A
+    # plan that stores every tile dense FP64 uses all of it; any other
+    # plan copies its FP64 tiles out, so the few that remain do not keep
+    # the whole buffer alive (every other tile is cast or compressed
+    # into arrays of its own anyway).
+    copy_out = elementwise and (
+        any(use_lr.values())
+        or any(p is not Precision.FP64 for p in precisions.values())
+    )
     matrix = TileMatrix(layout)
     final_precisions: dict[tuple[int, int], Precision] = {}
     for key in layout.lower_tiles():
@@ -371,7 +364,10 @@ def build_planned_covariance(
             u, v = factors[key]
             matrix.set(*key, LowRankTile(u, v, p))
         else:
-            matrix.set(*key, DenseTile(blocks[key], p))
+            block = blocks[key]
+            if copy_out and p is Precision.FP64:
+                block = block.copy()
+            matrix.set(*key, DenseTile(block, p))
         final_precisions[key] = p
 
     plan = TilePlan(

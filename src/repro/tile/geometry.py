@@ -20,12 +20,13 @@ from __future__ import annotations
 import hashlib
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
 from ..exceptions import ShapeError
-from ..kernels.base import CovarianceKernel
+from ..kernels.base import CovarianceKernel, array_fields
 from ..kernels.distance import as_locations
 from .layout import TileLayout
 
@@ -53,12 +54,19 @@ def locations_fingerprint(x: np.ndarray) -> str:
 @dataclass(frozen=True)
 class TileGeometry:
     """Theta-independent per-tile geometry for one
-    ``(kernel geometry layout, locations, tile size)`` triple."""
+    ``(kernel geometry layout, locations, tile size)`` triple.
+
+    For an element-wise kernel
+    (:attr:`~repro.kernels.base.CovarianceKernel.elementwise_geometry`)
+    ``flat`` is the merged geometry — each array field one buffer over
+    all tiles in ``layout.lower_tiles()`` order — and the arrays in
+    ``tiles`` are views of it; otherwise ``flat`` is ``None``."""
 
     layout: TileLayout
     geometry_key: str
     fingerprint: str
     tiles: dict[tuple[int, int], object] = field(repr=False)
+    flat: object | None = field(default=None, repr=False)
 
     def tile(self, i: int, j: int) -> object:
         try:
@@ -76,36 +84,63 @@ class TileGeometry:
     @property
     def nbytes(self) -> int:
         """Approximate footprint of the cached arrays."""
-        total = 0
-        for geom in self.tiles.values():
-            for value in vars(geom).values():
-                if isinstance(value, np.ndarray):
-                    total += value.nbytes
-        return total
+        return sum(
+            arr.nbytes
+            for geom in self.tiles.values()
+            for arr in array_fields(geom).values()
+        )
 
 
 def build_tile_geometry(
-    kernel: CovarianceKernel, x: np.ndarray, tile_size: int
+    kernel: CovarianceKernel, x: np.ndarray, tile_size: int, *,
+    reuse: bool = True,
 ) -> TileGeometry:
     """Precompute geometry for every lower tile of the covariance.
 
     Diagonal tiles are prepared in same-set form so exact-zero
     self-distances survive, matching the direct assembly path bit for
-    bit."""
+    bit.
+
+    ``reuse=False`` is the geometry of a single evaluation.  For an
+    element-wise kernel it is the same flat buffer; a kernel that is
+    evaluated tile by tile gets the location pairs themselves
+    (:class:`~repro.kernels.base.PairGeometry`), so that evaluation is
+    the direct kernel call — what its own prepared geometry would cost
+    anyway when used once, and the bits of the direct call for the
+    anisotropic Matérn, whose prepared geometry rounds differently."""
     x = as_locations(x, dim=kernel.ndim_locations)
     layout = TileLayout(len(x), tile_size)
+    prepare = kernel.prepare_geometry
+    if not (reuse or kernel.elementwise_geometry):
+        prepare = partial(CovarianceKernel.prepare_geometry, kernel)
     tiles: dict[tuple[int, int], object] = {}
+    buffers: dict[str, np.ndarray] = {}
+    pos = 0
     for i, j in layout.lower_tiles():
-        rows = x[layout.block_slice(i)]
-        if i == j:
-            tiles[(i, j)] = kernel.prepare_geometry(rows)
-        else:
-            tiles[(i, j)] = kernel.prepare_geometry(rows, x[layout.block_slice(j)])
+        # ``None`` for a diagonal tile: the same-set form.
+        geom = prepare(
+            x[layout.block_slice(i)], None if i == j else x[layout.block_slice(j)]
+        )
+        if kernel.elementwise_geometry:
+            # Tile by tile into the flat buffers, so the build never
+            # holds the geometry twice.
+            size = layout.block_size(i) * layout.block_size(j)
+            views = {}
+            for name, arr in array_fields(geom).items():
+                if name not in buffers:
+                    buffers[name] = np.empty(layout.lower_entries())
+                views[name] = buffers[name][pos:pos + size].reshape(arr.shape)
+                views[name][...] = arr
+            geom = replace(geom, **views)
+            pos += size
+        tiles[(i, j)] = geom
+    flat = replace(tiles[(0, 0)], **buffers) if buffers else None
     return TileGeometry(
         layout=layout,
         geometry_key=kernel.geometry_key(),
         fingerprint=locations_fingerprint(x),
         tiles=tiles,
+        flat=flat,
     )
 
 

@@ -72,6 +72,11 @@ class TileLayout:
         storage set of a symmetric-lower tile matrix."""
         return [(i, j) for i in range(self.nt) for j in range(i + 1)]
 
+    def lower_entries(self) -> int:
+        """Matrix entries the lower tiles hold (diagonal tiles whole)."""
+        sizes = self.block_sizes()
+        return int(self.n * self.n + sizes @ sizes) // 2
+
     def _check(self, i: int) -> None:
         if not 0 <= i < self.nt:
             raise ShapeError(f"block index {i} outside [0, {self.nt})")

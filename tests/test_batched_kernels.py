@@ -13,17 +13,24 @@ import pytest
 from repro.core.variants import get_variant
 from repro.exceptions import NotPositiveDefiniteError
 from repro.kernels import (
+    AnisotropicMaternKernel,
+    BivariateMaternKernel,
     ExponentialKernel,
     GaussianKernel,
+    GneitingMaternKernel,
     MaternKernel,
+    NuggetKernel,
     PoweredExponentialKernel,
+    stack_bivariate,
 )
 from repro.ordering import order_points
 from repro.runtime import execute_cholesky_batched
 from repro.tile import (
     DenseTile,
+    GeometryCache,
     Precision,
     build_planned_covariance,
+    build_tile_geometry,
     stacked_gemm,
     stacked_trsm,
     tile_cholesky,
@@ -242,15 +249,19 @@ class TestBatchedGeneration:
     def test_from_geometry_batch_bit_identical(self, kernel, theta):
         gen = np.random.default_rng(40)
         x = gen.uniform(size=(90, 2))
+        y = gen.uniform(size=(45, 2)) * 3.0  # unrelated locations
         geoms = [
             kernel.prepare_geometry(x[:30]),  # same-set (diagonal form)
             kernel.prepare_geometry(x[:30], x[30:60]),
             kernel.prepare_geometry(x[30:60], x[60:]),
+            kernel.prepare_geometry(y[:17], y[17:]),
+            kernel.prepare_geometry(y),
         ]
         ref = [kernel.from_geometry(theta, g) for g in geoms]
         got = kernel.from_geometry_batch(theta, geoms)
         for r, g in zip(ref, got):
             np.testing.assert_array_equal(g, r)
+        assert kernel.from_geometry_batch(theta, []) == []
 
     def test_from_geometry_batch_spacetime(self, gneiting):
         gen = np.random.default_rng(41)
@@ -311,6 +322,164 @@ class TestBatchedGeneration:
         assert full_total > 0.0 and len(full_norms) == len(full)
         for key in full:
             np.testing.assert_array_equal(blocks[key], full[key])
+
+
+# ----------------------------------------------------------------------
+# One generation path: every kernel x geometry source x workers x batch
+# reproduces the per-tile loop it replaced, byte for byte
+# ----------------------------------------------------------------------
+
+def _generation_kernels():
+    gen = np.random.default_rng(43)
+    x2 = gen.uniform(size=(100, 2))
+    x2 = x2[order_points(x2, "morton")]
+    xt = np.column_stack([x2, np.repeat(np.arange(5.0), 20)])
+    xb = stack_bivariate(x2[:50])
+    return [
+        # element-wise: one flat buffer in slices
+        ("matern-bessel", MaternKernel(), [1.0, 0.1, 0.8], x2),
+        ("matern-closed", MaternKernel(), [1.0, 0.1, 1.5], x2),
+        ("matern-own-nugget", MaternKernel(nugget=0.05), [1.0, 0.1, 0.8], x2),
+        ("exponential", ExponentialKernel(), [1.0, 0.1], x2),
+        ("gaussian", GaussianKernel(), [1.0, 0.05], x2),
+        ("powered", PoweredExponentialKernel(), [1.0, 0.1, 1.5], x2),
+        ("gneiting", GneitingMaternKernel(), [1.0, 0.1, 0.5, 1.0, 0.5, 0.5], xt),
+        # evaluated tile by tile
+        ("anisotropic", AnisotropicMaternKernel(), [1.0, 0.2, 0.1, 0.3, 0.8], x2),
+        ("bivariate", BivariateMaternKernel(), [1.0, 1.0, 0.1, 0.5, 1.0, 0.5], xb),
+        ("nugget(matern)", NuggetKernel(MaternKernel()), [1.0, 0.1, 0.8, 0.01], x2),
+        ("nugget(aniso)", NuggetKernel(AnisotropicMaternKernel()),
+         [1.0, 0.2, 0.1, 0.3, 0.8, 0.01], x2),
+    ]
+
+
+#: ``(n, tile, chunk)``; ``chunk`` shrinks the slice length so small
+#: inputs cross slice boundaries (``None``: the shipped constant).
+_GENERATION_LAYOUTS = {
+    "ragged-last-tile": (100, 32, 1000),   # slice ends inside tiles
+    "one-tile": (40, 64, 1000),            # nt = 1, two slices
+    "below-one-slice": (24, 10, 1000),     # fewer entries than a slice
+    "shipped-slice": (100, 32, None),
+}
+
+
+def _per_tile_reference(kernel, theta, x, tile, nugget, *, prepared):
+    """The per-tile loop ``_generate_blocks`` ran before there was one
+    path: from prepared geometry, or (``prepared=False``) by calling
+    the kernel on the location pair."""
+    from repro.tile.layout import TileLayout
+
+    layout = TileLayout(len(x), tile)
+    blocks, norms, total = {}, {}, 0.0
+    for i, j in layout.lower_tiles():
+        rows, cols = x[layout.block_slice(i)], x[layout.block_slice(j)]
+        pair = (rows,) if i == j else (rows, cols)
+        if prepared:
+            block = kernel.from_geometry(theta, kernel.prepare_geometry(*pair))
+        else:
+            block = kernel(theta, *pair)
+        if i == j:
+            block = 0.5 * (block + block.T)
+            block[np.diag_indices_from(block)] += nugget
+        blocks[(i, j)] = block
+        norms[(i, j)] = float(np.linalg.norm(block))
+        total += (1.0 if i == j else 2.0) * norms[(i, j)] ** 2
+    return blocks, norms, float(np.sqrt(total))
+
+
+class TestOneGenerationPath:
+    @pytest.mark.parametrize("layout_case", list(_GENERATION_LAYOUTS))
+    @pytest.mark.parametrize(
+        "name,kernel,theta,x", _generation_kernels(),
+        ids=[c[0] for c in _generation_kernels()],
+    )
+    def test_matches_per_tile_loop(self, name, kernel, theta, x, layout_case,
+                                   monkeypatch):
+        import repro.kernels.base as base
+
+        n, tile, chunk = _GENERATION_LAYOUTS[layout_case]
+        if chunk is not None:
+            monkeypatch.setattr(base, "GEOMETRY_CHUNK", chunk)
+        theta, x, nugget = np.asarray(theta), x[:n], 1e-8
+        plans = {}
+        for source in ("geometry", "cache", "neither"):
+            # Without geometry the per-tile kernels keep the direct call
+            # (the anisotropic kernel's prepared geometry rounds
+            # differently from it).
+            blocks, norms, total = _per_tile_reference(
+                kernel, theta, x, tile, nugget,
+                prepared=source != "neither" or kernel.elementwise_geometry,
+            )
+            for workers in (1, 2, 3):
+                for batch in (False, True):
+                    given = {}
+                    if source == "geometry":
+                        given["geometry"] = build_tile_geometry(kernel, x, tile)
+                    elif source == "cache":
+                        given["cache"] = GeometryCache()
+                    mat, rep = build_planned_covariance(
+                        kernel, theta, x, tile, nugget=nugget,
+                        workers=workers, batch=batch, **given,
+                    )
+                    cell = (name, layout_case, source, workers, batch)
+                    assert rep.tile_norms == norms, cell
+                    assert rep.global_norm == total, cell
+                    for key, block in blocks.items():
+                        assert mat.get(*key).data.tobytes() == block.tobytes(), (
+                            cell, key)
+                    _, planned = build_planned_covariance(
+                        kernel, theta, x, tile, nugget=nugget, use_mp=True,
+                        use_tlr=True, mp_accuracy=1e-6, tlr_tol=1e-6,
+                        workers=workers, batch=batch, **given,
+                    )
+                    assert planned.tile_norms == norms, cell
+                    plans.setdefault(source, set()).add((
+                        tuple(sorted(planned.plan.precisions.items())),
+                        tuple(sorted(planned.plan.use_lr.items())),
+                        tuple(sorted(planned.ranks.items())),
+                    ))
+        # One plan whatever workers / batch were, and for an
+        # element-wise kernel whatever the geometry came from.
+        assert all(len(seen) == 1 for seen in plans.values())
+        if kernel.elementwise_geometry:
+            assert len(set.union(*plans.values())) == 1
+
+    def test_kernel_nugget_lands_on_exact_zero_distances_only(self):
+        """The flat buffer keeps the exact-zero self-distances of the
+        diagonal tiles, and only those entries receive the kernel's
+        own nugget — also when a slice boundary cuts the tile."""
+        kernel = MaternKernel(nugget=0.25)
+        theta = np.array([2.0, 0.1, 0.8])
+        x = np.random.default_rng(44).uniform(size=(300, 2))
+        geometry = build_tile_geometry(kernel, x, 200)  # 40 000-entry tile
+        assert int((geometry.flat.r == 0.0).sum()) == len(x)
+        mat, _ = build_planned_covariance(
+            kernel, theta, x, 200, geometry=geometry, workers=2)
+        dense = mat.to_dense()
+        np.testing.assert_array_equal(np.diag(dense), np.full(len(x), 2.25))
+        off = dense[~np.eye(len(x), dtype=bool)]
+        assert off.max() < 2.0
+
+    def test_tile_geometry_is_views_of_one_buffer(self):
+        kernel = GneitingMaternKernel()
+        gen = np.random.default_rng(45)
+        x = np.column_stack([gen.uniform(size=(70, 2)), np.arange(70.0) % 7])
+        geometry = build_tile_geometry(kernel, x, 32)
+        keys = geometry.layout.lower_tiles()
+        assert list(geometry.tiles) == keys
+        for name in ("h", "u"):
+            flat = getattr(geometry.flat, name)
+            assert flat.ndim == 1 and flat.size == geometry.layout.lower_entries()
+            pos = 0
+            for key in keys:
+                view = getattr(geometry.tile(*key), name)
+                assert view.shape == geometry.layout.tile_shape(*key)
+                assert np.shares_memory(view, flat[pos:pos + view.size])
+                pos += view.size
+        assert geometry.nbytes == 2 * 8 * geometry.layout.lower_entries()
+        # A per-tile kernel keeps per-tile arrays and no flat buffer.
+        assert build_tile_geometry(
+            AnisotropicMaternKernel(), x[:, :2], 32).flat is None
 
 
 class TestCholeskyStatsCounter:

@@ -54,6 +54,47 @@ class TestObservedInformation:
         assert i2[0, 0] > i1[0, 0]
 
 
+    def test_default_call_builds_geometry_once(self, fitted, monkeypatch):
+        """Without ``cache=`` the 1 + 2p + 2p(p-1) evaluations share one
+        engine's geometry, and the Hessian is the one the uncached
+        evaluations give, bit for bit."""
+        import repro.tile.geometry as geometry
+        from repro.core.uq import _steps
+
+        kern, x, z, _, theta_hat = fitted
+        builds = []
+        build = geometry.build_tile_geometry
+        monkeypatch.setattr(
+            geometry, "build_tile_geometry",
+            lambda *a, **k: builds.append(1) or build(*a, **k),
+        )
+        info = observed_information(kern, theta_hat, x, z, tile_size=44)
+        assert len(builds) == 1
+        profile = profile_likelihood(
+            kern, theta_hat, x, z, "range", [0.08, 0.1], tile_size=44)
+        assert len(builds) == 2
+
+        def f(theta):
+            return loglikelihood(kern, theta, x, z, tile_size=44).value
+
+        assert profile[1] == f(np.array([theta_hat[0], 0.1, theta_hat[2]]))
+        p, h = len(theta_hat), _steps(kern, theta_hat, 1.0e-3)
+        eye = np.eye(p)
+        for i in range(p):
+            for j in range(i, p):
+                ei, ej = h[i] * eye[i], h[j] * eye[j]
+                if i == j:
+                    want = (
+                        f(theta_hat + ei) - 2.0 * f(theta_hat) + f(theta_hat - ei)
+                    ) / h[i] ** 2
+                else:
+                    want = (
+                        f(theta_hat + ei + ej) - f(theta_hat + ei - ej)
+                        - f(theta_hat - ei + ej) + f(theta_hat - ei - ej)
+                    ) / (4.0 * h[i] * h[j])
+                assert info[i, j] == info[j, i] == -want
+
+
 class TestMLEUncertainty:
     def test_intervals_cover_truth(self, fitted):
         kern, x, z, theta_true, theta_hat = fitted

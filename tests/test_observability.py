@@ -391,6 +391,11 @@ class TestRealPaths:
         ]
         assert settle.attrs["truncations"] == stats.truncations > 0
         assert settle.attrs["kept_dense"] == stats.kept_dense
+        # The generate span says what ran, not what was asked: Matern is
+        # element-wise, 160 points are one slice (36 tiles of 20 x 20).
+        (generate,) = telemetry.tracer.by_name("generate")
+        assert generate.attrs == dict(
+            nt=8, workers=workers, elementwise=True, chunks=1)
 
     def test_thread_backend_span_nesting(self, problem):
         """A task-level hook rides the sweep's calls: kernel spans

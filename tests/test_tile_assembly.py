@@ -156,3 +156,39 @@ class TestPlannedTLR:
         near = [r for (i, j), r in report.ranks.items() if i - j == 1]
         far = [r for (i, j), r in report.ranks.items() if i - j >= 4]
         assert np.mean(far) < np.mean(near)
+
+
+class TestGenerationBufferLifetime:
+    """An element-wise kernel's blocks are views of one n^2/2 result
+    buffer; the planned matrix must not keep it alive through a few of
+    them."""
+
+    @pytest.mark.parametrize("batch", [False, True])
+    @pytest.mark.parametrize("variant", ["dense-fp64", "mp-dense", "mp-dense-tlr"])
+    def test_tiles_own_their_data_or_fill_their_base(
+        self, matern, locations_200, variant, batch
+    ):
+        from repro.core.variants import get_variant
+
+        theta = np.array([1.0, 0.03, 0.5])  # weak: FP64 and lower tiles mix
+        mat, report = build_planned_covariance(
+            matern, theta, locations_200, 40, nugget=1e-8, batch=batch,
+            **get_variant(variant).assembly_kwargs(),
+        )
+        bases: dict[int, tuple[np.ndarray, int]] = {}
+        for _, tile in mat.items():
+            arrays = (tile.u, tile.v) if tile.is_low_rank else (tile.data,)
+            for arr in arrays:
+                if arr.base is not None:
+                    base, viewed = bases.get(id(arr.base), (arr.base, 0))
+                    bases[id(arr.base)] = (base, viewed + arr.nbytes)
+        for base, viewed in bases.values():
+            assert base.nbytes <= viewed
+        precisions = set(report.plan.precisions.values())
+        if variant == "dense-fp64":
+            # Every tile views the one buffer, which they fill: no copy.
+            ((base, viewed),) = bases.values()
+            assert viewed == mat.nbytes
+        else:
+            # The mixed plan has FP64 tiles to copy out.
+            assert Precision.FP64 in precisions and len(precisions) > 1
