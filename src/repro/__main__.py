@@ -182,6 +182,10 @@ def _cmd_profile(args) -> int:
     generated = telemetry.tracer.by_name("generate")[0].attrs
     print("  generated on: elementwise={elementwise} chunks={chunks} "
           "workers={workers}".format(**generated))
+    compress = telemetry.tracer.by_name("compress")
+    if compress:  # a TLR variant: its first evaluation's tiles
+        print("  compressed: certified={certified} fallback={fallback} "
+              "over_cap={over_cap}".format(**compress[0].attrs["compressed"]))
     print(f"  {len(telemetry.tracer)} span(s), "
           f"{len(telemetry.tracer.sorted_events())} event(s), "
           f"{len(telemetry.registry.metrics())} metric(s)")

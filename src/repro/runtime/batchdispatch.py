@@ -54,6 +54,7 @@ from ..exceptions import (
     NotPositiveDefiniteError,
     SchedulingError,
 )
+from ..tile.cholesky import resolve_max_rank
 from ..tile.matrix import TileMatrix
 from .blasclamp import clamp_blas_threads
 from .taskcore import (
@@ -128,7 +129,8 @@ def execute_cholesky_batched(
     recorder = RunRecorder(telemetry)
     columns = ColumnStacks(matrix, bool(fp16_accumulate_fp32))
     body = TaskBody(
-        MatrixTiles(matrix), tile_tol=tile_tol, max_rank=max_rank,
+        MatrixTiles(matrix), tile_tol=tile_tol,
+        max_rank=resolve_max_rank(max_rank, matrix.layout.tile_size),
         fp16_accumulate_fp32=fp16_accumulate_fp32, retry=retry,
         chaos=chaos, epoch=epoch, check_finite=check_finite,
         columns=columns, recorder=recorder,

@@ -52,7 +52,7 @@ from ..exceptions import (
     ShapeError,
     WorkerLostError,
 )
-from ..tile.cholesky import CholeskyStats
+from ..tile.cholesky import CholeskyStats, resolve_max_rank
 from ..tile.matrix import TileMatrix
 from ..tile.shm import SharedTileStore
 from .blasclamp import blas_clamp_for, clamp_blas_threads
@@ -312,7 +312,9 @@ class ProcessPoolEngine:
                 "chaos": None if chaos is None else chaos.config,
                 # TaskBody arguments; the worker adds its own injector.
                 "body": dict(
-                    tile_tol=tile_tol, max_rank=max_rank,
+                    tile_tol=tile_tol,
+                    max_rank=resolve_max_rank(
+                        max_rank, matrix.layout.tile_size),
                     fp16_accumulate_fp32=fp16_accumulate_fp32,
                     retry=retry, epoch=epoch, check_finite=check_finite,
                 ),

@@ -13,7 +13,9 @@ reproduces that pipeline:
 2. accumulate tile norms -> global norm;
 3. precision map (adaptive Frobenius rule, or the legacy band rule);
 4. TLR compression of off-diagonal tiles at the tile-level tolerance
-   derived from the global norm, giving the rank distribution;
+   derived from the global norm (a certified range-finder where the
+   rank cap is well under the tile size, the exact SVD elsewhere:
+   :mod:`repro.tile.compression`), giving the rank distribution;
 5. Algorithm 2 band auto-tuning + structure-aware decision;
 6. materialize the planned :class:`~repro.tile.matrix.TileMatrix`.
 """
@@ -63,9 +65,17 @@ class AssemblyReport:
 
     global_norm: float
     tile_norms: dict[tuple[int, int], float]
+    #: Off-diagonal tile -> rank at ``tile_tol``: the certified rank of
+    #: a tile the range-finder compressed (never below the SVD rank; see
+    #: :mod:`repro.tile.compression` for the bound above), the SVD rank
+    #: of every other.
     ranks: dict[tuple[int, int], int]
     tile_tol: float
     plan: TilePlan
+    #: How the off-diagonal tiles were compressed: ``certified`` by the
+    #: range-finder, ``fallback`` to the exact SVD's factors, or
+    #: ``over_cap`` (no factors built).  All zero without TLR.
+    compressed: dict[str, int]
 
 
 def _generate_blocks(
@@ -209,21 +219,26 @@ def build_planned_covariance(
       so stale reuse raises instead of silently corrupting results.
       With neither, the geometry is built for this evaluation only.
     * ``rank_hints`` — per-tile ranks from a previous evaluation at a
-      nearby ``theta``; tiles expected over the rank cap take a
-      values-only SVD early-out.
+      nearby ``theta``; tiles expected over the rank cap go straight to
+      a values-only SVD.  A stale or absent hint changes no bit: the
+      compression of a tile is a function of the tile, the tolerance
+      and the cap (:mod:`repro.tile.compression`).
     * ``workers`` — threads the generation deals its slices over (its
       tiles, for a kernel evaluated tile by tile) and the per-tile
       compression runs on.
-    * ``batch`` — compress the off-diagonal tiles in stacked SVD sweeps
-      over whole shape classes (:func:`~repro.tile.compression.compress_many`)
-      instead of per tile.  It does not touch generation: an
+    * ``batch`` — compress the off-diagonal tiles through
+      :func:`~repro.tile.compression.compress_many` (its exact SVDs
+      stacked over whole shape classes) instead of per tile.  It does
+      not touch generation: an
       element-wise kernel always evaluates one flat buffer in
       cache-sized slices, any other kernel always tile by tile.
 
     ``telemetry`` (a :class:`~repro.obs.Telemetry`) wraps generation
     and TLR compression in spans — ``"generate"`` records what ran
     (``nt``, ``workers``, ``elementwise``, and the number of slices in
-    ``chunks``, 0 for a per-tile kernel); it never touches the numbers.
+    ``chunks``, 0 for a per-tile kernel), ``"compress"`` how the tiles
+    were compressed (``compressed``, the report's own tally); it never
+    touches the numbers.
     """
     layout = TileLayout(len(x), tile_size)
     nt = layout.nt
@@ -284,6 +299,7 @@ def build_planned_covariance(
         key: False for key in layout.lower_tiles()
     }
     band_size_dense = 1
+    outcomes = {"certified": 0, "fallback": 0, "over_cap": 0}
     if use_tlr:
         max_rank = int(max_rank_fraction * tile_size)
         offdiag = [key for key in layout.lower_tiles() if key[0] != key[1]]
@@ -296,10 +312,10 @@ def build_planned_covariance(
 
         with maybe_span(
             telemetry, "compress", tiles=len(offdiag), batch=bool(batch),
+            compressed=outcomes,
         ):
             if batch:
-                # Batched path: stacked SVD sweeps over whole shape
-                # classes, bit-identical to the per-tile loop.
+                # Batched path: bit-identical to the per-tile loop.
                 compressed = compress_many(
                     blocks, offdiag, tile_tol, max_rank=max_rank,
                     hints=rank_hints,
@@ -311,11 +327,14 @@ def build_planned_covariance(
                     )
             else:
                 compressed = {key: compress(key) for key in offdiag}
-        for key in offdiag:
-            rank, u, v = compressed[key]
-            ranks[key] = rank
-            if u is not None:
-                factors[key] = (u, v)
+            for key in offdiag:
+                rank, u, v, certified = compressed[key]
+                ranks[key] = rank
+                if u is None:
+                    outcomes["over_cap"] += 1
+                else:
+                    factors[key] = (u, v)
+                    outcomes["certified" if certified else "fallback"] += 1
         if band_size == "auto":
             band_size_dense = autotune_band_size(
                 layout, ranks, precisions, machine, fluctuation=band_fluctuation
@@ -384,5 +403,6 @@ def build_planned_covariance(
         ranks=ranks,
         tile_tol=tile_tol,
         plan=plan,
+        compressed=outcomes,
     )
     return matrix, report

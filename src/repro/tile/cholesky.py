@@ -35,7 +35,7 @@ from .matrix import TileMatrix
 
 from . import kernels as K
 
-__all__ = ["CholeskyStats", "tile_cholesky"]
+__all__ = ["CholeskyStats", "resolve_max_rank", "tile_cholesky"]
 
 
 @dataclass
@@ -81,6 +81,18 @@ class CholeskyStats:
             self.kernel_counts[op] = self.kernel_counts.get(op, 0) + n
 
 
+def resolve_max_rank(max_rank: int | None, tile_size: int) -> int | None:
+    """The rank cap a factorization applies to its low-rank updates:
+    the caller's ``max_rank``, or for ``None`` the default fraction of
+    the tile size (no cap only where that rounds to zero).  Every
+    entry point — this module's loop and the executors of
+    :mod:`repro.runtime` — resolves its default here, so a default
+    call means the same cap everywhere."""
+    if max_rank is None:
+        return int(DEFAULT_MAX_RANK_FRACTION * tile_size) or None
+    return max_rank
+
+
 def tile_cholesky(
     a: TileMatrix,
     *,
@@ -94,7 +106,8 @@ def tile_cholesky(
 
     ``tile_tol`` is the absolute tile-level truncation tolerance for
     low-rank updates (from ``plan.meta['tile_tol']``); ``max_rank``
-    caps LR ranks, beyond which a tile stays dense.
+    caps LR ranks, beyond which a tile stays dense (default:
+    :func:`resolve_max_rank`).
 
     With ``validate_plan=True`` the static verifier
     (:mod:`repro.analysis.plancheck`) first checks the plan implied by
@@ -116,8 +129,7 @@ def tile_cholesky(
                 report=report,
             )
     nt = a.nt
-    if max_rank is None:
-        max_rank = int(DEFAULT_MAX_RANK_FRACTION * a.layout.tile_size) or None
+    max_rank = resolve_max_rank(max_rank, a.layout.tile_size)
     stats = CholeskyStats()
     for k in range(nt):
         # Per-panel Counter tally instead of one dict update per task.

@@ -12,15 +12,23 @@ unless the caller asks for pure HGEMM.
 Low-rank arithmetic (factor updates, recompression) always runs in
 float64; its *storage* honors the tile's precision.  That mirrors the
 implementation reality that compression kernels are FP64/FP32 only
-(Algorithm 2).
+(Algorithm 2).  An operand's factors are read where they are stored
+(cast only when they are not float64 already); every array a kernel
+puts into a new tile is a fresh one, so no tile aliases another's
+storage.
 
 A low-rank tile is updated by *accumulate exactly, truncate once*:
 :func:`gemm` appends each Schur update to the tile's exact float64
 accumulator and :func:`trsm` — the one kernel that next reads the tile
 as an operand — truncates it to the tolerance it owes (DESIGN.md
-"Low-rank updates").  The accumulating state rides on the tile
-(:attr:`~repro.tile.tile.Tile.owed`), so no kernel signature knows
-about it.
+"Low-rank updates"): stacked factors by an exact recompression, a
+dense accumulator by the assembly's own
+:func:`~repro.tile.compression.compress_or_rank` (a certified
+range-finder where the rank cap is well under the tile size, the exact
+SVD elsewhere).  Either way the settled tile is a function of the
+accumulator and what it owes, nothing else.  The accumulating state
+rides on the tile (:attr:`~repro.tile.tile.Tile.owed`), so no kernel
+signature knows about it.
 """
 
 from __future__ import annotations
@@ -29,7 +37,7 @@ import numpy as np
 from scipy import linalg as sla
 
 from ..exceptions import CompressionError, NotPositiveDefiniteError, ShapeError
-from .compression import recompress, truncated_svd
+from .compression import compress_or_rank, recompress
 from .precision import compute_dtype
 from .tile import DenseTile, LowRankTile, Tile
 
@@ -132,7 +140,7 @@ def trsm(
             return a
         low = l_tile.to_dense64()
         v = sla.solve_triangular(
-            low, a.v.astype(np.float64), lower=True, check_finite=False
+            low, _as_compute(a.v, np.float64), lower=True, check_finite=False
         )
         return LowRankTile(a.u.astype(np.float64), v, a.precision)
     dtype = compute_dtype(a.precision, fp16_accumulate_fp32=fp16_accumulate_fp32)
@@ -156,8 +164,8 @@ def syrk(
     if isinstance(a, LowRankTile):
         if a.rank == 0:
             return c
-        u = _as_compute(a.u.astype(np.float64), dtype)
-        v = _as_compute(a.v.astype(np.float64), dtype)
+        u = _as_compute(a.u, dtype)
+        v = _as_compute(a.v, dtype)
         w = v.T @ v
         update = (u @ w) @ u.T
     else:
@@ -168,10 +176,11 @@ def syrk(
 
 def _lr_update_factors(a: Tile, b: Tile) -> tuple[np.ndarray, np.ndarray]:
     """Factors ``(du, dv)`` with ``A @ B^T = du @ dv^T`` in float64,
-    for the cases where at least one operand is low-rank."""
+    for the cases where at least one operand is low-rank.  Either may
+    be an operand's own float64 factor: read them, never store them."""
     if isinstance(a, LowRankTile) and isinstance(b, LowRankTile):
-        ua, va = a.u.astype(np.float64), a.v.astype(np.float64)
-        ub, vb = b.u.astype(np.float64), b.v.astype(np.float64)
+        ua, va = _as_compute(a.u, np.float64), _as_compute(a.v, np.float64)
+        ub, vb = _as_compute(b.u, np.float64), _as_compute(b.v, np.float64)
         if a.rank == 0 or b.rank == 0:
             m, n = a.shape[0], b.shape[0]
             return np.zeros((m, 0)), np.zeros((n, 0))
@@ -186,7 +195,7 @@ def _lr_update_factors(a: Tile, b: Tile) -> tuple[np.ndarray, np.ndarray]:
                 np.zeros((b.shape[0], 0)),
             )
         bdat = b.to_dense64()
-        return a.u.astype(np.float64), bdat @ a.v.astype(np.float64)
+        return _as_compute(a.u, np.float64), bdat @ _as_compute(a.v, np.float64)
     if isinstance(b, LowRankTile):
         if b.rank == 0:
             return (
@@ -194,7 +203,7 @@ def _lr_update_factors(a: Tile, b: Tile) -> tuple[np.ndarray, np.ndarray]:
                 np.zeros((b.shape[0], 0)),
             )
         adat = a.to_dense64()
-        return adat @ b.v.astype(np.float64), b.u.astype(np.float64)
+        return adat @ _as_compute(b.v, np.float64), _as_compute(b.u, np.float64)
     raise ShapeError("at least one operand must be low-rank")  # pragma: no cover
 
 
@@ -223,14 +232,22 @@ def _settle(tile: Tile) -> Tile:
     """Truncate an accumulating tile to the ``(tol, max_rank)`` it
     owes, in its planned storage precision.  A tile that cannot get
     under ``max_rank`` stays dense — the runtime analogue of the
-    structure-aware "convert back to dense" decision."""
+    structure-aware "convert back to dense" decision.
+
+    Stacked factors are recompressed exactly; a dense accumulator goes
+    through :func:`~repro.tile.compression.compress_or_rank`, like an
+    assembly tile — a function of the accumulator's bytes and what it
+    owes, nothing else.
+    """
     tol, max_rank = tile.owed
-    try:
-        if isinstance(tile, LowRankTile):
+    if isinstance(tile, LowRankTile):
+        try:
             u, v = recompress(tile.u, tile.v, tol, max_rank)
-        else:
-            u, v, _ = truncated_svd(tile.data, tol, max_rank)
-    except CompressionError:
+        except CompressionError:
+            u = v = None
+    else:
+        _, u, v, _ = compress_or_rank(tile.data, tol, max_rank=max_rank)
+    if u is None:
         return DenseTile(tile.to_dense64(), tile.precision)
     return LowRankTile(u, v, tile.precision)
 

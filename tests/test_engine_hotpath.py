@@ -281,6 +281,41 @@ def test_mp_dense_tlr_stays_inside_the_tlr_budget(xz):
     assert abs(mspe_tlr - mspe_ref) <= budget * mspe_ref
 
 
+def test_mp_dense_tlr_results_have_no_history(xz, tmp_path):
+    """The range-finder compression is a function of the tile alone, so
+    an evaluation is one of ``theta`` alone: an engine that has warm
+    rank hints from other iterates, a fresh engine and the one-shot
+    call agree to the bit, and a fit resumed from its checkpoint (no
+    hints, new cache) lands where the uninterrupted one does."""
+    kern, theta, x, z = xz
+    kwargs = dict(tile_size=TILE, variant="mp-dense-tlr", nugget=1e-8)
+    warm = EvaluationEngine(kern, x, z, **kwargs)
+    for scale in (0.7, 1.4):  # hints from far-away iterates: some stale
+        warm.evaluate(theta * scale)
+    results = {
+        "warm": warm.evaluate(theta),
+        "cold": EvaluationEngine(kern, x, z, **kwargs).evaluate(theta),
+        "one-shot": loglikelihood(kern, theta, x, z, **kwargs),
+    }
+    compressed = results["cold"].report.compressed
+    assert compressed["certified"] > 0  # the sketch ran here
+    assert sum(compressed.values()) == len(results["cold"].report.ranks)
+    for got in results.values():
+        for name in ("value", "logdet", "quadratic"):
+            assert getattr(got, name) == getattr(results["one-shot"], name)
+        assert got.report.ranks == results["one-shot"].report.ranks
+        assert got.report.compressed == compressed
+
+    fit = dict(theta0=theta, checkpoint_every=2, **kwargs)
+    whole = fit_mle(kern, x, z, max_iter=8, **fit)
+    path = str(tmp_path / "fit.json")
+    fit_mle(kern, x, z, max_iter=4, checkpoint_path=path, **fit)
+    resumed = fit_mle(kern, x, z, max_iter=8, checkpoint_path=path, **fit)
+    assert resumed.nfev < whole.nfev  # it did resume
+    assert resumed.loglik == whole.loglik
+    np.testing.assert_array_equal(resumed.theta, whole.theta)
+
+
 def test_truncations_bounded_by_planned_low_rank_tiles():
     """The tlr-fit-serve workload in miniature (exponential kernel,
     nugget 1e-6, Morton order, 20 x 20 tiles): a planned-low-rank tile

@@ -563,6 +563,46 @@ def test_sweep_equals_reference_on_any_tile_map(
     assert run.batched_tasks + run.fallback_tasks == run.tasks
 
 
+def _over_half_rank_matrix(tile=16, nt=4, rank=6):
+    """Diagonally dominant SPD tiles whose off-diagonal ones are planned
+    low-rank at ``rank < tile / 2``; with ``tile_tol=0`` tile ``(2, 1)``
+    absorbs one rank-``rank`` update and settles at ``2 * rank``, over
+    the default cap ``tile / 2``."""
+    gen = np.random.default_rng(tile)
+    matrix = TileMatrix(TileLayout(nt * tile, tile))
+    for i, j in matrix.layout.lower_tiles():
+        if i == j:
+            matrix.set(i, j, DenseTile(50.0 * np.eye(tile)))
+        else:
+            matrix.set(i, j, LowRankTile(
+                gen.standard_normal((tile, rank)),
+                gen.standard_normal((tile, rank)),
+            ))
+    return matrix
+
+
+@pytest.mark.parametrize("executor", ["batched", "thread", "process"])
+def test_default_rank_cap_is_the_same_at_every_entry_point(
+        executor, procpool, nothing_outlives_the_cell):
+    """``max_rank=None`` is the default fraction of the tile size
+    wherever a factorization starts: a settle over ``tile / 2`` stays
+    dense under a default-called executor exactly as under the
+    default-called reference loop."""
+    matrix = _over_half_rank_matrix()
+    reference, ref_stats = tile_cholesky(matrix.copy())
+    assert ref_stats.kept_dense > 0
+    uncapped, _ = tile_cholesky(matrix.copy(), max_rank=matrix.layout.tile_size)
+    assert uncapped.get(2, 1).is_low_rank and uncapped.get(2, 1).rank > 8
+    run = {
+        "batched": execute_cholesky_batched,
+        "thread": lambda m: execute_cholesky_parallel(m, workers=2),
+        "process": procpool.execute,
+    }[executor]
+    factor, report = run(matrix.copy())
+    _assert_bit_identical(factor, reference)
+    _assert_same_stats(report.stats, ref_stats)
+
+
 def _overflowing_matrix():
     """Four 4x4 tiles a side; panel 0 updates the FP16 tiles ``(2, 1)``
     and ``(3, 1)`` (100) by ``-(300 * -300) * 4``: 3.6e5 cannot be

@@ -396,6 +396,14 @@ class TestRealPaths:
         (generate,) = telemetry.tracer.by_name("generate")
         assert generate.attrs == dict(
             nt=8, workers=workers, elementwise=True, chunks=1)
+        # So does the compress span: how each off-diagonal tile was
+        # compressed, the report's own tally, the same traced or not.
+        (compress,) = telemetry.tracer.by_name("compress")
+        outcomes = compress.attrs["compressed"]
+        assert outcomes == traced.report.compressed == plain.report.compressed
+        assert set(outcomes) == {"certified", "fallback", "over_cap"}
+        assert sum(outcomes.values()) == compress.attrs["tiles"] == 28
+        assert outcomes["certified"] > 0
 
     def test_thread_backend_span_nesting(self, problem):
         """A task-level hook rides the sweep's calls: kernel spans

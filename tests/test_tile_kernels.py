@@ -410,3 +410,69 @@ class TestDenseKernelsConvertOnce:
         with pytest.raises(NumericalCorruptionError,
                            match="overflows FP16 storage"):
             DenseTile(np.full((2, 2), 1e5, dtype=np.float32), Precision.FP16)
+
+
+class TestLowRankKernelsReadFactorsInPlace:
+    """The low-rank branches read a float64 factor where it is stored
+    (no copy) and cast any other once; the bytes are those of the
+    arithmetic written out here, which copies every factor to float64
+    first, and no output aliases an operand."""
+
+    @staticmethod
+    def _f64(x):
+        return np.array(x, dtype=np.float64)  # always a copy
+
+    @pytest.mark.parametrize("lead", [Precision.FP64, Precision.FP32])
+    @pytest.mark.parametrize("pb", [Precision.FP64, Precision.FP32])
+    @pytest.mark.parametrize("pa", [Precision.FP64, Precision.FP32])
+    def test_bytes_of_the_copying_arithmetic(self, rng, pa, pb, lead):
+        n, f64 = 24, self._f64
+        a, _ = lr_tile(rng, n, n, 3, pa)
+        b, _ = lr_tile(rng, n, n, 5, pb)
+        d = DenseTile(rng.standard_normal((n, n)), pb)
+        c = DenseTile(rng.standard_normal((n, n)), lead)
+        diag = DenseTile(spd(n, 3) + n * np.eye(n), lead)
+        tri = DenseTile(np.linalg.cholesky(spd(n, 2)), pb)
+        dtype = compute_dtype(lead)
+
+        def cast(x):
+            return np.array(x, dtype=dtype)
+
+        ua, va, ub, vb = f64(a.u), f64(a.v), f64(b.u), f64(b.v)
+        core = va.T @ vb
+        w = cast(va).T @ cast(va)
+        want = {
+            "gemm lr,lr": c.data - cast(ua) @ cast(ub @ core.T).T,
+            "gemm lr,dense": c.data - cast(ua) @ cast(d.to_dense64() @ va).T,
+            "gemm dense,lr": c.data - cast(d.to_dense64() @ vb) @ cast(ub).T,
+            "syrk": diag.data - (cast(ua) @ w) @ cast(ua).T,
+        }
+        got = {
+            "gemm lr,lr": K.gemm(a, b, c),
+            "gemm lr,dense": K.gemm(a, d, c),
+            "gemm dense,lr": K.gemm(d, b, c),
+            "syrk": K.syrk(a, diag),
+        }
+        for op, tile in got.items():
+            assert tile.data.dtype == lead.dtype, op
+            assert tile.data.tobytes() == want[op].tobytes(), op
+
+        solved = K.trsm(tri, a)
+        want_v = sla.solve_triangular(
+            tri.to_dense64(), va, lower=True, check_finite=False
+        )
+        assert solved.v.tobytes() == cast_storage(want_v, pa).tobytes()
+        assert solved.u.tobytes() == a.u.tobytes()
+
+        # A low-rank output: the accumulator stacks the update's factors.
+        planned = LowRankTile(ub, vb, lead)
+        acc = K.gemm(a, b, planned, tol=1e-9)
+        assert acc.owed == (1e-9, None)
+        assert acc.u.tobytes() == np.hstack([f64(planned.u), -ua]).tobytes()
+        assert acc.v.tobytes() == np.hstack(
+            [f64(planned.v), ub @ core.T]
+        ).tobytes()
+        for out in (*got.values(), solved, acc):
+            arrays = (out.u, out.v) if out.is_low_rank else (out.data,)
+            for operand in (a.u, a.v, b.u, b.v, d.data, c.data, diag.data):
+                assert not any(np.shares_memory(x, operand) for x in arrays)
