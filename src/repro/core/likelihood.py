@@ -27,7 +27,7 @@ from ..obs.telemetry import maybe_span
 from ..resilience import Deadline, ResilienceConfig
 from ..resilience.validate import require_finite
 from ..tile.assembly import AssemblyReport, build_planned_covariance
-from ..tile.cholesky import CholeskyStats, tile_cholesky
+from ..tile.cholesky import CholeskyStats
 from ..tile.geometry import GeometryCache, TileGeometry
 from ..tile.matrix import TileMatrix
 from ..tile.recovery import RecoveryReport, factor_with_recovery
@@ -75,9 +75,7 @@ def _check_observations(x: np.ndarray, z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _resolve_execution(
-    cfg: VariantConfig, resilience, deadline, procpool
-) -> tuple[str, str, int]:
+def _resolve_execution(cfg: VariantConfig, procpool) -> tuple[str, str, int]:
     """``(placement, grouping, workers)`` the variant's execution
     settings resolve to — decided once per evaluation, before anything
     runs, and recorded on the spans and the run report.
@@ -86,32 +84,24 @@ def _resolve_execution(
     ``"inline"`` (the caller's thread) at one worker and ``"thread"``
     above.  *grouping*: process workers run one tile op per message,
     always ``"per-tile"``.  In this process it is ``"stacked"`` — the
-    panel sweep, on the caller's thread at one worker; retry / chaos
-    hooks attach to the calls it makes — unless the variant plans
-    low-rank tiles and nothing else is asked (one worker, no
-    ``batch``, no deadline, no hook): only a band's corner of a TLR
-    matrix rides the sweep's stacks and every other tile would pay its
-    per-task wrapper, so that run keeps the reference ``tile_cholesky``
-    (measured in DESIGN.md section 14; the exception goes when low-rank
-    columns can ride).  ``batch=True`` sizes the sweep's pool to the
-    usable CPUs (extra threads only add overhead around stacked calls
-    and never change results).  The one combination that cannot run —
+    panel sweep, on the caller's thread at one worker, for every
+    variant (a TLR variant's low-rank columns ride it too); retry /
+    chaos hooks attach to the calls it makes and a deadline is polled
+    at its panel boundaries.
+    ``batch=True`` sizes the sweep's pool to the usable CPUs (extra
+    threads only add overhead around stacked calls and never change
+    results).  The one combination that cannot run —
     ``backend="process"`` with ``batch=True`` — raises
     :class:`~repro.exceptions.ConfigurationError` at variant
     construction; none is dropped.
     """
-    hooked = resilience is not None and resilience.task_level
     if cfg.backend == "process":
         workers = cfg.workers if procpool is None else procpool.workers
         return "process", "per-tile", workers
     workers = cfg.workers
     if cfg.batch:
         workers = min(workers, usable_cores())
-    placement = "inline" if workers == 1 else "thread"
-    per_tile = cfg.use_tlr and not (
-        cfg.batch or placement == "thread" or deadline is not None or hooked
-    )
-    return placement, "per-tile" if per_tile else "stacked", workers
+    return "inline" if workers == 1 else "thread", "stacked", workers
 
 
 def _factor_and_solve(
@@ -125,11 +115,11 @@ def _factor_and_solve(
     has one), and forward-solve ``rhs``.  Returns ``(cfg, factor,
     stats, assembly report, recovery report or None, logdet, y)``.
 
-    Inline per-tile execution — the plain call of a TLR variant — is
-    the reference :func:`~repro.tile.cholesky.tile_cholesky`; every
-    other in-process cell is the panel sweep at the resolved width
+    Every in-process cell is the panel sweep at the resolved width
     with the task-level hooks on its calls, and process placement is
-    the worker pool.  Executors wrap task failures in
+    the worker pool; the reference
+    :func:`~repro.tile.cholesky.tile_cholesky` is what tests and the
+    benchmark replay compare them against, never what runs here.  Executors wrap task failures in
     :class:`~repro.exceptions.SchedulingError`; an underlying
     :class:`~repro.exceptions.NotPositiveDefiniteError` is unwrapped
     here, once, so MLE drivers and the recovery ladder see the same
@@ -138,17 +128,12 @@ def _factor_and_solve(
     cfg = get_variant(variant)
     if resilience is not None:
         resilience = resilience.bind()  # one chaos injector per call
-    placement, grouping, workers = _resolve_execution(
-        cfg, resilience, deadline, procpool
-    )
+    placement, grouping, workers = _resolve_execution(cfg, procpool)
     resolved = dict(placement=placement, grouping=grouping, workers=workers)
     chaos = None if resilience is None else resilience.resolve_chaos()
     hooks = {} if resilience is None else dict(
         retry=resilience.retry, chaos=chaos
     )
-    # Per tile on the caller's thread (a TLR variant's plain call):
-    # the reference loop itself.
-    reference = (placement, grouping) == ("inline", "per-tile")
     max_rank = int(cfg.max_rank_fraction * tile_size) or None
 
     def rebuild(**overrides):
@@ -166,8 +151,6 @@ def _factor_and_solve(
             fp16_accumulate_fp32=cfg.fp16_accumulate_fp32,
         )
         with maybe_span(telemetry, "factorize", nt=matrix.nt, **resolved):
-            if reference:
-                return tile_cholesky(matrix, **args)
             from ..runtime import ProcessPoolEngine, execute_cholesky_batched
 
             args.update(deadline=deadline, telemetry=telemetry)
@@ -226,7 +209,11 @@ def _factor_and_solve(
                 "lr_settle", truncations=stats.truncations,
                 kept_dense=stats.kept_dense,
                 densified=stats.densified_tiles,
-                max_width=stats.max_rank_seen,
+                max_rank=max(
+                    (tile.rank for _, tile in factored.items()
+                     if tile.is_low_rank),
+                    default=0,
+                ),
             )
     return cfg, factored, stats, report, recovery, logdet, y
 
@@ -264,8 +251,7 @@ def loglikelihood(
     ``variant=get_variant("mp-dense").with_(workers=4, batch=True)``
     (see :class:`~repro.core.variants.VariantConfig`).  With none
     set the factorization is the panel sweep on the caller's thread
-    (:mod:`repro.runtime.batchdispatch`) — for a TLR variant, the
-    reference :func:`~repro.tile.cholesky.tile_cholesky`.  Every
+    (:mod:`repro.runtime.batchdispatch`), whatever the variant.  Every
     combination returns bit-identical results or raises
     :class:`~repro.exceptions.ConfigurationError` (the variant itself
     refuses ``batch=True`` with ``backend="process"``, whose workers
@@ -294,7 +280,7 @@ def loglikelihood(
     and a bound chaos injector's tally into the metrics registry and,
     when low-rank tiles were settled, records one ``"lr_settle"``
     decision event (truncations, tiles kept dense, accumulators that
-    went dense, widest stacked factors).  Traced evaluations are
+    went dense, widest settled rank of the factor).  Traced evaluations are
     bit-identical to untraced ones.
     """
     z = _check_observations(x, z)

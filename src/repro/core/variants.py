@@ -58,9 +58,8 @@ class VariantConfig:
       and width of the pools for compression and the factorization.
     * ``backend`` — where factorization tasks run: ``"thread"``
       (default; a worker-thread pool, or the caller's thread at
-      ``workers=1`` — the panel sweep there too, except that a TLR
-      variant with nothing else asked keeps the reference
-      :func:`~repro.tile.cholesky.tile_cholesky`) or
+      ``workers=1`` — the panel sweep there too, whatever the variant
+      plans) or
       ``"process"`` (shared-memory worker processes running one tile
       op per message, :mod:`repro.runtime.procpool`).
     * ``batch`` — stacked grouping: assembly compresses whole shape

@@ -95,9 +95,8 @@ class ResilienceConfig:
     @property
     def task_level(self) -> bool:
         """Whether the factorization runs under retry or chaos hooks
-        (the router, ``core/likelihood.py::_resolve_execution``, sends
-        such a run to the panel sweep); degradation alone is fit-level
-        and leaves the factorization path untouched."""
+        (on the kernel calls the executor makes); degradation alone is
+        fit-level and leaves the factorization path untouched."""
         return self.retry is not None or self.chaos_enabled
 
     @property

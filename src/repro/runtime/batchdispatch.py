@@ -3,42 +3,50 @@
 The right-looking tile Cholesky visits panel ``k = 0, 1, ...``; within
 a panel every tile receives exactly one operation, and operations on
 different tiles are independent.  This executor makes *that* the
-schedule — no task graph, no ready set.  The dense tiles of each
-column that can ride a stack (:class:`~repro.runtime.taskcore.
-ColumnStacks`) are gathered once into ``(rows, m, n)`` arrays, and
-panel ``k`` is
+schedule — no task graph, no ready set.  The tiles of each column
+that can ride a stack (:class:`~repro.runtime.taskcore.ColumnStacks`:
+every float64 output, a TLR matrix's planned-low-rank rows included,
+and FP32 dense tiles whose operands are all dense) are gathered once
+into ``(rows, m, n)`` arrays, and panel ``k`` is
 
 1. POTRF of the diagonal tile;
-2. one wide triangular solve per run of column ``k``, whose solved
-   slices are published to the matrix as views (the column is final),
-   and the per-tile TRSM of each loose tile of the column;
-3. for every trailing column ``n``, one stacked
-   ``C_run <- C_run - A_run B^T`` per run.  With ``workers > 1`` the
-   trailing columns are dealt round-robin into ``workers`` *units* —
-   columns' stacked calls and nothing else — one run by the driving
-   thread, the others by the pool; the driving thread then runs the
-   leftovers per tile in reference order: every SYRK, and the GEMM of
-   every loose tile (low-rank or accumulating operand or output,
-   binary16 compute, ragged or lone rows);
-4. the barrier: the panel's units have all returned.
+2. one wide triangular solve per run of column ``k`` over its settled
+   dense rows, whose solved slices are published to the matrix as
+   views; the settle-and-solve of each planned-low-rank row, per tile
+   (``trsm``'s own arithmetic); and the per-tile TRSM of each loose
+   tile of the column — the column is final;
+3. the finished column as the GEMMs' ``A``: views of its dense tiles,
+   or — when it holds a low-rank tile — one float64 expansion of every
+   row (``u v^T`` or the widened data);
+4. for every trailing column ``n``, one stacked
+   ``C_run <- C_run - A_run B^T`` per run (``(A_run V_B) U_B^T`` when
+   ``B = (n, k)`` is low-rank).  With ``workers > 1`` the trailing
+   columns are dealt round-robin into ``workers`` *units* — columns'
+   stacked calls and nothing else — one run by the driving thread, the
+   others by the pool; the driving thread then runs the leftovers per
+   tile in reference order: every SYRK, and the GEMM of every loose
+   tile (an FP32 tile facing a low-rank operand, binary16 compute,
+   ragged or lone rows);
+5. the barrier: the panel's units have all returned.
 
 O(nt^2) Python-level calls carry the O(nt^3) tile operations.  Each
 tile still sees its updates ``k = 0, 1, ...`` in order, each from the
 same BLAS routine on the same operands as the per-tile kernel (a
 stacked ``matmul`` is a GEMM per slice, a multi-RHS solve is
-column-independent), so every factor is bit-identical to
+column-independent, an expanded ``A`` is the per-tile kernel's own
+``to_dense64()``), so every factor is bit-identical to
 :func:`~repro.tile.cholesky.tile_cholesky` (pinned by
 ``tests/test_execution_matrix.py``).
 
 A ``deadline`` is honoured at panel boundaries.  ``retry`` / ``chaos``
 / ``check_finite`` attach to the kernel *calls* the sweep makes
 (:meth:`~repro.runtime.taskcore.TaskBody.hooked`): a per-tile call —
-POTRF, SYRK, every loose tile's TRSM / GEMM — is one attempt at its
-own task's uid, a stacked call is one attempt at its run's first
-task's.  A stacked call reads views nobody writes and returns a fresh
-array, so re-running it is as safe as re-running a task; and the calls
-a matrix makes do not depend on the pool width, so a seeded chaos
-schedule is the same at every ``workers``.
+POTRF, SYRK, every settle, every loose tile's TRSM / GEMM — is one
+attempt at its own task's uid, a stacked call is one attempt at its
+first row's task's.  A hooked stacked call reads views nobody writes
+and returns a fresh array (only the hook-free path updates a run in
+place), so re-running it is as safe as re-running a task; and the calls a matrix makes do not depend on the pool width, so
+a seeded chaos schedule is the same at every ``workers``.
 """
 
 from __future__ import annotations
@@ -135,9 +143,17 @@ def execute_cholesky_batched(
         chaos=chaos, epoch=epoch, check_finite=check_finite,
         columns=columns, recorder=recorder,
     )
-    #: Stacked calls per column and panel (a column's runs never change
-    #: rows, only stacks).
+    #: Stacked GEMMs per column and panel (a column's runs never change
+    #: rows before its TRSM, only stacks); a column's TRSM stacks the
+    #: dense rows of each run, its planned-low-rank rows settle per tile.
     calls = [len(columns.get(n)) for n in range(nt)]
+    solves = [
+        sum(run.hi - run.lo > len(run.owing) for run in columns.get(n))
+        for n in range(nt)
+    ]
+    settles = [
+        sum(len(run.owing) for run in columns.get(n)) for n in range(nt)
+    ]
     batches = batched_tasks = running = max_running = 0
 
     def unit(k: int, cols: list, facing: list) -> None:
@@ -191,8 +207,8 @@ def execute_cholesky_batched(
                 # surfaces; the pool's exit joins whatever still runs.
                 for future in futures:
                     future.result()
-                batches += calls[k] + sum(calls[n] for n in stacked)
-                batched_tasks += columns.riding[k] + sum(
+                batches += solves[k] + sum(calls[n] for n in stacked)
+                batched_tasks += columns.riding[k] - settles[k] + sum(
                     columns.riding[n] for n in stacked
                 )
                 if recorder.tracer is not None:

@@ -67,7 +67,6 @@ from .taskcore import (
     resolve_hooks,
     stop_reason,
     stopped,
-    tally_gemm,
     tally_settle,
 )
 
@@ -387,7 +386,7 @@ class ProcessPoolEngine:
                     stats.retries += info["retries"]
                     if info["chaos"] is not None:
                         chaos.absorb(info["chaos"])
-                    tally_gemm(stats, info["densified"], info["lr_rank"])
+                    stats.densified_tiles += info["densified"]
                     tally_settle(stats, info["truncated"], info["kept_dense"])
                     ready.complete(uid)
                     flush()

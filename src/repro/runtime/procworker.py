@@ -161,9 +161,7 @@ def _run_items(rank, items, st: _EvalState, cache: SegmentCache,
         info["retries"] = attempts - 1
         # Injections that fired during this task, for the parent's tally.
         info["chaos"] = None if chaos is None else chaos.stats
-        info["densified"], info["lr_rank"] = (
-            gemm_outcome(before, out) if task.op == "gemm" else (False, None)
-        )
+        info["densified"] = task.op == "gemm" and gemm_outcome(before, out)
         info["truncated"], info["kept_dense"] = (
             settle_outcome(before, out) if task.op == "trsm"
             else (False, False)

@@ -6,8 +6,9 @@ stacks, on the caller's thread or a thread pool
 worker processes (:mod:`~repro.runtime.procpool`).  They differ only
 in *scheduling*; the rest lives here, once:
 
-* :class:`ColumnStacks` — which dense tiles of a matrix ride
-  ``(rows, m, n)`` stacks through the sweep, and their current values;
+* :class:`ColumnStacks` — which tiles of a matrix ride ``(rows, m,
+  n)`` stacks through the sweep (float64 outputs, accumulating
+  planned-low-rank rows included), and their current values;
 * :class:`TaskBody` — the per-task and per-column kernel bodies, the
   one hook wrapper every kernel *call* goes through (retry / chaos /
   finite check: :meth:`TaskBody.hooked`) and the low-rank update
@@ -59,7 +60,7 @@ __all__ = [
     "MIN_BATCH", "CholeskyPlan", "ColumnStacks", "MatrixTiles",
     "ParallelRunReport", "ReadySet", "RunRecorder", "StackRun", "TaskBody",
     "cholesky_plan", "finish_run", "gemm_outcome", "resolve_hooks",
-    "settle_outcome", "stop_reason", "stopped", "tally_gemm", "tally_settle",
+    "settle_outcome", "stop_reason", "stopped", "tally_settle",
 ]
 
 #: Below this run length a stacked call buys nothing over the per-tile
@@ -194,13 +195,18 @@ class MatrixTiles:
 
 class StackRun(NamedTuple):
     """Tile rows ``lo .. hi - 1`` of one column as one ``(hi - lo, m,
-    n)`` array at storage ``precision``.  Immutable: an update makes a
-    new run around a fresh array."""
+    n)`` array.  ``precision`` is the storage precision of its settled
+    dense rows (:attr:`Precision.FP64` for a float64 run); ``owing``
+    lists the planned-low-rank rows of a float64 run — ``(row, storage
+    precision)``, ascending — which accumulate in the stack and owe one
+    truncation each.  An update makes a new run around the updated
+    stack (the same array when updated in place)."""
 
     lo: int
     hi: int
     precision: Precision
     stack: np.ndarray
+    owing: tuple[tuple[int, Precision], ...] = ()
 
 
 class ColumnStacks:
@@ -208,23 +214,37 @@ class ColumnStacks:
     column by column.
 
     A sub-diagonal tile ``(m, n)`` *rides* when its TRSM and every
-    GEMM it will receive can be a slice of a stacked call: it is a
-    settled dense tile whose compute dtype is not binary16, rows ``m``
-    and ``n`` hold only settled dense tiles left of column ``n`` (its
-    operands ``(m, k)`` and ``(n, k)``, ``k < n``), and a vertical
-    neighbour of the same shape and precision rides with it — a *run*
-    of at least :data:`MIN_BATCH`.  Riding tiles are gathered here,
-    once; until the TRSM of their column publishes them they live only
-    in their run's stack, so no per-tile kernel ever reads or writes
-    one.  Every other tile is *loose*: it stays in the matrix and runs
-    per tile.
+    GEMM it will receive can be a slice of a stacked call, beside a
+    vertical neighbour of the same shape that rides with it — a *run*
+    of at least :data:`MIN_BATCH` — and:
+
+    * its GEMMs are computed in float64 — a settled dense FP64 tile, or
+      a planned-low-rank tile right of column 0 (it accumulates in
+      float64 from its first update, panel 0's, on).  Whatever its
+      operands are, each update is one formula of the column's shared
+      ``B`` (:func:`repro.tile.batch.stacked_gemm`), so these rows form
+      one float64 run per shape, each planned-low-rank row keeping its
+      storage precision (:attr:`StackRun.owing`); or
+    * it is a settled dense tile computed in FP32 (FP32 storage, or
+      FP16 with FP32 accumulation) and rows ``m`` and ``n`` hold only
+      settled dense tiles left of column ``n`` (its operands ``(m, k)``
+      and ``(n, k)``, ``k < n``): a run of one shape and precision.
+
+    Riding tiles are gathered here, once (a planned-low-rank row as its
+    float64 dense block — what its first update starts from); until the
+    TRSM of their column publishes them they live only in their run's
+    stack, so no per-tile kernel ever reads or writes one.  Every other
+    tile is *loose*: it stays in the matrix and runs per tile.
 
     Stack-view invariant: a stacked call reads views of arrays nobody
-    writes any more and returns a fresh one; runs are replaced
-    (:meth:`set`), never mutated.  Distinct columns are distinct
-    variables, so the sweep's units — disjoint sets of columns — share
-    nothing they write; :meth:`get` / :meth:`set` are the seam the
-    concurrency sanitizer watches, like :meth:`TileMatrix.get` /
+    writes any more (the finished panel column) and writes only the
+    run it updates — in place on the hook-free path, since nothing but
+    that call reads a trailing column's stack before its TRSM, and into
+    a fresh stack under hooks, so a failed attempt leaves the run as it
+    was; runs are replaced (:meth:`set`).  Distinct columns are
+    distinct variables, so the sweep's units — disjoint sets of columns
+    — share nothing they write; :meth:`get` / :meth:`set` are the seam
+    the concurrency sanitizer watches, like :meth:`TileMatrix.get` /
     ``set``.
     """
 
@@ -243,7 +263,7 @@ class ColumnStacks:
                 n += 1
             dense_left.append(n)
         self._runs: dict[int, list[StackRun]] = {}
-        #: Tiles riding in each column (a stacked call's task count).
+        #: Tiles riding in each column (a stacked GEMM's task count).
         self.riding: list[int] = []
         #: Loose rows of each column, and loose columns of each row
         #: (both ascending).
@@ -253,8 +273,14 @@ class ColumnStacks:
 
             def run_key(m: int, n: int = n):
                 tile = get(m, n)
+                if tile.owed is not None:
+                    return None
+                if tile.is_low_rank:
+                    return (tile.shape, Precision.FP64) if n else None
+                if tile.precision is Precision.FP64:
+                    return tile.shape, Precision.FP64
                 if (
-                    dense_left[m] < n or dense_left[n] < n or not dense(tile)
+                    dense_left[m] < n or dense_left[n] < n
                     or (tile.precision is Precision.FP16
                         and not fp16_accumulate_fp32)
                 ):
@@ -268,11 +294,20 @@ class ColumnStacks:
                     for m in rows:
                         self.loose_rows[n].append(m)
                         self.loose_cols[m].append(n)
-                else:
-                    runs.append(StackRun(
-                        rows[0], rows[-1] + 1, key[1],
-                        np.stack([get(m, n).data for m in rows]),
-                    ))
+                    continue
+                shape, precision = key
+                stack = np.empty((len(rows), *shape), dtype=precision.dtype)
+                owing = []
+                for i, m in enumerate(rows):
+                    tile = get(m, n)
+                    if tile.is_low_rank:
+                        stack[i] = tile.to_dense64()
+                        owing.append((m, tile.precision))
+                    else:
+                        stack[i] = tile.data
+                runs.append(StackRun(
+                    rows[0], rows[-1] + 1, precision, stack, tuple(owing),
+                ))
             self._runs[n] = runs
             self.riding.append(sum(run.hi - run.lo for run in runs))
 
@@ -281,7 +316,8 @@ class ColumnStacks:
         return self._runs[n]
 
     def set(self, n: int, runs: list[StackRun]) -> None:
-        """Replace the runs of column ``n`` (same rows, fresh stacks)."""
+        """Replace the runs of column ``n`` (same rows — until its TRSM,
+        which keeps only the runs its published tiles are views of)."""
         self._runs[n] = runs
 
 
@@ -310,20 +346,11 @@ def _tile_is_finite(tile: Tile) -> bool:
     return bool(np.isfinite(tile.data).all())
 
 
-def gemm_outcome(before: Tile, out: Tile) -> tuple[bool, int | None]:
-    """``(densified, lr_rank)`` of a GEMM that turned ``before`` into
-    ``out`` — the two facts :class:`CholeskyStats` tallies per update."""
-    if out.is_low_rank:
-        return False, out.rank
-    return before.is_low_rank, None
-
-
-def tally_gemm(stats: CholeskyStats, densified: bool,
-               lr_rank: int | None) -> None:
-    if densified:
-        stats.densified_tiles += 1
-    if lr_rank is not None and lr_rank > stats.max_rank_seen:
-        stats.max_rank_seen = lr_rank
+def gemm_outcome(before: Tile, out: Tile) -> bool:
+    """Whether a GEMM that turned ``before`` into ``out`` densified a
+    low-rank tile — its first update, which makes it an accumulator;
+    the fact :class:`CholeskyStats` tallies per update."""
+    return before.is_low_rank and not out.is_low_rank
 
 
 def settle_outcome(before: Tile, out: Tile) -> tuple[bool, bool]:
@@ -386,28 +413,31 @@ class TaskBody:
         traces = self.recorder is not None and self.recorder.tracer is not None
         self._note = self.recorder.note if traces else None
 
-    def kernel(self, task: Task) -> Tile:
-        """The bare tile kernel of ``task``."""
+    def kernel(self, task: Task, before: Tile | None = None) -> Tile:
+        """The bare tile kernel of ``task``; ``before`` is the output
+        tile's current value when ``tiles`` does not hold it (a riding
+        row's accumulator)."""
         tiles = self.tiles
+        out = tiles[task.output] if before is None else before
         op = task.op
         if op == "gemm":
             amk, ank = task.inputs
             return K.gemm(
-                tiles[amk], tiles[ank], tiles[task.output],
+                tiles[amk], tiles[ank], out,
                 tol=self.tile_tol, max_rank=self.max_rank,
                 fp16_accumulate_fp32=self.fp16_accumulate_fp32,
             )
         if op == "trsm":
             return K.trsm(
-                tiles[task.inputs[0]], tiles[task.output],
+                tiles[task.inputs[0]], out,
                 fp16_accumulate_fp32=self.fp16_accumulate_fp32,
             )
         if op == "syrk":
             return K.syrk(
-                tiles[task.inputs[0]], tiles[task.output],
+                tiles[task.inputs[0]], out,
                 fp16_accumulate_fp32=self.fp16_accumulate_fp32,
             )
-        return K.potrf(tiles[task.output], index=task.output)
+        return K.potrf(out, index=task.output)
 
     def hooked(self, site: Task, call, corrupt, bad_tile) -> tuple:
         """``(result, attempts)`` of one kernel call — a tile op or a
@@ -450,29 +480,35 @@ class TaskBody:
                 self.stats.retries += tries - 1
         return out, tries
 
-    def compute(self, task: Task) -> tuple[Tile, int]:
+    def compute(self, task: Task,
+                before: Tile | None = None) -> tuple[Tile, int]:
         """``(output tile, attempts)`` of ``task`` under the hooks,
-        without writing anything back."""
+        without writing anything back (``before`` as in
+        :meth:`kernel`)."""
         if self._plain:
-            return self.kernel(task), 1
+            return self.kernel(task, before), 1
         return self.hooked(
-            task, lambda: self.kernel(task),
+            task, lambda: self.kernel(task, before),
             lambda out, inject: inject(out),
             lambda out: None if _tile_is_finite(out) else task.output,
         )
 
-    def stacked(self, op: str, k: int, n: int, run: StackRun, call):
+    def stacked(self, op: str, k: int, n: int, rows, precision: Precision,
+                owed, call):
         """``(new stack, attempts)`` of the stacked call ``call()``
-        that applies panel ``k``'s ``op`` to ``run`` of column ``n``,
-        under the hooks.  The site is the run's first task, one
-        attempt is the whole call, the injector is handed that task's
-        slice (a hit replaces it in a copy of the stack), and a failed
-        finite check names the first non-finite *tile* of the run."""
+        that applies panel ``k``'s ``op`` to the slices of tile rows
+        ``rows`` of column ``n``, under the hooks.  The site is the
+        first row's task, one attempt is the whole call, the injector
+        is handed that task's slice as its tile — storage
+        ``precision``, and the ``owed`` truncation of an accumulating
+        row, which keeps it float64 — and a hit replaces the slice in a
+        copy of the stack; a failed finite check names the first
+        non-finite *tile* of the call."""
         if self._plain:
             return call(), 1
 
         def corrupt(stack, inject):
-            tile = DenseTile(stack[0], run.precision)
+            tile = DenseTile(stack[0], precision, owed)
             hit = inject(tile)
             if hit is not tile:
                 stack = stack.copy()
@@ -483,27 +519,30 @@ class TaskBody:
             finite = np.isfinite(stack)
             if finite.all():
                 return None
-            return run.lo + int(np.argmin(finite.all(axis=(1, 2)))), n
+            return rows[int(np.argmin(finite.all(axis=(1, 2))))], n
 
         return self.hooked(
-            cholesky_task(len(self.columns.riding), op, k, run.lo, n),
+            cholesky_task(len(self.columns.riding), op, k, rows[0], n),
             call, corrupt, bad_tile,
         )
 
-    def run(self, task: Task) -> None:
-        """Execute ``task``, tally it and write its output back."""
+    def run(self, task: Task, before: Tile | None = None) -> None:
+        """Execute ``task``, tally it and write its output back
+        (``before``: the output tile's current value when ``tiles``
+        does not hold it, as in :meth:`kernel`)."""
         note = self._note
         if note is not None:
             start = time.perf_counter()
-        out, attempts = self.compute(task)
         tiles = self.tiles
+        if before is None:
+            before = tiles[task.output]
+        out, attempts = self.compute(task, before)
         if task.op == "gemm":
-            densified, lr_rank = gemm_outcome(tiles[task.output], out)
-            if densified or lr_rank is not None:
+            if gemm_outcome(before, out):
                 with self.lock:
-                    tally_gemm(self.stats, densified, lr_rank)
+                    self.stats.densified_tiles += 1
         elif task.op == "trsm":
-            truncated, kept_dense = settle_outcome(tiles[task.output], out)
+            truncated, kept_dense = settle_outcome(before, out)
             if truncated:
                 with self.lock:
                     tally_settle(self.stats, truncated, kept_dense)
@@ -512,55 +551,95 @@ class TaskBody:
             note(task.op, 1, task, start, attempts, False)
 
     def solve_column(self, k: int) -> None:
-        """Panel ``k``'s TRSM of every run of column ``k`` — one wide
-        solve each against the factored diagonal tile — and the
-        column's publication: each solved slice is written to
-        ``tiles`` as a view of its run's new stack.  The column is
-        final from here on."""
+        """Panel ``k``'s TRSM of every run of column ``k`` and the
+        column's publication.  A run's settled dense rows take one wide
+        solve against the factored diagonal tile, each solved slice
+        written to ``tiles`` as a view of the new stack; its
+        planned-low-rank rows settle and solve one by one, through the
+        per-tile kernel — the truncation is ``trsm``'s own arithmetic.
+        The column is final from here on, and keeps only the runs whose
+        solved stacks its published tiles are views of."""
         tiles = self.tiles
         note = self._note
+        nt = len(self.columns.riding)
         low = tiles[(k, k)]
+        owed = (self.tile_tol, self.max_rank)
         runs = []
         for run in self.columns.get(k):
-            if note is not None:
-                start = time.perf_counter()
-            stack, attempts = self.stacked(
-                "trsm", k, k, run, lambda: stacked_trsm(
-                    low, run.stack, run.precision,
-                    fp16_accumulate_fp32=self.fp16_accumulate_fp32,
-                ),
-            )
-            for m in range(run.lo, run.hi):
-                tiles[(m, k)] = DenseTile(stack[m - run.lo], run.precision)
-            runs.append(run._replace(stack=stack))
-            if note is not None:
-                note("trsm", run.hi - run.lo, None, start, attempts, True)
+            owing = dict(run.owing)
+            rows = [m for m in range(run.lo, run.hi) if m not in owing]
+            if rows:
+                if note is not None:
+                    start = time.perf_counter()
+                dense = (run.stack[[m - run.lo for m in rows]] if owing
+                         else run.stack)
+                solved, attempts = self.stacked(
+                    "trsm", k, k, rows, run.precision, None,
+                    lambda: stacked_trsm(
+                        low, dense, run.precision,
+                        fp16_accumulate_fp32=self.fp16_accumulate_fp32,
+                    ),
+                )
+                for m, data in zip(rows, solved):
+                    tiles[(m, k)] = DenseTile(data, run.precision)
+                if not owing:
+                    runs.append(run._replace(stack=solved))
+                if note is not None:
+                    note("trsm", len(rows), None, start, attempts, True)
+            for m, precision in run.owing:
+                # A fresh array, as the per-tile GEMM hands the settle.
+                self.run(cholesky_task(nt, "trsm", k, m), DenseTile(
+                    run.stack[m - run.lo].copy(), precision, owed,
+                ))
         self.columns.set(k, runs)
 
     def facing(self, k: int) -> list:
-        """Where the dense tiles of the finished column ``k`` live, by
-        row: ``(array, first row)`` — a run's stack, or a loose tile's
-        own data as a one-row stack.  Rows no riding tile can face
-        (low-rank, at or above the diagonal) hold ``None``."""
+        """What the finished column ``k`` hands the stacked GEMMs, by
+        row: ``(array, first row)``.  A column holding a low-rank tile
+        is expanded once, in float64 — every row its dense block (``u
+        v^T`` for a low-rank tile, the widened data for a dense one),
+        one stack per tile shape.  Otherwise the rows are views where
+        the dense tiles live: a run's stack, or any other tile's own
+        data as a one-row stack.  Rows at or above the diagonal hold
+        ``None``."""
         tiles = self.tiles
         columns = self.columns
-        rows: list = [None] * len(columns.riding)
+        nt = len(columns.riding)
+        rows: list = [None] * nt
         for run in columns.get(k):
             rows[run.lo:run.hi] = [(run.stack, run.lo)] * (run.hi - run.lo)
-        for m in columns.loose_rows[k]:
-            tile = tiles[(m, k)]
-            if not tile.is_low_rank:
+        # Only a tile outside the column's solved runs can be low-rank.
+        rest = {m: tiles[(m, k)] for m in range(k + 1, nt) if rows[m] is None}
+        if not any(tile.is_low_rank for tile in rest.values()):
+            for m, tile in rest.items():
                 rows[m] = (tile.data[None], m)
+            return rows
+        final = [rest.get(m) or tiles[(m, k)] for m in range(k + 1, nt)]
+        for shape, group in groupby(
+            range(k + 1, nt), lambda m: final[m - k - 1].shape
+        ):
+            group = list(group)
+            wide = np.empty((len(group), *shape))
+            for i, m in enumerate(group):
+                wide[i] = final[m - k - 1].to_dense64()
+                rows[m] = (wide, group[0])
         return rows
 
     def update_column(self, k: int, n: int, facing: list) -> None:
         """Panel ``k``'s GEMMs into every run of column ``n`` — one
         stacked call each: ``C_run <- C_run - A_run B^T`` with ``A_run``
-        the views of column ``k`` (:meth:`facing`) beside the run and
-        ``B`` the tile ``(n, k)``.  What the sweep's units are made
-        of: it writes no state another column's call touches."""
+        the rows of column ``k`` (:meth:`facing`) beside the run and
+        ``B`` the tile ``(n, k)`` (low-rank ``B``: ``(A_run V_B)
+        U_B^T``).  What the sweep's units are made of: it writes no
+        state another column's call touches.  Without hooks a run's
+        stack is updated in place — nothing but this call reads a
+        trailing column's stack before its TRSM — and under hooks into a
+        fresh stack, so a failed attempt leaves the run as it was."""
         note = self._note
-        b = self.tiles[(n, k)].data
+        b = self.tiles[(n, k)]
+        if not b.is_low_rank:
+            b = b.data
+        owed = (self.tile_tol, self.max_rank)
         runs = []
         for run in self.columns.get(n):
             if note is not None:
@@ -572,12 +651,24 @@ class TaskBody:
                 stop = min(run.hi, first + len(stack))
                 parts.append(stack[m - first:stop - first])
                 m = stop
+            if run.owing and run.owing[0][0] == run.lo:
+                precision, lead_owed = run.owing[0][1], owed
+            else:
+                precision, lead_owed = run.precision, None
             updated, attempts = self.stacked(
-                "gemm", k, n, run, lambda: stacked_gemm(
+                "gemm", k, n, range(run.lo, run.hi), precision, lead_owed,
+                lambda: stacked_gemm(
                     parts, b, run.stack, run.precision,
                     fp16_accumulate_fp32=self.fp16_accumulate_fp32,
+                    out=run.stack if self._plain else None,
                 ),
             )
+            if k == 0 and run.owing:
+                # A riding planned-low-rank row's first update is panel
+                # 0's: it turns into a dense accumulator here, as the
+                # per-tile GEMM tallies it.
+                with self.lock:
+                    self.stats.densified_tiles += len(run.owing)
             runs.append(run._replace(stack=updated))
             if note is not None:
                 note("gemm", run.hi - run.lo, None, start, attempts, True)

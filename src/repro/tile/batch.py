@@ -1,13 +1,15 @@
-"""Stacked tile kernels: a column's dense tiles as one BLAS call.
+"""Stacked tile kernels: a column's tiles as one BLAS call.
 
 The paper's single-node performance comes from dispatching *batches* of
 same-shape tile kernels to vendor BLAS instead of one tiny call at a
 time (the batched kernels of ExaGeoStat / HiCMA).  This module is the
 numerical half of that design: ``stacked_trsm`` and ``stacked_gemm``
-work on a column's dense tiles held as one contiguous ``(rows, m, n)``
+work on a column's tiles held as one contiguous ``(rows, m, n)``
 array — the panel sweep's (:mod:`repro.runtime.batchdispatch`)
-representation: operands are views, the result is one fresh array,
-nothing is gathered.
+representation: operands are views, the result is one array (fresh,
+or the updated stack itself), nothing is gathered.  A float64 stack may hold accumulating
+planned-low-rank rows beside dense FP64 ones; a low-rank ``B`` updates
+it as ``(A V_B) U_B^T``, the per-tile kernel's float64 formula.
 
 Bit-identity contract
 ---------------------
@@ -18,8 +20,9 @@ column-independent, and the operand casts commute with stacking
 (``f64 -> f32`` on assignment equals ``astype``; ``f16 -> f64 -> f32``
 equals ``f16 -> f32`` exactly).  The equivalence is pinned by
 ``tests/test_batched_kernels.py``.  Tiles whose lead compute dtype is
-binary16 (the emulated pure-HGEMM mode) and low-rank tiles never ride a
-stack — the sweep runs those through the per-tile kernels.  Every
+binary16 (the emulated pure-HGEMM mode) never ride a stack, and a
+settle (a planned-low-rank row's truncation) is never stacked — the
+sweep runs those through the per-tile kernels.  Every
 narrowing to storage goes through
 :func:`~repro.tile.precision.cast_storage`, so a value the storage
 format cannot hold raises the per-tile kernels'
@@ -29,24 +32,12 @@ format cannot hold raises the per-tile kernels'
 from __future__ import annotations
 
 import numpy as np
-from scipy import linalg as sla
 
+from ..exceptions import ShapeError
 from . import kernels as K
+from .kernels import _TRTRS
 from .precision import Precision, cast_storage, compute_dtype
-from .tile import Tile
-
-# Raw LAPACK ``trtrs`` handles per supported compute dtype: the wrapper
-# overhead of ``solve_triangular`` (finiteness checks, copies) is
-# measurable at tile granularity, and ``trtrs`` is the same routine the
-# wrapper ends up calling — identical bits, less Python.
-_TRTRS = {
-    np.dtype(np.float64): sla.get_lapack_funcs(
-        ("trtrs",), (np.empty(0, dtype=np.float64),)
-    )[0],
-    np.dtype(np.float32): sla.get_lapack_funcs(
-        ("trtrs",), (np.empty(0, dtype=np.float32),)
-    )[0],
-}
+from .tile import LowRankTile, Tile
 
 __all__ = ["stacked_trsm", "stacked_gemm"]
 
@@ -84,36 +75,62 @@ def stacked_trsm(
 
 def stacked_gemm(
     a_parts: list[np.ndarray],
-    b: np.ndarray,
+    b: "np.ndarray | LowRankTile",
     c_stack: np.ndarray,
     precision: Precision,
     *,
     fp16_accumulate_fp32: bool = True,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """``C_p <- C_p - A_p B^T`` for every slice of a run sharing one
     ``B``: ``c_stack`` is the run's ``(rows, m, n)`` stack at storage
     ``precision``, ``a_parts`` the consecutive ``(r_i, m, k)`` pieces
     of the panel column facing it (``sum r_i == rows``; pieces may
-    differ in storage precision), ``b`` the ``(n, k)`` panel tile of
-    the run's column.  Returns a fresh stack; no operand is written.
+    differ in storage precision), ``b`` the panel tile ``(n, k)`` of
+    the run's column — its dense data, or the tile itself when it is
+    low-rank (float64 compute only: ``C_p - (A_p V_B) U_B^T``).
+    Returns the updated stack: written into ``out`` when given (a stack
+    of ``c_stack``'s shape and storage dtype — ``c_stack`` itself for an
+    update in place), else a fresh one; no other operand is written.
 
     Slice-wise bit-identical to :func:`repro.tile.kernels.gemm`: the
     stacked ``matmul`` issues the same GEMM per slice against the
-    same (broadcast) transposed ``B``, ``c_stack - update`` promotes
-    the stored ``C`` exactly as the per-tile operand cast does, and
-    the narrowing to storage is the same single rounding.
+    same (broadcast) ``B`` operand, ``c_stack - update`` promotes the
+    stored ``C`` exactly as the per-tile operand cast does, and the
+    narrowing to storage is the same single rounding.
     """
     dtype = compute_dtype(precision, fp16_accumulate_fp32=fp16_accumulate_fp32)
-    bt = K._as_compute(b, dtype).T
-    if len(a_parts) == 1:
-        update = np.matmul(K._as_compute(a_parts[0], dtype), bt)
+    if isinstance(b, LowRankTile):
+        if dtype != np.float64:
+            raise ShapeError("a low-rank B updates float64 outputs only")
+        # ``A_p V_B`` per piece, then one product with ``U_B^T``.
+        right = K._as_compute(b.v, dtype)
+        update = np.matmul(_matmul_parts(a_parts, right, dtype),
+                           K._as_compute(b.u, dtype).T)
     else:
-        update = np.empty(c_stack.shape, dtype=dtype)
-        row = 0
-        for part in a_parts:
-            stop = row + part.shape[0]
-            np.matmul(K._as_compute(part, dtype), bt, out=update[row:stop])
-            row = stop
+        update = _matmul_parts(a_parts, K._as_compute(b, dtype).T, dtype)
+    if out is not None and out.dtype == update.dtype:
+        np.subtract(c_stack, update, out=out)
+        return out
     # The update buffer is this call's own: subtract into it.
     np.subtract(c_stack, update, out=update)
-    return cast_storage(update, precision)
+    if out is None:
+        return cast_storage(update, precision)
+    out[...] = cast_storage(update, precision)
+    return out
+
+
+def _matmul_parts(a_parts: list[np.ndarray], right: np.ndarray,
+                  dtype: np.dtype) -> np.ndarray:
+    """``matmul(A_p, right)`` over the pieces of a run, each cast to
+    ``dtype``, as one fresh stack."""
+    if len(a_parts) == 1:
+        return np.matmul(K._as_compute(a_parts[0], dtype), right)
+    rows = sum(part.shape[0] for part in a_parts)
+    out = np.empty((rows, a_parts[0].shape[1], right.shape[1]), dtype=dtype)
+    row = 0
+    for part in a_parts:
+        stop = row + part.shape[0]
+        np.matmul(K._as_compute(part, dtype), right, out=out[row:stop])
+        row = stop
+    return out

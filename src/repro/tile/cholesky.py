@@ -17,11 +17,10 @@ assigned by the :class:`~repro.tile.decisions.TilePlan`; the kernels in
 the *sequentially executed* reference: every executor of
 :mod:`repro.runtime` is pinned bit-identical to it
 (``tests/test_execution_matrix.py``) and the benchmark harness replays
-it.  It is not what an evaluation runs by default — a hook-free
-``dense-fp64`` / ``mp-dense`` evaluation runs the panel sweep
-(:mod:`repro.runtime.batchdispatch`); only the plain one-worker call
-of a TLR variant still lands here
-(``core/likelihood.py::_resolve_execution``).
+it.  No evaluation runs it: every in-process factorization is the panel
+sweep (:mod:`repro.runtime.batchdispatch`), the TLR variants included;
+besides the tests and the harness, only the recovery ladder's default
+``factor_fn`` calls it.
 """
 
 from __future__ import annotations
@@ -46,12 +45,14 @@ class CholeskyStats:
     metric_kind = "counter"
 
     kernel_counts: dict[str, int] = field(default_factory=dict)
-    #: Low-rank tiles whose accumulator switched from stacked factors
-    #: to a dense block during their updates (transient: the settle
-    #: may still truncate them back, see :attr:`kept_dense`).
+    #: Low-rank tiles a GEMM turned into a dense float64 accumulator —
+    #: every planned-low-rank tile right of column 0, at its first
+    #: update (transient: the settle truncates it back unless it is
+    #: :attr:`kept_dense`).
     densified_tiles: int = 0
-    #: Widest factor pair a low-rank tile carried after a GEMM (its
-    #: settled rank plus the updates stacked since) — a maximum, so
+    #: Widest low-rank factor pair a GEMM produced — 0 by construction,
+    #: since a GEMM into a low-rank tile makes it a dense accumulator;
+    #: kept because the benchmark replay compares it.  A maximum, so
     #: the registry keeps the last factorization's, not a sum.
     max_rank_seen: int = field(default=0, metadata={"metric": "gauge"})
     #: Settles performed: accumulating tiles truncated to the
@@ -153,7 +154,7 @@ def tile_cholesky(
             a.set(m, m, new_diag)
             panel["syrk"] += 1
             for n in range(k + 1, m):
-                was_lr = a.get(m, n).is_low_rank
+                stats.densified_tiles += a.get(m, n).is_low_rank
                 cmn = K.gemm(
                     amk,
                     a.get(n, k),
@@ -162,10 +163,6 @@ def tile_cholesky(
                     max_rank=max_rank,
                     fp16_accumulate_fp32=fp16_accumulate_fp32,
                 )
-                if was_lr and not cmn.is_low_rank:
-                    stats.densified_tiles += 1
-                if cmn.is_low_rank:
-                    stats.max_rank_seen = max(stats.max_rank_seen, cmn.rank)
                 a.set(m, n, cmn)
                 panel["gemm"] += 1
         stats.count_batch(panel)

@@ -2,9 +2,11 @@
 
 TLR compression truncates a tile at an *absolute* Frobenius threshold
 (the caller derives it from the global matrix norm and the target
-accuracy, e.g. ``1e-8`` as in the paper).  Recompression after
-low-rank additions uses the standard QR-of-stacked-factors + small SVD
-scheme, which is what HiCMA does inside the TLR Cholesky update.
+accuracy, e.g. ``1e-8`` as in the paper).  :func:`recompress` — the
+QR-of-stacked-factors + small SVD scheme HiCMA runs inside every TLR
+Cholesky update — has no product caller: the factorization subtracts
+its updates into a dense float64 accumulator and settles that once
+(:mod:`repro.tile.kernels`), so it stays as an exact test oracle.
 
 The MLE hot loop compresses through :func:`compress_or_rank` /
 :func:`compress_many` — the assembly's off-diagonal tiles, and the
@@ -340,7 +342,8 @@ def compress_tile(
 def recompress(
     u: np.ndarray, v: np.ndarray, tol: float, max_rank: int | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Re-truncate an existing factorization ``u @ v.T`` to ``tol``.
+    """Re-truncate an existing factorization ``u @ v.T`` to ``tol``
+    (an exact oracle; no product path calls it).
 
     Uses thin QR of each factor followed by an SVD of the small
     ``k x k`` core, so the cost is ``O((m + n) k^2 + k^3)`` rather than

@@ -9,26 +9,34 @@ operands on the fly — exactly what PaRSEC does with its on-demand data
 conversions.  FP16-lead kernels accumulate in FP32 (emulated SHGEMM)
 unless the caller asks for pure HGEMM.
 
-Low-rank arithmetic (factor updates, recompression) always runs in
-float64; its *storage* honors the tile's precision.  That mirrors the
-implementation reality that compression kernels are FP64/FP32 only
-(Algorithm 2).  An operand's factors are read where they are stored
-(cast only when they are not float64 already); every array a kernel
-puts into a new tile is a fresh one, so no tile aliases another's
-storage.
+Low-rank arithmetic (updates into a float64 output, compression)
+always runs in float64; its *storage* honors the tile's precision.
+That mirrors the implementation reality that compression kernels are
+FP64/FP32 only (Algorithm 2).  An operand's factors are read where
+they are stored (cast only when they are not float64 already); every
+array a kernel puts into a new tile is a fresh one, so no tile aliases
+another's storage.
+
+Every GEMM output computed in float64 — a settled dense FP64 tile, or
+a planned-low-rank tile — takes one update formula whatever its
+operands are: ``C - (A V_B) U_B^T`` when ``B`` is low-rank, ``C - A
+B^T`` when it is dense, with ``A`` read as its float64 dense block.
+The formula depends on the operands' structure only through the
+shared ``B`` of a column, which is what lets the panel sweep run a
+whole column's updates as one stacked call.
 
 A low-rank tile is updated by *accumulate exactly, truncate once*:
-:func:`gemm` appends each Schur update to the tile's exact float64
-accumulator and :func:`trsm` — the one kernel that next reads the tile
-as an operand — truncates it to the tolerance it owes (DESIGN.md
-"Low-rank updates"): stacked factors by an exact recompression, a
-dense accumulator by the assembly's own
+:func:`gemm` turns it into an exact dense float64 accumulator at its
+first update and subtracts every later one there, and :func:`trsm` —
+the one kernel that next reads the tile as an operand — truncates it
+to the tolerance it owes through the assembly's own
 :func:`~repro.tile.compression.compress_or_rank` (a certified
 range-finder where the rank cap is well under the tile size, the exact
-SVD elsewhere).  Either way the settled tile is a function of the
-accumulator and what it owes, nothing else.  The accumulating state
-rides on the tile (:attr:`~repro.tile.tile.Tile.owed`), so no kernel
-signature knows about it.
+SVD elsewhere; DESIGN.md "Low-rank updates").  The settled tile is a
+function of the accumulator and what it owes, nothing else.  The
+accumulating state rides on the tile
+(:attr:`~repro.tile.tile.Tile.owed`), so no kernel signature knows
+about it.
 """
 
 from __future__ import annotations
@@ -36,12 +44,25 @@ from __future__ import annotations
 import numpy as np
 from scipy import linalg as sla
 
-from ..exceptions import CompressionError, NotPositiveDefiniteError, ShapeError
-from .compression import compress_or_rank, recompress
+from ..exceptions import NotPositiveDefiniteError, ShapeError
+from .compression import compress_or_rank
 from .precision import compute_dtype
 from .tile import DenseTile, LowRankTile, Tile
 
 __all__ = ["potrf", "trsm", "syrk", "gemm"]
+
+# Raw LAPACK ``trtrs`` handles per supported compute dtype: the wrapper
+# overhead of ``solve_triangular`` (finiteness checks, copies) is
+# measurable at tile granularity, and ``trtrs`` is the same routine the
+# wrapper ends up calling — identical bits, less Python.
+_TRTRS = {
+    np.dtype(np.float64): sla.get_lapack_funcs(
+        ("trtrs",), (np.empty(0, dtype=np.float64),)
+    )[0],
+    np.dtype(np.float32): sla.get_lapack_funcs(
+        ("trtrs",), (np.empty(0, dtype=np.float32),)
+    )[0],
+}
 
 
 def _as_compute(tile_data: np.ndarray, dtype: np.dtype) -> np.ndarray:
@@ -139,9 +160,18 @@ def trsm(
         if a.rank == 0:
             return a
         low = l_tile.to_dense64()
-        v = sla.solve_triangular(
-            low, _as_compute(a.v, np.float64), lower=True, check_finite=False
-        )
+        # The call ``solve_triangular(low, v, lower=True)`` makes for a
+        # C-ordered triangle: the transposed (upper) system.
+        if low.flags.f_contiguous:
+            v, info = _TRTRS[low.dtype](low, _as_compute(a.v, np.float64),
+                                        lower=1)
+        else:
+            v, info = _TRTRS[low.dtype](low.T, _as_compute(a.v, np.float64),
+                                        lower=0, trans=1)
+        if info != 0:
+            raise np.linalg.LinAlgError(
+                f"triangular solve failed (info={info})"
+            )
         return LowRankTile(a.u.astype(np.float64), v, a.precision)
     dtype = compute_dtype(a.precision, fp16_accumulate_fp32=fp16_accumulate_fp32)
     low = _as_compute(l_tile.data, dtype)
@@ -176,8 +206,9 @@ def syrk(
 
 def _lr_update_factors(a: Tile, b: Tile) -> tuple[np.ndarray, np.ndarray]:
     """Factors ``(du, dv)`` with ``A @ B^T = du @ dv^T`` in float64,
-    for the cases where at least one operand is low-rank.  Either may
-    be an operand's own float64 factor: read them, never store them."""
+    for a dense output computed below float64 that meets a low-rank
+    operand (its own dtype takes the product).  Either may be an
+    operand's own float64 factor: read them, never store them."""
     if isinstance(a, LowRankTile) and isinstance(b, LowRankTile):
         ua, va = _as_compute(a.u, np.float64), _as_compute(a.v, np.float64)
         ub, vb = _as_compute(b.u, np.float64), _as_compute(b.v, np.float64)
@@ -207,46 +238,29 @@ def _lr_update_factors(a: Tile, b: Tile) -> tuple[np.ndarray, np.ndarray]:
     raise ShapeError("at least one operand must be low-rank")  # pragma: no cover
 
 
-def _accumulate(a: Tile, b: Tile, c: Tile, owed: tuple) -> Tile:
-    """Exact float64 ``C - A @ B^T`` of a planned-low-rank ``C``, not
-    yet truncated: stacked factors while they hold fewer numbers than
-    the dense block, the dense block after that — so an accumulating
-    tile never exceeds one dense float64 tile."""
-    if a.is_low_rank or b.is_low_rank:
-        du, dv = _lr_update_factors(a, b)
-        if du.shape[1] == 0:
-            return c
-        m, n = c.shape
-        if c.is_low_rank and (m + n) * (c.rank + du.shape[1]) < m * n:
-            return LowRankTile(
-                np.hstack([c.u, -du]), np.hstack([c.v, dv]),
-                c.precision, owed,
-            )
-        update = du @ dv.T
-    else:
-        update = a.to_dense64() @ b.to_dense64().T
-    return DenseTile(c.to_dense64() - update, c.precision, owed)
+def _update64(a: Tile, b: Tile) -> np.ndarray:
+    """``A @ B^T`` for an output computed in float64: ``(A V_B) U_B^T``
+    when ``B`` is low-rank, ``A B^T`` when it is dense, ``A`` read as
+    its float64 dense block either way — the one formula the panel
+    sweep stacks over a column (:func:`repro.tile.batch.stacked_gemm`)."""
+    a64 = a.to_dense64()
+    if isinstance(b, LowRankTile):
+        return (a64 @ _as_compute(b.v, np.float64)) @ _as_compute(
+            b.u, np.float64
+        ).T
+    return a64 @ b.to_dense64().T
 
 
-def _settle(tile: Tile) -> Tile:
+def _settle(tile: DenseTile) -> Tile:
     """Truncate an accumulating tile to the ``(tol, max_rank)`` it
-    owes, in its planned storage precision.  A tile that cannot get
-    under ``max_rank`` stays dense — the runtime analogue of the
-    structure-aware "convert back to dense" decision.
-
-    Stacked factors are recompressed exactly; a dense accumulator goes
-    through :func:`~repro.tile.compression.compress_or_rank`, like an
-    assembly tile — a function of the accumulator's bytes and what it
-    owes, nothing else.
-    """
+    owes, in its planned storage precision, through
+    :func:`~repro.tile.compression.compress_or_rank` — like an assembly
+    tile, a function of the accumulator's bytes and what it owes,
+    nothing else.  A tile that cannot get under ``max_rank`` stays
+    dense — the runtime analogue of the structure-aware "convert back
+    to dense" decision."""
     tol, max_rank = tile.owed
-    if isinstance(tile, LowRankTile):
-        try:
-            u, v = recompress(tile.u, tile.v, tol, max_rank)
-        except CompressionError:
-            u = v = None
-    else:
-        _, u, v, _ = compress_or_rank(tile.data, tol, max_rank=max_rank)
+    _, u, v, _ = compress_or_rank(tile.data, tol, max_rank=max_rank)
     if u is None:
         return DenseTile(tile.to_dense64(), tile.precision)
     return LowRankTile(u, v, tile.precision)
@@ -260,32 +274,29 @@ def gemm(
     tol: float = 0.0,
     max_rank: int | None = None,
     fp16_accumulate_fp32: bool = True,
-    allow_densify: bool = True,
 ) -> Tile:
     """Schur-complement update ``C <- C - A @ B^T``.
 
-    Handles every structure combination.  A planned-low-rank ``C``
-    (low-rank, or already accumulating) is not recompressed here: the
-    update is appended to its exact accumulator and the tile *owes* one
+    Handles every structure combination.  An output computed in
+    float64 — a dense FP64 ``C``, or a planned-low-rank one (low-rank,
+    or already accumulating) — takes :func:`_update64`.  A
+    planned-low-rank ``C`` is not recompressed here: it becomes (or
+    stays) an exact dense float64 accumulator that *owes* one
     truncation to the absolute tolerance ``tol`` (the tile-level TLR
     threshold) and ``max_rank``, which :func:`trsm` performs when it
-    next reads the tile.  ``allow_densify=False`` settles at once
-    instead and raises :class:`~repro.exceptions.CompressionError` when
-    the result cannot get under ``max_rank``.
+    next reads the tile.  A dense ``C`` computed below float64 keeps
+    its own dtype's arithmetic: a low-rank operand's update factors
+    are formed in float64 and multiplied in that dtype.
     """
     if c.is_low_rank or c.owed is not None:
-        out = _accumulate(a, b, c, (tol, max_rank))
-        if not allow_densify and out.owed is not None:
-            out = _settle(out)
-            if not out.is_low_rank:
-                raise CompressionError(
-                    f"update to tolerance {tol:g} cannot stay under "
-                    f"max_rank {max_rank}"
-                )
-        return out
+        return DenseTile(
+            c.to_dense64() - _update64(a, b), c.precision, (tol, max_rank)
+        )
     dtype = compute_dtype(c.precision, fp16_accumulate_fp32=fp16_accumulate_fp32)
     cdat = _as_compute(c.data, dtype)
-    if a.is_low_rank or b.is_low_rank:
+    if dtype == np.float64:
+        update = _update64(a, b)
+    elif a.is_low_rank or b.is_low_rank:
         du, dv = _lr_update_factors(a, b)
         update = _as_compute(du, dtype) @ _as_compute(dv, dtype).T
     else:

@@ -12,9 +12,9 @@ only by *replacing* a tile inside a :class:`repro.tile.matrix.TileMatrix`,
 which keeps dataflow analysis in the runtime honest.
 
 A planned-low-rank tile that has received Schur updates is
-*accumulating*: its payload is the exact float64 result (stacked
-factors, or a dense block once those would hold as many numbers) and
-``owed`` is the ``(tol, max_rank)`` truncation it has not had yet.
+*accumulating*: it is a :class:`DenseTile` whose payload is the exact
+float64 result (dense from the first update on) and ``owed`` is the
+``(tol, max_rank)`` truncation it has not had yet.
 Only :mod:`repro.tile.kernels` sets or consumes that state; everywhere
 else a tile's ``owed`` is ``None`` and its payload has its precision's
 dtype.

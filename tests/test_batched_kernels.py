@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.core.variants import get_variant
-from repro.exceptions import NotPositiveDefiniteError
+from repro.exceptions import NotPositiveDefiniteError, ShapeError
 from repro.kernels import (
     AnisotropicMaternKernel,
     BivariateMaternKernel,
@@ -28,6 +28,7 @@ from repro.runtime import execute_cholesky_batched
 from repro.tile import (
     DenseTile,
     GeometryCache,
+    LowRankTile,
     Precision,
     build_planned_covariance,
     build_tile_geometry,
@@ -86,6 +87,55 @@ class TestBatchedKernelsEquivalence:
             for r, g in zip(ref, got):
                 np.testing.assert_array_equal(g, r.data)
         np.testing.assert_array_equal(stack, before)
+
+    @pytest.mark.parametrize(
+        "precision", [Precision.FP64, Precision.FP32, Precision.FP16]
+    )
+    def test_stacked_gemm_in_place(self, precision):
+        """``out=c_stack`` (the sweep's hook-free update) writes the
+        fresh result's bytes into the run's own stack."""
+        parts = [np.stack([t.data for t in _dense_tiles(3, (8, 6), 1)])]
+        (b,) = _dense_tiles(1, (7, 6), 4, Precision.FP32)
+        stack = np.stack([c.data for c in _dense_tiles(3, (8, 7), 5, precision)])
+        fresh = stacked_gemm(parts, b.data, stack, precision)
+        got = stacked_gemm(parts, b.data, stack, precision, out=stack)
+        assert got is stack and got.tobytes() == fresh.tobytes()
+
+    @pytest.mark.parametrize("rank", [0, 1, 4])
+    def test_stacked_gemm_low_rank_b_matches_per_tile(self, rank):
+        """A float64 run — dense FP64 rows and accumulating
+        planned-low-rank rows of any storage — against a low-rank
+        ``B``: ``(A V_B) U_B^T`` per slice, whatever ``A`` is."""
+        gen = np.random.default_rng(rank)
+        b = LowRankTile(gen.standard_normal((7, rank)),
+                        gen.standard_normal((6, rank)), Precision.FP32)
+        a = [
+            *_dense_tiles(2, (8, 6), 1, Precision.FP64),
+            LowRankTile(gen.standard_normal((8, 2)),
+                        gen.standard_normal((6, 2)), Precision.FP32),
+            *_dense_tiles(1, (8, 6), 3, Precision.FP16),
+        ]
+        owed = (1e-9, 3)
+        c = [
+            DenseTile(gen.standard_normal((8, 7))),
+            LowRankTile(gen.standard_normal((8, 2)),
+                        gen.standard_normal((7, 2)), Precision.FP32),
+            DenseTile(gen.standard_normal((8, 7)), Precision.FP16, owed),
+            DenseTile(gen.standard_normal((8, 7))),
+        ]
+        ref = [K.gemm(ai, b, ci, tol=owed[0], max_rank=owed[1])
+               for ai, ci in zip(a, c)]
+        stack = np.stack([ci.to_dense64() for ci in c])
+        wide = np.stack([ai.to_dense64() for ai in a])
+        for parts in ([wide], [wide[:2], wide[2:3], wide[3:]]):
+            got = stacked_gemm(parts, b, stack, Precision.FP64)
+            assert got.dtype == np.float64 and not np.shares_memory(got, stack)
+            for r, g in zip(ref, got):
+                assert g.tobytes() == r.data.tobytes()
+        assert [r.owed for r in ref] == [None, owed, owed, None]
+        with pytest.raises(ShapeError):
+            stacked_gemm([wide], b, np.zeros(stack.shape, np.float32),
+                         Precision.FP32)
 
     @pytest.mark.parametrize(
         "precision", [Precision.FP64, Precision.FP32, Precision.FP16]

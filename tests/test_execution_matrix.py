@@ -5,22 +5,22 @@ stacked} (``batch``) x hook
 {none, deadline, retry+chaos} x variant {dense-fp64, mp-dense-tlr} at
 ``nt`` in {1, 4} and a ragged last tile, plus three shapes chosen for
 what they do to the executors: ``settling`` (``mp-dense-tlr`` large
-enough that low-rank tiles accumulate several Schur updates and settle
-from both accumulator forms), ``smalltile`` (``mp-dense`` with runs of
-all three precisions riding in one column, lone tiles between them
-and a ragged last row) and ``interrupted`` (``mp-dense-tlr`` where
-low-rank tiles split a column's riding run and accumulators settle
-mid-sweep).  Every cell goes through the public :func:`loglikelihood`
-with the execution settings on the variant, and either
+enough that low-rank tiles accumulate several Schur updates, settle,
+and one stays dense), ``smalltile`` (``mp-dense`` with runs of all
+three precisions riding in one column, lone tiles between them and a
+ragged last row) and ``interrupted`` (``mp-dense-tlr`` where
+planned-low-rank rows ride a column's float64 run beside dense ones
+and settle mid-sweep).  Every cell goes through the public
+:func:`loglikelihood` with the execution settings on the variant, and
+either
 
 * produces a factor bit-identical to :func:`tile_cholesky` on the same
   planned covariance, with the setting *demonstrably applied* (the run
   report names the resolved placement and grouping — in this process
-  the panel sweep, ``"stacked"``, retry / chaos hooks on its calls,
-  unless nothing at all is asked of a TLR variant and the reference
-  loop runs — stacked cells ran stacked calls, chaos fired and was
-  retried, an expired deadline raises from the loop the cell resolved
-  to), or
+  the panel sweep, ``"stacked"``, for every variant, retry / chaos
+  hooks on its calls — stacked cells ran stacked calls, chaos fired
+  and was retried, an expired deadline raises from the loop the cell
+  resolved to), or
 * raises :class:`ConfigurationError` (``batch=True`` with
   ``backend="process"``, whose workers run one tile op per message —
   refused when the variant is built, whatever the hook) — never a
@@ -87,10 +87,10 @@ from repro.tile import (
 
 NUGGET = 1.0e-8
 #: name -> (n, tile, Matern range): one tile, four tiles, three and a
-#: half tiles, and twelve and a half — where mp-dense-tlr settles some
-#: tiles from stacked factors, some from a dense accumulator, and keeps
-#: one dense (the short range makes its off-band tiles compress even at
-#: tile 16) — then the two sweep shapes of the module docstring.
+#: half tiles, and twelve and a half — where mp-dense-tlr settles its
+#: accumulators and keeps one dense (the short range makes its off-band
+#: tiles compress even at tile 16) — then the two sweep shapes of the
+#: module docstring.
 SHAPES = {
     "nt1": (16, 16, 0.03), "nt4": (64, 16, 0.03), "ragged": (56, 16, 0.03),
     "settling": (200, 16, 0.03),
@@ -108,6 +108,13 @@ PLACEMENTS = {
     "inline": dict(workers=1),
     "thread": dict(workers=2),
     "process": dict(workers=2, backend="process"),
+}
+#: Cells whose matrix has tiles that ride the sweep's stacks (the small
+#: TLR shapes' dense tiles are FP32 and face a low-rank operand: loose).
+RIDING_CELLS = {
+    ("dense-fp64", "nt4"), ("dense-fp64", "ragged"),
+    ("mp-dense-tlr", "settling"), ("mp-dense-tlr", "interrupted"),
+    ("mp-dense", "smalltile"),
 }
 #: What the variant asks for (``batch``); what ran is in the report.
 GROUPINGS = {"per-tile": dict(batch=False), "stacked": dict(batch=True)}
@@ -176,10 +183,11 @@ def _reference(variant, shape):
             get_variant(variant).use_tlr and shape != "nt1"
         )
         if shape == "settling":
-            # densified_tiles settled from the dense form, the rest of
-            # the truncations from stacked factors.
-            assert 0 < stats.kept_dense < stats.densified_tiles
-            assert stats.densified_tiles < stats.truncations
+            # Every accumulator went dense at its first update and
+            # settled once; some could not get under the cap.
+            assert 0 < stats.kept_dense < stats.truncations
+            assert stats.densified_tiles == stats.truncations
+            assert stats.max_rank_seen == 0
         _REFERENCE[key] = factor, stats
     return _REFERENCE[key]
 
@@ -272,31 +280,24 @@ def test_cell(placement, grouping, hook, variant, shape, procpool,
     # What the settings resolve to.  batch=True sizes its pool to the
     # usable CPUs, so a one-CPU host resolves it to the caller's
     # thread.  In this process everything is the sweep ("stacked"),
-    # hooked or not, except the reference loop, which runs when nothing
-    # at all is asked of a variant that plans low-rank tiles; process
-    # workers always run per tile.
+    # hooked or not, whatever the variant plans; process workers
+    # always run per tile.
     workers = cfg.workers
     if grouping == "stacked" and placement == "thread":
         workers = min(workers, usable_cores())
         placement = "thread" if workers > 1 else "inline"
     if placement != "process":
-        reference_loop = cfg.use_tlr and (placement, grouping, hook) == (
-            "inline", "per-tile", "none"
-        )
-        grouping = "per-tile" if reference_loop else "stacked"
+        grouping = "stacked"
     factorize = capture.tracer.by_name("factorize")[0]
     resolved = (factorize.attrs["placement"], factorize.attrs["grouping"])
     assert resolved == (placement, grouping)
-    if (placement, grouping, hook) == ("inline", "per-tile", "none"):
-        assert capture.runs == []  # the reference loop itself ran
-        return
     (run,) = capture.runs
     assert (run.placement, run.grouping) == (placement, grouping)
     assert run.workers == factorize.attrs["workers"] == workers
     assert 1 <= run.max_concurrency <= workers
     if grouping == "stacked":
         assert run.batched_tasks + run.fallback_tasks == run.tasks
-        if variant != "mp-dense-tlr" and shape != "nt1":
+        if (variant, shape) in RIDING_CELLS:
             assert run.batches > 0 and run.batched_tasks > 0
     else:
         assert run.batches == run.batched_tasks == run.fallback_tasks == 0
@@ -321,7 +322,8 @@ def _riding(matrix, fp16_accumulate_fp32=True):
 def test_sweep_shapes_are_what_they_claim():
     """``smalltile`` rides runs of all three precisions in one column
     beside lone tiles and a ragged row; ``interrupted`` has a column
-    whose riding rows a low-rank tile splits."""
+    whose float64 run carries planned-low-rank rows beside dense
+    ones."""
     matrix, _ = _planned("mp-dense", "smalltile")
     runs = _riding(matrix)
     assert {precision for _, _, precision in runs[0]} == set(Precision)
@@ -332,14 +334,18 @@ def test_sweep_shapes_are_what_they_claim():
     assert matrix.get(last, 0).shape[0] < matrix.layout.tile_size
 
     matrix, _ = _planned("mp-dense-tlr", "interrupted")
-    split = [
-        n for n, column in _riding(matrix).items()
-        if any(
-            matrix.get(m, n).is_low_rank
-            for m in range(column[0][0], column[-1][1])
-        )
+    columns = ColumnStacks(matrix, True)
+    mixed = [
+        (n, run) for n in range(matrix.nt) for run in columns.get(n)
+        if run.owing and len(run.owing) < run.hi - run.lo
     ]
-    assert split
+    assert mixed
+    for n, run in mixed:
+        assert run.precision is Precision.FP64
+        assert run.stack.dtype == np.float64
+        for m, precision in run.owing:
+            assert matrix.get(m, n).is_low_rank
+            assert matrix.get(m, n).precision is precision
 
 
 @pytest.mark.parametrize("workers", [1, 2, 4])
@@ -463,15 +469,91 @@ def test_finite_check_names_the_riding_tile(nothing_outlives_the_cell):
     assert raised.value.tile_index == (5, 0)
 
 
+#: One percent of NaN per call attempt, under ``_RETRY_CHAOS``'s retry;
+#: seed 3 fires on the ``settling`` shape.
+_ACCUMULATOR_CHAOS = ChaosConfig(seed=3, tile_nan_rate=0.01)
+
+
+def test_hooks_on_accumulating_runs(monkeypatch, nothing_outlives_the_cell):
+    """Retry + 1 % NaN chaos on a TLR matrix whose float64 runs carry
+    accumulating planned-low-rank rows: the hooked factor is the
+    hook-free one, the seeded ``(chaos_events, retries)`` are the same
+    at every width, and a stacked GEMM whose run starts at an
+    accumulating row hands the injector that row as the accumulator it
+    is — float64, owing its truncation — not rounded to its storage."""
+    from repro.resilience.chaos import ChaosInjector
+    from repro.runtime.taskgraph import cholesky_task
+
+    reference, ref_stats = _reference("mp-dense-tlr", "settling")
+    matrix, args = _planned("mp-dense-tlr", "settling")
+    nt, columns = matrix.nt, ColumnStacks(matrix, True)
+    lead_sites = {
+        cholesky_task(nt, "gemm", k, run.lo, n).uid
+        for n in range(nt) for run in columns.get(n)
+        if run.owing and run.owing[0][0] == run.lo
+        for k in range(n)
+    }
+    assert lead_sites
+    handed = []
+    corrupt_tile = ChaosInjector.corrupt_tile
+
+    def recording(self, tile, epoch, uid, attempt):
+        if uid in lead_sites:
+            handed.append((tile.owed, tile.data.dtype, tile.precision))
+        return corrupt_tile(self, tile, epoch, uid, attempt)
+
+    monkeypatch.setattr(ChaosInjector, "corrupt_tile", recording)
+    fired = []
+    for workers in (1, 2, 2):
+        handed.clear()
+        matrix, args = _planned("mp-dense-tlr", "settling")
+        factor, run = execute_cholesky_batched(
+            matrix, workers=workers, clamp=False, retry=_RETRY_CHAOS.retry,
+            chaos=_ACCUMULATOR_CHAOS, **args,
+        )
+        _assert_bit_identical(factor, reference)
+        _assert_same_stats(run.stats, ref_stats)
+        assert run.batches > 0
+        fired.append((run.chaos_events, run.stats.retries))
+        owed = (args["tile_tol"], args["max_rank"])
+        assert handed and all(
+            (o, dtype) == (owed, np.float64) for o, dtype, _ in handed
+        )
+        assert Precision.FP32 in {precision for *_, precision in handed}
+    assert fired[0][0] > 0 and fired[0][1] > 0
+    assert fired[1:] == fired[:1] * 2
+
+
+def test_finite_check_names_the_riding_accumulator(nothing_outlives_the_cell):
+    """A NaN in a planned-low-rank row riding inside a float64 run —
+    not the run's first row — is named by its own tile index at the
+    first stacked GEMM into it."""
+    matrix, args = _planned("mp-dense-tlr", "settling")
+    columns = ColumnStacks(matrix, True)
+    m, n = next(
+        (m, n) for n in range(matrix.nt) for run in columns.get(n)
+        for m, _ in run.owing
+        if m > run.lo and matrix.get(m, n).rank > 0
+    )
+    tile = matrix.get(m, n)
+    poisoned = tile.u.copy()
+    poisoned[1, 0] = np.nan
+    matrix.set(m, n, LowRankTile(poisoned, tile.v, tile.precision))
+    with pytest.raises(NumericalCorruptionError, match="gemm") as raised:
+        execute_cholesky_batched(matrix, check_finite=True, **args)
+    assert raised.value.tile_index == (m, n)
+
+
 @pytest.mark.parametrize("variant,shape,default_grouping", [
     ("mp-dense", "smalltile", "stacked"),
-    ("mp-dense-tlr", "interrupted", "per-tile"),
+    ("mp-dense-tlr", "interrupted", "stacked"),
 ])
 def test_hooks_through_the_likelihood(variant, shape, default_grouping,
                                       nothing_outlives_the_cell):
     """``batch=True`` with retry + chaos runs, and returns the
     hook-free call's numbers; an expired deadline beside the hooks
-    surfaces from the sweep; inert hooks resolve exactly as none."""
+    surfaces from the sweep; inert hooks resolve exactly as none —
+    the sweep on the caller's thread, a TLR variant's included."""
     x, z, tile, theta = _problem(shape)
 
     def evaluate(cfg, **hooks):
@@ -502,19 +584,16 @@ def test_hooks_through_the_likelihood(variant, shape, default_grouping,
         assert (
             factorize.attrs["placement"], factorize.attrs["grouping"]
         ) == ("inline", default_grouping)
-        # The reference loop files no run report.
-        assert len(capture.runs) == (default_grouping == "stacked")
-
-
-_PRECISIONS = st.sampled_from(list(Precision))
+        assert len(capture.runs) == 1
 
 
 @st.composite
-def _tile_maps(draw):
-    """A small SPD tile matrix with a random precision per tile and
-    random low-rank flags off the diagonal."""
+def _tile_maps(draw, precisions=tuple(Precision), tile=4, max_rank=2):
+    """A small SPD tile matrix with a random storage precision per
+    tile (from ``precisions``) and random low-rank flags off the
+    diagonal, ranks ``0 .. max_rank``; ``nt = 1`` and a ragged last
+    tile included."""
     nt = draw(st.integers(1, 6))
-    tile = 4
     n = nt * tile - draw(st.integers(0, tile - 1)) * (nt > 1)
     gen = np.random.default_rng(draw(st.integers(0, 2**16)))
     x = np.sort(gen.uniform(size=n))
@@ -524,10 +603,12 @@ def _tile_maps(draw):
     matrix = TileMatrix(layout)
     for i, j in layout.lower_tiles():
         block = dense[layout.block_slice(i), layout.block_slice(j)]
-        precision = Precision.FP64 if i == j else draw(_PRECISIONS)
+        precision = (
+            Precision.FP64 if i == j else draw(st.sampled_from(precisions))
+        )
         if i != j and draw(st.booleans()):
             u, s, vt = np.linalg.svd(block)
-            rank = draw(st.integers(0, min(2, *block.shape)))
+            rank = draw(st.integers(0, min(max_rank, *block.shape)))
             matrix.set(i, j, LowRankTile(
                 u[:, :rank] * s[:rank], vt[:rank].T, precision
             ))
@@ -561,6 +642,46 @@ def test_sweep_equals_reference_on_any_tile_map(
     _assert_bit_identical(factor, reference)
     _assert_same_stats(run.stats, ref_stats)
     assert run.batched_tasks + run.fallback_tasks == run.tasks
+
+
+@settings(max_examples=30, deadline=None)
+@given(matrix=_tile_maps(
+    precisions=(Precision.FP64, Precision.FP32), tile=6, max_rank=3,
+))
+def test_low_rank_columns_ride_on_any_tile_map(matrix):
+    """Dense and low-rank tiles, FP64 and FP32 storage, ranks up to
+    the cap: every float64 output rides whatever its operands are, an
+    FP32 dense tile that meets a low-rank operand runs loose, and the
+    sweep at widths 1 / 2 / 4 is the reference's factor and tally."""
+    args = dict(tile_tol=1e-6, max_rank=3)
+    columns = ColumnStacks(matrix, True)
+    for n in range(matrix.nt):
+        riding = {
+            m for run in columns.get(n) for m in range(run.lo, run.hi)
+        }
+        for m in range(n + 1, matrix.nt):
+            tile = matrix.get(m, n)
+            faces_low_rank = any(
+                matrix.get(row, k).is_low_rank
+                for row in (m, n) for k in range(n)
+            )
+            if tile.precision is Precision.FP32 and not tile.is_low_rank:
+                assert not (faces_low_rank and m in riding), (m, n)
+            if tile.is_low_rank and m in riding:
+                assert n > 0
+    try:
+        reference, ref_stats = tile_cholesky(matrix.copy(), **args)
+    except Exception as exc:
+        with pytest.raises((type(exc), SchedulingError)):
+            execute_cholesky_batched(matrix, clamp=False, **args)
+        return
+    for workers in (1, 2, 4):
+        factor, run = execute_cholesky_batched(
+            matrix.copy(), workers=workers, clamp=False, **args
+        )
+        _assert_bit_identical(factor, reference)
+        _assert_same_stats(run.stats, ref_stats)
+        assert run.batched_tasks + run.fallback_tasks == run.tasks
 
 
 def _over_half_rank_matrix(tile=16, nt=4, rank=6):
@@ -667,11 +788,12 @@ def test_inline_run_lets_an_interrupt_through(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# the plain call of a dense variant: the sweep on the caller's thread
+# the plain call of any variant: the sweep on the caller's thread
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("variant,shape", [
     ("dense-fp64", "nt1"), ("dense-fp64", "nt4"), ("dense-fp64", "ragged"),
     ("mp-dense", "nt1"), ("mp-dense", "smalltile"),
+    ("mp-dense-tlr", "ragged"), ("mp-dense-tlr", "settling"),
 ])
 def test_plain_call_equals_the_reference_loop(variant, shape):
     """Nothing asked for: the likelihood's three numbers are *equal* to

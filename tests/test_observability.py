@@ -391,6 +391,12 @@ class TestRealPaths:
         ]
         assert settle.attrs["truncations"] == stats.truncations > 0
         assert settle.attrs["kept_dense"] == stats.kept_dense
+        # The widest settled rank of the factor, not a GEMM's width.
+        assert settle.attrs["max_rank"] == max(
+            tile.rank for _, tile in traced.factor.items()
+            if tile.is_low_rank
+        )
+        assert "max_width" not in settle.attrs
         # The generate span says what ran, not what was asked: Matern is
         # element-wise, 160 points are one slice (36 tiles of 20 x 20).
         (generate,) = telemetry.tracer.by_name("generate")

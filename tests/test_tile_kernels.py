@@ -70,6 +70,30 @@ class TestTrsm:
                                         check_finite=False).T
         np.testing.assert_allclose(out.to_dense64(), expected, atol=1e-10)
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("rank", [0, 1, 5])
+    @pytest.mark.parametrize("tri", [Precision.FP64, Precision.FP32])
+    @pytest.mark.parametrize("factor", [Precision.FP64, Precision.FP32])
+    def test_low_rank_solve_bytes_are_solve_triangular(
+            self, rng, factor, tri, rank, order):
+        """The low-rank branch calls LAPACK ``trtrs`` itself: the same
+        routine, on the same operands, as ``solve_triangular``."""
+        low = DenseTile(np.asarray(
+            np.linalg.cholesky(spd(12, 4)), order=order), tri)
+        tile, _ = lr_tile(rng, 12, 12, max(rank, 1), factor)
+        tile = LowRankTile(tile.u[:, :rank], tile.v[:, :rank], factor)
+        out = K.trsm(low, tile)
+        if rank == 0:
+            assert out is tile
+            return
+        want = sla.solve_triangular(
+            low.to_dense64(), np.asarray(tile.v, dtype=np.float64),
+            lower=True, check_finite=False,
+        )
+        assert out.precision is factor and out.rank == rank
+        assert out.v.tobytes() == cast_storage(want, factor).tobytes()
+        assert out.u.tobytes() == tile.u.tobytes()
+
     def test_zero_rank_passthrough(self):
         low = DenseTile(np.eye(4))
         tile = LowRankTile(np.zeros((4, 0)), np.zeros((4, 0)))
@@ -179,26 +203,39 @@ class TestGemmLowRankOutput:
         np.testing.assert_allclose(out.to_dense64(), c - a @ b.T, atol=1e-7)
 
     def test_rank_overflow_densifies(self, rng):
-        """When the update cannot be recompressed under max_rank the
-        tile converts to dense (the runtime's fallback)."""
+        """When the update cannot be truncated under max_rank, the
+        settle in TRSM keeps the tile dense (the runtime's fallback),
+        at its planned storage precision."""
         ta = DenseTile(rng.standard_normal((8, 8)))
         tb = DenseTile(rng.standard_normal((8, 8)))
-        tc, c = lr_tile(rng, 8, 8, 1)
-        out = K.gemm(ta, tb, tc, tol=1e-14, max_rank=2, allow_densify=True)
-        assert not out.is_low_rank
+        tc, c = lr_tile(rng, 8, 8, 1, Precision.FP32)
+        out = K.gemm(ta, tb, tc, tol=1e-14, max_rank=2)
+        assert out.owed == (1e-14, 2) and out.data.dtype == np.float64
+        settled = K.trsm(DenseTile(np.eye(8)), out)
+        assert not settled.is_low_rank and settled.owed is None
+        assert settled.precision is Precision.FP32
         np.testing.assert_allclose(
-            out.to_dense64(),
-            c - ta.to_dense64() @ tb.to_dense64().T,
-            atol=1e-10,
+            settled.to_dense64(),
+            tc.to_dense64() - ta.to_dense64() @ tb.to_dense64().T,
+            rtol=1e-6, atol=1e-6,
         )
 
     def test_rank_overflow_raises_when_disallowed(self, rng):
+        """A GEMM never settles, so it never refuses an update: the
+        settle in TRSM keeps an over-cap tile dense where the exact
+        oracle, :func:`recompress` under the same cap, raises."""
         from repro.exceptions import CompressionError
+        from repro.tile.compression import recompress
 
         ta = DenseTile(rng.standard_normal((8, 8)))
         tb = DenseTile(rng.standard_normal((8, 8)))
         tc, _ = lr_tile(rng, 8, 8, 1)
+        out = K.gemm(ta, tb, tc, tol=1e-14, max_rank=2)
+        assert not K.trsm(DenseTile(np.eye(8)), out).is_low_rank
+        u, s, vt = np.linalg.svd(out.data)
         with pytest.raises(CompressionError):
+            recompress(u * s, vt.T, 1e-14, max_rank=2)
+        with pytest.raises(TypeError):
             K.gemm(ta, tb, tc, tol=1e-14, max_rank=2, allow_densify=False)
 
 
@@ -241,28 +278,24 @@ class TestAccumulateThenSettle:
     @given(chain=update_chains())
     @settings(max_examples=60, deadline=None)
     def test_chain_settles_within_tolerance(self, chain):
-        """However the accumulator got there — stacked factors, the
-        dense block, or the switch between them — the one truncation
+        """The accumulator is one dense float64 block from the first
+        update on, whatever the operands were, and the one truncation
         lands within ``tol`` (Frobenius) of the exact dense result plus
-        the rounding of its storage precision, and the accumulator
-        never holds more than one dense tile of entries."""
+        the rounding of its storage precision."""
         c, updates, tol, max_rank = chain
         m, n = c.shape
         exact = c.to_dense64()
         for a, b in updates:
             exact = exact - a.to_dense64() @ b.to_dense64().T
             c = K.gemm(a, b, c, tol=tol, max_rank=max_rank)
-            if c.owed is not None:
-                assert c.owed == (tol, max_rank)
-                payload = (c.u, c.v) if c.is_low_rank else (c.data,)
-                assert all(p.dtype == np.float64 for p in payload)
-                assert sum(p.size for p in payload) <= m * n
+            assert isinstance(c, DenseTile) and c.owed == (tol, max_rank)
+            assert c.data.dtype == np.float64 and c.data.shape == (m, n)
         storage = c.precision
         out = K.trsm(DenseTile(np.eye(n)), c)
         assert out.owed is None and out.precision is storage
         payload = (out.u, out.v) if out.is_low_rank else (out.data,)
         assert all(p.dtype == storage.dtype for p in payload)
-        if out.is_low_rank and max_rank is not None and c.owed is not None:
+        if out.is_low_rank and max_rank is not None:
             assert out.rank <= max_rank
         rounding = 4.0 * np.sqrt(min(m, n)) * storage.unit_roundoff
         assert np.linalg.norm(out.to_dense64() - exact) <= (
@@ -270,22 +303,29 @@ class TestAccumulateThenSettle:
         )
 
     def test_settle_happens_once_in_trsm(self, rng):
-        """Stacked form below the switch, the dense block above it,
-        one truncation when TRSM reads the tile, none after."""
-        tc, c = lr_tile(rng, 16, 16, 2)
+        """The dense float64 block from the first update on, each later
+        update subtracted there exactly, one truncation when TRSM reads
+        the tile, none after."""
+        tc, c = lr_tile(rng, 16, 16, 2, Precision.FP32)
         ta, a = lr_tile(rng, 16, 16, 2)
         tb, b = lr_tile(rng, 16, 16, 2)
         once = K.gemm(ta, tb, tc, tol=1e-9, max_rank=8)
-        assert once.is_low_rank and once.rank == 4 and once.owed
+        assert not once.is_low_rank and once.owed == (1e-9, 8)
+        assert once.precision is Precision.FP32
+        assert once.data.dtype == np.float64
         twice = K.gemm(ta, tb, once, tol=1e-9, max_rank=8)
         thrice = K.gemm(ta, tb, twice, tol=1e-9, max_rank=8)
-        assert twice.rank == 6 and not thrice.is_low_rank and thrice.owed
+        update = (ta.to_dense64() @ tb.v) @ tb.u.T
+        assert thrice.data.tobytes() == (
+            tc.to_dense64() - update - update - update
+        ).tobytes()
         eye = DenseTile(np.eye(16))
         settled = K.trsm(eye, thrice)
         assert settled.is_low_rank and settled.owed is None
+        assert settled.precision is Precision.FP32
         assert settled.rank == 4  # c and one direction a b^T, thrice
         np.testing.assert_allclose(
-            settled.to_dense64(), c - 3 * a @ b.T, atol=1e-8
+            settled.to_dense64(), tc.to_dense64() - 3 * a @ b.T, atol=1e-5
         )
         assert K.trsm(eye, settled).owed is None
 
@@ -416,7 +456,9 @@ class TestLowRankKernelsReadFactorsInPlace:
     """The low-rank branches read a float64 factor where it is stored
     (no copy) and cast any other once; the bytes are those of the
     arithmetic written out here, which copies every factor to float64
-    first, and no output aliases an operand."""
+    first, and no output aliases an operand.  An output computed in
+    float64 takes ``C - (A V_B) U_B^T`` / ``C - A B^T`` with ``A`` as
+    its float64 block; one computed below keeps the update factors."""
 
     @staticmethod
     def _f64(x):
@@ -439,14 +481,22 @@ class TestLowRankKernelsReadFactorsInPlace:
             return np.array(x, dtype=dtype)
 
         ua, va, ub, vb = f64(a.u), f64(a.v), f64(b.u), f64(b.v)
+        a64, d64 = ua @ va.T, d.to_dense64()
         core = va.T @ vb
         w = cast(va).T @ cast(va)
-        want = {
-            "gemm lr,lr": c.data - cast(ua) @ cast(ub @ core.T).T,
-            "gemm lr,dense": c.data - cast(ua) @ cast(d.to_dense64() @ va).T,
-            "gemm dense,lr": c.data - cast(d.to_dense64() @ vb) @ cast(ub).T,
-            "syrk": diag.data - (cast(ua) @ w) @ cast(ua).T,
-        }
+        if dtype == np.float64:
+            want = {
+                "gemm lr,lr": c.data - (a64 @ vb) @ ub.T,
+                "gemm lr,dense": c.data - a64 @ d64.T,
+                "gemm dense,lr": c.data - (d64 @ vb) @ ub.T,
+            }
+        else:
+            want = {
+                "gemm lr,lr": c.data - cast(ua) @ cast(ub @ core.T).T,
+                "gemm lr,dense": c.data - cast(ua) @ cast(d64 @ va).T,
+                "gemm dense,lr": c.data - cast(d64 @ vb) @ cast(ub).T,
+            }
+        want["syrk"] = diag.data - (cast(ua) @ w) @ cast(ua).T
         got = {
             "gemm lr,lr": K.gemm(a, b, c),
             "gemm lr,dense": K.gemm(a, d, c),
@@ -464,13 +514,13 @@ class TestLowRankKernelsReadFactorsInPlace:
         assert solved.v.tobytes() == cast_storage(want_v, pa).tobytes()
         assert solved.u.tobytes() == a.u.tobytes()
 
-        # A low-rank output: the accumulator stacks the update's factors.
+        # A low-rank output: a dense float64 accumulator at its storage
+        # precision, whatever that is.
         planned = LowRankTile(ub, vb, lead)
         acc = K.gemm(a, b, planned, tol=1e-9)
-        assert acc.owed == (1e-9, None)
-        assert acc.u.tobytes() == np.hstack([f64(planned.u), -ua]).tobytes()
-        assert acc.v.tobytes() == np.hstack(
-            [f64(planned.v), ub @ core.T]
+        assert acc.owed == (1e-9, None) and acc.precision is lead
+        assert acc.data.tobytes() == (
+            f64(planned.u) @ f64(planned.v).T - (a64 @ vb) @ ub.T
         ).tobytes()
         for out in (*got.values(), solved, acc):
             arrays = (out.u, out.v) if out.is_low_rank else (out.data,)
