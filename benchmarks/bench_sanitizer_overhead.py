@@ -78,7 +78,7 @@ def test_sanitizer_overhead(artifact_dir, benchmark):
         )
         engine = PredictionEngine(
             kern, THETA, x, z, result.factor,
-            cache=GeometryCache(), batch=30, workers=WORKERS,
+            cache=GeometryCache(), batch=30,
         )
         pred = engine.predict(x_test, return_uncertainty=True)
         return result, pred

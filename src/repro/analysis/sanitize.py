@@ -734,9 +734,9 @@ def run_sanitized_workload(
     The workload exercises every instrumented seam: the hooked panel
     sweep of a fit (``workers`` threads, 5% seeded NaN chaos on its
     per-tile and stacked calls absorbed by retries, the retry tally
-    under the shared lock), the serving engine (parallel batches, a
-    repeated batch for the LRU-hit path, 20% batch chaos under
-    retry), the geometry cache, a breaker trip (three consecutive
+    under the shared lock), the serving engine (its batches on the
+    caller's thread, a repeated batch for the LRU-hit path, 20% batch
+    chaos under retry), the geometry cache, a breaker trip (three consecutive
     hard failures → cross-LRU clear), and a hook-free sweep of a
     larger matrix (``clamp=False`` so its pool really is ``workers``
     wide) with what its units share: the column-stack map, the
@@ -791,7 +791,7 @@ def run_sanitized_workload(
         )
         engine = PredictionEngine(
             kernel, theta, x, z, result.factor,
-            cache=GeometryCache(), batch=8, workers=workers,
+            cache=GeometryCache(), batch=8,
             resilience=ResilienceConfig(
                 retry=retry,
                 chaos=ChaosConfig(seed=seed, batch_fail_rate=0.2),

@@ -254,21 +254,19 @@ class ExaGeoStatModel:
         *,
         return_uncertainty: bool = False,
         batch: int | None = None,
-        workers: int | None = None,
         deadline_s: float | None = None,
     ) -> PredictionResult:
         """Kriging prediction (Eq. 4) and uncertainty (Eq. 5) at new
         locations, using the fitted parameters.  Served by the model's
         :meth:`serving_engine`, so the factor, the Eq.-4 weights, and
-        the cross geometry amortize across repeated calls; ``workers``
-        spreads test batches over a thread pool and ``deadline_s``
-        bounds the call's wall clock (see
+        the cross geometry amortize across repeated calls;
+        ``deadline_s`` bounds the call's wall clock (see
         :meth:`PredictionEngine.predict`)."""
         require_finite("x_new", x_new)
         return self._ensure_engine().predict(
             as_locations(x_new, dim=self.kernel.ndim_locations),
             return_uncertainty=return_uncertainty,
-            batch=batch, workers=workers, deadline_s=deadline_s,
+            batch=batch, deadline_s=deadline_s,
         )
 
     def simulate(

@@ -20,11 +20,12 @@ amortizable pieces:
   values themselves (theta is pinned, so a repeated test batch needs
   no kernel evaluation at all).
 
-:class:`PredictionEngine` owns all three and exposes a batched,
-optionally thread-parallel :meth:`predict`, a bounded-memory streaming
-:meth:`predict_iter` for large grids, MSPE :meth:`score`, and
-conditional :meth:`simulate`.  ``ExaGeoStatModel`` builds one lazily
-(see :meth:`~repro.core.model.ExaGeoStatModel.serving_engine`) and
+:class:`PredictionEngine` owns all three and exposes a batched
+:meth:`predict` (its batches run one after another on the caller's
+thread), a bounded-memory streaming :meth:`predict_iter` for large
+grids, MSPE :meth:`score`, and conditional :meth:`simulate`.
+``ExaGeoStatModel`` builds one lazily (see
+:meth:`~repro.core.model.ExaGeoStatModel.serving_engine`) and
 invalidates it whenever the fitted state changes;
 :func:`kriging_predict` is the one-shot entry point over a transient
 engine.
@@ -35,9 +36,7 @@ from __future__ import annotations
 import hashlib
 import logging
 import threading
-import time
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -47,9 +46,7 @@ from ..exceptions import ShapeError
 from ..kernels.base import CovarianceKernel
 from ..kernels.distance import as_locations
 from ..obs.telemetry import maybe_span
-from ..obs.tracer import current_span_id
 from ..resilience import (
-    CancellationToken,
     CircuitBreaker,
     Deadline,
     HealthReport,
@@ -141,6 +138,10 @@ class _CrossEntry:
 class PredictionEngine:
     """Throughput-oriented predictions against one fitted state.
 
+    The engine starts no thread: every call runs on its caller's
+    thread.  One engine may be shared by several caller threads; its
+    cache and counters are kept under one lock.
+
     Parameters
     ----------
     kernel, theta, x_train, z_train:
@@ -155,10 +156,6 @@ class PredictionEngine:
         model; ``None`` evaluates the kernel directly.
     batch:
         Default test-batch width (peak memory is ``n_train x batch``).
-    workers:
-        Default thread-pool width of :meth:`predict`; batches are
-        independent, so parallel results are bit-identical to
-        sequential ones.
     cross_cache_bytes:
         Byte budget of the cross-covariance value LRU (0 disables it).
     resilience:
@@ -187,7 +184,6 @@ class PredictionEngine:
         *,
         cache: GeometryCache | None = None,
         batch: int = PREDICT_BATCH,
-        workers: int = 1,
         cross_cache_bytes: int = SERVING_CROSS_CACHE_BYTES,
         resilience: ResilienceConfig | None = None,
         telemetry=None,
@@ -204,7 +200,6 @@ class PredictionEngine:
             raise ShapeError("batch must be >= 1")
         self.cache = cache
         self.batch = int(batch)
-        self.workers = max(1, int(workers))
         self.cross_cache_bytes = max(0, int(cross_cache_bytes))
 
         self.solver = PanelSolver(factor)
@@ -272,14 +267,15 @@ class PredictionEngine:
         """The batch's cross panel (and, when asked, its forward
         half-solve ``L^{-1} Sigma_nm``), from the LRU when possible.
 
-        Thread-safety discipline: cached ``_CrossEntry`` objects are
-        only ever *mutated* (the lazy ``half`` attach) while holding
-        the engine lock, together with the matching
-        ``cross_cache_bytes`` update — so a concurrent eviction always
-        subtracts exactly the bytes that were added.  The expensive
-        work (kernel values, triangular solves) runs outside the lock;
-        when two threads race on one key, the loser's duplicate work is
-        discarded under the lock and the byte ledger stays exact.
+        Thread-safety discipline (for callers sharing one engine):
+        cached ``_CrossEntry`` objects are only ever *mutated* (the lazy
+        ``half`` attach) while holding the engine lock, together with
+        the matching ``cross_cache_bytes`` update — so a concurrent
+        eviction always subtracts exactly the bytes that were added.
+        The expensive work (kernel values, triangular solves) runs
+        outside the lock; when two callers race on one key, the loser's
+        duplicate work is discarded under the lock and the byte ledger
+        stays exact.
         """
         use_cache = use_cache and self.cross_cache_bytes > 0
         key = locations_fingerprint(x_batch) if use_cache else None
@@ -296,7 +292,7 @@ class PredictionEngine:
                 self._stats.cross_misses += 1
 
         # Compute outside the lock: kernel evaluation and the forward
-        # sweep dominate, and batches must overlap under workers > 1.
+        # sweep dominate, and concurrent callers must not queue on them.
         cross = entry.cross if entry is not None else self._cross_values(x_batch)
         half = self.solver.forward(cross) if need_half else None
 
@@ -308,7 +304,7 @@ class PredictionEngine:
         with self._lock:
             current = self._cross.get(key)
             if current is not None:
-                # Cached (by us earlier, or by a racing thread): attach
+                # Cached (by us earlier, or by a racing caller): attach
                 # the half-solve in the same critical section as the
                 # byte-ledger update.
                 if half is not None and current.half is None:
@@ -367,9 +363,8 @@ class PredictionEngine:
         use_cache: bool,
     ) -> tuple[np.ndarray, np.ndarray | None]:
         """One batch through the resilience hooks: chaos perturbation
-        (keyed on the batch's start offset — scheduling-independent)
-        and transient-failure retry.  Inert hooks short-circuit to the
-        plain path."""
+        (keyed on the batch's start offset) and transient-failure
+        retry.  Inert hooks short-circuit to the plain path."""
         if self._retry is None and self._chaos is None:
             return self._predict_batch(x_slice, return_uncertainty, use_cache)
 
@@ -393,78 +388,45 @@ class PredictionEngine:
         *,
         return_uncertainty: bool = False,
         batch: int | None = None,
-        workers: int | None = None,
         deadline_s: float | None = None,
     ) -> PredictionResult:
         """Batched kriging prediction (Eq. 4) and optional uncertainty
-        (Eq. 5) at ``x_test``.
-
-        Batches are independent multi-RHS solves, so ``workers > 1``
-        computes them on a thread pool with bit-identical results.
+        (Eq. 5) at ``x_test``, one batch after another on the caller's
+        thread.
 
         ``deadline_s`` bounds the call's wall clock: the first batch
-        dispatched past the budget raises
-        :class:`~repro.exceptions.DeadlineExceededError` after the pool
-        drains (cooperative — an in-flight batch finishes first).  Any
-        batch failure cancels the remaining batches the same way and
-        re-raises the first error; partial results are discarded.
+        reached past the budget raises
+        :class:`~repro.exceptions.DeadlineExceededError` (cooperative —
+        a batch in progress finishes first).  Any batch failure stops
+        the call and re-raises; partial results are discarded.
         """
         x_test = self._check_test(x_test)
         width = self.batch if batch is None else max(1, int(batch))
-        nworkers = self.workers if workers is None else max(1, int(workers))
         deadline = Deadline.after(deadline_s)
-        cancel = CancellationToken()
         m = len(x_test)
         mean = np.empty(m, dtype=np.float64)
         variance = np.empty(m, dtype=np.float64) if return_uncertainty else None
-        spans = [(s, min(s + width, m)) for s in range(0, m, width)]
         telemetry = self.telemetry
 
         with maybe_span(
-            telemetry, "predict", m=m, batches=len(spans),
-            workers=nworkers, uncertainty=bool(return_uncertainty),
+            telemetry, "predict", m=m, batches=-(-m // width),
+            uncertainty=bool(return_uncertainty),
         ):
-            # Batches run on pool threads, which do not inherit the
-            # caller's contextvars — capture the parent span id here.
-            parent_sid = None if telemetry is None else current_span_id()
-
-            def run(span: tuple[int, int]) -> None:
-                cancel.check("predict batch")
-                if deadline is not None:
-                    deadline.check("predict batch")
-                start, stop = span
-                t_start = 0.0 if telemetry is None else time.perf_counter()
-                mb, vb = self._serve_batch(
-                    start, x_test[start:stop], return_uncertainty,
-                    use_cache=True,
-                )
-                if telemetry is not None:
-                    telemetry.tracer.add_span(
-                        "predict_batch", t_start, time.perf_counter(),
-                        parent=parent_sid, tid=threading.get_ident(),
-                        attrs={"start": start, "stop": stop},
-                    )
-                mean[start:stop] = mb
-                if variance is not None:
-                    variance[start:stop] = vb
-
             try:
-                if nworkers > 1 and len(spans) > 1:
-                    with ThreadPoolExecutor(max_workers=nworkers) as pool:
-                        futures = [pool.submit(run, span) for span in spans]
-                        try:
-                            for fut in as_completed(futures):
-                                fut.result()  # first error propagates
-                        except BaseException as exc:
-                            # Poison the queue: queued batches see the
-                            # token and return immediately; the context
-                            # manager joins every worker before
-                            # re-raising.
-                            cancel.cancel(f"predict failed: {exc!r}")
-                            raise
-                else:
-                    for span in spans:
-                        run(span)
+                for start in range(0, m, width):
+                    if deadline is not None:
+                        deadline.check("predict batch")
+                    stop = min(start + width, m)
+                    with maybe_span(
+                        telemetry, "predict_batch", start=start, stop=stop
+                    ):
+                        mb, vb = self._serve_batch(
+                            start, x_test[start:stop], return_uncertainty,
+                            use_cache=True,
+                        )
+                    mean[start:stop] = mb
+                    if variance is not None:
+                        variance[start:stop] = vb
             except Exception:
                 with self._lock:
                     self._stats.failed_calls += 1
@@ -586,7 +548,6 @@ def kriging_predict(
     return_uncertainty: bool = False,
     batch: int = PREDICT_BATCH,
     cache: GeometryCache | None = None,
-    workers: int = 1,
 ) -> PredictionResult:
     """Predict at ``x_test`` given a factored training covariance.
 
@@ -602,12 +563,11 @@ def kriging_predict(
 
     ``cache`` reuses the theta-independent cross geometry (train/test
     distances) across repeated predictions at the same locations —
-    e.g. re-predicting after a parameter update.  ``workers`` spreads
-    independent test batches over a thread pool.
+    e.g. re-predicting after a parameter update.
     """
     engine = PredictionEngine(
         kernel, theta, x_train, z_train, factor,
-        cache=cache, batch=batch, workers=workers,
+        cache=cache, batch=batch,
         cross_cache_bytes=0,  # one-shot call: nothing to reuse
     )
     return engine.predict(x_test, return_uncertainty=return_uncertainty)

@@ -52,10 +52,10 @@ class VariantConfig:
     :class:`~repro.exceptions.ConfigurationError` — none is silently
     dropped (DESIGN.md "Execution").
 
-    * ``workers`` — threads the covariance generation deals its
-      slices over (an element-wise kernel evaluates one flat buffer in
-      cache-sized slices; any other kernel's tiles are dealt instead),
-      and width of the pools for compression and the factorization.
+    * ``workers`` — width of the two thread pools an evaluation uses:
+      the slices of an element-wise kernel's generation (one flat
+      buffer in cache-sized slices) and the factorization.  Any other
+      kernel's tiles and the compression run on the caller's thread.
     * ``backend`` — where factorization tasks run: ``"thread"``
       (default; a worker-thread pool, or the caller's thread at
       ``workers=1`` — the panel sweep there too, whatever the variant

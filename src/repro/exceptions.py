@@ -22,8 +22,8 @@ Hierarchy::
     ├── TaskFailedError(RuntimeError)     a simulated task exceeded its
     │                                     transient-failure retry budget
     ├── DeadlineExceededError(TimeoutError)
-    │                                     a deadline/cancellation token
-    │                                     expired mid-execution
+    │                                     a deadline expired
+    │                                     mid-execution
     ├── ChaosError(RuntimeError)          an injected (opt-in, seeded)
     │                                     chaos failure fired
     ├── DeadlockDetectedError(RuntimeError)
@@ -175,8 +175,8 @@ class TaskFailedError(ReproError, RuntimeError):
 
 
 class DeadlineExceededError(ReproError, TimeoutError):
-    """A :class:`~repro.resilience.deadline.Deadline` expired (or its
-    cancellation token was cancelled) before the operation finished.
+    """A :class:`~repro.resilience.deadline.Deadline` expired before
+    the operation finished.
 
     Raised *after* the executing worker pool has drained: no worker
     threads are leaked and no partially-computed results are returned.
@@ -184,8 +184,8 @@ class DeadlineExceededError(ReproError, TimeoutError):
     Attributes
     ----------
     budget_s:
-        The time budget that expired, in seconds (``None`` for a bare
-        cancellation).
+        The time budget that expired, in seconds (``None`` when the
+        raising site was given no budget to report).
     where:
         Short description of the execution site that noticed expiry.
     """

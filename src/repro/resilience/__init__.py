@@ -4,9 +4,9 @@ The simulator's fault tolerance (:mod:`repro.runtime.faults`) models
 failures; this package *survives* them in the executors that actually
 compute:
 
-* :mod:`~repro.resilience.deadline` — :class:`Deadline` budgets and
-  :class:`CancellationToken` poisoning, threaded through the
-  executors, the likelihood, ``fit_mle(time_budget_s=...)`` and
+* :mod:`~repro.resilience.deadline` — :class:`Deadline` budgets,
+  threaded through the executors, the likelihood,
+  ``fit_mle(time_budget_s=...)`` and
   ``PredictionEngine.predict(deadline_s=...)``; pools drain, threads
   join, partial results are discarded;
 * :mod:`~repro.resilience.retry` — :class:`RetryPolicy` with
@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .chaos import ChaosConfig, ChaosInjector, ChaosStats
-from .deadline import CancellationToken, Deadline
+from .deadline import Deadline
 from .degrade import (
     DEFAULT_DEGRADATION,
     DegradationPolicy,
@@ -50,7 +50,6 @@ __all__ = [
     "ResilienceConfig",
     "DEFAULT_RESILIENCE",
     "Deadline",
-    "CancellationToken",
     "RetryPolicy",
     "DEFAULT_RETRY",
     "DEFAULT_RETRYABLE",

@@ -1,66 +1,24 @@
-"""Deadlines and cooperative cancellation for the real executors.
+"""Deadlines for the real executors.
 
-A :class:`Deadline` is a wall-clock budget on the monotonic clock; a
-:class:`CancellationToken` is a thread-safe latch a worker pool checks
-between units of work.  Both are *cooperative*: execution sites poll
-``check()`` at task/batch boundaries, so a deadline never interrupts a
-BLAS call mid-flight — it stops the next dispatch, lets in-flight work
-finish, drains the pool, and surfaces one
+A :class:`Deadline` is a wall-clock budget on the monotonic clock.  It
+is *cooperative*: execution sites poll ``check()`` (or
+:attr:`~Deadline.expired`) at panel / task / batch boundaries, so a
+deadline never interrupts a BLAS call mid-flight — it stops the next
+dispatch, lets in-flight work finish, and surfaces one
 :class:`~repro.exceptions.DeadlineExceededError` with no leaked
 threads and no partial results.
 
-Both objects are cheap to poll (one monotonic read / one attribute
-read); passing ``None`` everywhere keeps the hot paths untouched.
+Polling costs one monotonic read; passing ``None`` everywhere keeps
+the hot paths untouched.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 
 from ..exceptions import DeadlineExceededError
 
-__all__ = ["Deadline", "CancellationToken"]
-
-
-class CancellationToken:
-    """Thread-safe one-way latch: once cancelled, stays cancelled.
-
-    The parallel executor cancels its internal token on the first
-    worker error, poisoning the ready queue so the remaining workers
-    stop dispatching and the pool drains instead of deadlocking.
-    """
-
-    __slots__ = ("_event", "reason")
-
-    def __init__(self) -> None:
-        self._event = threading.Event()
-        self.reason: str = ""
-
-    def cancel(self, reason: str = "") -> None:
-        """Latch the token (idempotent; first reason wins)."""
-        if not self._event.is_set():
-            self.reason = reason or self.reason
-            self._event.set()
-
-    @property
-    def cancelled(self) -> bool:
-        return self._event.is_set()
-
-    def check(self, where: str = "") -> None:
-        """Raise :class:`~repro.exceptions.DeadlineExceededError` if
-        cancelled (cancellation and expiry surface identically to
-        callers: the operation did not complete)."""
-        if self._event.is_set():
-            raise DeadlineExceededError(
-                f"operation cancelled{f' at {where}' if where else ''}"
-                f"{f': {self.reason}' if self.reason else ''}",
-                where=where,
-            )
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        state = f"cancelled: {self.reason!r}" if self.cancelled else "live"
-        return f"CancellationToken({state})"
+__all__ = ["Deadline"]
 
 
 class Deadline:

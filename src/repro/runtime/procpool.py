@@ -24,7 +24,7 @@ PaRSEC's distributed owner-computes execution:
   (:mod:`repro.runtime.blasclamp`), and the clamp is reported;
 * failure semantics match the threaded engine: worker exceptions wrap
   in :class:`~repro.exceptions.SchedulingError` after the pool drains,
-  deadlines/cancellation stop dispatch and surface
+  deadlines stop dispatch and surface
   :class:`~repro.exceptions.DeadlineExceededError`, seeded chaos keys
   on ``(seed, epoch, uid, attempt)``; a worker killed mid-task raises
   :class:`~repro.exceptions.WorkerLostError` (never a hang), with the
@@ -267,7 +267,6 @@ class ProcessPoolEngine:
         max_rank: int | None = None,
         fp16_accumulate_fp32: bool = True,
         deadline=None,
-        cancel=None,
         retry=None,
         chaos=None,
         check_finite: bool | None = None,
@@ -281,7 +280,7 @@ class ProcessPoolEngine:
         failure (first worker exception chained; a dead worker raises
         the :class:`~repro.exceptions.WorkerLostError` subclass) and
         :class:`~repro.exceptions.DeadlineExceededError` on
-        deadline/cancellation — in every case only after in-flight
+        deadline expiry — in every case only after in-flight
         tasks have drained (or the pool has been torn down) and the
         shared-memory store has been unlinked.  Workers run one tile
         op per task (``grouping="per-tile"``, always): an owner's rows
@@ -355,7 +354,7 @@ class ProcessPoolEngine:
                     raise SchedulingError(
                         f"stalled with {ready.remaining} tasks unreached"
                     )
-                stop = stop or stop_reason(deadline, cancel) or ""
+                stop = stop or stop_reason(deadline) or ""
                 msg = self._poll(
                     f"mid-factorization with {len(in_flight)} tasks in flight"
                 )

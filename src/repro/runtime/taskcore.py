@@ -13,8 +13,8 @@ in *scheduling*; the rest lives here, once:
   one hook wrapper every kernel *call* goes through (retry / chaos /
   finite check: :meth:`TaskBody.hooked`) and the low-rank update
   tally (GEMM and settle outcomes);
-* :func:`stop_reason` / :func:`stopped` — the stop conditions
-  (deadline, cancellation) every loop polls;
+* :func:`stop_reason` / :func:`stopped` — the stop condition (the
+  deadline) every loop polls, and the error a stopped run raises;
 * :class:`RunRecorder` — a traced run's wall-clock timeline, and from
   it the telemetry spans; it also closes the run into its
   :class:`ParallelRunReport`;
@@ -149,12 +149,9 @@ class ReadySet:
                 heapq.heappush(self._heap, (-self._priority[succ], succ))
 
 
-def stop_reason(deadline, cancel=None) -> str | None:
-    """Why dispatch must stop now (token cancelled / deadline passed),
-    or ``None``.  Cooperative: in-flight work finishes, nothing new
-    starts."""
-    if cancel is not None and cancel.cancelled:
-        return cancel.reason or "cancelled"
+def stop_reason(deadline) -> str | None:
+    """Why dispatch must stop now (the deadline passed), or ``None``.
+    Cooperative: in-flight work finishes, nothing new starts."""
     if deadline is not None and deadline.expired:
         return f"deadline of {deadline.budget_s:.3g}s exceeded"
     return None

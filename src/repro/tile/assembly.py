@@ -22,7 +22,6 @@ reproduces that pipeline:
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,9 +97,9 @@ def _generate_blocks(
     (:meth:`~repro.kernels.base.CovarianceKernel.from_flat_geometry`,
     slices dealt over ``workers`` threads) and the blocks are views of
     the one result buffer; any other kernel is evaluated tile by tile
-    (over a thread pool when ``workers > 1``).  Norms are reduced
-    afterwards in layout order, so the accumulated global norm is
-    independent of thread scheduling.
+    on the caller's thread (``workers`` does not apply).  Norms are
+    reduced afterwards in layout order, so the accumulated global norm
+    is independent of thread scheduling.
 
     ``need_norms=False`` skips the Frobenius-norm reduction and returns
     ``({}, 0.0)`` for the norm outputs — for callers like
@@ -115,15 +114,9 @@ def _generate_blocks(
         sizes = layout.block_sizes().tolist()
         evaluated = split_flat(values, [(sizes[i], sizes[j]) for i, j in keys])
     else:
-
-        def make(key: tuple[int, int]) -> np.ndarray:
-            return kernel.from_geometry(theta, geometry.tile(*key))
-
-        if workers > 1 and len(keys) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                evaluated = list(pool.map(make, keys))
-        else:
-            evaluated = [make(key) for key in keys]
+        evaluated = [
+            kernel.from_geometry(theta, geometry.tile(*key)) for key in keys
+        ]
     blocks = dict(zip(keys, evaluated))
     for i in range(layout.nt):
         # In place, so a diagonal tile stays a view of the result buffer.
@@ -223,9 +216,9 @@ def build_planned_covariance(
       a values-only SVD.  A stale or absent hint changes no bit: the
       compression of a tile is a function of the tile, the tolerance
       and the cap (:mod:`repro.tile.compression`).
-    * ``workers`` — threads the generation deals its slices over (its
-      tiles, for a kernel evaluated tile by tile) and the per-tile
-      compression runs on.
+    * ``workers`` — threads an element-wise kernel's generation deals
+      its slices over.  A kernel evaluated tile by tile and the
+      compression run on the caller's thread.
     * ``batch`` — compress the off-diagonal tiles through
       :func:`~repro.tile.compression.compress_many` (its exact SVDs
       stacked over whole shape classes) instead of per tile.  It does
@@ -235,10 +228,11 @@ def build_planned_covariance(
 
     ``telemetry`` (a :class:`~repro.obs.Telemetry`) wraps generation
     and TLR compression in spans — ``"generate"`` records what ran
-    (``nt``, ``workers``, ``elementwise``, and the number of slices in
-    ``chunks``, 0 for a per-tile kernel), ``"compress"`` how the tiles
-    were compressed (``compressed``, the report's own tally); it never
-    touches the numbers.
+    (``nt``, ``elementwise``, the number of slices in ``chunks`` and
+    the ``workers`` they were dealt over; 0 and 1 for a per-tile
+    kernel), ``"compress"`` how the tiles were compressed
+    (``compressed``, the report's own tally); it never touches the
+    numbers.
     """
     layout = TileLayout(len(x), tile_size)
     nt = layout.nt
@@ -258,7 +252,8 @@ def build_planned_covariance(
             )
     elementwise = kernel.elementwise_geometry
     with maybe_span(
-        telemetry, "generate", nt=nt, workers=workers, elementwise=elementwise,
+        telemetry, "generate", nt=nt, workers=workers if elementwise else 1,
+        elementwise=elementwise,
         chunks=-(-layout.lower_entries() // GEOMETRY_CHUNK) if elementwise else 0,
     ):
         blocks, norms, global_norm = _generate_blocks(
@@ -303,13 +298,7 @@ def build_planned_covariance(
     if use_tlr:
         max_rank = int(max_rank_fraction * tile_size)
         offdiag = [key for key in layout.lower_tiles() if key[0] != key[1]]
-
-        def compress(key: tuple[int, int]):
-            hint = None if rank_hints is None else rank_hints.get(key)
-            return compress_or_rank(
-                blocks[key], tile_tol, max_rank=max_rank, hint=hint,
-            )
-
+        hints = rank_hints or {}
         with maybe_span(
             telemetry, "compress", tiles=len(offdiag), batch=bool(batch),
             compressed=outcomes,
@@ -320,13 +309,14 @@ def build_planned_covariance(
                     blocks, offdiag, tile_tol, max_rank=max_rank,
                     hints=rank_hints,
                 )
-            elif workers > 1 and len(offdiag) > 1:
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    compressed = dict(
-                        zip(offdiag, pool.map(compress, offdiag))
-                    )
             else:
-                compressed = {key: compress(key) for key in offdiag}
+                compressed = {
+                    key: compress_or_rank(
+                        blocks[key], tile_tol, max_rank=max_rank,
+                        hint=hints.get(key),
+                    )
+                    for key in offdiag
+                }
             for key in offdiag:
                 rank, u, v, certified = compressed[key]
                 ranks[key] = rank

@@ -300,7 +300,7 @@ def _fit_and_predict():
     )
     engine = PredictionEngine(
         kernel, theta, x, z, result.factor,
-        cache=GeometryCache(), batch=8, workers=2,
+        cache=GeometryCache(), batch=8,
     )
     pred = engine.predict(x_test, return_uncertainty=True)
     return result.value, pred.mean, pred.variance

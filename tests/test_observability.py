@@ -571,7 +571,7 @@ class TestRealPaths:
         model.fit(x, z, theta0=THETA, max_iter=3)
         gen = np.random.default_rng(7)
         x_new = gen.uniform(size=(30, 2))
-        model.predict(x_new, return_uncertainty=True, batch=10, workers=2)
+        model.predict(x_new, return_uncertainty=True, batch=10)
         predict = telemetry.tracer.by_name("predict")[0]
         batches = telemetry.tracer.by_name("predict_batch")
         assert len(batches) == 3

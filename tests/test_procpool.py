@@ -15,7 +15,6 @@ from repro.exceptions import (
     WorkerLostError,
 )
 from repro.resilience import (
-    CancellationToken,
     ChaosConfig,
     Deadline,
     RetryPolicy,
@@ -204,15 +203,6 @@ class TestFailureSemantics:
                 engine.execute(tm, deadline=Deadline(0.0))
         assert err.value.budget_s == 0.0
         assert err.value.where == "ProcessPoolEngine.execute"
-
-    def test_cancellation_token_drains_and_raises(self):
-        tm = random_spd_tilematrix(64, 16, seed=8)
-        token = CancellationToken()
-        token.cancel("operator abort")
-        with ProcessPoolEngine(workers=2) as engine:
-            with pytest.raises(DeadlineExceededError) as err:
-                engine.execute(tm, cancel=token)
-        assert "operator abort" in str(err.value)
 
     def test_invalid_configuration(self):
         with pytest.raises(ConfigurationError):

@@ -3,7 +3,7 @@
 Covers four layers:
 
 * the primitives — :class:`~repro.resilience.RetryPolicy`,
-  :class:`~repro.resilience.Deadline` / ``CancellationToken``,
+  :class:`~repro.resilience.Deadline`,
   :class:`~repro.resilience.CircuitBreaker`, ``require_finite``,
   ``degradation_steps`` and the :class:`ResilienceConfig` wiring;
 * the threaded DAG executor — worker crashes drain the pool instead
@@ -15,7 +15,7 @@ Covers four layers:
 * the serving path — thread-safe cross-covariance LRU under
   concurrent predicts, batch retry, the consecutive-failure circuit
   breaker with its cache-clearing safe rebuild, and
-  ``deadline_s`` cancellation without thread leaks.
+  ``deadline_s`` expiry without thread leaks.
 
 The pinned-value tests at the bottom freeze the hooks-disabled
 results bit-for-bit: resilience must be zero-effect when off.
@@ -45,7 +45,6 @@ from repro.exceptions import (
 from repro.kernels import MaternKernel
 from repro.ordering import order_points
 from repro.resilience import (
-    CancellationToken,
     ChaosConfig,
     ChaosInjector,
     CircuitBreaker,
@@ -172,17 +171,6 @@ class TestDeadlineAndCancellation:
         d = Deadline(60.0)
         assert not d.expired
         d.check("unit test")  # must not raise
-
-    def test_token_latches_first_reason(self):
-        tok = CancellationToken()
-        assert not tok.cancelled
-        tok.check("ok")  # live token: no raise
-        tok.cancel("boom")
-        tok.cancel("later")  # idempotent; first reason wins
-        assert tok.cancelled
-        assert tok.reason == "boom"
-        with pytest.raises(DeadlineExceededError, match="boom"):
-            tok.check("unit test")
 
 
 class TestCircuitBreaker:
@@ -592,7 +580,7 @@ class TestServingResilience:
         reference and the stats ledger must stay coherent."""
         kern, x, z, x_test, factor = serving_state
         engine = PredictionEngine(
-            kern, THETA, x, z, factor, batch=8, workers=2,
+            kern, THETA, x, z, factor, batch=8,
             cross_cache_bytes=24_000,  # ~1-2 entries: forces eviction
         )
         ref = engine.predict(x_test, return_uncertainty=True)
@@ -676,11 +664,10 @@ class TestServingResilience:
         assert health.failures == 3 and health.calls == 5
 
     def test_deadline_cancels_without_leaking_threads(self, serving_state):
-        """Satellite 4c: an expired deadline raises promptly, drains
-        the pool, and discards any partial arrays."""
+        """An expired deadline raises promptly, leaves no thread
+        behind, and discards any partial arrays."""
         kern, x, z, x_test, factor = serving_state
-        engine = PredictionEngine(kern, THETA, x, z, factor,
-                                  batch=4, workers=4)
+        engine = PredictionEngine(kern, THETA, x, z, factor, batch=4)
         before = threading.active_count()
         t0 = time.monotonic()
         with pytest.raises(DeadlineExceededError):
@@ -688,7 +675,7 @@ class TestServingResilience:
         assert time.monotonic() - t0 < 5.0
         limit = time.monotonic() + 5.0
         while threading.active_count() > before:
-            assert time.monotonic() < limit, "predict pool leaked threads"
+            assert time.monotonic() < limit, "predict leaked threads"
             time.sleep(0.01)
         assert engine.stats().predict_calls == 0
 

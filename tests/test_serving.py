@@ -7,19 +7,26 @@ Covers three layers:
   as ``ref_forward`` / ``ref_backward``), cast amortization, panel
   ``apply_lower`` and ``logdet``;
 * :class:`~repro.core.serving.PredictionEngine` — invariance of
-  repeated / streamed / thread-parallel predicts, cross-value cache,
+  repeated / streamed predicts on the caller's thread, cross-value cache,
   weight-solve amortization, seeded simulation;
 * model wiring — content-hash invalidation on ``set_params``/``fit``
   and the negative-variance clamp at the source.
 """
 
+import inspect
 import logging
+import threading
 
 import numpy as np
 import pytest
 from scipy import linalg as sla
 
-from repro.core import PredictionEngine, clamp_variance, kriging_predict
+from repro.core import (
+    ExaGeoStatModel,
+    PredictionEngine,
+    clamp_variance,
+    kriging_predict,
+)
 from repro.core.variants import get_variant
 from repro.exceptions import ShapeError
 from repro.tile import (
@@ -228,15 +235,30 @@ class TestPredictionEngine:
             np.concatenate([c.variance for c in chunks]), p.variance
         )
 
-    def test_parallel_matches_sequential(self, serving_setup):
+    def test_batches_run_on_the_callers_thread(
+        self, serving_setup, monkeypatch
+    ):
+        """Prediction starts no thread: every batch runs on the
+        calling thread, and no prediction API asks for a width."""
         kern, theta, x, z, fac, x_test = serving_setup
         engine = PredictionEngine(kern, theta, x, z, fac)
-        seq = engine.predict(x_test, return_uncertainty=True, batch=8)
-        par = engine.predict(
-            x_test, return_uncertainty=True, batch=8, workers=4
-        )
-        np.testing.assert_array_equal(seq.mean, par.mean)
-        np.testing.assert_array_equal(seq.variance, par.variance)
+        ref = engine.predict(x_test, return_uncertainty=True, batch=8)
+        seen = []
+        serve = engine._serve_batch
+
+        def spy(*args, **kwargs):
+            seen.append(threading.get_ident())
+            return serve(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "_serve_batch", spy)
+        got = engine.predict(x_test, return_uncertainty=True, batch=8)
+        assert seen == [threading.get_ident()] * -(-len(x_test) // 8)
+        np.testing.assert_array_equal(got.mean, ref.mean)
+        np.testing.assert_array_equal(got.variance, ref.variance)
+        for api in (PredictionEngine, PredictionEngine.predict,
+                    kriging_predict, ExaGeoStatModel.predict):
+            assert "workers" not in inspect.signature(api).parameters
+        assert not hasattr(engine, "workers")
 
     def test_matches_kriging_predict(self, serving_setup):
         """The one-shot wrapper and a held engine serve the same
