@@ -182,6 +182,9 @@ def _cmd_profile(args) -> int:
     generated = telemetry.tracer.by_name("generate")[0].attrs
     print("  generated on: elementwise={elementwise} chunks={chunks} "
           "workers={workers}".format(**generated))
+    predicted = telemetry.tracer.by_name("predict_batch")[0].attrs
+    print("  predicted on: elementwise={elementwise} chunks={chunks} "
+          "workers={workers}".format(**predicted))
     compress = telemetry.tracer.by_name("compress")
     if compress:  # a TLR variant: its first evaluation's tiles
         print("  compressed: certified={certified} fallback={fallback} "

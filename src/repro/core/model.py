@@ -231,6 +231,7 @@ class ExaGeoStatModel:
             factor = self._likelihood_at_fit().factor
             self._engine = PredictionEngine(
                 self.kernel, self.theta_, self._x, self._z, factor,
+                variant=self.variant,
                 cache=self._cache, resilience=self.resilience,
                 telemetry=self.telemetry,
             )

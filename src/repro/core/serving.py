@@ -43,7 +43,7 @@ import numpy as np
 
 from ..config import PREDICT_BATCH, SERVING_CROSS_CACHE_BYTES
 from ..exceptions import ShapeError
-from ..kernels.base import CovarianceKernel
+from ..kernels.base import GEOMETRY_CHUNK, CovarianceKernel, array_fields
 from ..kernels.distance import as_locations
 from ..obs.telemetry import maybe_span
 from ..resilience import (
@@ -56,6 +56,8 @@ from ..resilience.validate import require_finite
 from ..tile.geometry import GeometryCache, locations_fingerprint
 from ..tile.matrix import TileMatrix
 from ..tile.solve import PanelSolver
+from .likelihood import _resolve_execution
+from .variants import DENSE_FP64, VariantConfig, get_variant
 
 __all__ = [
     "PredictionResult", "clamp_variance", "ServingStats",
@@ -138,7 +140,15 @@ class _CrossEntry:
 class PredictionEngine:
     """Throughput-oriented predictions against one fitted state.
 
-    The engine starts no thread: every call runs on its caller's
+    Batches run one after another on the caller's thread.  Within a
+    batch, an element-wise kernel's cross panel is generated as
+    training covariances are: its pair geometry is one flat buffer
+    evaluated in slices of :data:`~repro.kernels.base.GEOMETRY_CHUNK`
+    entries dealt over the variant's ``workers``
+    (:meth:`~repro.kernels.base.CovarianceKernel.from_flat_geometry`),
+    each slice writing its own part of the panel, so the values are
+    the same bytes at every width.  Any other kernel's panel, the
+    Eq.-5 forward solve and everything else run on the caller's
     thread.  One engine may be shared by several caller threads; its
     cache and counters are kept under one lock.
 
@@ -150,10 +160,17 @@ class PredictionEngine:
         reusable).
     factor:
         Tile Cholesky factor of ``Sigma_nn(theta)`` over ``x_train``.
+    variant:
+        The fitted model's compute variant (name or
+        :class:`~repro.core.variants.VariantConfig`); only its
+        execution settings are read: cross panels are generated at the
+        width its training tiles are.  Default ``"dense-fp64"``, one
+        worker.
     cache:
         A :class:`~repro.tile.geometry.GeometryCache` for the
         theta-independent train/test geometry, shared with the owning
-        model; ``None`` evaluates the kernel directly.
+        model; ``None`` builds each batch's pair geometry for that
+        batch only.
     batch:
         Default test-batch width (peak memory is ``n_train x batch``).
     cross_cache_bytes:
@@ -182,6 +199,7 @@ class PredictionEngine:
         z_train: np.ndarray,
         factor: TileMatrix,
         *,
+        variant: "str | VariantConfig" = DENSE_FP64,
         cache: GeometryCache | None = None,
         batch: int = PREDICT_BATCH,
         cross_cache_bytes: int = SERVING_CROSS_CACHE_BYTES,
@@ -198,6 +216,12 @@ class PredictionEngine:
             raise ShapeError("factor dimension does not match x_train")
         if batch < 1:
             raise ShapeError("batch must be >= 1")
+        # The width the variant generates its training tiles at; a
+        # per-tile kernel's panel has no slices to deal.
+        self._width = (
+            _resolve_execution(get_variant(variant), None)[2]
+            if kernel.elementwise_geometry else 1
+        )
         self.cache = cache
         self.batch = int(batch)
         self.cross_cache_bytes = max(0, int(cross_cache_bytes))
@@ -248,11 +272,42 @@ class PredictionEngine:
     # ------------------------------------------------------------------
     # cross-covariance panels
     # ------------------------------------------------------------------
-    def _cross_values(self, x_batch: np.ndarray) -> np.ndarray:
-        if self.cache is not None:
-            geom = self.cache.pair_geometry(self.kernel, self.x_train, x_batch)
-            return self.kernel.from_geometry(self.theta, geom)
-        return self.kernel(self.theta, self.x_train, x_batch)
+    def _generation(self, size: int) -> dict:
+        """How the cross panel of a ``size``-point batch is generated:
+        ``elementwise``, the number of slices in ``chunks`` and the
+        ``workers`` they are dealt over (0 and 1 for a per-tile
+        kernel) — the ``"predict_batch"`` span's attributes, named as
+        the ``"generate"`` span's."""
+        elementwise = self.kernel.elementwise_geometry
+        return dict(
+            elementwise=elementwise,
+            chunks=-(-self.n_train * size // GEOMETRY_CHUNK) if elementwise else 0,
+            workers=self._width,
+        )
+
+    def _cross_values(self, x_batch: np.ndarray, *, use_cache: bool) -> np.ndarray:
+        """The ``(n_train, batch)`` cross panel.
+
+        Its pair geometry comes from the geometry cache when the batch
+        may be cached, and is built for this panel only otherwise (a
+        streamed batch never enters the cache).  An element-wise kernel
+        evaluates the geometry flattened, in slices over the engine's
+        width; any other kernel through ``from_geometry``.
+        """
+        kernel = self.kernel
+        if use_cache and self.cache is not None:
+            geom = self.cache.pair_geometry(kernel, self.x_train, x_batch)
+        else:
+            geom = kernel.prepare_geometry(self.x_train, x_batch)
+        if not kernel.elementwise_geometry:
+            return kernel.from_geometry(self.theta, geom)
+        fields = array_fields(geom)
+        shape = next(iter(fields.values())).shape
+        flat = replace(geom, **{
+            name: arr.reshape(-1) for name, arr in fields.items()
+        })
+        values = kernel.from_flat_geometry(self.theta, flat, workers=self._width)
+        return values.reshape(shape)
 
     def clear_cross_cache(self) -> None:
         """Drop every cached cross panel (the circuit breaker's safe
@@ -277,8 +332,8 @@ class PredictionEngine:
         duplicate work is discarded under the lock and the byte ledger
         stays exact.
         """
-        use_cache = use_cache and self.cross_cache_bytes > 0
-        key = locations_fingerprint(x_batch) if use_cache else None
+        cacheable = use_cache and self.cross_cache_bytes > 0
+        key = locations_fingerprint(x_batch) if cacheable else None
         entry: _CrossEntry | None = None
         with self._lock:
             if key is not None:
@@ -293,7 +348,10 @@ class PredictionEngine:
 
         # Compute outside the lock: kernel evaluation and the forward
         # sweep dominate, and concurrent callers must not queue on them.
-        cross = entry.cross if entry is not None else self._cross_values(x_batch)
+        cross = (
+            entry.cross if entry is not None
+            else self._cross_values(x_batch, use_cache=use_cache)
+        )
         half = self.solver.forward(cross) if need_half else None
 
         if key is None:
@@ -418,7 +476,8 @@ class PredictionEngine:
                         deadline.check("predict batch")
                     stop = min(start + width, m)
                     with maybe_span(
-                        telemetry, "predict_batch", start=start, stop=stop
+                        telemetry, "predict_batch", start=start, stop=stop,
+                        **self._generation(stop - start),
                     ):
                         mb, vb = self._serve_batch(
                             start, x_test[start:stop], return_uncertainty,
@@ -459,8 +518,9 @@ class PredictionEngine:
         """Stream predictions batch by batch for grids too large to
         hold ``n_train x m`` cross blocks: yields one
         :class:`PredictionResult` per batch, touching only
-        ``n_train x batch`` memory at a time (the value LRU is
-        bypassed so streaming cannot grow the cache)."""
+        ``n_train x batch`` memory at a time (the value LRU and the
+        geometry cache are bypassed: each batch's pair geometry is
+        built for that batch only, so streaming grows neither)."""
         x_test = self._check_test(x_test)
         width = self.batch if batch is None else max(1, int(batch))
         m = len(x_test)
@@ -494,14 +554,20 @@ class PredictionEngine:
         jitter: float = 1.0e-10,
     ) -> np.ndarray:
         """Conditional simulation (Eq. 3) reusing the engine's factor,
-        solver, and weights."""
+        solver and weights, and the grid's cross panel and forward
+        half-solve from the value LRU — a grid already predicted with
+        uncertainty is simulated without a kernel evaluation or a
+        forward sweep."""
         from .simulation import conditional_simulation
 
+        x_test = self._check_test(x_test)
+        entry = self._entry_for(x_test, need_half=True, use_cache=True)
         return conditional_simulation(
             self.kernel, self.theta, self.x_train, self.z_train,
-            self._check_test(x_test), self.factor,
+            x_test, self.factor,
             size=size, seed=seed, jitter=jitter,
             solver=self.solver, weights=self.weights,
+            cross=entry.cross, half=entry.half,
         )
 
     def stats(self) -> ServingStats:

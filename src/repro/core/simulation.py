@@ -16,8 +16,10 @@ All factor applications are multi-RHS panel operations on a
 :class:`~repro.tile.solve.PanelSolver`: the ``size`` unconditional
 train fields are one ``(n, size)`` forward application, not ``size``
 column sweeps.  A serving engine passes its warm ``solver`` and
-``weights`` in, so repeated simulation shares the per-tile casts and
-the Eq.-4 weight solve with prediction.
+``weights`` in, and the grid's ``cross`` panel and forward ``half``
+solve from its value cache, so simulation shares the per-tile casts,
+the Eq.-4 weight solve and a predicted grid's kernel evaluation and
+forward sweep with prediction.
 
 Conditional draws are what turn point predictions into maps with
 spatially coherent uncertainty — the downstream product environmental
@@ -50,14 +52,18 @@ def conditional_simulation(
     jitter: float = 1.0e-10,
     solver: PanelSolver | None = None,
     weights: np.ndarray | None = None,
+    cross: np.ndarray | None = None,
+    half: np.ndarray | None = None,
 ) -> np.ndarray:
     """Draw ``size`` conditional realizations at ``x_test``.
 
     ``factor`` is the tile Cholesky factor of ``Sigma_nn(theta)`` over
     ``x_train`` (e.g. from the fitted model's likelihood evaluation).
     ``solver``/``weights`` let a warm serving engine share its cached
-    factor operands and solved Eq.-4 weights; both default to fresh
-    computations against ``factor``.
+    factor operands and solved Eq.-4 weights, and ``cross``/``half``
+    its ``(n, m)`` cross panel ``Sigma_nm`` and forward half-solve
+    ``L^{-1} Sigma_nm`` (read, never written); each defaults to a
+    fresh computation against ``factor``.
     Returns ``(m,)`` for ``size == 1`` else ``(size, m)``.
     """
     x_train = as_locations(x_train)
@@ -72,9 +78,13 @@ def conditional_simulation(
         solver = PanelSolver(factor)
     elif solver.factor.n != n:
         raise ShapeError("solver factor dimension does not match x_train")
+    for name, panel in (("cross", cross), ("half", half)):
+        if panel is not None and panel.shape != (n, m):
+            raise ShapeError(f"{name} panel is {panel.shape}, expected {(n, m)}")
     rng = np.random.default_rng(seed)
 
-    cross = kernel(theta, x_train, x_test)  # (n, m)
+    if cross is None:
+        cross = kernel(theta, x_train, x_test)  # (n, m)
     if weights is None:
         weights = solver.solve(z)
     krig_mean = cross.T @ weights  # (m,)
@@ -83,7 +93,8 @@ def conditional_simulation(
     # block factorization  [L_nn 0; B_half L_schur]  with
     # B_half = (L_nn^{-1} Sigma_nm)^T and the Schur complement of the
     # test block (which is exactly the kriging covariance).
-    half = solver.forward(cross)                        # L^{-1} Sigma_nm, (n, m)
+    if half is None:
+        half = solver.forward(cross)                    # L^{-1} Sigma_nm, (n, m)
     schur = kernel.covariance_matrix(theta, x_test)
     schur -= half.T @ half
     schur[np.diag_indices_from(schur)] += jitter

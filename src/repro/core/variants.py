@@ -52,10 +52,12 @@ class VariantConfig:
     :class:`~repro.exceptions.ConfigurationError` — none is silently
     dropped (DESIGN.md "Execution").
 
-    * ``workers`` — width of the two thread pools an evaluation uses:
-      the slices of an element-wise kernel's generation (one flat
-      buffer in cache-sized slices) and the factorization.  Any other
-      kernel's tiles and the compression run on the caller's thread.
+    * ``workers`` — width of the package's two thread pools: the
+      slices of an element-wise kernel's generation (one flat buffer
+      in cache-sized slices), for the training tiles and for a
+      prediction's cross panels alike, and the factorization's sweep.
+      Any other kernel's tiles and panels, the compression and the
+      prediction batches run on the caller's thread.
     * ``backend`` — where factorization tasks run: ``"thread"``
       (default; a worker-thread pool, or the caller's thread at
       ``workers=1`` — the panel sweep there too, whatever the variant

@@ -8,7 +8,8 @@ Covers three layers:
   ``apply_lower`` and ``logdet``;
 * :class:`~repro.core.serving.PredictionEngine` — invariance of
   repeated / streamed predicts on the caller's thread, cross-value cache,
-  weight-solve amortization, seeded simulation;
+  weight-solve amortization, seeded simulation; cross panels that are
+  the same bytes at every width of the variant's generation slices;
 * model wiring — content-hash invalidation on ``set_params``/``fit``
   and the negative-variance clamp at the source.
 """
@@ -25,10 +26,18 @@ from repro.core import (
     ExaGeoStatModel,
     PredictionEngine,
     clamp_variance,
+    conditional_simulation,
     kriging_predict,
 )
 from repro.core.variants import get_variant
 from repro.exceptions import ShapeError
+from repro.kernels import (
+    AnisotropicMaternKernel,
+    ExponentialKernel,
+    GneitingMaternKernel,
+    MaternKernel,
+    base,
+)
 from repro.tile import (
     PanelSolver,
     apply_lower,
@@ -238,8 +247,9 @@ class TestPredictionEngine:
     def test_batches_run_on_the_callers_thread(
         self, serving_setup, monkeypatch
     ):
-        """Prediction starts no thread: every batch runs on the
-        calling thread, and no prediction API asks for a width."""
+        """Batches run one after another on the calling thread, and
+        no prediction API asks for a width: an element-wise kernel's
+        cross panel takes it from the variant (``TestCrossPanelWidth``)."""
         kern, theta, x, z, fac, x_test = serving_setup
         engine = PredictionEngine(kern, theta, x, z, fac)
         ref = engine.predict(x_test, return_uncertainty=True, batch=8)
@@ -308,6 +318,165 @@ class TestPredictionEngine:
         engine = PredictionEngine(kern, theta, x, z, fac)
         with pytest.raises(ShapeError):
             engine.score(np.zeros((5, 2)), np.zeros(4))
+
+
+# ----------------------------------------------------------------------
+# cross panels at the variant's width
+# ----------------------------------------------------------------------
+_WIDTH_CASES = {
+    "exponential": (ExponentialKernel(), [1.0, 0.1], 2),
+    "matern-0.8": (MaternKernel(), [1.0, 0.1, 0.8], 2),
+    "gneiting": (GneitingMaternKernel(), [1.0, 0.3, 0.8, 0.5, 0.6, 0.4], 3),
+}
+
+
+@pytest.fixture
+def started(monkeypatch):
+    """Names of the threads started while the test runs."""
+    names: list[str] = []
+    start = threading.Thread.start
+
+    def spy(self):
+        names.append(self.name)
+        return start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", spy)
+    return names
+
+
+def _served_state(kernel, theta, dim, seed=5):
+    gen = np.random.default_rng(seed)
+    x = gen.uniform(size=(90, dim))
+    theta = np.asarray(theta)
+    mat, _ = build_planned_covariance(kernel, theta, x, 30, nugget=1e-6)
+    fac, _ = tile_cholesky(mat)
+    return kernel, theta, x, gen.standard_normal(90), fac, gen.uniform(size=(50, dim))
+
+
+def _width(workers):
+    return get_variant("dense-fp64").with_(workers=workers)
+
+
+class TestCrossPanelWidth:
+    """An element-wise kernel's cross panel is one flat buffer in
+    slices dealt over the variant's ``workers``; each slice writes its
+    own part, so predictions are the same bytes at every width."""
+
+    @pytest.mark.parametrize("case", sorted(_WIDTH_CASES))
+    @pytest.mark.parametrize("chunk", [base.GEOMETRY_CHUNK, 37])
+    def test_same_bytes_at_every_width(self, case, chunk, monkeypatch, started):
+        # 37 entries: slice boundaries cut through every panel, and the
+        # 90 x 7 ragged batches are many slices; at the default size a
+        # whole batch is below one slice.
+        monkeypatch.setattr(base, "GEOMETRY_CHUNK", chunk)
+        state = _served_state(*_WIDTH_CASES[case])
+        for batch in (7, 50):
+            preds = [
+                PredictionEngine(*state[:5], variant=_width(w), batch=batch)
+                .predict(state[5], return_uncertainty=True)
+                for w in (1, 2, 3)
+            ]
+            for pred in preds[1:]:
+                np.testing.assert_array_equal(pred.mean, preds[0].mean)
+                np.testing.assert_array_equal(pred.variance, preds[0].variance)
+            one_shot = kriging_predict(
+                *state[:4], state[5], state[4], return_uncertainty=True,
+                batch=batch,
+            )
+            np.testing.assert_array_equal(one_shot.mean, preds[0].mean)
+            np.testing.assert_array_equal(one_shot.variance, preds[0].variance)
+        # The width is used where there is more than one slice to deal.
+        assert bool(started) == (chunk < 90 * 50)
+
+    def test_per_tile_kernel_starts_no_thread(self, started):
+        kernel = AnisotropicMaternKernel()
+        assert not kernel.elementwise_geometry
+        theta = [1.0, 0.2, 0.1, 0.3, 0.5]
+        state = _served_state(kernel, theta, 2)
+        x_test = state[5]
+        model = ExaGeoStatModel(kernel, _width(3), tile_size=30, nugget=1e-6)
+        model.set_params(state[1], state[2], state[3])
+        model.serving_engine()  # the factorization may use the width
+        started.clear()
+        got = model.predict(x_test, return_uncertainty=True, batch=16)
+        assert started == []
+        model.variant = _width(1)
+        model._invalidate_serving()
+        ref = model.predict(x_test, return_uncertainty=True, batch=16)
+        np.testing.assert_array_equal(got.mean, ref.mean)
+        np.testing.assert_array_equal(got.variance, ref.variance)
+
+    def test_streaming_leaves_the_geometry_cache_alone(self):
+        kernel, theta, x, z, _, x_test = _served_state(
+            *_WIDTH_CASES["matern-0.8"])
+        model = ExaGeoStatModel(kernel, _width(2), tile_size=30, nugget=1e-6)
+        model.set_params(theta, x, z)
+        model.predict(x_test, return_uncertainty=True)
+        cache = model._cache
+        pairs, misses = list(cache._pairs), cache.misses
+        stream = list(model.serving_engine().predict_iter(
+            x_test, return_uncertainty=True, batch=8))
+        assert len(stream) > cache.maxsize
+        assert list(cache._pairs) == pairs and cache.misses == misses
+        full = model.predict(x_test, return_uncertainty=True, batch=8)
+        np.testing.assert_array_equal(
+            np.concatenate([p.mean for p in stream]), full.mean)
+        np.testing.assert_array_equal(
+            np.concatenate([p.variance for p in stream]), full.variance)
+
+    def test_predict_batch_span_says_how_the_panel_was_generated(self):
+        from repro.obs import Telemetry
+
+        kernel, theta, x, z, fac, x_test = _served_state(
+            *_WIDTH_CASES["exponential"])
+        telemetry = Telemetry()
+        engine = PredictionEngine(
+            kernel, theta, x, z, fac, variant=_width(2), telemetry=telemetry)
+        engine.predict(x_test, batch=20)
+        spans = telemetry.tracer.by_name("predict_batch")
+        assert [s.attrs["chunks"] for s in spans] == [
+            -(-90 * width // base.GEOMETRY_CHUNK) for width in (20, 20, 10)
+        ]
+        assert all(s.attrs["elementwise"] and s.attrs["workers"] == 2
+                   for s in spans)
+
+
+class TestSimulationReusesThePanel:
+    @pytest.mark.parametrize("case", ["exponential", "matern-0.8"])
+    def test_draws_match_a_fresh_simulation(self, case):
+        """The engine's panel and half-solve give the draws of a
+        simulation that evaluates the kernel and sweeps afresh."""
+        kernel, theta, x, z, fac, x_test = _served_state(*_WIDTH_CASES[case])
+        engine = PredictionEngine(kernel, theta, x, z, fac, variant=_width(3))
+        fresh = conditional_simulation(
+            kernel, theta, x, z, x_test, fac, size=3, seed=21)
+        np.testing.assert_array_equal(
+            engine.simulate(x_test, size=3, seed=21), fresh)
+
+    def test_predicted_grid_is_simulated_without_a_forward_sweep(self):
+        state = _served_state(*_WIDTH_CASES["matern-0.8"])
+        x_test = state[5]
+
+        def simulate_after(engine):
+            before = engine.stats()
+            engine.simulate(x_test, size=2, seed=3)
+            after = engine.stats()
+            return (after.cross_hits - before.cross_hits,
+                    after.cross_misses - before.cross_misses,
+                    after.solves - before.solves)
+
+        cold = simulate_after(PredictionEngine(*state[:5]))
+        warm_engine = PredictionEngine(*state[:5])
+        warm_engine.predict(x_test, return_uncertainty=True)
+        warm = simulate_after(warm_engine)
+        assert cold[:2] == (0, 1) and warm[:2] == (1, 0)
+        assert warm[2] == cold[2] - 1  # the forward half-solve
+
+    def test_panel_shapes_are_checked(self, serving_setup):
+        kern, theta, x, z, fac, x_test = serving_setup
+        with pytest.raises(ShapeError):
+            conditional_simulation(
+                kern, theta, x, z, x_test, fac, cross=np.zeros((3, 3)))
 
 
 # ----------------------------------------------------------------------

@@ -2,10 +2,11 @@
 
 Two places deal work over a thread pool, both sized by
 ``VariantConfig.workers``: an element-wise kernel's generation slices
-(``CovarianceKernel.from_flat_geometry``) and the panel sweep
+(``CovarianceKernel.from_flat_geometry`` — the training tiles and a
+prediction's cross panels alike) and the panel sweep
 (``runtime/batchdispatch.py``).  Per-tile generation and compression
 run on the caller's thread whatever ``workers`` is, and their results
-are the same bytes at every width (prediction takes no width:
+are the same bytes at every width (prediction at every width:
 ``tests/test_serving.py``).
 """
 
