@@ -19,8 +19,8 @@ Commands
     trace, prints the per-op flamegraph-style breakdown, and
     optionally dumps the Prometheus exposition / JSON profile.
 ``analyze [--lint PATH ...] [--golden-plans] [--serving] [--comm]
-[--resilience] [--telemetry] [--concurrency [PATH ...]]
-[--sanitize-run] [--json] [--rules]``
+[--resilience] [--telemetry] [--concurrency [PATH ...]] [--json]
+[--rules]``
     Verification layer: run the numerical-hygiene linter over source
     paths, the golden-plan suite (every shipped variant at nt in
     {4, 8} through the plan + DAG verifiers), the serving
@@ -34,11 +34,8 @@ Commands
     invariants (``--telemetry``: span-tree well-formedness, exporter
     round-trips, traced-vs-untraced bit-identity), the static
     lock-discipline analyzer (``--concurrency``, defaulting to the
-    installed package sources), and/or the dynamic race sanitizer
-    (``--sanitize-run``: a threaded fit + batched predict under seeded
-    chaos with lockset + happens-before instrumentation).  Exit code 0
-    iff no error-severity finding is reported; warnings do not fail
-    the run.
+    installed package sources).  Exit code 0 iff no error-severity
+    finding is reported; warnings do not fail the run.
 """
 
 from __future__ import annotations
@@ -223,7 +220,6 @@ def _cmd_analyze(args) -> int:
         LINT_RULES,
         LOCK_RULES,
         PLAN_RULES,
-        RACE_RULES,
         RES_RULES,
         SERVE_RULES,
         TELEM_RULES,
@@ -236,24 +232,22 @@ def _cmd_analyze(args) -> int:
         check_golden_telemetry,
         check_lock_discipline,
         lint_paths,
-        run_sanitized_workload,
     )
 
     if args.rules:
         for catalog in (
             PLAN_RULES, DAG_RULES, LINT_RULES, SERVE_RULES, COMM_RULES,
-            RES_RULES, TELEM_RULES, LOCK_RULES, RACE_RULES,
+            RES_RULES, TELEM_RULES, LOCK_RULES,
         ):
             for rule, text in catalog.items():
                 print(f"  {rule}  {text}")
         return 0
     if not (args.lint or args.golden_plans or args.serving or args.comm
             or args.resilience or args.telemetry
-            or args.concurrency is not None
-            or args.sanitize_run):
+            or args.concurrency is not None):
         print("nothing to analyze: pass --lint PATH ..., "
               "--golden-plans, --serving, --comm, --resilience, "
-              "--telemetry, --concurrency, and/or --sanitize-run",
+              "--telemetry, and/or --concurrency",
               file=sys.stderr)
         return 2
     report = AnalysisReport()
@@ -273,8 +267,6 @@ def _cmd_analyze(args) -> int:
         report.extend(
             check_lock_discipline(args.concurrency or None)
         )
-    if args.sanitize_run:
-        report.extend(run_sanitized_workload(workers=args.sanitize_workers))
     if args.json:
         print(report.to_json(indent=2))
     else:
@@ -346,14 +338,6 @@ def main(argv: list[str] | None = None) -> int:
                      help="run the golden telemetry invariants (span-"
                           "tree well-formedness, exporter round-trips, "
                           "traced-vs-untraced bit-identity)")
-    p_a.add_argument("--sanitize-run", action="store_true",
-                     help="drive a threaded fit + batched predict "
-                          "under seeded chaos with the dynamic race "
-                          "sanitizer enabled (the workload is traced, "
-                          "so the telemetry buffers are checked too)")
-    p_a.add_argument("--sanitize-workers", type=int, default=4,
-                     metavar="N",
-                     help="thread-pool width of the sanitized workload")
     p_a.add_argument("--json", action="store_true",
                      help="machine-readable JSON output")
     p_a.add_argument("--rules", action="store_true",

@@ -1,6 +1,6 @@
 """Static verification layer: plan/DAG analyzers + numerical linter.
 
-Three analyzers share one diagnostics framework
+Four static analyzers share one diagnostics framework
 (:mod:`repro.analysis.diagnostics`):
 
 * :mod:`repro.analysis.plancheck` — verifies a
@@ -14,11 +14,12 @@ Three analyzers share one diagnostics framework
 * :mod:`repro.analysis.lint` — AST-level numerical-hygiene rules over
   the repository's own sources;
 * :mod:`repro.analysis.lockcheck` — AST-level lock-discipline rules
-  (guarded attributes, lock-order cycles, check-then-act smells,
-  ``threading`` API misuse) over the same sources;
-* :mod:`repro.analysis.sanitize` — opt-in dynamic race detection
-  (Eraser-style locksets + vector-clock happens-before) instrumenting
-  the real threaded engines.
+  (guarded attributes, lock-order cycles, re-entry, ``threading`` API
+  misuse) over the same sources.
+
+The golden checks (:mod:`~repro.analysis.golden`,
+:mod:`~repro.analysis.resilience`, :mod:`~repro.analysis.telemetry`)
+run small seeded workloads and report through the same framework.
 
 The ``validate_plan`` hooks in :func:`repro.tile.cholesky.tile_cholesky`
 and :func:`repro.runtime.simulator.simulate_tasks` raise
@@ -47,14 +48,6 @@ from .lockcheck import (
 )
 from .plancheck import PLAN_RULES, check_plan, plan_from_matrix
 from .resilience import RES_RULES, check_golden_resilience
-from .sanitize import (
-    RACE_RULES,
-    disable_sanitizer,
-    enable_sanitizer,
-    run_sanitized_workload,
-    sanitized_access,
-    sanitized_lock,
-)
 from .telemetry import TELEM_RULES, check_golden_telemetry
 
 __all__ = [
@@ -72,11 +65,6 @@ __all__ = [
     "check_lock_source",
     "check_lock_paths",
     "check_lock_discipline",
-    "enable_sanitizer",
-    "disable_sanitizer",
-    "sanitized_lock",
-    "sanitized_access",
-    "run_sanitized_workload",
     "check_golden_plan",
     "check_golden_plans",
     "check_golden_serving",
@@ -93,5 +81,4 @@ __all__ = [
     "RES_RULES",
     "TELEM_RULES",
     "LOCK_RULES",
-    "RACE_RULES",
 ]

@@ -27,9 +27,10 @@ LINT008   error     ``is`` / ``is not`` against a literal (identity of
                     ints/strs is an implementation detail)
 LINT009   warning   a class that spawns ``ThreadPoolExecutor``s holds a
                     lock attribute outside the ``_lock`` naming
-                    convention, so the lock-discipline analyzer
-                    (:mod:`repro.analysis.lockcheck`) and the dynamic
-                    sanitizer cannot recognize its guard role
+                    convention, so a reader cannot tell its guard role
+                    from its name (the lock-discipline analyzer,
+                    :mod:`repro.analysis.lockcheck`, finds locks by
+                    constructor)
 LINT010   error     a tile kernel call (``K.potrf/trsm/syrk/gemm``,
                     ``stacked_trsm/gemm``) inside the ``repro``
                     package outside its three homes —
@@ -89,7 +90,7 @@ _NARROW_DTYPES = {"float16", "float32", "half", "single"}
 _BROAD_EXCEPTIONS = {"Exception", "BaseException"}
 _LOCK_CONSTRUCTORS = {"Lock", "RLock", "Condition", "Semaphore",
                       "BoundedSemaphore"}
-#: The naming convention the concurrency analyzers key on: a private
+#: The naming convention of a thread-pool owner's guards: a private
 #: attribute whose name contains "lock" (``_lock``, ``_tile_lock``, ...).
 _LOCK_NAME_RE = re.compile(r"_\w*lock\w*", re.IGNORECASE)
 _TILE_OPS = {"potrf", "trsm", "syrk", "gemm"}
@@ -357,10 +358,10 @@ class _LintVisitor(ast.NodeVisitor):
                     self._report(
                         "LINT009", Severity.WARNING,
                         f"{node.name} spawns thread pools but names its "
-                        f"{ctor} attribute {target.attr!r}: the "
-                        "concurrency analyzers key on the '_lock' "
-                        "naming convention, so this guard is invisible "
-                        "to them — rename it (e.g. '_lock')",
+                        f"{ctor} attribute {target.attr!r}: guards "
+                        "follow the '_lock' naming convention, so "
+                        "readers can tell what the attribute is for — "
+                        "rename it (e.g. '_lock')",
                         sub,
                     )
         self.generic_visit(node)

@@ -1,7 +1,8 @@
 """Static lock-discipline analyzer for the repository's own sources.
 
-The real engines (the threaded DAG executor, the serving engine, the
-shared caches, the circuit breaker) follow one discipline: every class
+The classes whose state threads share (the sweep's task body and run
+recorder, the chaos injector, the tracer buffer, the serving engine,
+the shared caches, the circuit breaker) follow one discipline: every class
 that shares mutable state across threads owns a ``threading.Lock``
 attribute, mutates its shared attributes only inside ``with
 self._lock`` blocks, and never holds its lock while calling into
@@ -20,12 +21,6 @@ LOCK003   error     cycle in the inter-class lock-acquisition graph
 LOCK004   error     non-reentrant ``threading.Lock`` re-acquired while
                     already held (lexically nested ``with``, or a call
                     to a method of the same class that takes the lock)
-LOCK005   warning   check-then-act smell: a guarded attribute is read in
-                    one lock region and mutated in a *later, separate*
-                    lock region of the same function (the invariant
-                    checked does not survive the release in between)
-LOCK006   warning   ``Condition.wait()`` outside a ``while`` predicate
-                    loop (wakeups are spurious and racy by contract)
 LOCK007   warning   raw ``.acquire()`` on a lock without a ``finally:``
                     that releases it (an exception leaks the lock; use
                     ``with``)
@@ -33,17 +28,13 @@ LOCK008   error     lock attribute rebound outside ``__init__``
                     (threads blocked on the old lock never see the new)
 ========  ========  =====================================================
 
-A finding on a given line is suppressed by a trailing ``# lockcheck:
-ignore`` comment (all rules) or ``# lockcheck: ignore[LOCK005]``
-(listed rules only) — suppressions should state *why* the pattern is
-safe (e.g. an idempotent two-phase cache fill).
-
 Like every static analysis of a dynamic language this is heuristic:
 lock ownership is recognized through ``self.<attr> =
 threading.Lock()``-style assignments, cross-class edges through
 ``self.<attr> = OtherClass(...)`` constructor assignments, and dynamic
-callbacks (``self._on_trip()``) are invisible.  The dynamic side
-(:mod:`repro.analysis.sanitize`) covers what the AST cannot see.
+callbacks (``self._on_trip()``) are invisible.  What the AST cannot
+see — that the panel sweep's units touch only their own columns — is
+asserted by ``tests/test_execution_matrix.py`` at every pool width.
 
 Run over the repository with ``python -m repro analyze --concurrency``.
 """
@@ -51,7 +42,6 @@ Run over the repository with ``python -m repro analyze --concurrency``.
 from __future__ import annotations
 
 import ast
-import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -72,13 +62,9 @@ LOCK_RULES: dict[str, str] = {
     "LOCK002": "thread-spawning class shares mutable state without a lock",
     "LOCK003": "lock-order cycle in the acquisition graph (deadlock risk)",
     "LOCK004": "non-reentrant lock re-acquired while already held",
-    "LOCK005": "check-then-act split across a lock release",
-    "LOCK006": "condition wait without an enclosing predicate loop",
     "LOCK007": "raw acquire() without a guaranteed release",
     "LOCK008": "lock attribute rebound outside __init__",
 }
-
-_SUPPRESS_RE = re.compile(r"#\s*lockcheck:\s*ignore(?:\[([A-Z0-9,\s]+)\])?")
 
 #: Constructors recognized as lock objects, -> reentrant?
 _LOCK_CONSTRUCTORS = {"Lock": False, "RLock": True, "Condition": True}
@@ -119,7 +105,6 @@ class _Access:
     attr: str  # dotted path without the leading receiver
     write: bool
     held: frozenset[str]  # own-lock attrs lexically held
-    region: int  # which `with <lock>` region (0 = none)
     line: int
 
 
@@ -169,8 +154,8 @@ class _ClassInfo:
 
 
 class _MethodWalker:
-    """Recursive walk of one method body tracking held locks, lock
-    regions, ``while`` nesting, and ``try/finally`` release scopes."""
+    """Recursive walk of one method body tracking held locks and
+    ``try/finally`` release scopes."""
 
     def __init__(
         self,
@@ -186,14 +171,9 @@ class _MethodWalker:
         self.filename = filename
         self.self_name = self_name
         self.held: tuple[str, ...] = ()
-        self.region = 0
-        self.next_region = 1
-        self.while_depth = 0
         #: Receiver paths released in an enclosing ``finally:``.
         self.finally_released: list[set[tuple[str, ...]]] = []
-        #: Local names bound to Condition(...) instances.
-        self.local_conditions: set[str] = set()
-        #: Local names bound to Lock()/RLock() instances.
+        #: Local names bound to lock instances.
         self.local_locks: set[str] = set()
 
     # ------------------------------------------------------------------
@@ -221,7 +201,7 @@ class _MethodWalker:
             return  # the lock itself; LOCK008 handles rebinding
         self.info.accesses.append(_Access(
             attr=attr, write=write,
-            held=frozenset(self.held), region=self.region, line=line,
+            held=frozenset(self.held), line=line,
         ))
 
     def _record_reads(self, node: ast.AST):
@@ -289,21 +269,17 @@ class _MethodWalker:
             else:
                 self.walk(item.context_expr)
         if acquired:
-            saved_held, saved_region = self.held, self.region
+            saved_held = self.held
             self.held = self.held + tuple(acquired)
-            self.region = self.next_region
-            self.next_region += 1
             self.walk_body(node.body)
-            self.held, self.region = saved_held, saved_region
+            self.held = saved_held
         else:
             self.walk_body(node.body)
 
     def _walk_While(self, node: ast.While) -> None:
         self._record_reads(node.test)
-        self.while_depth += 1
         self.walk_body(node.body)
         self.walk_body(node.orelse)
-        self.while_depth -= 1
 
     def _walk_Try(self, node: ast.Try) -> None:
         released: set[tuple[str, ...]] = set()
@@ -327,11 +303,8 @@ class _MethodWalker:
         ctor = _constructor_name(node.value)
         for target in node.targets:
             path = _attr_path(target)
-            if isinstance(target, ast.Name):
-                if ctor == "Condition":
-                    self.local_conditions.add(target.id)
-                elif ctor in _LOCK_CONSTRUCTORS:
-                    self.local_locks.add(target.id)
+            if isinstance(target, ast.Name) and ctor in _LOCK_CONSTRUCTORS:
+                self.local_locks.add(target.id)
             if (
                 len(path) == 2
                 and path[0] == self.self_name
@@ -375,25 +348,6 @@ class _MethodWalker:
                 and recv_path[0] == self.self_name
             ):
                 self._record_access(recv_path, True, node.lineno)
-            # Condition.wait without a predicate loop (wait_for loops
-            # internally, so only bare wait is suspect).
-            if func.attr == "wait" and self.while_depth == 0:
-                is_condition = (
-                    len(recv_path) == 2
-                    and recv_path[0] == self.self_name
-                    and self.cls.locks.get(recv_path[1]) is True
-                ) or (
-                    len(recv_path) == 1
-                    and recv_path[0] in self.local_conditions
-                )
-                if is_condition:
-                    self._report(
-                        "LOCK006", Severity.WARNING,
-                        "Condition.wait() outside a while predicate "
-                        "loop: wakeups are spurious by contract — "
-                        "re-check the predicate in a loop",
-                        node.lineno,
-                    )
             # Raw acquire without a finally-release.
             if func.attr == "acquire":
                 is_lock = self._own_lock_of(func.value) is not None or (
@@ -445,12 +399,10 @@ class _MethodWalker:
     # self from a worker thread is exactly what we must see — but the
     # held-lock context does not flow into a deferred body.
     def _walk_FunctionDef(self, node: ast.FunctionDef) -> None:
-        saved_held, saved_region = self.held, self.region
-        saved_while = self.while_depth
-        self.held, self.region, self.while_depth = (), 0, 0
+        saved_held = self.held
+        self.held = ()
         self.walk_body(node.body)
-        self.held, self.region = saved_held, saved_region
-        self.while_depth = saved_while
+        self.held = saved_held
 
     def _walk_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
         self._walk_FunctionDef(node)  # type: ignore[arg-type]
@@ -544,30 +496,6 @@ def _check_class_rules(
                         "this deadlocks at runtime",
                         file=cls.filename, line=line,
                     ))
-        # LOCK005: read of a guarded attr in one lock region, write in
-        # a later, different region of the same method.
-        reads: dict[str, list[_Access]] = {}
-        for a in m.accesses:
-            if not a.write and a.region and a.attr in guarded:
-                reads.setdefault(a.attr, []).append(a)
-        reported: set[str] = set()
-        for a in m.accesses:
-            if not (a.write and a.region and a.attr in guarded):
-                continue
-            if a.attr in reported:
-                continue
-            for r in reads.get(a.attr, ()):
-                if r.region != a.region and r.line < a.line:
-                    findings.append(Diagnostic(
-                        "LOCK005", Severity.WARNING,
-                        f"{cls.name}.{m.name} checks self.{a.attr} in "
-                        f"one lock region (line {r.line}) and mutates "
-                        "it in another: the checked condition can "
-                        "change while the lock is released in between",
-                        file=cls.filename, line=a.line,
-                    ))
-                    reported.add(a.attr)
-                    break
 
 
 def _check_lock_graph(
@@ -625,27 +553,10 @@ def _check_lock_graph(
         ))
 
 
-def _suppressions(source: str) -> dict[int, set[str] | None]:
-    """Per-line suppression map: ``None`` means all rules ignored."""
-    out: dict[int, set[str] | None] = {}
-    for lineno, line in enumerate(source.splitlines(), start=1):
-        match = _SUPPRESS_RE.search(line)
-        if match:
-            rules = match.group(1)
-            if rules is None:
-                out[lineno] = None
-            else:
-                out[lineno] = {
-                    r.strip() for r in rules.split(",") if r.strip()
-                }
-    return out
-
-
 def _parse_file(
     source: str, filename: str, report: AnalysisReport
 ) -> tuple[dict[str, _ClassInfo], list[Diagnostic]]:
-    """Collect classes + per-method findings for one source file;
-    suppressions are applied here so multi-file callers compose."""
+    """Collect classes + per-method findings for one source file."""
     try:
         tree = ast.parse(source, filename=filename)
     except SyntaxError:
@@ -657,14 +568,7 @@ def _parse_file(
             cls = _collect_class(node, filename, findings)
             classes[cls.name] = cls
             _check_class_rules(cls, findings)
-    suppressed = _suppressions(source)
-    kept: list[Diagnostic] = []
-    for finding in findings:
-        rules = suppressed.get(finding.line, ...)
-        if rules is None or (rules is not ... and finding.rule in rules):
-            continue
-        kept.append(finding)
-    return classes, kept
+    return classes, findings
 
 
 def check_lock_source(
@@ -676,12 +580,7 @@ def check_lock_source(
     report.extend(findings)
     graph_findings: list[Diagnostic] = []
     _check_lock_graph(classes, graph_findings)
-    suppressed = _suppressions(source)
-    for finding in graph_findings:
-        rules = suppressed.get(finding.line, ...)
-        if rules is None or (rules is not ... and finding.rule in rules):
-            continue
-        report.add(finding)
+    report.extend(graph_findings)
     return report
 
 

@@ -371,7 +371,7 @@ class PredictionEngine:
                 # Deliberate two-phase fill (documented above): the
                 # re-lookup under the lock re-validates the key, so the
                 # racing loser's work is discarded, never double-counted.
-                self._cross.move_to_end(key)  # lockcheck: ignore[LOCK005]
+                self._cross.move_to_end(key)
                 entry = current
             else:
                 entry = _CrossEntry(cross)

@@ -26,9 +26,6 @@ Hierarchy::
     │                                     mid-execution
     ├── ChaosError(RuntimeError)          an injected (opt-in, seeded)
     │                                     chaos failure fired
-    ├── DeadlockDetectedError(RuntimeError)
-    │                                     the concurrency sanitizer saw
-    │                                     an operation that would hang
     ├── OptimizationError(RuntimeError)   optimizer hard failure
     └── ConfigurationError(ValueError)    inconsistent variant/runtime config
         └── PlanValidationError           static analysis found
@@ -250,10 +247,3 @@ class PlanValidationError(ConfigurationError):
     def __init__(self, message: str, report=None):
         super().__init__(message)
         self.report = report
-
-
-class DeadlockDetectedError(ReproError, RuntimeError):
-    """The concurrency sanitizer (:mod:`repro.analysis.sanitize`)
-    detected an operation that would deadlock — e.g. a thread
-    re-acquiring a non-reentrant sanitized lock it already holds —
-    and raised instead of hanging the run."""

@@ -51,16 +51,6 @@ _CURRENT: ContextVar["int | None"] = ContextVar(
 )
 
 
-def _make_lock():
-    """Tracer-buffer lock constructor.
-
-    The concurrency sanitizer (:mod:`repro.analysis.sanitize`) patches
-    this seam to observe the buffer lock's acquire/release edges, the
-    same way it watches the DAG executor's dispatch lock.
-    """
-    return threading.Lock()
-
-
 def current_span_id() -> int | None:
     """Span id enclosing the caller's context (``None`` outside any
     span or on a thread that never opened one)."""
@@ -154,7 +144,7 @@ class Tracer:
     def __init__(self):
         self.spans: list[Span] = []
         self.events: list[SpanEvent] = []
-        self._lock = _make_lock()
+        self._lock = threading.Lock()
         self._ids = itertools.count(1)
 
     # ------------------------------------------------------------------

@@ -103,8 +103,10 @@ def execute_cholesky_batched(
     nothing they write, so the result is identical to ``workers=1``.
     The width is ``min(workers, usable CPUs)`` — oversubscribed
     threads only add overhead around stacked calls — unless
-    ``clamp=False`` keeps the requested one (the concurrency sanitizer
-    uses it to drive real thread interleavings).
+    ``clamp=False`` keeps the requested one: the likelihood path,
+    which has clamped already, :func:`execute_cholesky_parallel`,
+    which runs at exactly the width it is asked for, and tests that
+    drive real widths on any host.
 
     Raises :class:`~repro.exceptions.NotPositiveDefiniteError` directly
     on an indefinite diagonal tile (same contract as the sequential

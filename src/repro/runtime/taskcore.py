@@ -68,16 +68,6 @@ __all__ = [
 MIN_BATCH = 2
 
 
-def _make_lock():
-    """Executor-internal lock constructor.
-
-    The concurrency sanitizer (:mod:`repro.analysis.sanitize`)
-    monkeypatches this seam to observe the dispatch lock's
-    acquire/release edges; the plain path pays one extra call per run.
-    """
-    return threading.Lock()
-
-
 # ----------------------------------------------------------------------
 # the cached plan
 # ----------------------------------------------------------------------
@@ -173,9 +163,9 @@ def stopped(reason: str, deadline, t0: float, where: str):
 # ----------------------------------------------------------------------
 class MatrixTiles:
     """``tiles[key]`` access through :meth:`TileMatrix.get` /
-    :meth:`TileMatrix.set` — the seam the concurrency sanitizer
-    watches, so concurrently running task bodies use it; a worker
-    process, alone with its tiles, indexes a plain dict."""
+    :meth:`TileMatrix.set`, so every tile the sweep writes back passes
+    ``set``'s key and shape checks; a worker process, alone with its
+    tiles, indexes a plain dict."""
 
     __slots__ = ("_get", "_set")
 
@@ -240,9 +230,9 @@ class ColumnStacks:
     a fresh stack under hooks, so a failed attempt leaves the run as it
     was; runs are replaced (:meth:`set`).  Distinct columns are
     distinct variables, so the sweep's units — disjoint sets of columns
-    — share nothing they write; :meth:`get` / :meth:`set` are the seam
-    the concurrency sanitizer watches, like :meth:`TileMatrix.get` /
-    ``set``.
+    — share nothing they write: inside :meth:`TaskBody.update_column`
+    ``(k, n, ...)`` only column ``n`` is read or replaced
+    (``tests/test_execution_matrix.py`` asserts it at every width).
     """
 
     def __init__(self, matrix: TileMatrix, fp16_accumulate_fp32: bool):
@@ -402,7 +392,7 @@ class TaskBody:
 
     def __post_init__(self) -> None:
         self.stats = CholeskyStats()
-        self.lock = _make_lock()
+        self.lock = threading.Lock()
         self._plain = (
             self.retry is None and self.chaos is None
             and not self.check_finite
@@ -744,7 +734,7 @@ class RunRecorder:
         self.process_lanes = process_lanes
         self.timeline: list[tuple] = []
         self._lanes: dict[int, int] = {}
-        self._lock = _make_lock()
+        self._lock = threading.Lock()
         self._emitted = 0
         self.t0 = time.perf_counter()
 

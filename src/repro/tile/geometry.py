@@ -182,7 +182,7 @@ class GeometryCache:
             # runs unlocked, and a racing thread's duplicate insert is
             # idempotent (same content key -> same value), so the
             # check-then-act split is benign.
-            self._tiled[key] = built  # lockcheck: ignore[LOCK005]
+            self._tiled[key] = built
             while len(self._tiled) > self.maxsize:
                 self._tiled.popitem(last=False)
         return built
@@ -211,7 +211,7 @@ class GeometryCache:
         with self._lock:
             # Same two-phase fill as tile_geometry: duplicate inserts
             # under the same content key are idempotent.
-            self._pairs[key] = built  # lockcheck: ignore[LOCK005]
+            self._pairs[key] = built
             while len(self._pairs) > self.maxsize:
                 self._pairs.popitem(last=False)
         return built

@@ -4,7 +4,12 @@ import json
 import textwrap
 
 from repro.__main__ import main as cli_main
-from repro.analysis import check_lock_discipline, check_lock_paths, check_lock_source
+from repro.analysis import (
+    LOCK_RULES,
+    check_lock_discipline,
+    check_lock_paths,
+    check_lock_source,
+)
 
 
 def rules_of(source):
@@ -257,123 +262,6 @@ class TestLock004Reentry:
         assert rules_of(src) == []
 
 
-class TestLock005CheckThenAct:
-    def test_split_check_then_act_flagged(self):
-        src = """
-            import threading
-
-            class Cache:
-                def __init__(self):
-                    self._lock = threading.Lock()
-                    self.data = {}
-
-                def get_or_build(self, key):
-                    with self._lock:
-                        hit = self.data.get(key)
-                        if hit is not None:
-                            return hit
-                    built = object()
-                    with self._lock:
-                        self.data[key] = built
-                    return built
-        """
-        rep = check_lock_source(textwrap.dedent(src))
-        assert [d.rule for d in rep.warnings] == ["LOCK005"]
-
-    def test_single_region_clean(self):
-        src = """
-            import threading
-
-            class Cache:
-                def __init__(self):
-                    self._lock = threading.Lock()
-                    self.data = {}
-
-                def get_or_build(self, key):
-                    with self._lock:
-                        hit = self.data.get(key)
-                        if hit is None:
-                            hit = object()
-                            self.data[key] = hit
-                        return hit
-        """
-        assert rules_of(src) == []
-
-    def test_suppression_comment_silences(self):
-        src = """
-            import threading
-
-            class Cache:
-                def __init__(self):
-                    self._lock = threading.Lock()
-                    self.data = {}
-
-                def get_or_build(self, key):
-                    with self._lock:
-                        hit = self.data.get(key)
-                        if hit is not None:
-                            return hit
-                    built = object()
-                    with self._lock:
-                        self.data[key] = built  # lockcheck: ignore[LOCK005]
-                    return built
-        """
-        assert rules_of(src) == []
-
-    def test_suppression_of_other_rule_keeps_finding(self):
-        src = """
-            import threading
-
-            class Cache:
-                def __init__(self):
-                    self._lock = threading.Lock()
-                    self.data = {}
-
-                def get_or_build(self, key):
-                    with self._lock:
-                        hit = self.data.get(key)
-                        if hit is not None:
-                            return hit
-                    built = object()
-                    with self._lock:
-                        self.data[key] = built  # lockcheck: ignore[LOCK001]
-                    return built
-        """
-        assert "LOCK005" in rules_of(src)
-
-
-class TestLock006ConditionWait:
-    def test_bare_wait_flagged(self):
-        src = """
-            import threading
-
-            class Waiter:
-                def __init__(self):
-                    self._cond = threading.Condition()
-
-                def block(self):
-                    with self._cond:
-                        self._cond.wait()
-        """
-        assert "LOCK006" in rules_of(src)
-
-    def test_predicate_loop_clean(self):
-        src = """
-            import threading
-
-            class Waiter:
-                def __init__(self):
-                    self._cond = threading.Condition()
-                    self.ready = False
-
-                def block(self):
-                    with self._cond:
-                        while not self.ready:
-                            self._cond.wait()
-        """
-        assert "LOCK006" not in rules_of(src)
-
-
 class TestLock007RawAcquire:
     def test_acquire_without_finally_flagged(self):
         src = """
@@ -434,8 +322,6 @@ class TestRealTree:
         assert rep.errors == []
 
     def test_shipped_package_has_no_warnings(self):
-        # Known benign two-phase fills carry documented suppressions,
-        # so the default run is completely quiet.
         rep = check_lock_discipline()
         assert rep.warnings == []
 
@@ -522,5 +408,6 @@ class TestCli:
         code = cli_main(["analyze", "--rules"])
         out = capsys.readouterr().out
         assert code == 0
-        for rule in ("LOCK001", "LOCK003", "LOCK008", "RACE001", "RACE005"):
-            assert rule in out
+        printed = {line.split()[0] for line in out.splitlines() if line.strip()}
+        assert {r for r in printed if r.startswith("LOCK")} == set(LOCK_RULES)
+        assert not any(r.startswith("RACE") for r in printed)

@@ -36,6 +36,7 @@ import subprocess
 import sys
 import threading
 import time
+from contextlib import contextmanager
 from types import SimpleNamespace
 
 import numpy as np
@@ -71,7 +72,7 @@ from repro.runtime import (
     execute_cholesky_batched,
     execute_cholesky_parallel,
 )
-from repro.runtime.taskcore import ColumnStacks
+from repro.runtime.taskcore import ColumnStacks, TaskBody
 from repro.tile import (
     DenseTile,
     LowRankTile,
@@ -319,6 +320,74 @@ def _riding(matrix, fp16_accumulate_fp32=True):
     }
 
 
+@contextmanager
+def units_own_their_columns(workers):
+    """Watch one panel sweep run inside the block, then assert what its
+    threads rely on instead of locks — each unit touches only its own
+    column:
+
+    * inside ``TaskBody.update_column(k, n, ...)`` a thread gets or
+      sets column ``n`` of the :class:`ColumnStacks` and no other;
+    * in every panel ``k`` each riding column ``n > k`` is updated
+      exactly once, by one thread, and at most ``workers`` threads ran
+      units.
+
+    ``update_column`` and ``ColumnStacks.get`` / ``set`` are wrapped
+    for the block only; the yielded namespace holds what was seen
+    (``foreign``: ``(k, n, column touched)``; ``updates``: ``(k, n) ->
+    [thread ident]``)."""
+    seen = SimpleNamespace(foreign=[], updates={}, columns=None)
+    current = threading.local()
+    lock = threading.Lock()
+    update_column, get, put = (
+        TaskBody.update_column, ColumnStacks.get, ColumnStacks.set,
+    )
+
+    def watched_update(body, k, n, facing):
+        with lock:
+            seen.updates.setdefault((k, n), []).append(threading.get_ident())
+            seen.columns = body.columns
+        current.unit = k, n
+        try:
+            update_column(body, k, n, facing)
+        finally:
+            current.unit = None
+
+    def touch(column):
+        unit = getattr(current, "unit", None)
+        if unit is not None and column != unit[1]:
+            with lock:
+                seen.foreign.append((*unit, column))
+
+    def watched_get(columns, n):
+        touch(n)
+        return get(columns, n)
+
+    def watched_set(columns, n, runs):
+        touch(n)
+        put(columns, n, runs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(TaskBody, "update_column", watched_update)
+        patch.setattr(ColumnStacks, "get", watched_get)
+        patch.setattr(ColumnStacks, "set", watched_set)
+        yield seen
+    assert not seen.foreign, (
+        f"{len(seen.foreign)} foreign column access(es) from units, "
+        f"(k, n, column) first: {seen.foreign[:3]}"
+    )
+    assert seen.columns is not None, "the sweep ran no unit"
+    riding = seen.columns.riding
+    assert seen.updates.keys() == {
+        (k, n) for k in range(len(riding))
+        for n in range(k + 1, len(riding)) if riding[n]
+    }
+    again = sorted(key for key, idents in seen.updates.items() if len(idents) > 1)
+    assert not again, f"(k, n) updated more than once: {again[:3]}"
+    threads = {ident for idents in seen.updates.values() for ident in idents}
+    assert len(threads) <= workers
+
+
 def test_sweep_shapes_are_what_they_claim():
     """``smalltile`` rides runs of all three precisions in one column
     beside lone tiles and a ragged row; ``interrupted`` has a column
@@ -348,21 +417,23 @@ def test_sweep_shapes_are_what_they_claim():
             assert matrix.get(m, n).precision is precision
 
 
-@pytest.mark.parametrize("workers", [1, 2, 4])
+@pytest.mark.parametrize("workers", [1, 2, 4, 8])
 @pytest.mark.parametrize("variant,shape", [
     ("mp-dense", "smalltile"), ("mp-dense-tlr", "interrupted"),
 ])
 def test_sweep_at_every_width(variant, shape, workers,
                               nothing_outlives_the_cell):
     """Real pool widths (``clamp=False``), through both entry points:
-    bit-identical factor and tallies, and a report that adds up."""
+    bit-identical factor and tallies, a report that adds up, and units
+    that touched only their own columns."""
     reference, ref_stats = _reference(variant, shape)
     for run_sweep in (
         lambda m, **kw: execute_cholesky_batched(m, clamp=False, **kw),
         execute_cholesky_parallel,
     ):
         matrix, args = _planned(variant, shape)
-        factor, run = run_sweep(matrix, workers=workers, **args)
+        with units_own_their_columns(workers):
+            factor, run = run_sweep(matrix, workers=workers, **args)
         _assert_bit_identical(factor, reference)
         _assert_same_stats(run.stats, ref_stats)
         assert run.grouping == "stacked"
@@ -373,6 +444,26 @@ def test_sweep_at_every_width(variant, shape, workers,
         assert run.tasks == sum(ref_stats.kernel_counts.values())
         assert (run.blas_clamp is None) == (workers == 1)
         assert 0 < run.batches < run.batched_tasks
+
+
+@pytest.mark.parametrize("workers", [2, 4])
+def test_column_ownership_check_catches_a_nosy_unit(workers, monkeypatch):
+    """The ownership check is not vacuous: a unit that also reads the
+    next column's runs fails it, flagged at every one of its calls."""
+    update_column = TaskBody.update_column
+
+    def nosy(body, k, n, facing):
+        body.columns.get((n + 1) % len(body.columns.riding))
+        update_column(body, k, n, facing)
+
+    monkeypatch.setattr(TaskBody, "update_column", nosy)
+    matrix, args = _planned("mp-dense", "smalltile")
+    with pytest.raises(AssertionError, match="foreign column"):
+        with units_own_their_columns(workers) as seen:
+            execute_cholesky_batched(
+                matrix, workers=workers, clamp=False, **args
+            )
+    assert len(seen.foreign) == len(seen.updates) > 0
 
 
 def test_hgemm_mode_keeps_fp16_tiles_off_the_stacks():

@@ -90,6 +90,14 @@ def small():
     return kern, x, z
 
 
+def _spawn(*fns):
+    threads = [threading.Thread(target=fn) for fn in fns]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+
+
 # ----------------------------------------------------------------------
 # Primitives
 # ----------------------------------------------------------------------
@@ -198,6 +206,58 @@ class TestCircuitBreaker:
     def test_validation(self):
         with pytest.raises(ValueError):
             CircuitBreaker(threshold=0)
+
+    def test_snapshot_consistent_after_trip(self):
+        tripped = []
+        breaker = CircuitBreaker(threshold=3, on_trip=lambda: tripped.append(1))
+        for _ in range(3):
+            breaker.record_failure()
+        consecutive, trips, is_open = breaker.snapshot()
+        assert (consecutive, trips, is_open) == (3, 1, True)
+        assert tripped == [1]
+
+    def test_snapshot_matches_properties(self):
+        breaker = CircuitBreaker(threshold=2)
+        breaker.record_failure()
+        consecutive, trips, is_open = breaker.snapshot()
+        assert consecutive == breaker.consecutive_failures == 1
+        assert trips == breaker.trips == 0
+        assert is_open is breaker.open is False
+
+    def test_health_report_uses_atomic_snapshot(self):
+        # Regression for the torn read: health() must compose the three
+        # breaker fields from one locked snapshot, never observing a
+        # streak at the threshold without its trip counted.
+        kernel = MaternKernel()
+        theta = np.array([1.0, 0.1, 0.5])
+        gen = np.random.default_rng(3)
+        x = gen.uniform(size=(32, 2))
+        z = gen.standard_normal(32)
+        result = loglikelihood(
+            kernel, theta, x, z, tile_size=16, variant="dense-fp64",
+            nugget=1.0e-8,
+        )
+        engine = PredictionEngine(kernel, theta, x, z, result.factor)
+        stop = threading.Event()
+        torn = []
+
+        def hammer():
+            while not stop.is_set():
+                engine._breaker.record_failure()
+                engine._breaker.record_success()
+
+        def observe():
+            for _ in range(500):
+                health = engine.health()
+                if (
+                    health.consecutive_failures >= engine._breaker.threshold
+                    and not health.breaker_open
+                ):
+                    torn.append(health)
+            stop.set()
+
+        _spawn(hammer, observe)
+        assert torn == []
 
 
 class TestRequireFinite:

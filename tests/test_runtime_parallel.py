@@ -1,7 +1,5 @@
 """Tests for the threaded parallel execution engine."""
 
-import os
-
 import numpy as np
 import pytest
 
@@ -9,6 +7,7 @@ from repro.exceptions import SchedulingError
 from repro.runtime import execute_cholesky_parallel
 from repro.tile import build_planned_covariance, tile_cholesky
 from tests.conftest import random_spd_tilematrix
+from tests.test_execution_matrix import units_own_their_columns
 
 
 @pytest.fixture(scope="module")
@@ -94,52 +93,44 @@ class TestParallelEngine:
         )
 
 
-#: Worker count of the stress pass; CI's chaos job raises it to 8 to
-#: widen the interleaving space beyond what the fast suite explores.
-STRESS_WORKERS = int(os.environ.get("REPRO_STRESS_WORKERS", "4"))
-
-
 class TestStressChaos:
-    def test_chaos_stress_matches_sequential(self):
-        """Many workers + seeded tile corruption: the retry policy
-        absorbs every injected fault and the factor still matches the
-        sequential engine bit for bit."""
+    @staticmethod
+    def _traced_stress(matrix, workers):
+        """``(factor, report, spans)`` of a seeded-chaos run under
+        retry, traced."""
+        from repro.obs import Telemetry
         from repro.resilience import ChaosConfig, RetryPolicy
 
-        tm = random_spd_tilematrix(240, 24, seed=11)
-        ref, _ = tile_cholesky(tm.copy())
-        par, report = execute_cholesky_parallel(
-            tm.copy(),
-            workers=STRESS_WORKERS,
+        telemetry = Telemetry()
+        factor, report = execute_cholesky_parallel(
+            matrix,
+            workers=workers,
             retry=RetryPolicy(
                 max_attempts=4, base_delay_s=0.0, max_delay_s=0.0
             ),
             chaos=ChaosConfig(seed=20220101, tile_nan_rate=0.05),
+            telemetry=telemetry,
         )
+        return factor, report, len(telemetry.tracer.spans)
+
+    @pytest.mark.parametrize("workers", [4, 8])
+    def test_chaos_stress_matches_sequential(self, workers):
+        """Many workers + seeded tile corruption, traced: the retry
+        policy absorbs every injected fault, the factor still matches
+        the sequential engine bit for bit, every unit touched only its
+        own column, and the span count, chaos events and retries are
+        the width-1 run's — the threads' shared tallies (run timeline,
+        injector, task body) lose nothing."""
+        tm = random_spd_tilematrix(240, 24, seed=11)
+        ref, _ = tile_cholesky(tm.copy())
+        _, one, one_spans = self._traced_stress(tm.copy(), 1)
+        with units_own_their_columns(workers):
+            par, report, spans = self._traced_stress(tm.copy(), workers)
         np.testing.assert_array_equal(
             ref.to_dense(lower_only=True), par.to_dense(lower_only=True)
         )
         assert report.chaos_events > 0
         assert report.stats.retries >= report.chaos_events
-
-    def test_chaos_stress_under_sanitizer_zero_findings(self):
-        """The same stress run with the dynamic race sanitizer watching
-        every tile write and dispatch-lock edge reports nothing."""
-        from repro.analysis import disable_sanitizer, enable_sanitizer
-        from repro.resilience import ChaosConfig, RetryPolicy
-
-        tm = random_spd_tilematrix(160, 16, seed=12)
-        state = enable_sanitizer()
-        try:
-            execute_cholesky_parallel(
-                tm,
-                workers=STRESS_WORKERS,
-                retry=RetryPolicy(
-                    max_attempts=4, base_delay_s=0.0, max_delay_s=0.0
-                ),
-                chaos=ChaosConfig(seed=20220101, tile_nan_rate=0.05),
-            )
-            report = state.report()
-        finally:
-            disable_sanitizer()
-        assert report.diagnostics == []
+        assert (spans, report.chaos_events, report.stats.retries) == (
+            one_spans, one.chaos_events, one.stats.retries,
+        )
