@@ -26,7 +26,7 @@ from repro.runtime import (
     simulate_tasks,
 )
 from repro.stats import format_table
-from repro.tile import build_planned_covariance
+from repro.tile import build_planned_covariance, ranked_plan
 
 NODES = 4
 SEED = 11
@@ -41,12 +41,13 @@ def fault_problem():
         MaternKernel(), np.array([1.0, 0.08, 0.5]), x, 40,
         nugget=1e-8, use_mp=True, use_tlr=True, band_size=2,
     )
+    plan = ranked_plan(mat, report.plan)
     tasks = list(cholesky_tasks(mat.nt))
     dag = build_dag(tasks)
     base = simulate_tasks(
-        tasks, mat.layout, report.plan, SimConfig(nodes=NODES), dag=dag
+        tasks, mat.layout, plan, SimConfig(nodes=NODES), dag=dag
     )
-    return mat.layout, report.plan, tasks, dag, base
+    return mat.layout, plan, tasks, dag, base
 
 
 def _run(fault_problem, faults=None, checkpoint=None):

@@ -17,7 +17,7 @@ from repro.kernels import GneitingMaternKernel
 from repro.ordering import order_points
 from repro.perfmodel import A64FX, PlanProfile, estimate_cholesky
 from repro.stats import format_table
-from repro.tile import build_planned_covariance
+from repro.tile import build_planned_covariance, ranked_plan
 
 NODE_COUNTS = (4096, 48384)
 MATRIX_N = 10_000_000  # "ten million geospatial locations"
@@ -42,11 +42,13 @@ def spacetime_profile():
     kern = GneitingMaternKernel()
     x = space_time_locations(480, 12, seed=3, region="central_asia")
     x = x[order_points(x, "morton", space_time=True)]
-    _, rep = build_planned_covariance(
+    matrix, rep = build_planned_covariance(
         kern, ET_THETA, x, 60, nugget=1e-8,
         use_mp=True, use_tlr=True, band_size=1, max_rank_fraction=0.95,
     )
-    return PlanProfile.from_plan(rep.plan, label="spacetime-strong")
+    return PlanProfile.from_plan(
+        ranked_plan(matrix, rep.plan), label="spacetime-strong"
+    )
 
 
 def test_fig11_artifact_and_shape(spacetime_profile, write_artifact, benchmark):

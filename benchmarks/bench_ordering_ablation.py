@@ -14,7 +14,7 @@ from repro.kernels import MaternKernel
 from repro.ordering import order_points
 from repro.perfmodel import A64FX, PlanProfile, estimate_cholesky
 from repro.stats import format_table
-from repro.tile import build_planned_covariance
+from repro.tile import build_planned_covariance, plan_summary, ranked_plan
 
 N, TILE = 1500, 60
 ORDERINGS = ("morton", "hilbert", "kdtree", "random")
@@ -34,31 +34,34 @@ def ordering_plans():
             use_mp=True, use_tlr=True, band_size=1,
             max_rank_fraction=0.95,
         )
-        out[method] = (matrix, rep)
+        # Ranks and footprint of the plan: its planned-low-rank tiles
+        # are exact blocks until their settle, so the helper ranks them.
+        out[method] = ranked_plan(matrix, rep.plan)
     return out
 
 
 def test_ordering_ablation(ordering_plans, write_artifact, benchmark):
     rows = []
     stats = {}
-    for method, (matrix, rep) in ordering_plans.items():
-        ranks = list(rep.ranks.values())
-        counts = matrix.structure_counts()
+    for method, plan in ordering_plans.items():
+        ranks = list(plan.meta["ranks"].values())
+        counts = plan.counts()
         total = sum(counts.values())
         fp64_frac = counts.get("dense/FP64", 0) / total
-        profile = PlanProfile.from_plan(rep.plan, label=method)
+        nbytes = plan_summary(plan)["bytes_planned"]
+        profile = PlanProfile.from_plan(plan, label=method)
         est = estimate_cholesky(
             profile, 2_000_000, 1350, A64FX, nodes=1024, band_size=2
         )
         stats[method] = dict(
             mean_rank=float(np.mean(ranks)),
             fp64_frac=fp64_frac,
-            nbytes=matrix.nbytes,
+            nbytes=nbytes,
             time=est.time_s,
         )
         rows.append([
             method, stats[method]["mean_rank"], fp64_frac,
-            matrix.nbytes / 1e6, est.time_s,
+            nbytes / 1e6, est.time_s,
         ])
     table = format_table(
         ["ordering", "mean_offdiag_rank", "frac_dense_fp64", "matrix_MB",
@@ -86,8 +89,8 @@ def test_ordering_ablation(ordering_plans, write_artifact, benchmark):
 def test_hilbert_at_least_as_local_as_morton(ordering_plans, benchmark):
     """Hilbert's stronger locality shows up as equal-or-lower mean rank
     (small margins at this size; the assertion allows a 10% slack)."""
-    morton_rank = np.mean(list(ordering_plans["morton"][1].ranks.values()))
-    hilbert_rank = np.mean(list(ordering_plans["hilbert"][1].ranks.values()))
+    morton_rank = np.mean(list(ordering_plans["morton"].meta["ranks"].values()))
+    hilbert_rank = np.mean(list(ordering_plans["hilbert"].meta["ranks"].values()))
     assert hilbert_rank <= morton_rank * 1.1
     gen = np.random.default_rng(0)
     pts = gen.uniform(size=(2000, 2))

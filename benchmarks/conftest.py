@@ -17,7 +17,7 @@ import pytest
 from repro.kernels import MaternKernel
 from repro.ordering import order_points
 from repro.perfmodel import PlanProfile
-from repro.tile import build_planned_covariance
+from repro.tile import build_planned_covariance, ranked_plan
 
 OUT_DIR = pathlib.Path(__file__).parent / "out"
 
@@ -60,12 +60,12 @@ def correlation_profiles():
         # paper scale re-applies the structure decision at the target
         # tile size, so the profile must record true ranks, not the
         # laptop-scale cap.
-        _, rep = build_planned_covariance(
+        matrix, rep = build_planned_covariance(
             kern, np.array([1.0, rng_, 0.5]), x, 60, nugget=1e-8,
             use_mp=True, use_tlr=True, band_size=1, max_rank_fraction=0.95,
         )
-        profiles[name] = PlanProfile.from_plan(rep.plan, label=name)
-        plans[name] = rep.plan
+        plans[name] = ranked_plan(matrix, rep.plan)
+        profiles[name] = PlanProfile.from_plan(plans[name], label=name)
     profiles["mp-dense"] = _mp_dense_profile(kern, x)
     profiles["dense"] = PlanProfile.dense_fp64()
     profiles["_plans"] = plans

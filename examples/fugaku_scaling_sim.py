@@ -21,7 +21,7 @@ from repro.ordering import order_points
 from repro.perfmodel import A64FX, PlanProfile, estimate_cholesky
 from repro.runtime import SimConfig, cholesky_tasks, simulate_tasks
 from repro.stats import format_table
-from repro.tile import build_planned_covariance
+from repro.tile import build_planned_covariance, ranked_plan
 
 
 def main() -> None:
@@ -35,7 +35,7 @@ def main() -> None:
         kern, theta, x, 60, nugget=1e-8,
         use_mp=True, use_tlr=True, band_size=1,
     )
-    plan = report.plan
+    plan = ranked_plan(matrix, report.plan)
     print(f"measured plan ({plan.nt}x{plan.nt} tiles): {plan.counts()}")
     profile = PlanProfile.from_plan(plan, label="weak")
 

@@ -111,16 +111,16 @@ def _cmd_scaling(args) -> int:
     from repro.kernels import MaternKernel
     from repro.ordering import order_points
     from repro.perfmodel import A64FX, PlanProfile, estimate_cholesky
-    from repro.tile import build_planned_covariance
+    from repro.tile import build_planned_covariance, ranked_plan
 
     gen = np.random.default_rng(0)
     x = gen.uniform(size=(1200, 2))
     x = x[order_points(x, "morton")]
-    _, rep = build_planned_covariance(
+    matrix, rep = build_planned_covariance(
         MaternKernel(), np.array([1.0, 0.03, 0.5]), x, 60, nugget=1e-8,
         use_mp=True, use_tlr=True, band_size=1, max_rank_fraction=0.95,
     )
-    profile = PlanProfile.from_plan(rep.plan)
+    profile = PlanProfile.from_plan(ranked_plan(matrix, rep.plan))
     dense = estimate_cholesky(
         PlanProfile.dense_fp64(), args.matrix, 2700, A64FX, nodes=args.nodes
     )
@@ -182,10 +182,26 @@ def _cmd_profile(args) -> int:
     predicted = telemetry.tracer.by_name("predict_batch")[0].attrs
     print("  predicted on: elementwise={elementwise} chunks={chunks} "
           "workers={workers}".format(**predicted))
-    compress = telemetry.tracer.by_name("compress")
-    if compress:  # a TLR variant: its first evaluation's tiles
+    # CholeskyStats as the registry mirrors it, summed over the fit.
+    metrics = telemetry.registry.snapshot()
+    truncations, kept_dense, densified, certified = (
+        int(metrics[f"repro_cholesky_{name}_total"]["series"][0]["value"])
+        for name in ("truncations", "kept_dense", "densified_tiles",
+                     "certified")
+    )
+    if variant.use_tlr:
+        # Every compression of the fit, where it happened: a settle
+        # compresses each planned-low-rank tile once, and the assembly
+        # only the tiles a decision reads the rank of ("compress" spans).
+        compressed = {"certified": certified,
+                      "fallback": truncations - kept_dense - certified,
+                      "over_cap": kept_dense}
+        for span in telemetry.tracer.by_name("compress"):
+            for outcome, count in span.attrs["compressed"].items():
+                compressed[outcome] += count
         print("  compressed: certified={certified} fallback={fallback} "
-              "over_cap={over_cap}".format(**compress[0].attrs["compressed"]))
+              "over_cap={over_cap} (assembly + settles, whole fit)"
+              .format(**compressed))
     print(f"  {len(telemetry.tracer)} span(s), "
           f"{len(telemetry.tracer.sorted_events())} event(s), "
           f"{len(telemetry.registry.metrics())} metric(s)")
@@ -202,12 +218,6 @@ def _cmd_profile(args) -> int:
         print(f"  profile dump -> {args.dump}")
     print()
     print(telemetry.render_breakdown())
-    # CholeskyStats as the registry mirrors it, summed over the fit.
-    metrics = telemetry.registry.snapshot()
-    truncations, kept_dense, densified = (
-        int(metrics[f"repro_cholesky_{name}_total"]["series"][0]["value"])
-        for name in ("truncations", "kept_dense", "densified_tiles")
-    )
     print(f"low-rank settles: {truncations} truncation(s), "
           f"{kept_dense} kept dense, {densified} accumulator(s) went dense")
     return 0

@@ -19,7 +19,7 @@ from ..core.variants import get_variant
 from ..kernels import MaternKernel
 from ..runtime.comm import model_comm_volume
 from ..runtime.taskgraph import cholesky_tasks, forward_solve_tasks
-from ..tile.assembly import build_planned_covariance
+from ..tile.assembly import build_planned_covariance, ranked_plan
 from .dagcheck import check_taskgraph
 from .diagnostics import AnalysisReport, Diagnostic, Severity
 from .plancheck import check_plan, plan_from_matrix
@@ -79,12 +79,12 @@ def check_golden_plan(variant: str, nt: int) -> AnalysisReport:
     config = get_variant(variant)
     theta = np.asarray(_GOLDEN_THETA)
     x = _golden_locations(nt)
-    _, rep = build_planned_covariance(
+    matrix, rep = build_planned_covariance(
         MaternKernel(), theta, x, _GOLDEN_TILE,
         nugget=_GOLDEN_NUGGET, **config.assembly_kwargs(),
     )
     report = check_plan(
-        rep.plan,
+        ranked_plan(matrix, rep.plan),
         tile_norms=rep.tile_norms,
         global_norm=rep.global_norm,
         u_high=config.mp_accuracy,

@@ -68,14 +68,15 @@ _FP16_MAX = 65504.0
 def plan_from_matrix(matrix) -> TilePlan:
     """Reconstruct a :class:`TilePlan` from a materialized
     :class:`~repro.tile.matrix.TileMatrix` (the per-tile structure and
-    precision actually stored), so a matrix built outside the planning
-    pipeline can still be verified."""
+    precision actually stored; a tile that owes a truncation is planned
+    low-rank, with no rank until its settle), so a matrix built outside
+    the planning pipeline can still be verified."""
     precisions: dict[tuple[int, int], Precision] = {}
     use_lr: dict[tuple[int, int], bool] = {}
     ranks: dict[tuple[int, int], int] = {}
     for key, tile in matrix.items():
         precisions[key] = tile.precision
-        use_lr[key] = tile.is_low_rank
+        use_lr[key] = tile.is_low_rank or tile.owed is not None
         if tile.is_low_rank:
             ranks[key] = tile.rank
     return TilePlan(

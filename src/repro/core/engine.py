@@ -8,10 +8,13 @@ evaluations:
 * a :class:`~repro.tile.geometry.GeometryCache` of theta-independent
   per-tile geometry (distance matrices, space-time lags), keyed on a
   content hash of the locations so stale reuse is impossible;
-* *warm rank hints* — each tile's compression rank from the previous
-  evaluation, fed back into the next one (ranks vary slowly along an
-  optimizer trace), enabling the values-only early-out for over-cap
-  tiles;
+* *warm rank hints* — the rank of each tile the previous evaluation's
+  assembly compressed, fed back into the next one (ranks vary slowly
+  along an optimizer trace), enabling the values-only early-out for
+  over-cap tiles.  Only a decision taken before the factorization
+  compresses at assembly (Algorithm 2's band tuning, the performance
+  model's structure decision); a fixed band in rank mode — the shipped
+  TLR variants — compresses every tile at its settle and has none;
 * for ``backend="process"`` variants, the persistent worker pool.
 
 The engine is deliberately thin: each :meth:`evaluate` is exactly one

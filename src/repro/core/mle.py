@@ -207,9 +207,12 @@ def fit_mle(
             if result.recovery is not None:
                 recoveries.append(result.recovery)
             if telemetry is not None:
+                # The settled factor's ranks: a planned-low-rank tile
+                # gets its rank at its settle, not at assembly.
                 rank_hist: dict[int, int] = {}
-                for r in result.report.ranks.values():
-                    rank_hist[int(r)] = rank_hist.get(int(r), 0) + 1
+                for _, tile in result.factor.items():
+                    if tile.is_low_rank:
+                        rank_hist[tile.rank] = rank_hist.get(tile.rank, 0) + 1
                 prec_mix: dict[str, int] = {}
                 for p in result.report.plan.precisions.values():
                     name = getattr(p, "name", str(p)).lower()

@@ -104,23 +104,24 @@ def run_fig9(
     configuration."""
     from ..kernels.matern import MaternKernel
     from ..ordering import order_points
-    from ..tile.assembly import build_planned_covariance
+    from ..tile.assembly import build_planned_covariance, ranked_plan
 
     gen = np.random.default_rng(seed)
     x = gen.uniform(size=(n, 2))
     x = x[order_points(x, "morton")]
-    _, rep = build_planned_covariance(
+    matrix, rep = build_planned_covariance(
         MaternKernel(), np.array([1.0, correlation_range, 0.5]),
         x, tile_size, nugget=1e-8,
         use_mp=True, use_tlr=True, band_size=2,
     )
-    profile = PlanProfile.from_plan(rep.plan)
+    plan = ranked_plan(matrix, rep.plan)
+    profile = PlanProfile.from_plan(plan)
     est = estimate_cholesky(
         profile, paper_n, paper_tile, machine, nodes=1024, band_size=3
     )
     dense_gb = 8.0 * paper_n * paper_n / 2 / 1e9
     return DecisionMapStudy(
-        plan=rep.plan,
+        plan=plan,
         projected_gb=est.storage_bytes / 1e9,
         dense_gb=dense_gb,
     )

@@ -18,7 +18,7 @@ from ..perfmodel.cholesky import ScaleEstimate, estimate_cholesky
 from ..perfmodel.machine import A64FX, MachineSpec
 from ..perfmodel.profiles import PlanProfile
 from ..stats.summaries import format_table
-from ..tile.assembly import build_planned_covariance
+from ..tile.assembly import build_planned_covariance, ranked_plan
 
 __all__ = [
     "measure_profile",
@@ -43,12 +43,14 @@ def measure_profile(
     gen = np.random.default_rng(seed)
     x = gen.uniform(size=(n, 2))
     x = x[order_points(x, "morton")]
-    _, rep = build_planned_covariance(
+    matrix, rep = build_planned_covariance(
         MaternKernel(), np.array([1.0, correlation_range, smoothness]),
         x, tile_size, nugget=1e-8,
         use_mp=True, use_tlr=True, band_size=1, max_rank_fraction=0.95,
     )
-    return PlanProfile.from_plan(rep.plan, label=label or f"a={correlation_range}")
+    return PlanProfile.from_plan(
+        ranked_plan(matrix, rep.plan), label=label or f"a={correlation_range}"
+    )
 
 
 def measure_spacetime_profile(
@@ -66,11 +68,11 @@ def measure_spacetime_profile(
     x = space_time_locations(n_space, n_slots, seed=seed,
                              region="central_asia")
     x = x[order_points(x, "morton", space_time=True)]
-    _, rep = build_planned_covariance(
+    matrix, rep = build_planned_covariance(
         GneitingMaternKernel(), theta, x, tile_size, nugget=1e-8,
         use_mp=True, use_tlr=True, band_size=1, max_rank_fraction=0.95,
     )
-    return PlanProfile.from_plan(rep.plan, label=label)
+    return PlanProfile.from_plan(ranked_plan(matrix, rep.plan), label=label)
 
 
 @dataclass

@@ -386,7 +386,7 @@ class ProcessPoolEngine:
                     if info["chaos"] is not None:
                         chaos.absorb(info["chaos"])
                     stats.densified_tiles += info["densified"]
-                    tally_settle(stats, info["truncated"], info["kept_dense"])
+                    tally_settle(stats, info["settle"])
                     ready.complete(uid)
                     flush()
                 elif kind == "err":

@@ -148,7 +148,7 @@ def _run_items(rank, items, st: _EvalState, cache: SegmentCache,
         try:
             # compute(), not run(): the parent keeps the run's one
             # tally, from the outcome shipped below.
-            out, attempts = body.compute(task)
+            out, attempts, certified = body.compute(task)
         except BaseException as exc:
             info = _exc_info(exc)
             info["chaos"] = None if chaos is None else chaos.stats
@@ -162,10 +162,7 @@ def _run_items(rank, items, st: _EvalState, cache: SegmentCache,
         # Injections that fired during this task, for the parent's tally.
         info["chaos"] = None if chaos is None else chaos.stats
         info["densified"] = task.op == "gemm" and gemm_outcome(before, out)
-        info["truncated"], info["kept_dense"] = (
-            settle_outcome(before, out) if task.op == "trsm"
-            else (False, False)
-        )
+        info["settle"] = settle_outcome(certified, out)
         # The output reaches its home slab before it is reported.
         result_q.put(("ok", rank, uid, cache.write(out_handle, out), info))
 

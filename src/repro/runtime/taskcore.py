@@ -206,22 +206,24 @@ class ColumnStacks:
     of at least :data:`MIN_BATCH` — and:
 
     * its GEMMs are computed in float64 — a settled dense FP64 tile, or
-      a planned-low-rank tile right of column 0 (it accumulates in
-      float64 from its first update, panel 0's, on).  Whatever its
-      operands are, each update is one formula of the column's shared
-      ``B`` (:func:`repro.tile.batch.stacked_gemm`), so these rows form
-      one float64 run per shape, each planned-low-rank row keeping its
+      a planned-low-rank tile right of column 0 (a float64 accumulator
+      from the assembly on).  Whatever its operands are, each update
+      is one formula of the column's shared ``B``
+      (:func:`repro.tile.batch.stacked_gemm`), so these rows form one
+      float64 run per shape, each planned-low-rank row keeping its
       storage precision (:attr:`StackRun.owing`); or
     * it is a settled dense tile computed in FP32 (FP32 storage, or
       FP16 with FP32 accumulation) and rows ``m`` and ``n`` hold only
       settled dense tiles left of column ``n`` (its operands ``(m, k)``
       and ``(n, k)``, ``k < n``): a run of one shape and precision.
 
-    Riding tiles are gathered here, once (a planned-low-rank row as its
-    float64 dense block — what its first update starts from); until the
-    TRSM of their column publishes them they live only in their run's
-    stack, so no per-tile kernel ever reads or writes one.  Every other
-    tile is *loose*: it stays in the matrix and runs per tile.
+    Riding tiles are gathered here, once; until the TRSM of their
+    column publishes them they live only in their run's stack, so no
+    per-tile kernel ever reads or writes one.  Every other tile is
+    *loose*: it stays in the matrix and runs per tile — among them a
+    low-rank tile a matrix was built with (tests, hand-made matrices),
+    which its first per-tile GEMM turns into an accumulator, tallied as
+    :attr:`CholeskyStats.densified_tiles` there as in every executor.
 
     Stack-view invariant: a stacked call reads views of arrays nobody
     writes any more (the finished panel column) and writes only the
@@ -261,9 +263,9 @@ class ColumnStacks:
             def run_key(m: int, n: int = n):
                 tile = get(m, n)
                 if tile.owed is not None:
-                    return None
-                if tile.is_low_rank:
                     return (tile.shape, Precision.FP64) if n else None
+                if tile.is_low_rank:
+                    return None
                 if tile.precision is Precision.FP64:
                     return tile.shape, Precision.FP64
                 if (
@@ -287,11 +289,9 @@ class ColumnStacks:
                 owing = []
                 for i, m in enumerate(rows):
                     tile = get(m, n)
-                    if tile.is_low_rank:
-                        stack[i] = tile.to_dense64()
+                    stack[i] = tile.data
+                    if tile.owed is not None:
                         owing.append((m, tile.precision))
-                    else:
-                        stack[i] = tile.data
                 runs.append(StackRun(
                     rows[0], rows[-1] + 1, precision, stack, tuple(owing),
                 ))
@@ -340,18 +340,22 @@ def gemm_outcome(before: Tile, out: Tile) -> bool:
     return before.is_low_rank and not out.is_low_rank
 
 
-def settle_outcome(before: Tile, out: Tile) -> tuple[bool, bool]:
-    """``(truncated, kept_dense)`` of a TRSM that turned ``before``
-    into ``out``: whether it settled an accumulating tile, and whether
-    that tile could not get under ``max_rank``."""
-    truncated = before.owed is not None
-    return truncated, truncated and not out.is_low_rank
+def settle_outcome(certified: bool | None, out: Tile) -> tuple[int, int, int]:
+    """``(truncations, kept_dense, certified)`` a TRSM adds to
+    :class:`CholeskyStats`: ``certified`` is what its settle returned
+    (:meth:`TaskBody.compute`), ``None`` when it settled nothing, and
+    ``out`` its result — dense only when the tile could not get under
+    ``max_rank``."""
+    if certified is None:
+        return 0, 0, 0
+    return 1, int(not out.is_low_rank), int(certified)
 
 
-def tally_settle(stats: CholeskyStats, truncated: bool,
-                 kept_dense: bool) -> None:
+def tally_settle(stats: CholeskyStats, outcome: tuple[int, int, int]) -> None:
+    truncated, kept_dense, certified = outcome
     stats.truncations += truncated
     stats.kept_dense += kept_dense
+    stats.certified += certified
 
 
 def finish_run(stats: CholeskyStats, matrix: TileMatrix) -> None:
@@ -468,17 +472,28 @@ class TaskBody:
         return out, tries
 
     def compute(self, task: Task,
-                before: Tile | None = None) -> tuple[Tile, int]:
-        """``(output tile, attempts)`` of ``task`` under the hooks,
-        without writing anything back (``before`` as in
-        :meth:`kernel`)."""
+                before: Tile | None = None) -> tuple[Tile, int, bool | None]:
+        """``(output tile, attempts, certified)`` of ``task`` under the
+        hooks, without writing anything back (``before`` as in
+        :meth:`kernel`).  A TRSM whose output tile is accumulating
+        settles it first (:func:`repro.tile.kernels.settle`, a function
+        of the tile's bytes alone, so it runs once and a retried attempt
+        solves the settled tile): ``certified`` is its outcome, ``None``
+        for a task that settled nothing."""
+        certified = None
+        if task.op == "trsm":
+            if before is None:
+                before = self.tiles[task.output]
+            if before.owed is not None:
+                before, certified = K.settle(before)
         if self._plain:
-            return self.kernel(task, before), 1
-        return self.hooked(
+            return self.kernel(task, before), 1, certified
+        out, attempts = self.hooked(
             task, lambda: self.kernel(task, before),
             lambda out, inject: inject(out),
             lambda out: None if _tile_is_finite(out) else task.output,
         )
+        return out, attempts, certified
 
     def stacked(self, op: str, k: int, n: int, rows, precision: Precision,
                 owed, call):
@@ -523,16 +538,14 @@ class TaskBody:
         tiles = self.tiles
         if before is None:
             before = tiles[task.output]
-        out, attempts = self.compute(task, before)
+        out, attempts, certified = self.compute(task, before)
         if task.op == "gemm":
             if gemm_outcome(before, out):
                 with self.lock:
                     self.stats.densified_tiles += 1
-        elif task.op == "trsm":
-            truncated, kept_dense = settle_outcome(before, out)
-            if truncated:
-                with self.lock:
-                    tally_settle(self.stats, truncated, kept_dense)
+        elif certified is not None:
+            with self.lock:
+                tally_settle(self.stats, settle_outcome(certified, out))
         tiles[task.output] = out
         if note is not None:
             note(task.op, 1, task, start, attempts, False)
@@ -650,12 +663,6 @@ class TaskBody:
                     out=run.stack if self._plain else None,
                 ),
             )
-            if k == 0 and run.owing:
-                # A riding planned-low-rank row's first update is panel
-                # 0's: it turns into a dense accumulator here, as the
-                # per-tile GEMM tallies it.
-                with self.lock:
-                    self.stats.densified_tiles += len(run.owing)
             runs.append(run._replace(stack=updated))
             if note is not None:
                 note("gemm", run.hi - run.lo, None, start, attempts, True)

@@ -7,7 +7,12 @@ Layering inside this subpackage (no cycles):
     kernels -> cholesky / solve -> recovery
 """
 
-from .assembly import AssemblyReport, assemble_dense, build_planned_covariance
+from .assembly import (
+    AssemblyReport,
+    assemble_dense,
+    build_planned_covariance,
+    ranked_plan,
+)
 from .bandtuning import autotune_band_size, subdiagonal_times
 from .batch import stacked_gemm, stacked_trsm
 from .cholesky import CholeskyStats, tile_cholesky
@@ -94,6 +99,7 @@ __all__ = [
     "AssemblyReport",
     "assemble_dense",
     "build_planned_covariance",
+    "ranked_plan",
     "tile_cholesky",
     "CholeskyStats",
     "stacked_trsm",

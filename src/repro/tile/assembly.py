@@ -12,17 +12,28 @@ reproduces that pipeline:
    full square matrix is never formed);
 2. accumulate tile norms -> global norm;
 3. precision map (adaptive Frobenius rule, or the legacy band rule);
-4. TLR compression of off-diagonal tiles at the tile-level tolerance
-   derived from the global norm (a certified range-finder where the
-   rank cap is well under the tile size, the exact SVD elsewhere:
-   :mod:`repro.tile.compression`), giving the rank distribution;
+4. the ranks a decision needs, at the tile-level tolerance derived
+   from the global norm (a certified range-finder where the rank cap
+   is well under the tile size, the exact SVD elsewhere:
+   :mod:`repro.tile.compression`) — the sub-diagonals Algorithm 2
+   examines, and every off-band tile under the performance-model
+   structure decision; nothing for a fixed band in rank mode;
 5. Algorithm 2 band auto-tuning + structure-aware decision;
 6. materialize the planned :class:`~repro.tile.matrix.TileMatrix`.
+
+A planned-low-rank tile is *not* compressed here: it leaves as its
+exact float64 block owing one truncation (``DenseTile.owed``, in its
+planned storage precision), and the factorization truncates it once,
+at its settle — the TRSM of its column, through the same
+:func:`~repro.tile.compression.compress_or_rank`.  A compression here
+would be thrown away: every tile right of column 0 is updated before
+it is read.  :func:`ranked_plan` gives readers that do not factorize
+the ranks the settle would find in the generated blocks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -53,9 +64,11 @@ from .geometry import (
 from .layout import TileLayout
 from .matrix import TileMatrix
 from .precision import Precision
-from .tile import DenseTile, LowRankTile
+from .tile import DenseTile
 
-__all__ = ["AssemblyReport", "assemble_dense", "build_planned_covariance"]
+__all__ = [
+    "AssemblyReport", "assemble_dense", "build_planned_covariance", "ranked_plan",
+]
 
 
 @dataclass
@@ -64,16 +77,20 @@ class AssemblyReport:
 
     global_norm: float
     tile_norms: dict[tuple[int, int], float]
-    #: Off-diagonal tile -> rank at ``tile_tol``: the certified rank of
-    #: a tile the range-finder compressed (never below the SVD rank; see
+    #: Rank at ``tile_tol`` of each tile the assembly compressed because
+    #: a decision reads it (module docstring; empty for a fixed band in
+    #: rank mode): the certified rank of a tile the range-finder
+    #: compressed (never below the SVD rank; see
     #: :mod:`repro.tile.compression` for the bound above), the SVD rank
-    #: of every other.
+    #: of every other.  The ranks of every planned-low-rank tile are
+    #: :func:`ranked_plan`'s.
     ranks: dict[tuple[int, int], int]
     tile_tol: float
     plan: TilePlan
-    #: How the off-diagonal tiles were compressed: ``certified`` by the
-    #: range-finder, ``fallback`` to the exact SVD's factors, or
-    #: ``over_cap`` (no factors built).  All zero without TLR.
+    #: How those tiles were compressed: ``certified`` by the
+    #: range-finder, ``fallback`` to the exact SVD, or ``over_cap``.
+    #: The settles' compressions are on
+    #: :class:`~repro.tile.cholesky.CholeskyStats`.
     compressed: dict[str, int]
 
 
@@ -212,14 +229,15 @@ def build_planned_covariance(
       so stale reuse raises instead of silently corrupting results.
       With neither, the geometry is built for this evaluation only.
     * ``rank_hints`` — per-tile ranks from a previous evaluation at a
-      nearby ``theta``; tiles expected over the rank cap go straight to
-      a values-only SVD.  A stale or absent hint changes no bit: the
-      compression of a tile is a function of the tile, the tolerance
-      and the cap (:mod:`repro.tile.compression`).
+      nearby ``theta``; tiles the assembly compresses that are expected
+      over the rank cap go straight to a values-only SVD.  A stale or
+      absent hint changes no bit: the compression of a tile is a
+      function of the tile, the tolerance and the cap
+      (:mod:`repro.tile.compression`).
     * ``workers`` — threads an element-wise kernel's generation deals
       its slices over.  A kernel evaluated tile by tile and the
       compression run on the caller's thread.
-    * ``batch`` — compress the off-diagonal tiles through
+    * ``batch`` — compress the tiles a decision reads through
       :func:`~repro.tile.compression.compress_many` (its exact SVDs
       stacked over whole shape classes) instead of per tile.  It does
       not touch generation: an
@@ -230,9 +248,9 @@ def build_planned_covariance(
     and TLR compression in spans — ``"generate"`` records what ran
     (``nt``, ``elementwise``, the number of slices in ``chunks`` and
     the ``workers`` they were dealt over; 0 and 1 for a per-tile
-    kernel), ``"compress"`` how the tiles were compressed
-    (``compressed``, the report's own tally); it never touches the
-    numbers.
+    kernel), ``"compress"`` — present only where a decision reads
+    ranks — how those tiles were compressed (``compressed``, the
+    report's own tally); it never touches the numbers.
     """
     layout = TileLayout(len(x), tile_size)
     nt = layout.nt
@@ -287,52 +305,72 @@ def build_planned_covariance(
                 precisions[key] = floor
 
     # --- structure decision -------------------------------------------------
+    # Only a rank a decision reads is computed here (module docstring).
     ranks: dict[tuple[int, int], int] = {}
-    factors: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
     tile_tol = tlr_tol * global_norm / max(nt, 1)
     use_lr: dict[tuple[int, int], bool] = {
         key: False for key in layout.lower_tiles()
     }
     band_size_dense = 1
     outcomes = {"certified": 0, "fallback": 0, "over_cap": 0}
+    owed = None
     if use_tlr:
         max_rank = int(max_rank_fraction * tile_size)
-        offdiag = [key for key in layout.lower_tiles() if key[0] != key[1]]
-        hints = rank_hints or {}
-        with maybe_span(
-            telemetry, "compress", tiles=len(offdiag), batch=bool(batch),
-            compressed=outcomes,
-        ):
+        owed = (tile_tol, max_rank)
+
+        def read_ranks(keys: list[tuple[int, int]]) -> None:
+            """Record the ranks of ``keys`` at ``(tile_tol, max_rank)``."""
             if batch:
                 # Batched path: bit-identical to the per-tile loop.
                 compressed = compress_many(
-                    blocks, offdiag, tile_tol, max_rank=max_rank,
+                    blocks, keys, tile_tol, max_rank=max_rank,
                     hints=rank_hints,
                 )
             else:
+                hints = rank_hints or {}
                 compressed = {
                     key: compress_or_rank(
                         blocks[key], tile_tol, max_rank=max_rank,
                         hint=hints.get(key),
                     )
-                    for key in offdiag
+                    for key in keys
                 }
-            for key in offdiag:
-                rank, u, v, certified = compressed[key]
-                ranks[key] = rank
-                if u is None:
-                    outcomes["over_cap"] += 1
-                else:
-                    factors[key] = (u, v)
-                    outcomes["certified" if certified else "fallback"] += 1
-        if band_size == "auto":
-            band_size_dense = autotune_band_size(
-                layout, ranks, precisions, machine, fluctuation=band_fluctuation
-            )
-        else:
-            band_size_dense = int(band_size)
-            if band_size_dense < 1:
-                raise ConfigurationError("band_size must be >= 1")
+            for key in keys:
+                tile_rank, u, _, certified = compressed[key]
+                ranks[key] = tile_rank
+                outcomes["over_cap" if u is None else
+                         "certified" if certified else "fallback"] += 1
+
+        def subdiagonal(band: int) -> list[tuple[int, int]]:
+            return [(j + band, j) for j in range(nt - band)]
+
+        reads_ranks = band_size == "auto" or structure_mode == "perfmodel"
+        with maybe_span(
+            telemetry if reads_ranks else None, "compress",
+            batch=bool(batch), compressed=outcomes,
+        ):
+            if band_size == "auto":
+                # Algorithm 2 reads sub-diagonal ``band`` only once every
+                # nearer one has joined the dense band: rank it then.
+                band_size_dense = 1
+                while band_size_dense < nt:
+                    read_ranks(subdiagonal(band_size_dense))
+                    grown = autotune_band_size(
+                        layout, ranks, precisions, machine,
+                        fluctuation=band_fluctuation,
+                        max_band=band_size_dense + 1,
+                    )
+                    if grown == band_size_dense:
+                        break
+                    band_size_dense = grown
+            else:
+                band_size_dense = int(band_size)
+                if band_size_dense < 1:
+                    raise ConfigurationError("band_size must be >= 1")
+            if structure_mode == "perfmodel":
+                read_ranks([key for key in layout.lower_tiles()
+                            if key[0] - key[1] >= band_size_dense
+                            and key not in ranks])
         use_lr = structure_map(
             layout,
             ranks,
@@ -342,10 +380,13 @@ def build_planned_covariance(
             max_rank_fraction=max_rank_fraction,
             mode=structure_mode,
         )
-        # A tile whose factors were not kept (rank too high) must stay dense.
-        for key, flag in use_lr.items():
-            if flag and key not in factors:
-                use_lr[key] = False
+        if structure_mode == "rank":
+            # No decision read these tiles' ranks: each is planned
+            # low-rank and its settle enforces the cap (a tile that
+            # cannot get under it stays dense in the factor).
+            for key in layout.lower_tiles():
+                if key[0] - key[1] >= band_size_dense and key not in ranks:
+                    use_lr[key] = True
 
     if force_dense:
         forced = set(use_lr) if force_dense is True else set(force_dense)
@@ -355,25 +396,24 @@ def build_planned_covariance(
 
     # --- materialize ----------------------------------------------------
     # An element-wise kernel's blocks are views of one n^2/2 buffer.  A
-    # plan that stores every tile dense FP64 uses all of it; any other
-    # plan copies its FP64 tiles out, so the few that remain do not keep
-    # the whole buffer alive (every other tile is cast or compressed
-    # into arrays of its own anyway).
-    copy_out = elementwise and (
-        any(use_lr.values())
-        or any(p is not Precision.FP64 for p in precisions.values())
+    # planned-low-rank tile keeps its view (a float64 accumulator until
+    # its settle), and so does every FP64 tile of a plan whose tiles are
+    # all FP64.  Any other plan copies its FP64 tiles out, so the few
+    # that remain do not keep the whole buffer alive (every other tile
+    # is cast into an array of its own anyway).
+    copy_out = elementwise and not any(use_lr.values()) and any(
+        p is not Precision.FP64 for p in precisions.values()
     )
     matrix = TileMatrix(layout)
     final_precisions: dict[tuple[int, int], Precision] = {}
     for key in layout.lower_tiles():
         p = precisions[key]
+        block = blocks[key]
         if use_lr[key]:
             # TLR tiles never store FP16 (Algorithm 2: LR is FP64/FP32).
             p = Precision.FP32 if p is Precision.FP16 else p
-            u, v = factors[key]
-            matrix.set(*key, LowRankTile(u, v, p))
+            matrix.set(*key, DenseTile(block, p, owed))
         else:
-            block = blocks[key]
             if copy_out and p is Precision.FP64:
                 block = block.copy()
             matrix.set(*key, DenseTile(block, p))
@@ -396,3 +436,29 @@ def build_planned_covariance(
         compressed=outcomes,
     )
     return matrix, report
+
+
+def ranked_plan(matrix: TileMatrix, plan: TilePlan) -> TilePlan:
+    """``plan`` as its generated blocks rank it, for readers that do not
+    factorize (Fig. 9 maps, :class:`~repro.perfmodel.PlanProfile`,
+    :func:`~repro.tile.decisions.plan_summary`, the plan verifier).
+
+    A planned-low-rank tile of ``matrix`` (the planned covariance
+    :func:`build_planned_covariance` returned with ``plan``) is its
+    exact block owing one truncation; its rank is what
+    :func:`~repro.tile.compression.compress_or_rank` gives that block
+    at what it owes — the settle's own call, which in column 0 settles
+    these very bytes.  The returned plan records every such rank in
+    ``meta["ranks"]`` (ranks the assembly already read are kept) and
+    plans dense a tile that cannot get under its cap, as that settle
+    would store it.  ``plan`` is not modified.
+    """
+    ranks = dict(plan.meta.get("ranks", {}))
+    use_lr = dict(plan.use_lr)
+    for key, tile in matrix.items():
+        if tile.owed is None or key in ranks:
+            continue
+        tol, max_rank = tile.owed
+        ranks[key], u, _, _ = compress_or_rank(tile.data, tol, max_rank=max_rank)
+        use_lr[key] = u is not None
+    return replace(plan, use_lr=use_lr, meta={**plan.meta, "ranks": ranks})

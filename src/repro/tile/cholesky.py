@@ -45,10 +45,12 @@ class CholeskyStats:
     metric_kind = "counter"
 
     kernel_counts: dict[str, int] = field(default_factory=dict)
-    #: Low-rank tiles a GEMM turned into a dense float64 accumulator —
-    #: every planned-low-rank tile right of column 0, at its first
-    #: update (transient: the settle truncates it back unless it is
-    #: :attr:`kept_dense`).
+    #: Low-rank tiles a GEMM turned into a dense float64 accumulator,
+    #: at their first update (transient: the settle truncates them back
+    #: unless :attr:`kept_dense`).  A planned covariance holds none: its
+    #: planned-low-rank tiles arrive as accumulators already
+    #: (:func:`~repro.tile.assembly.build_planned_covariance`), so this
+    #: counts only low-rank tiles a matrix was built with.
     densified_tiles: int = 0
     #: Widest low-rank factor pair a GEMM produced — 0 by construction,
     #: since a GEMM into a low-rank tile makes it a dense accumulator;
@@ -56,12 +58,16 @@ class CholeskyStats:
     #: the registry keeps the last factorization's, not a sum.
     max_rank_seen: int = field(default=0, metadata={"metric": "gauge"})
     #: Settles performed: accumulating tiles truncated to the
-    #: ``(tol, max_rank)`` they owed — at most one per planned-low-rank
+    #: ``(tol, max_rank)`` they owed — exactly one per planned-low-rank
     #: tile.
     truncations: int = 0
     #: Settles that could not get under ``max_rank``: those tiles stay
     #: dense in the factor.
     kept_dense: int = 0
+    #: Settles whose factors the certified range-finder produced; the
+    #: other ``truncations - kept_dense - certified`` ran the exact SVD
+    #: (:func:`~repro.tile.compression.compress_or_rank`).
+    certified: int = 0
     #: Transient task failures absorbed by the resilience layer's
     #: retry policy (always 0 on the sequential reference path).
     retries: int = 0
@@ -139,11 +145,13 @@ def tile_cholesky(
         a.set(k, k, lkk)
         panel["potrf"] += 1
         for m in range(k + 1, nt):
-            before = a.get(m, k)
-            amk = K.trsm(lkk, before, fp16_accumulate_fp32=fp16_accumulate_fp32)
-            if before.owed is not None:
+            amk = a.get(m, k)
+            if amk.owed is not None:
+                amk, certified = K.settle(amk)
                 stats.truncations += 1
                 stats.kept_dense += not amk.is_low_rank
+                stats.certified += certified
+            amk = K.trsm(lkk, amk, fp16_accumulate_fp32=fp16_accumulate_fp32)
             a.set(m, k, amk)
             panel["trsm"] += 1
         for m in range(k + 1, nt):

@@ -8,9 +8,11 @@ Cholesky update — has no product caller: the factorization subtracts
 its updates into a dense float64 accumulator and settles that once
 (:mod:`repro.tile.kernels`), so it stays as an exact test oracle.
 
-The MLE hot loop compresses through :func:`compress_or_rank` /
-:func:`compress_many` — the assembly's off-diagonal tiles, and the
-dense accumulators :func:`repro.tile.kernels.trsm` settles.  A tile
+The MLE hot loop compresses through :func:`compress_or_rank` — once
+per planned-low-rank tile, when :func:`repro.tile.kernels.trsm`
+settles its dense accumulator — and, for the few tiles whose rank a
+planning decision reads, :func:`compress_or_rank` / :func:`compress_many`
+at assembly.  A tile
 whose rank cap is well under its size does not pay a full SVD there: a
 *certified range-finder compression* sketches the tile's range with a
 fixed Gaussian matrix, measures the projection residual explicitly and

@@ -25,11 +25,14 @@ The formula depends on the operands' structure only through the
 shared ``B`` of a column, which is what lets the panel sweep run a
 whole column's updates as one stacked call.
 
-A low-rank tile is updated by *accumulate exactly, truncate once*:
-:func:`gemm` turns it into an exact dense float64 accumulator at its
-first update and subtracts every later one there, and :func:`trsm` —
-the one kernel that next reads the tile as an operand — truncates it
-to the tolerance it owes through the assembly's own
+A low-rank tile is updated by *accumulate exactly, truncate once*: a
+planned covariance hands every planned-low-rank tile over as its exact
+float64 block already accumulating (:mod:`repro.tile.assembly`);
+:func:`gemm` subtracts every update there (a low-rank tile a matrix
+was built with turns into such an accumulator at its first update),
+and :func:`trsm` — the one kernel that next reads the tile as an
+operand — truncates it to the tolerance it owes through
+:func:`settle`, i.e.
 :func:`~repro.tile.compression.compress_or_rank` (a certified
 range-finder where the rank cap is well under the tile size, the exact
 SVD elsewhere; DESIGN.md "Low-rank updates").  The settled tile is a
@@ -49,7 +52,7 @@ from .compression import compress_or_rank
 from .precision import compute_dtype
 from .tile import DenseTile, LowRankTile, Tile
 
-__all__ = ["potrf", "trsm", "syrk", "gemm"]
+__all__ = ["potrf", "trsm", "syrk", "gemm", "settle"]
 
 # Raw LAPACK ``trtrs`` handles per supported compute dtype: the wrapper
 # overhead of ``solve_triangular`` (finiteness checks, copies) is
@@ -155,7 +158,7 @@ def trsm(
     if l_tile.is_low_rank:
         raise ShapeError("the TRSM triangle must be dense")
     if a.owed is not None:
-        a = _settle(a)
+        a, _ = settle(a)
     if isinstance(a, LowRankTile):
         if a.rank == 0:
             return a
@@ -251,19 +254,24 @@ def _update64(a: Tile, b: Tile) -> np.ndarray:
     return a64 @ b.to_dense64().T
 
 
-def _settle(tile: DenseTile) -> Tile:
+def settle(tile: DenseTile) -> tuple[Tile, bool]:
     """Truncate an accumulating tile to the ``(tol, max_rank)`` it
     owes, in its planned storage precision, through
-    :func:`~repro.tile.compression.compress_or_rank` — like an assembly
-    tile, a function of the accumulator's bytes and what it owes,
-    nothing else.  A tile that cannot get under ``max_rank`` stays
-    dense — the runtime analogue of the structure-aware "convert back
-    to dense" decision."""
+    :func:`~repro.tile.compression.compress_or_rank` — a function of
+    the accumulator's bytes and what it owes, nothing else.  A tile
+    that cannot get under ``max_rank`` stays dense — the runtime
+    analogue of the structure-aware "convert back to dense" decision.
+
+    Returns ``(tile, certified)``: ``certified`` says the certified
+    range-finder produced the factors (``False`` for the exact SVD's,
+    and for a tile kept dense).  :func:`trsm` settles an accumulating
+    operand itself; the executors call this first where they tally how
+    the settle compressed."""
     tol, max_rank = tile.owed
-    _, u, v, _ = compress_or_rank(tile.data, tol, max_rank=max_rank)
+    _, u, v, certified = compress_or_rank(tile.data, tol, max_rank=max_rank)
     if u is None:
-        return DenseTile(tile.to_dense64(), tile.precision)
-    return LowRankTile(u, v, tile.precision)
+        return DenseTile(tile.to_dense64(), tile.precision), False
+    return LowRankTile(u, v, tile.precision), certified
 
 
 def gemm(
@@ -278,10 +286,10 @@ def gemm(
     """Schur-complement update ``C <- C - A @ B^T``.
 
     Handles every structure combination.  An output computed in
-    float64 — a dense FP64 ``C``, or a planned-low-rank one (low-rank,
-    or already accumulating) — takes :func:`_update64`.  A
-    planned-low-rank ``C`` is not recompressed here: it becomes (or
-    stays) an exact dense float64 accumulator that *owes* one
+    float64 — a dense FP64 ``C``, or a planned-low-rank one (already
+    accumulating, or low-rank) — takes :func:`_update64`.  A
+    planned-low-rank ``C`` is not recompressed here: it stays (or
+    becomes) an exact dense float64 accumulator that *owes* one
     truncation to the absolute tolerance ``tol`` (the tile-level TLR
     threshold) and ``max_rank``, which :func:`trsm` performs when it
     next reads the tile.  A dense ``C`` computed below float64 keeps

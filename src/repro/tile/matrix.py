@@ -175,8 +175,8 @@ class TileMatrix:
 
     @property
     def settled(self) -> bool:
-        """True when no tile is accumulating (owes a truncation) —
-        every matrix outside a running factorization."""
+        """True when no tile is accumulating (owes a truncation) — a
+        factor, or a matrix without planned-low-rank tiles."""
         return all(tile.owed is None for tile in self._tiles.values())
 
     def copy(self) -> "TileMatrix":

@@ -11,13 +11,14 @@ Tiles are small value objects; the numerical kernels in
 only by *replacing* a tile inside a :class:`repro.tile.matrix.TileMatrix`,
 which keeps dataflow analysis in the runtime honest.
 
-A planned-low-rank tile that has received Schur updates is
-*accumulating*: it is a :class:`DenseTile` whose payload is the exact
-float64 result (dense from the first update on) and ``owed`` is the
-``(tol, max_rank)`` truncation it has not had yet.
-Only :mod:`repro.tile.kernels` sets or consumes that state; everywhere
-else a tile's ``owed`` is ``None`` and its payload has its precision's
-dtype.
+A planned-low-rank tile is *accumulating* from generation until its
+settle: a :class:`DenseTile` whose payload is its exact float64 block
+(with every Schur update it has received subtracted) and ``owed`` is
+the ``(tol, max_rank)`` truncation it has not had yet.  Only the
+assembly (:mod:`repro.tile.assembly`) and :mod:`repro.tile.kernels`
+set that state, and only the settle consumes it; everywhere else — a
+factor in particular — a tile's ``owed`` is ``None`` and its payload
+has its precision's dtype.
 """
 
 from __future__ import annotations

@@ -45,6 +45,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
+import repro.tile.assembly as assembly_module
+import repro.tile.kernels as kernels_module
 from repro.core import (
     EvaluationEngine,
     ExaGeoStatModel,
@@ -85,6 +87,7 @@ from repro.tile import (
     tile_cholesky,
     tile_logdet,
 )
+from repro.tile.compression import compress_or_rank
 
 NUGGET = 1.0e-8
 #: name -> (n, tile, Matern range): one tile, four tiles, three and a
@@ -178,16 +181,20 @@ def _reference(variant, shape):
     key = (variant, shape)
     if key not in _REFERENCE:
         matrix, args = _planned(variant, shape)
+        owing = sum(tile.owed is not None for _, tile in matrix.items())
         factor, stats = tile_cholesky(matrix, **args)
         low_rank = sum(tile.is_low_rank for _, tile in factor.items())
         assert bool(low_rank) == (
             get_variant(variant).use_tlr and shape != "nt1"
         )
         if shape == "settling":
-            # Every accumulator went dense at its first update and
-            # settled once; some could not get under the cap.
+            # Every planned-low-rank tile left the assembly owing its
+            # one truncation (none was a low-rank tile a GEMM had to
+            # densify) and settled once; some could not get under the
+            # cap.
             assert 0 < stats.kept_dense < stats.truncations
-            assert stats.densified_tiles == stats.truncations
+            assert stats.truncations == owing + stats.densified_tiles
+            assert stats.densified_tiles == 0
             assert stats.max_rank_seen == 0
         _REFERENCE[key] = factor, stats
     return _REFERENCE[key]
@@ -195,15 +202,18 @@ def _reference(variant, shape):
 
 def _assert_bit_identical(factor, reference):
     assert factor.keys() == reference.keys()
-    for (i, j), want in reference.items():
-        got = factor.get(i, j)
-        assert got.is_low_rank == want.is_low_rank, (i, j)
-        assert got.precision == want.precision, (i, j)
-        if want.is_low_rank:
-            np.testing.assert_array_equal(got.u, want.u)
-            np.testing.assert_array_equal(got.v, want.v)
-        else:
-            np.testing.assert_array_equal(got.data, want.data)
+    for key, want in reference.items():
+        _assert_same_tile(factor.get(*key), want, key)
+
+
+def _assert_same_tile(got, want, key):
+    assert got.is_low_rank == want.is_low_rank, key
+    assert got.precision == want.precision, key
+    if want.is_low_rank:
+        np.testing.assert_array_equal(got.u, want.u)
+        np.testing.assert_array_equal(got.v, want.v)
+    else:
+        np.testing.assert_array_equal(got.data, want.data)
 
 
 @pytest.fixture(scope="module")
@@ -233,7 +243,7 @@ def nothing_outlives_the_cell():
 
 def _assert_same_stats(stats, reference):
     for name in ("kernel_counts", "densified_tiles", "max_rank_seen",
-                 "truncations", "kept_dense"):
+                 "truncations", "kept_dense", "certified"):
         assert getattr(stats, name) == getattr(reference, name), name
 
 
@@ -413,7 +423,7 @@ def test_sweep_shapes_are_what_they_claim():
         assert run.precision is Precision.FP64
         assert run.stack.dtype == np.float64
         for m, precision in run.owing:
-            assert matrix.get(m, n).is_low_rank
+            assert matrix.get(m, n).owed is not None
             assert matrix.get(m, n).precision is precision
 
 
@@ -444,6 +454,80 @@ def test_sweep_at_every_width(variant, shape, workers,
         assert run.tasks == sum(ref_stats.kernel_counts.values())
         assert (run.blas_clamp is None) == (workers == 1)
         assert 0 < run.batches < run.batched_tasks
+
+
+def test_tlr_compresses_each_off_band_tile_once(
+        procpool, monkeypatch, nothing_outlives_the_cell):
+    """mp-dense-tlr compresses each off-band tile exactly once per
+    evaluation, at its settle: the assembly compresses none (a fixed
+    band in rank mode reads no rank), hands every off-band tile over
+    as its exact float64 block owing ``(tile_tol, max_rank)``, and no
+    low-rank tile is ever densified.  A column-0 tile settles the very
+    block the assembly used to compress, so it keeps that arithmetic's
+    bytes; and every executor settles the same bytes."""
+    calls = {"assembly": 0, "settle": 0}
+
+    def counting(module, name, where, per_call):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[where] += per_call(*args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    counting(assembly_module, "compress_or_rank", "assembly", lambda *a: 1)
+    counting(assembly_module, "compress_many", "assembly",
+             lambda blocks, keys, *rest: len(keys))
+    counting(kernels_module, "compress_or_rank", "settle", lambda *a: 1)
+
+    x, z, tile, theta = _problem("settling")
+    cfg = get_variant("mp-dense-tlr")
+    result = loglikelihood(MaternKernel(), theta, x, z, tile_size=tile,
+                           variant=cfg, nugget=NUGGET)
+    nt = result.factor.nt
+    assert nt >= 6
+    off_band = (nt - cfg.band_size) * (nt - cfg.band_size + 1) // 2
+    assert calls == {"assembly": 0, "settle": off_band}
+    stats = result.stats
+    assert stats.truncations == off_band and stats.densified_tiles == 0
+    assert 0 < stats.kept_dense < off_band
+    assert result.report.ranks == {}
+    monkeypatch.undo()
+
+    matrix, args = _planned("mp-dense-tlr", "settling")
+    owing = {key for key, tile in matrix.items() if tile.owed is not None}
+    assert len(owing) == off_band
+    assert {j for _, j in owing} >= {0, 1, nt - cfg.band_size - 1}
+    max_rank = int(cfg.max_rank_fraction * tile)
+    blocks = {key: matrix.get(*key) for key in owing}
+    assert all(b.owed == (args["tile_tol"], max_rank) for b in blocks.values())
+    reference, ref_stats = _reference("mp-dense-tlr", "settling")
+
+    # Column 0: compress_or_rank on the exact block, then the low-rank
+    # (or, over the cap, dense) TRSM — the assembly-time arithmetic.
+    low = reference.get(0, 0)
+    for m in range(cfg.band_size, nt):
+        block = blocks[(m, 0)]
+        tol, cap = block.owed
+        _, u, v, _ = compress_or_rank(block.data, tol, max_rank=cap)
+        planned = (DenseTile(block.data, block.precision) if u is None
+                   else LowRankTile(u, v, block.precision))
+        want = kernels_module.trsm(low, planned)
+        _assert_same_tile(reference.get(m, 0), want, (m, 0))
+
+    # Every executor: the sweep at three widths, the process backend.
+    for workers in (1, 2, 4):
+        matrix, args = _planned("mp-dense-tlr", "settling")
+        with units_own_their_columns(workers):
+            factor, run = execute_cholesky_batched(
+                matrix, workers=workers, clamp=False, **args)
+        _assert_bit_identical(factor, reference)
+        _assert_same_stats(run.stats, ref_stats)
+    matrix, args = _planned("mp-dense-tlr", "settling")
+    factor, run = procpool.execute(matrix, **args)
+    _assert_bit_identical(factor, reference)
+    _assert_same_stats(run.stats, ref_stats)
 
 
 @pytest.mark.parametrize("workers", [2, 4])
@@ -623,13 +707,12 @@ def test_finite_check_names_the_riding_accumulator(nothing_outlives_the_cell):
     columns = ColumnStacks(matrix, True)
     m, n = next(
         (m, n) for n in range(matrix.nt) for run in columns.get(n)
-        for m, _ in run.owing
-        if m > run.lo and matrix.get(m, n).rank > 0
+        for m, _ in run.owing if m > run.lo
     )
     tile = matrix.get(m, n)
-    poisoned = tile.u.copy()
+    poisoned = tile.data.copy()
     poisoned[1, 0] = np.nan
-    matrix.set(m, n, LowRankTile(poisoned, tile.v, tile.precision))
+    matrix.set(m, n, DenseTile(poisoned, tile.precision, tile.owed))
     with pytest.raises(NumericalCorruptionError, match="gemm") as raised:
         execute_cholesky_batched(matrix, check_finite=True, **args)
     assert raised.value.tile_index == (m, n)

@@ -12,6 +12,7 @@ from repro.kernels import MaternKernel, NuggetKernel
 from repro.ordering import kdtree_order, order_points
 from repro.tile import (
     build_planned_covariance,
+    ranked_plan,
     refine_solve,
     tile_cholesky,
 )
@@ -118,10 +119,10 @@ class TestKDTreeOrdering:
 
         def mean_rank(method):
             xo = x[order_points(x, method, seed=3)]
-            _, rep = build_planned_covariance(
+            mat, rep = build_planned_covariance(
                 MK(), theta, xo, 50, nugget=1e-8, use_tlr=True, band_size=1
             )
-            return np.mean(list(rep.ranks.values()))
+            return np.mean(list(ranked_plan(mat, rep.plan).meta["ranks"].values()))
 
         assert mean_rank("kdtree") < 0.6 * mean_rank("random")
 

@@ -106,7 +106,7 @@ class TestOrderingMatters:
         lower off-diagonal tile ranks than random ordering."""
         from repro.kernels import MaternKernel
         from repro.ordering import order_points
-        from repro.tile import build_planned_covariance
+        from repro.tile import build_planned_covariance, ranked_plan
 
         gen = np.random.default_rng(104)
         x = gen.uniform(size=(400, 2))
@@ -115,10 +115,10 @@ class TestOrderingMatters:
 
         def mean_rank(ordering):
             xo = x[order_points(x, ordering, seed=1)]
-            _, rep = build_planned_covariance(
+            mat, rep = build_planned_covariance(
                 kern, theta, xo, 50, nugget=1e-8, use_tlr=True, band_size=1
             )
-            return np.mean(list(rep.ranks.values()))
+            return np.mean(list(ranked_plan(mat, rep.plan).meta["ranks"].values()))
 
         assert mean_rank("morton") < mean_rank("random")
 

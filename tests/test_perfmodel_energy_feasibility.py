@@ -19,16 +19,16 @@ from repro.tile import Precision
 def weak_profile():
     from repro.kernels import MaternKernel
     from repro.ordering import order_points
-    from repro.tile import build_planned_covariance
+    from repro.tile import build_planned_covariance, ranked_plan
 
     gen = np.random.default_rng(500)
     x = gen.uniform(size=(900, 2))
     x = x[order_points(x, "morton")]
-    _, rep = build_planned_covariance(
+    mat, rep = build_planned_covariance(
         MaternKernel(), np.array([1.0, 0.03, 0.5]), x, 60, nugget=1e-8,
         use_mp=True, use_tlr=True, band_size=1, max_rank_fraction=0.95,
     )
-    return PlanProfile.from_plan(rep.plan)
+    return PlanProfile.from_plan(ranked_plan(mat, rep.plan))
 
 
 class TestTaskEnergy:

@@ -11,7 +11,7 @@ from repro.perfmodel import (
     estimate_cholesky,
     project_classes,
 )
-from repro.tile import build_planned_covariance
+from repro.tile import build_planned_covariance, ranked_plan
 
 
 @pytest.fixture(scope="module")
@@ -25,11 +25,11 @@ def measured_profiles():
     kern = MaternKernel()
     out = {}
     for name, rng_ in (("weak", 0.03), ("strong", 0.3)):
-        _, rep = build_planned_covariance(
+        mat, rep = build_planned_covariance(
             kern, np.array([1.0, rng_, 0.5]), x, 50, nugget=1e-8,
             use_mp=True, use_tlr=True, band_size=1,
         )
-        out[name] = PlanProfile.from_plan(rep.plan, label=name)
+        out[name] = PlanProfile.from_plan(ranked_plan(mat, rep.plan), label=name)
     return out
 
 

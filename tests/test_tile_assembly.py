@@ -4,10 +4,14 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
+from repro.tile.kernels import settle
 from repro.tile import (
     Precision,
     assemble_dense,
     build_planned_covariance,
+    plan_summary,
+    ranked_plan,
+    tile_cholesky,
 )
 
 
@@ -88,17 +92,35 @@ class TestPlannedTLR:
             matern, theta_matern, locations_200, 40, nugget=1e-8,
             use_tlr=True, band_size=1,
         )
-        counts = mat.structure_counts()
-        assert any(k.startswith("lr/") for k in counts)
-        assert report.ranks  # ranks recorded
+        # A fixed band reads no rank: nothing is compressed at assembly,
+        # every planned-low-rank tile leaves as its exact block owing
+        # (tile_tol, max_rank), and the helper ranks it.
+        assert report.ranks == {}
+        planned = [key for key, lr in report.plan.use_lr.items() if lr]
+        assert planned
+        for key in planned:
+            tile = mat.get(*key)
+            assert tile.owed == (report.tile_tol, 20)
+            assert tile.data.dtype == np.float64
+        ranked = ranked_plan(mat, report.plan)
+        assert any(k.startswith("lr/") for k in ranked.counts())
+        assert set(ranked.meta["ranks"]) == set(planned)
+        assert report.plan.meta["ranks"] == {}  # not modified
+        factor, _ = tile_cholesky(mat, tile_tol=report.tile_tol)
+        assert any(k.startswith("lr/") for k in factor.structure_counts())
 
     def test_compression_error_bound(self, matern, theta_matern, locations_200):
-        """||A_tlr - A||_F <= ~ tlr_tol * ||A||_F (nt * tile_tol)."""
+        """||A_tlr - A||_F <= ~ tlr_tol * ||A||_F (nt * tile_tol), with
+        every planned-low-rank tile truncated as its settle would."""
         tol = 1e-6
         mat, report = build_planned_covariance(
             matern, theta_matern, locations_200, 40, nugget=1e-8,
             use_tlr=True, tlr_tol=tol, band_size=1,
         )
+        for key, tile in mat.items():
+            if tile.owed is not None:
+                mat.set(*key, settle(tile)[0])
+        assert mat.settled and any(t.is_low_rank for _, t in mat.items())
         direct = matern.covariance_matrix(theta_matern, locations_200, nugget=1e-8)
         err = np.linalg.norm(mat.to_dense() - direct)
         assert err <= tol * report.global_norm * mat.nt
@@ -115,21 +137,29 @@ class TestPlannedTLR:
     def test_fp16_lr_promoted_to_fp32(self, matern, locations_200):
         """LR tiles never store FP16 (Algorithm 2)."""
         theta = np.array([1.0, 0.03, 0.5])
-        mat, _ = build_planned_covariance(
+        mat, report = build_planned_covariance(
             matern, theta, locations_200, 40, nugget=1e-8,
             use_mp=True, use_tlr=True, band_size=1,
         )
-        assert "lr/FP16" not in mat.structure_counts()
+        assert "lr/FP16" not in report.plan.counts()
+        owing = [tile for _, tile in mat.items() if tile.owed is not None]
+        assert owing
+        assert all(tile.precision is not Precision.FP16 for tile in owing)
 
     def test_tlr_reduces_memory(self, matern, theta_matern, locations_200):
+        """TLR's memory lives in the settled factor, and the helper's
+        ranks predict it before any factorization."""
         dense, _ = build_planned_covariance(
             matern, theta_matern, locations_200, 40, nugget=1e-8
         )
-        tlr, _ = build_planned_covariance(
+        tlr, report = build_planned_covariance(
             matern, theta_matern, locations_200, 40, nugget=1e-8,
             use_tlr=True, band_size=1,
         )
-        assert tlr.nbytes < dense.nbytes
+        planned = plan_summary(ranked_plan(tlr, report.plan))
+        assert planned["bytes_planned"] < dense.nbytes
+        factor, _ = tile_cholesky(tlr, tile_tol=report.tile_tol)
+        assert factor.nbytes < dense.nbytes
 
     def test_invalid_band_size(self, matern, theta_matern, locations_200):
         with pytest.raises(ConfigurationError):
@@ -149,12 +179,13 @@ class TestPlannedTLR:
         """Morton-ordered covariance: mean rank at offset >= 2 is lower
         than at offset 1 (the premise of the band structure)."""
         theta = np.array([1.0, 0.1, 0.5])
-        _, report = build_planned_covariance(
+        mat, report = build_planned_covariance(
             matern, theta, locations_200, 25, nugget=1e-8,
             use_tlr=True, band_size=1,
         )
-        near = [r for (i, j), r in report.ranks.items() if i - j == 1]
-        far = [r for (i, j), r in report.ranks.items() if i - j >= 4]
+        ranks = ranked_plan(mat, report.plan).meta["ranks"]
+        near = [r for (i, j), r in ranks.items() if i - j == 1]
+        far = [r for (i, j), r in ranks.items() if i - j >= 4]
         assert np.mean(far) < np.mean(near)
 
 
