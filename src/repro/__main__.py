@@ -178,7 +178,7 @@ def _cmd_profile(args) -> int:
           "workers={workers}".format(**resolved))
     generated = telemetry.tracer.by_name("generate")[0].attrs
     print("  generated on: elementwise={elementwise} chunks={chunks} "
-          "workers={workers}".format(**generated))
+          "workers={workers} table={table} rtol={rtol:.1e}".format(**generated))
     predicted = telemetry.tracer.by_name("predict_batch")[0].attrs
     print("  predicted on: elementwise={elementwise} chunks={chunks} "
           "workers={workers}".format(**predicted))

@@ -306,7 +306,9 @@ class PredictionEngine:
         flat = replace(geom, **{
             name: arr.reshape(-1) for name, arr in fields.items()
         })
-        values = kernel.from_flat_geometry(self.theta, flat, workers=self._width)
+        values, _ = kernel.from_flat_geometry(
+            self.theta, flat, workers=self._width
+        )
         return values.reshape(shape)
 
     def clear_cross_cache(self) -> None:

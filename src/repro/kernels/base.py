@@ -13,8 +13,10 @@ can label estimates.
 from __future__ import annotations
 
 import abc
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -270,21 +272,26 @@ class CovarianceKernel(abc.ABC):
         return self._cross(theta, geom.x1, geom.x2)
 
     def from_flat_geometry(
-        self, theta: np.ndarray, flat: object, *, workers: int = 1
-    ) -> np.ndarray:
+        self, theta: np.ndarray, flat: object, *, workers: int = 1,
+        accuracy: float | None = None,
+    ) -> tuple[np.ndarray, float]:
         """Values of an element-wise kernel over a merged geometry
-        (:func:`merge_geometry`), as one flat float64 array.
+        (:func:`merge_geometry`), as one flat float64 array, and the
+        relative error they certify against the exact kernel (0.0:
+        exact).  ``accuracy`` is the relative error per entry the caller
+        accepts (``None``: none); only the Matérn table spends it.
 
-        The entries are evaluated by :meth:`_cross_geometry` in slices
-        of :data:`GEOMETRY_CHUNK`, dealt round-robin over ``workers``
-        threads when there is more than one slice and more than one
-        worker (the ufuncs and ``special.kve`` release the GIL; one
-        task per thread, because a pool task per slice costs more than
-        a cheap kernel's slice).  Each slice writes its own part of the
-        result, so the values do not depend on the chunk size, the
-        width or the scheduling.
+        The entries are evaluated by the kernel's slice evaluator
+        (:meth:`_flat_evaluator`) in slices of :data:`GEOMETRY_CHUNK`,
+        dealt round-robin over ``workers`` threads when there is more
+        than one slice and more than one worker (the ufuncs and
+        ``special.kve`` release the GIL; one task per thread, because a
+        pool task per slice costs more than a cheap kernel's slice).
+        Each slice writes its own part of the result, so the values do
+        not depend on the chunk size, the width or the scheduling.
         """
         theta = self.validate_theta(theta)
+        evaluate, rtol = self._flat_evaluator(theta, flat, accuracy)
         fields = array_fields(flat)
         out = np.empty_like(next(iter(fields.values())), dtype=np.float64)
         starts = range(0, out.size, GEOMETRY_CHUNK)
@@ -296,7 +303,7 @@ class CovarianceKernel(abc.ABC):
                 piece = replace(
                     flat, **{name: arr[lo:hi] for name, arr in fields.items()}
                 )
-                out[lo:hi] = self._cross_geometry(theta, piece)
+                out[lo:hi] = evaluate(piece)
 
         if width == 1:
             deal(0)
@@ -304,7 +311,16 @@ class CovarianceKernel(abc.ABC):
             with ThreadPoolExecutor(max_workers=width) as pool:
                 # Reading the results re-raises a slice's error.
                 list(pool.map(deal, range(width)))
-        return out
+        return out, rtol
+
+    def _flat_evaluator(
+        self, theta: np.ndarray, flat: object, accuracy: float | None
+    ) -> tuple[Callable[[object], np.ndarray], float]:
+        """The slice evaluator of one :meth:`from_flat_geometry` call
+        and the relative error it certifies; built on the caller's
+        thread, before any slice is dealt.  The base evaluator is
+        :meth:`_cross_geometry`, exact."""
+        return partial(self._cross_geometry, theta), 0.0
 
     def from_geometry_batch(
         self, theta: np.ndarray, geoms: list[object]
@@ -328,7 +344,8 @@ class CovarianceKernel(abc.ABC):
         if not (self.elementwise_geometry and geoms):
             return [self._cross_geometry(theta, geom) for geom in geoms]
         flat, shapes = merge_geometry(geoms)
-        return split_flat(self.from_flat_geometry(theta, flat), shapes)
+        values, _ = self.from_flat_geometry(theta, flat)
+        return split_flat(values, shapes)
 
     def covariance_matrix(
         self, theta: np.ndarray, x: np.ndarray, *, nugget: float = 0.0

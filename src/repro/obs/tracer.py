@@ -234,6 +234,13 @@ class Tracer:
             starts.extend(e.ts for e in self.events)
         return min(starts) if starts else 0.0
 
+    def annotate(self, sid: int, **attrs) -> None:
+        """Add ``attrs`` to the completed span ``sid`` — what a region
+        learns only as it ends (the generation's certified error)."""
+        with self._lock:
+            span = next(s for s in reversed(self.spans) if s.sid == sid)
+            span.attrs.update(attrs)
+
     def by_name(self, name: str) -> list[Span]:
         with self._lock:
             return [s for s in self.spans if s.name == name]

@@ -92,6 +92,9 @@ class AssemblyReport:
     #: The settles' compressions are on
     #: :class:`~repro.tile.cholesky.CholeskyStats`.
     compressed: dict[str, int]
+    #: Relative error per entry the generated values certify against
+    #: the exact kernel: the Matérn table's, 0.0 for exact values.
+    generation_rtol: float = 0.0
 
 
 def _generate_blocks(
@@ -103,10 +106,14 @@ def _generate_blocks(
     *,
     geometry: TileGeometry | None = None,
     workers: int = 1,
+    accuracy: float | None = None,
     need_norms: bool = True,
-) -> tuple[dict[tuple[int, int], np.ndarray], dict[tuple[int, int], float], float]:
+) -> tuple[
+    dict[tuple[int, int], np.ndarray], dict[tuple[int, int], float], float, float
+]:
     """Evaluate every lower tile of the covariance; return blocks,
-    per-tile Frobenius norms, and the accumulated global norm.
+    per-tile Frobenius norms, the accumulated global norm and the
+    relative error the values certify (0.0: exact).
 
     Tiles are produced from theta-independent ``geometry`` (built here,
     for this evaluation only, when none is passed).  An element-wise
@@ -116,7 +123,8 @@ def _generate_blocks(
     the one result buffer; any other kernel is evaluated tile by tile
     on the caller's thread (``workers`` does not apply).  Norms are
     reduced afterwards in layout order, so the accumulated global norm
-    is independent of thread scheduling.
+    is independent of thread scheduling.  ``accuracy`` is passed on to
+    :meth:`~repro.kernels.base.CovarianceKernel.from_flat_geometry`.
 
     ``need_norms=False`` skips the Frobenius-norm reduction and returns
     ``({}, 0.0)`` for the norm outputs — for callers like
@@ -126,8 +134,11 @@ def _generate_blocks(
     geometry = geometry or build_tile_geometry(
         kernel, x, layout.tile_size, reuse=False
     )
+    rtol = 0.0
     if kernel.elementwise_geometry:
-        values = kernel.from_flat_geometry(theta, geometry.flat, workers=workers)
+        values, rtol = kernel.from_flat_geometry(
+            theta, geometry.flat, workers=workers, accuracy=accuracy
+        )
         sizes = layout.block_sizes().tolist()
         evaluated = split_flat(values, [(sizes[i], sizes[j]) for i, j in keys])
     else:
@@ -143,7 +154,7 @@ def _generate_blocks(
             block[np.diag_indices_from(block)] += nugget
 
     if not need_norms:
-        return blocks, {}, 0.0
+        return blocks, {}, 0.0, rtol
 
     norms: dict[tuple[int, int], float] = {}
     total = 0.0
@@ -151,7 +162,7 @@ def _generate_blocks(
         norm = float(np.linalg.norm(blocks[(i, j)]))
         norms[(i, j)] = norm
         total += (1.0 if i == j else 2.0) * norm * norm
-    return blocks, norms, float(np.sqrt(total))
+    return blocks, norms, float(np.sqrt(total)), rtol
 
 
 def assemble_dense(
@@ -165,7 +176,7 @@ def assemble_dense(
 ) -> TileMatrix:
     """Plain dense assembly (the reference FP64 variant)."""
     layout = TileLayout(len(x), tile_size)
-    blocks, _, _ = _generate_blocks(
+    blocks, _, _, _ = _generate_blocks(
         kernel, theta, x, layout, nugget, need_norms=False
     )
     out = TileMatrix(layout)
@@ -247,10 +258,12 @@ def build_planned_covariance(
     ``telemetry`` (a :class:`~repro.obs.Telemetry`) wraps generation
     and TLR compression in spans — ``"generate"`` records what ran
     (``nt``, ``elementwise``, the number of slices in ``chunks`` and
-    the ``workers`` they were dealt over; 0 and 1 for a per-tile
-    kernel), ``"compress"`` — present only where a decision reads
-    ranks — how those tiles were compressed (``compressed``, the
-    report's own tally); it never touches the numbers.
+    the ``workers`` they were dealt over — 0 and 1 for a per-tile
+    kernel — and whether the values came from the Matérn ``table``, at
+    its certified ``rtol``), ``"compress"`` — present only where a
+    decision reads ranks — how those tiles were compressed
+    (``compressed``, the report's own tally); it never touches the
+    numbers.
     """
     layout = TileLayout(len(x), tile_size)
     nt = layout.nt
@@ -269,15 +282,22 @@ def build_planned_covariance(
                 "rebuild it for the current locations"
             )
     elementwise = kernel.elementwise_geometry
+    # A variant with an accuracy budget accepts generated values within
+    # a hundredth of its tightest active tolerance (DESIGN §10).
+    budgets = [tol for tol, active in ((mp_accuracy, use_mp), (tlr_tol, use_tlr))
+               if active]
+    accuracy = min(budgets) / 100.0 if budgets else None
     with maybe_span(
         telemetry, "generate", nt=nt, workers=workers if elementwise else 1,
         elementwise=elementwise,
         chunks=-(-layout.lower_entries() // GEOMETRY_CHUNK) if elementwise else 0,
-    ):
-        blocks, norms, global_norm = _generate_blocks(
+    ) as sid:
+        blocks, norms, global_norm, rtol = _generate_blocks(
             kernel, theta, x, layout, nugget,
-            geometry=geometry, workers=workers,
+            geometry=geometry, workers=workers, accuracy=accuracy,
         )
+    if telemetry is not None:
+        telemetry.tracer.annotate(sid, table=rtol > 0.0, rtol=rtol)
 
     # --- precision decision -------------------------------------------------
     if use_mp:
@@ -434,6 +454,7 @@ def build_planned_covariance(
         tile_tol=tile_tol,
         plan=plan,
         compressed=outcomes,
+        generation_rtol=rtol,
     )
     return matrix, report
 

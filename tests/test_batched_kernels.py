@@ -361,12 +361,12 @@ class TestBatchedGeneration:
         from repro.tile.layout import TileLayout
 
         layout = TileLayout(200, 40)
-        blocks, norms, total = _generate_blocks(
+        blocks, norms, total, rtol = _generate_blocks(
             matern, theta_matern, locations_200, layout, 1e-8,
             need_norms=False,
         )
-        assert norms == {} and total == 0.0
-        full, full_norms, full_total = _generate_blocks(
+        assert norms == {} and total == 0.0 and rtol == 0.0
+        full, full_norms, full_total, _ = _generate_blocks(
             matern, theta_matern, locations_200, layout, 1e-8,
         )
         assert full_total > 0.0 and len(full_norms) == len(full)
@@ -411,6 +411,10 @@ _GENERATION_LAYOUTS = {
     "below-one-slice": (24, 10, 1000),     # fewer entries than a slice
     "shipped-slice": (100, 32, None),
 }
+
+
+#: The cells whose approximate plan generates from the Matern table.
+_TABLE_KERNELS = ("matern-bessel", "matern-own-nugget")
 
 
 def _per_tile_reference(kernel, theta, x, tile, nugget, *, prepared):
@@ -482,14 +486,25 @@ class TestOneGenerationPath:
                         use_tlr=True, mp_accuracy=1e-6, tlr_tol=1e-6,
                         workers=workers, batch=batch, **given,
                     )
-                    assert planned.tile_norms == norms, cell
+                    # An approximate variant generates a Bessel-smoothness
+                    # Matern from its table: norms within the certified
+                    # error of the exact ones; every other kernel exactly.
+                    rtol = planned.generation_rtol
+                    assert (rtol > 0.0) == (name in _TABLE_KERNELS), cell
+                    if rtol:
+                        for key, norm in norms.items():
+                            assert abs(planned.tile_norms[key] - norm) <= (
+                                rtol * norm), (cell, key)
+                    else:
+                        assert planned.tile_norms == norms, cell
                     plans.setdefault(source, set()).add((
                         tuple(sorted(planned.plan.precisions.items())),
                         tuple(sorted(planned.plan.use_lr.items())),
                         tuple(sorted(planned.ranks.items())),
+                        tuple(sorted(planned.tile_norms.items())), rtol,
                     ))
-        # One plan whatever workers / batch were, and for an
-        # element-wise kernel whatever the geometry came from.
+        # One plan and one set of norms whatever workers / batch were,
+        # and for an element-wise kernel whatever the geometry came from.
         assert all(len(seen) == 1 for seen in plans.values())
         if kernel.elementwise_geometry:
             assert len(set.union(*plans.values())) == 1

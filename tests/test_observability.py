@@ -398,10 +398,12 @@ class TestRealPaths:
         )
         assert "max_width" not in settle.attrs
         # The generate span says what ran, not what was asked: Matern is
-        # element-wise, 160 points are one slice (36 tiles of 20 x 20).
+        # element-wise, 160 points are one slice (36 tiles of 20 x 20),
+        # and nu = 1/2 is a closed form, so no table (certified rtol 0).
         (generate,) = telemetry.tracer.by_name("generate")
         assert generate.attrs == dict(
-            nt=8, workers=workers, elementwise=True, chunks=1)
+            nt=8, workers=workers, elementwise=True, chunks=1, table=False,
+            rtol=0.0)
         # A fixed band in rank mode reads no rank before the
         # factorization: the assembly compresses nothing (no compress
         # span) and every off-band tile is compressed once, at its

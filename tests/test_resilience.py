@@ -757,12 +757,15 @@ class TestServingResilience:
 #: (tile 30, cap 15: sketch width 19), as they pinned ``gesdd``'s before,
 #: and the float64 update formula ``C - (A V_B) U_B^T`` / ``C - A B^T``
 #: (the fit's log-likelihood and the variance sum moved in the last bit
-#: when it replaced the factor-form updates).
+#: when it replaced the factor-form updates).  ``THETA``'s nu = 0.5 is a
+#: closed form; the fit's later evaluations (nu = 0.42...) generate from
+#: the Matern table, which moved the fit's log-likelihood in the last
+#: bits once more (theta-hat unchanged).
 PINNED_LOGLIK_TLR = -125.01857506084644
 PINNED_LOGLIK_DENSE = -125.01857507037556
 PINNED_FIT_THETA = (0.9698549256785878, 0.17606490896788304,
                     0.4232580533692424)
-PINNED_FIT_LOGLIK = -121.3208201191755
+PINNED_FIT_LOGLIK = -121.32082011917544
 PINNED_FIT_NFEV = 22
 PINNED_MEAN_SUM = -12.108876459362989
 PINNED_VARIANCE_SUM = 11.353603361709304
