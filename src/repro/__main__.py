@@ -181,7 +181,7 @@ def _cmd_profile(args) -> int:
           "workers={workers} table={table} rtol={rtol:.1e}".format(**generated))
     predicted = telemetry.tracer.by_name("predict_batch")[0].attrs
     print("  predicted on: elementwise={elementwise} chunks={chunks} "
-          "workers={workers}".format(**predicted))
+          "workers={workers} table={table} rtol={rtol:.1e}".format(**predicted))
     # CholeskyStats as the registry mirrors it, summed over the fit.
     metrics = telemetry.registry.snapshot()
     truncations, kept_dense, densified, certified = (

@@ -53,6 +53,7 @@ from ..resilience import (
     ResilienceConfig,
 )
 from ..resilience.validate import require_finite
+from ..tile.assembly import generation_accuracy
 from ..tile.geometry import GeometryCache, locations_fingerprint
 from ..tile.matrix import TileMatrix
 from ..tile.solve import PanelSolver
@@ -124,12 +125,14 @@ class ServingStats:
 
 
 class _CrossEntry:
-    """One cached test batch: cross covariance and lazy half-solve."""
+    """One cached test batch: cross covariance, the relative error its
+    values certify (0.0: exact) and lazy half-solve."""
 
-    __slots__ = ("cross", "half")
+    __slots__ = ("cross", "rtol", "half")
 
-    def __init__(self, cross: np.ndarray):
+    def __init__(self, cross: np.ndarray, rtol: float):
         self.cross = cross
+        self.rtol = rtol
         self.half: np.ndarray | None = None
 
     @property
@@ -147,7 +150,11 @@ class PredictionEngine:
     entries dealt over the variant's ``workers``
     (:meth:`~repro.kernels.base.CovarianceKernel.from_flat_geometry`),
     each slice writing its own part of the panel, so the values are
-    the same bytes at every width.  Any other kernel's panel, the
+    the same bytes at every width.  An approximate variant's panel
+    spends the generation budget its training tiles do
+    (:func:`~repro.tile.assembly.generation_accuracy`; a Matérn at a
+    Bessel smoothness is then read from the certified table over the
+    panel's own distances).  Any other kernel's panel, the
     Eq.-5 forward solve and everything else run on the caller's
     thread.  One engine may be shared by several caller threads; its
     cache and counters are kept under one lock.
@@ -162,10 +169,10 @@ class PredictionEngine:
         Tile Cholesky factor of ``Sigma_nn(theta)`` over ``x_train``.
     variant:
         The fitted model's compute variant (name or
-        :class:`~repro.core.variants.VariantConfig`); only its
-        execution settings are read: cross panels are generated at the
-        width its training tiles are.  Default ``"dense-fp64"``, one
-        worker.
+        :class:`~repro.core.variants.VariantConfig`); cross panels are
+        generated at the width and within the accuracy budget its
+        training tiles are.  Default ``"dense-fp64"``: one worker,
+        exact values.
     cache:
         A :class:`~repro.tile.geometry.GeometryCache` for the
         theta-independent train/test geometry, shared with the owning
@@ -216,11 +223,16 @@ class PredictionEngine:
             raise ShapeError("factor dimension does not match x_train")
         if batch < 1:
             raise ShapeError("batch must be >= 1")
-        # The width the variant generates its training tiles at; a
-        # per-tile kernel's panel has no slices to deal.
+        # The width and the budget the variant generates its training
+        # tiles at; a per-tile kernel's panel has no slices to deal.
+        cfg = get_variant(variant)
         self._width = (
-            _resolve_execution(get_variant(variant), None)[2]
+            _resolve_execution(cfg, None)[2]
             if kernel.elementwise_geometry else 1
+        )
+        self._accuracy = generation_accuracy(
+            use_mp=cfg.use_mp, mp_accuracy=cfg.mp_accuracy,
+            use_tlr=cfg.use_tlr, tlr_tol=cfg.tlr_tol,
         )
         self.cache = cache
         self.batch = int(batch)
@@ -277,7 +289,8 @@ class PredictionEngine:
         ``elementwise``, the number of slices in ``chunks`` and the
         ``workers`` they are dealt over (0 and 1 for a per-tile
         kernel) — the ``"predict_batch"`` span's attributes, named as
-        the ``"generate"`` span's."""
+        the ``"generate"`` span's (``table`` and ``rtol`` are added as
+        the batch ends)."""
         elementwise = self.kernel.elementwise_geometry
         return dict(
             elementwise=elementwise,
@@ -285,14 +298,18 @@ class PredictionEngine:
             workers=self._width,
         )
 
-    def _cross_values(self, x_batch: np.ndarray, *, use_cache: bool) -> np.ndarray:
-        """The ``(n_train, batch)`` cross panel.
+    def _cross_values(
+        self, x_batch: np.ndarray, *, use_cache: bool
+    ) -> tuple[np.ndarray, float]:
+        """The ``(n_train, batch)`` cross panel and the relative error
+        its values certify (0.0: exact).
 
         Its pair geometry comes from the geometry cache when the batch
         may be cached, and is built for this panel only otherwise (a
         streamed batch never enters the cache).  An element-wise kernel
         evaluates the geometry flattened, in slices over the engine's
-        width; any other kernel through ``from_geometry``.
+        width and within its generation budget; any other kernel
+        through ``from_geometry``, exactly.
         """
         kernel = self.kernel
         if use_cache and self.cache is not None:
@@ -300,16 +317,16 @@ class PredictionEngine:
         else:
             geom = kernel.prepare_geometry(self.x_train, x_batch)
         if not kernel.elementwise_geometry:
-            return kernel.from_geometry(self.theta, geom)
+            return kernel.from_geometry(self.theta, geom), 0.0
         fields = array_fields(geom)
         shape = next(iter(fields.values())).shape
         flat = replace(geom, **{
             name: arr.reshape(-1) for name, arr in fields.items()
         })
-        values, _ = kernel.from_flat_geometry(
-            self.theta, flat, workers=self._width
+        values, rtol = kernel.from_flat_geometry(
+            self.theta, flat, workers=self._width, accuracy=self._accuracy
         )
-        return values.reshape(shape)
+        return values.reshape(shape), rtol
 
     def clear_cross_cache(self) -> None:
         """Drop every cached cross panel (the circuit breaker's safe
@@ -350,14 +367,14 @@ class PredictionEngine:
 
         # Compute outside the lock: kernel evaluation and the forward
         # sweep dominate, and concurrent callers must not queue on them.
-        cross = (
-            entry.cross if entry is not None
+        cross, rtol = (
+            (entry.cross, entry.rtol) if entry is not None
             else self._cross_values(x_batch, use_cache=use_cache)
         )
         half = self.solver.forward(cross) if need_half else None
 
         if key is None:
-            out = _CrossEntry(cross)
+            out = _CrossEntry(cross, rtol)
             out.half = half
             return out
 
@@ -376,7 +393,7 @@ class PredictionEngine:
                 self._cross.move_to_end(key)
                 entry = current
             else:
-                entry = _CrossEntry(cross)
+                entry = _CrossEntry(cross, rtol)
                 entry.half = half
                 if entry.nbytes <= self.cross_cache_bytes:
                     self._cross[key] = entry
@@ -398,7 +415,7 @@ class PredictionEngine:
 
     def _predict_batch(
         self, x_batch: np.ndarray, return_uncertainty: bool, use_cache: bool
-    ) -> tuple[np.ndarray, np.ndarray | None]:
+    ) -> tuple[np.ndarray, np.ndarray | None, float]:
         entry = self._entry_for(
             x_batch, need_half=return_uncertainty, use_cache=use_cache
         )
@@ -413,7 +430,7 @@ class PredictionEngine:
                     self._stats.clamped_variances += clamped
         with self._lock:
             self._stats.batches += 1
-        return mean, variance
+        return mean, variance, entry.rtol
 
     def _serve_batch(
         self,
@@ -421,10 +438,11 @@ class PredictionEngine:
         x_slice: np.ndarray,
         return_uncertainty: bool,
         use_cache: bool,
-    ) -> tuple[np.ndarray, np.ndarray | None]:
+    ) -> tuple[np.ndarray, np.ndarray | None, float]:
         """One batch through the resilience hooks: chaos perturbation
         (keyed on the batch's start offset) and transient-failure
-        retry.  Inert hooks short-circuit to the plain path."""
+        retry.  Inert hooks short-circuit to the plain path.  Returns
+        the batch's mean, variance and its panel's ``rtol``."""
         if self._retry is None and self._chaos is None:
             return self._predict_batch(x_slice, return_uncertainty, use_cache)
 
@@ -480,10 +498,14 @@ class PredictionEngine:
                     with maybe_span(
                         telemetry, "predict_batch", start=start, stop=stop,
                         **self._generation(stop - start),
-                    ):
-                        mb, vb = self._serve_batch(
+                    ) as sid:
+                        mb, vb, rtol = self._serve_batch(
                             start, x_test[start:stop], return_uncertainty,
                             use_cache=True,
+                        )
+                    if telemetry is not None:
+                        telemetry.tracer.annotate(
+                            sid, table=rtol > 0.0, rtol=rtol
                         )
                     mean[start:stop] = mb
                     if variance is not None:
@@ -530,7 +552,7 @@ class PredictionEngine:
             self._stats.predict_calls += 1  # one per stream, as predict
         for start in range(0, m, width):
             stop = min(start + width, m)
-            mb, vb = self._serve_batch(
+            mb, vb, _ = self._serve_batch(
                 start, x_test[start:stop], return_uncertainty, use_cache=False
             )
             with self._lock:
@@ -600,8 +622,9 @@ class PredictionEngine:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"PredictionEngine(n={self.n_train}, variantless-factor "
-            f"nt={self.factor.nt}, served={self._stats.predictions})"
+            f"PredictionEngine(n={self.n_train}, nt={self.factor.nt}, "
+            f"workers={self._width}, accuracy={self._accuracy}, "
+            f"served={self._stats.predictions})"
         )
 
 

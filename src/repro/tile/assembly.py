@@ -67,7 +67,8 @@ from .precision import Precision
 from .tile import DenseTile
 
 __all__ = [
-    "AssemblyReport", "assemble_dense", "build_planned_covariance", "ranked_plan",
+    "AssemblyReport", "assemble_dense", "build_planned_covariance",
+    "generation_accuracy", "ranked_plan",
 ]
 
 
@@ -95,6 +96,19 @@ class AssemblyReport:
     #: Relative error per entry the generated values certify against
     #: the exact kernel: the Matérn table's, 0.0 for exact values.
     generation_rtol: float = 0.0
+
+
+def generation_accuracy(
+    *, use_mp: bool, mp_accuracy: float, use_tlr: bool, tlr_tol: float
+) -> float | None:
+    """The relative error per generated entry a variant accepts — a
+    hundredth of its tightest active tolerance (DESIGN §10) — or
+    ``None`` (exact values) with neither ``use_mp`` nor ``use_tlr``.
+    Its training tiles and its prediction cross panels spend the same
+    budget."""
+    budgets = [tol for tol, active in ((mp_accuracy, use_mp), (tlr_tol, use_tlr))
+               if active]
+    return min(budgets) / 100.0 if budgets else None
 
 
 def _generate_blocks(
@@ -282,11 +296,9 @@ def build_planned_covariance(
                 "rebuild it for the current locations"
             )
     elementwise = kernel.elementwise_geometry
-    # A variant with an accuracy budget accepts generated values within
-    # a hundredth of its tightest active tolerance (DESIGN §10).
-    budgets = [tol for tol, active in ((mp_accuracy, use_mp), (tlr_tol, use_tlr))
-               if active]
-    accuracy = min(budgets) / 100.0 if budgets else None
+    accuracy = generation_accuracy(
+        use_mp=use_mp, mp_accuracy=mp_accuracy, use_tlr=use_tlr, tlr_tol=tlr_tol
+    )
     with maybe_span(
         telemetry, "generate", nt=nt, workers=workers if elementwise else 1,
         elementwise=elementwise,

@@ -5,8 +5,9 @@ covariance at a Bessel smoothness from a per-evaluation cubic table of
 ``log M_nu`` over log-distance; everything else stays on the exact
 ``kve`` path, byte for byte.  Covered here: the table's error against
 :func:`matern_correlation` and the certificate it reports, its fallback
-to the exact bytes, exact zero distances, the exact paths' bytes, and
-the table's independence of every execution setting.
+to the exact bytes, exact zero distances, the exact paths' bytes, the
+table's independence of every execution setting, and the prediction
+cross panels that spend the same budget.
 """
 
 import hashlib
@@ -15,10 +16,10 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import pdist
 
-from repro.core import PredictionEngine
+from repro.core import PredictionEngine, get_variant
 from repro.core.simulation import conditional_simulation
 from repro.data import uniform_locations
-from repro.kernels import MaternKernel, matern_correlation
+from repro.kernels import ExponentialKernel, MaternKernel, matern_correlation
 from repro.kernels.matern import DistanceGeometry
 from repro.obs import Telemetry
 from repro.tile import (
@@ -160,8 +161,12 @@ class TestExactPathsStayExact:
                 theta, x, nugget=1e-6)),
         }
         factor = tile_cholesky(matrix)[0]
-        engine = PredictionEngine(kernel, theta, x, z, factor, variant="mp-dense")
-        got["cross"] = _digest(engine._cross_values(x_test, use_cache=False))
+        engine = PredictionEngine(
+            kernel, theta, x, z, factor, variant="dense-fp64"
+        )
+        cross, rtol = engine._cross_values(x_test, use_cache=False)
+        assert rtol == 0.0
+        got["cross"] = _digest(cross)
         got["simulation"] = _digest(conditional_simulation(
             kernel, theta, x, z, x_test, factor, size=3, seed=5))
         assert got == EXACT_DIGESTS
@@ -215,3 +220,103 @@ class TestExactPathsStayExact:
         lo, hi = flat.positive_span
         assert lo == flat.r[flat.r > 0].min() and hi == flat.r.max()
         assert flat.positive_span is flat.positive_span  # computed once
+
+
+# ----------------------------------------------------------------------
+# Prediction cross panels spend the variant's budget
+# ----------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def served(exact_case):
+    """``exact_case`` with the exact factor every engine below serves."""
+    kernel, theta, x, x_test, z = exact_case
+    matrix, _ = build_planned_covariance(kernel, theta, x, 40, nugget=1e-6)
+    return kernel, theta, x, x_test, z, tile_cholesky(matrix)[0]
+
+
+class TestPredictionPanels:
+    def test_panel_is_within_its_certificate(self, served):
+        kernel, theta, x, x_test, z, factor = served
+        engine = PredictionEngine(kernel, theta, x, z, factor, variant="mp-dense")
+        panel, rtol = engine._cross_values(x_test, use_cache=False)
+        assert 0.0 < rtol <= 1e-10
+        exact = kernel(theta, x, x_test)
+        assert np.abs(panel / exact - 1.0).max() <= rtol
+
+    def test_panel_bytes_ignore_width_cache_and_api(self, served, monkeypatch):
+        import repro.kernels.base as base
+
+        kernel, theta, x, x_test, z, factor = served
+        monkeypatch.setattr(base, "GEOMETRY_CHUNK", 777)  # many slices
+        panels, preds = set(), set()
+        for workers in (1, 2, 3):
+            for cache in (None, GeometryCache()):
+                engine = PredictionEngine(
+                    kernel, theta, x, z, factor, cache=cache,
+                    variant=get_variant("mp-dense").with_(workers=workers),
+                )
+                compute = engine._cross_values
+
+                def spy(*args, **kwargs):
+                    cross, rtol = compute(*args, **kwargs)
+                    panels.add((_digest(cross), rtol))
+                    return cross, rtol
+
+                monkeypatch.setattr(engine, "_cross_values", spy)
+                whole = engine.predict(
+                    x_test, return_uncertainty=True, batch=len(x_test))
+                (streamed,) = engine.predict_iter(
+                    x_test, return_uncertainty=True, batch=len(x_test))
+                for pred in (whole, streamed):
+                    preds.add(_digest(pred.mean, pred.variance))
+        assert len(panels) == 1 and len(preds) == 1
+        assert next(iter(panels))[1] > 0.0
+
+    def test_prediction_is_within_1e9_of_the_exact_panel(self, served):
+        kernel, theta, x, x_test, z, factor = served
+        approx, exact = (
+            PredictionEngine(kernel, theta, x, z, factor, variant=variant)
+            .predict(x_test, return_uncertainty=True)
+            for variant in ("mp-dense", "dense-fp64")
+        )
+        assert np.abs(approx.mean - exact.mean).max() <= 1e-9
+        assert np.abs(approx.variance - exact.variance).max() <= 1e-9
+
+    @pytest.mark.parametrize("case", [
+        "tight-budget", "nu-1.5", "exponential", "dense-fp64",
+    ])
+    def test_exact_panels_keep_their_bytes(self, served, case):
+        kernel, theta, x, x_test, z, factor = served
+        variant = get_variant("mp-dense")
+        if case == "tight-budget":
+            variant = variant.with_(mp_accuracy=1e-14)
+        elif case == "nu-1.5":
+            theta = np.array([1.3, 0.12, 1.5])
+        elif case == "exponential":
+            kernel, theta = ExponentialKernel(), np.array([1.3, 0.12])
+        else:
+            variant = "dense-fp64"
+        engine = PredictionEngine(kernel, theta, x, z, factor, variant=variant)
+        panel, rtol = engine._cross_values(x_test, use_cache=False)
+        reference, _ = kernel.from_flat_geometry(theta, DistanceGeometry(
+            kernel.prepare_geometry(x, x_test).r.reshape(-1), same=False))
+        assert rtol == 0.0
+        assert panel.tobytes() == reference.tobytes()
+
+    def test_predict_batch_span_reports_the_panel(self, served):
+        kernel, theta, x, x_test, z, factor = served
+        for variant, table in (("mp-dense", True), ("dense-fp64", False)):
+            telemetry = Telemetry()
+            engine = PredictionEngine(
+                kernel, theta, x, z, factor, variant=variant,
+                telemetry=telemetry,
+            )
+            (_, rtol) = engine._cross_values(x_test, use_cache=False)
+            for _ in range(2):  # the second call is a cache hit
+                engine.predict(x_test, batch=len(x_test))
+            assert engine.stats().cross_hits == 1
+            spans = telemetry.tracer.by_name("predict_batch")
+            assert [(s.attrs["table"], s.attrs["rtol"]) for s in spans] == [
+                (table, rtol)
+            ] * 2
