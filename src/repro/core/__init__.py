@@ -6,7 +6,6 @@ from .likelihood import (
     LikelihoodResult,
     loglikelihood,
     loglikelihood_dense_reference,
-    loglikelihood_replicated,
 )
 from .mle import MLEResult, fit_mle
 from .model import ExaGeoStatModel
@@ -44,7 +43,6 @@ __all__ = [
     "MP_DENSE_TLR_RECOVER",
     "get_variant",
     "loglikelihood",
-    "loglikelihood_replicated",
     "loglikelihood_dense_reference",
     "LikelihoodResult",
     "fit_mle",

@@ -37,7 +37,6 @@ from .variants import DENSE_FP64, VariantConfig, get_variant
 __all__ = [
     "LikelihoodResult",
     "loglikelihood",
-    "loglikelihood_replicated",
     "loglikelihood_dense_reference",
 ]
 
@@ -105,11 +104,10 @@ def _resolve_execution(cfg: VariantConfig, procpool) -> tuple[str, str, int]:
 
 
 def _factor_and_solve(
-    span: str, kernel, theta, x, rhs, *, tile_size, variant, nugget,
+    kernel, theta, x, rhs, *, tile_size, variant, nugget,
     geometry, cache, rank_hints, resilience, deadline, procpool, telemetry,
-    **span_attrs,
 ):
-    """The evaluation both likelihoods share: assemble ``Sigma(theta)``
+    """The evaluation behind :func:`loglikelihood`: assemble ``Sigma(theta)``
     under the variant's plan, factor it on the execution the variant's
     settings resolve to (through the recovery ladder when the variant
     has one), and forward-solve ``rhs``.  Returns ``(cfg, factor,
@@ -181,8 +179,7 @@ def _factor_and_solve(
 
     try:
         with maybe_span(
-            telemetry, span, variant=cfg.name, n=len(x), **span_attrs,
-            **resolved,
+            telemetry, "loglikelihood", variant=cfg.name, n=len(x), **resolved,
         ):
             recovery = None
             if cfg.recovery is None:
@@ -195,7 +192,7 @@ def _factor_and_solve(
                     factor_fn=factor,
                 )
                 recovery = ladder if ladder.actions else None
-            with maybe_span(telemetry, "solve", n=len(x), **span_attrs):
+            with maybe_span(telemetry, "solve", n=len(x)):
                 logdet = tile_logdet(factored)
                 y = forward_solve(factored, rhs)
     finally:
@@ -285,7 +282,7 @@ def loglikelihood(
     """
     z = _check_observations(x, z)
     cfg, factor, stats, report, recovery, logdet, y = _factor_and_solve(
-        "loglikelihood", kernel, theta, x, z, tile_size=tile_size,
+        kernel, theta, x, z, tile_size=tile_size,
         variant=variant, nugget=nugget, geometry=geometry, cache=cache,
         rank_hints=rank_hints, resilience=resilience, deadline=deadline,
         procpool=procpool, telemetry=telemetry,
@@ -303,52 +300,6 @@ def loglikelihood(
         stats=stats,
         recovery=recovery,
     )
-
-
-def loglikelihood_replicated(
-    kernel: CovarianceKernel,
-    theta: np.ndarray,
-    x: np.ndarray,
-    z_replicates: np.ndarray,
-    *,
-    tile_size: int,
-    variant: "str | VariantConfig" = DENSE_FP64,
-    nugget: float = 0.0,
-    geometry: TileGeometry | None = None,
-    cache: GeometryCache | None = None,
-    rank_hints: "dict[tuple[int, int], int] | None" = None,
-    resilience: ResilienceConfig | None = None,
-    deadline: Deadline | None = None,
-    procpool=None,
-    telemetry=None,
-) -> np.ndarray:
-    """Log-likelihoods of many independent replicates sharing one
-    location set (the Fig. 6 protocol: 100 synthetic fields at the same
-    design).
-
-    Factors the covariance *once* and solves all replicates against it
-    — amortizing the O(n^3) over the O(reps * n^2) solves.  Returns one
-    value per row of ``z_replicates``.  Assembly, execution settings
-    and the recovery ladder are exactly :func:`loglikelihood`'s.
-    """
-    require_finite("x", x)
-    require_finite("z_replicates", z_replicates)
-    z = np.asarray(z_replicates, dtype=np.float64)
-    if z.ndim != 2:
-        raise ShapeError("z_replicates must be (reps, n)")
-    if z.shape[1] != len(x):
-        raise ShapeError(
-            f"{len(x)} locations but replicate length {z.shape[1]}"
-        )
-    *_, logdet, y = _factor_and_solve(
-        "loglikelihood_replicated", kernel, theta, x, z.T,
-        tile_size=tile_size, variant=variant, nugget=nugget,
-        geometry=geometry, cache=cache, rank_hints=rank_hints,
-        resilience=resilience, deadline=deadline, procpool=procpool,
-        telemetry=telemetry, reps=z.shape[0],
-    )
-    quads = np.einsum("ij,ij->j", y, y)  # y is (n, reps)
-    return -0.5 * z.shape[1] * _LOG_2PI - 0.5 * logdet - 0.5 * quads
 
 
 def loglikelihood_dense_reference(

@@ -43,7 +43,7 @@ import numpy as np
 
 from ..config import PREDICT_BATCH, SERVING_CROSS_CACHE_BYTES
 from ..exceptions import ShapeError
-from ..kernels.base import GEOMETRY_CHUNK, CovarianceKernel, array_fields
+from ..kernels.base import GEOMETRY_CHUNK, CovarianceKernel
 from ..kernels.distance import as_locations
 from ..obs.telemetry import maybe_span
 from ..resilience import (
@@ -54,7 +54,7 @@ from ..resilience import (
 )
 from ..resilience.validate import require_finite
 from ..tile.assembly import generation_accuracy
-from ..tile.geometry import GeometryCache, locations_fingerprint
+from ..tile.geometry import GeometryCache, locations_fingerprint, pair_geometry
 from ..tile.matrix import TileMatrix
 from ..tile.solve import PanelSolver
 from .likelihood import _resolve_execution
@@ -315,18 +315,13 @@ class PredictionEngine:
         if use_cache and self.cache is not None:
             geom = self.cache.pair_geometry(kernel, self.x_train, x_batch)
         else:
-            geom = kernel.prepare_geometry(self.x_train, x_batch)
+            geom = pair_geometry(kernel, self.x_train, x_batch)
         if not kernel.elementwise_geometry:
             return kernel.from_geometry(self.theta, geom), 0.0
-        fields = array_fields(geom)
-        shape = next(iter(fields.values())).shape
-        flat = replace(geom, **{
-            name: arr.reshape(-1) for name, arr in fields.items()
-        })
         values, rtol = kernel.from_flat_geometry(
-            self.theta, flat, workers=self._width, accuracy=self._accuracy
+            self.theta, geom, workers=self._width, accuracy=self._accuracy
         )
-        return values.reshape(shape), rtol
+        return values.reshape(self.n_train, -1), rtol
 
     def clear_cross_cache(self) -> None:
         """Drop every cached cross panel (the circuit breaker's safe

@@ -11,17 +11,14 @@ from .evapotranspiration import (
 )
 from .locations import (
     REGIONS,
-    jittered_grid,
     region_locations,
     space_time_locations,
     uniform_locations,
 )
-from .masks import apply_mask, band_mask, disk_mask, random_mask
 from .preprocess import (
     detrend_linear,
     gaussianity_diagnostics,
     monthly_climatology_residuals,
-    standardize,
 )
 from .soil_moisture import (
     SOIL_MOISTURE_THETA,
@@ -38,7 +35,6 @@ from .synthetic import (
 
 __all__ = [
     "uniform_locations",
-    "jittered_grid",
     "region_locations",
     "space_time_locations",
     "REGIONS",
@@ -47,10 +43,6 @@ __all__ = [
     "SyntheticDataset",
     "CORRELATION_RANGES",
     "train_test_split",
-    "random_mask",
-    "disk_mask",
-    "band_mask",
-    "apply_mask",
     "soil_moisture_surrogate",
     "SpatialSplitDataset",
     "SOIL_MOISTURE_THETA",
@@ -62,6 +54,5 @@ __all__ = [
     "N_MONTHS",
     "monthly_climatology_residuals",
     "detrend_linear",
-    "standardize",
     "gaussianity_diagnostics",
 ]

@@ -3,9 +3,8 @@
 The paper's datasets are irregularly spaced points over geographic
 regions (Mississippi River basin; Central Asia).  The generators here
 produce reproducible irregular point sets over simple planar regions —
-uniform, jittered-grid (ExaGeoStat's own synthetic generator uses a
-perturbed grid), and rectangles with the two regions' approximate
-aspect ratios — plus replicated space-time location stacks.
+uniform points in rectangles with the two regions' approximate aspect
+ratios — plus replicated space-time location stacks.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ from ..exceptions import ShapeError
 
 __all__ = [
     "uniform_locations",
-    "jittered_grid",
     "region_locations",
     "space_time_locations",
     "REGIONS",
@@ -46,33 +44,8 @@ def uniform_locations(
     return pts
 
 
-def jittered_grid(
-    n: int, *, seed: int | None = None, jitter: float = 0.4, aspect: float = 1.0
-) -> np.ndarray:
-    """Perturbed regular grid of at least ``n`` cells, truncated to
-    ``n`` points — the ExaGeoStat synthetic-location recipe (grid plus
-    uniform jitter keeps points distinct and quasi-uniform).
-
-    ``jitter`` is the maximal displacement as a fraction of the cell.
-    """
-    if not 0.0 <= jitter < 0.5:
-        raise ShapeError("jitter must be in [0, 0.5) to keep points distinct")
-    rng = np.random.default_rng(seed)
-    side = int(np.ceil(np.sqrt(n)))
-    ii, jj = np.meshgrid(np.arange(side), np.arange(side), indexing="ij")
-    cell = 1.0 / side
-    x = (ii.ravel() + 0.5) * cell
-    y = (jj.ravel() + 0.5) * cell
-    pts = np.column_stack([x, y])
-    pts += rng.uniform(-jitter * cell, jitter * cell, size=pts.shape)
-    keep = rng.permutation(pts.shape[0])[:n]
-    out = pts[np.sort(keep)]
-    out[:, 0] *= aspect
-    return out
-
-
 def region_locations(
-    n: int, region: str, *, seed: int | None = None, irregular: bool = True
+    n: int, region: str, *, seed: int | None = None
 ) -> np.ndarray:
     """Locations over a named region (see :data:`REGIONS`)."""
     try:
@@ -81,11 +54,7 @@ def region_locations(
         raise ShapeError(
             f"unknown region {region!r}; choose from {sorted(REGIONS)}"
         ) from None
-    if irregular:
-        pts = uniform_locations(n, seed=seed, aspect=width / height)
-    else:
-        pts = jittered_grid(n, seed=seed, aspect=width / height)
-    return pts * height
+    return uniform_locations(n, seed=seed, aspect=width / height) * height
 
 
 def space_time_locations(

@@ -7,8 +7,7 @@ For the ET space-time data the paper makes the field stationary by:
    (:func:`monthly_climatology_residuals`);
 2. **spatial detrending** — fitting, per month, a linear regression of
    the observations on the coordinates and keeping the residuals
-   (:func:`detrend_linear`);
-3. standardizing to unit variance (:func:`standardize`).
+   (:func:`detrend_linear`).
 
 These operate on plain arrays so they apply equally to the synthetic
 surrogate "raw" fields and to any real data a user supplies.
@@ -23,7 +22,6 @@ from ..exceptions import ShapeError
 __all__ = [
     "monthly_climatology_residuals",
     "detrend_linear",
-    "standardize",
     "gaussianity_diagnostics",
 ]
 
@@ -66,17 +64,6 @@ def detrend_linear(values: np.ndarray, locations: np.ndarray) -> np.ndarray:
     coef, *_ = np.linalg.lstsq(design, vals.T, rcond=None)
     residuals = (vals.T - design @ coef).T
     return residuals[0] if squeeze else residuals
-
-
-def standardize(values: np.ndarray) -> tuple[np.ndarray, float, float]:
-    """Center/scale to zero mean, unit variance; returns
-    ``(standardized, mean, std)`` so predictions can be mapped back."""
-    vals = np.asarray(values, dtype=np.float64)
-    mean = float(vals.mean())
-    std = float(vals.std())
-    if std == 0.0:
-        raise ShapeError("cannot standardize a constant field")
-    return (vals - mean) / std, mean, std
 
 
 def gaussianity_diagnostics(values: np.ndarray) -> dict[str, float]:

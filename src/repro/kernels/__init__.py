@@ -22,8 +22,6 @@ from .distance import (
     cross_distance,
     cross_space_time_lags,
     cross_sq_distance,
-    great_circle_distance,
-    pairwise_distance,
     split_space_time,
 )
 from .exponential import ExponentialKernel, GaussianKernel, PoweredExponentialKernel
@@ -49,8 +47,6 @@ __all__ = [
     "as_locations",
     "cross_distance",
     "cross_sq_distance",
-    "pairwise_distance",
     "split_space_time",
     "cross_space_time_lags",
-    "great_circle_distance",
 ]

@@ -22,10 +22,8 @@ __all__ = [
     "as_locations",
     "cross_distance",
     "cross_sq_distance",
-    "pairwise_distance",
     "split_space_time",
     "cross_space_time_lags",
-    "great_circle_distance",
 ]
 
 
@@ -81,14 +79,6 @@ def cross_distance(x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
     return np.sqrt(d2, out=d2)
 
 
-def pairwise_distance(x: np.ndarray) -> np.ndarray:
-    """Symmetric ``(n, n)`` Euclidean distance matrix with exact zero
-    diagonal (the quadratic form can leave tiny positive residue)."""
-    d = cross_distance(x, x)
-    np.fill_diagonal(d, 0.0)
-    return d
-
-
 def split_space_time(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Split ``(n, d)`` space-time locations into ``(n, d-1)`` space
     coordinates and ``(n,)`` times (last column is time)."""
@@ -116,29 +106,3 @@ def cross_space_time_lags(
     h = cross_distance(s1, s2)
     u = np.abs(t1[:, None] - t2[None, :])
     return h, u
-
-
-_EARTH_RADIUS_KM = 6371.0088
-
-
-def great_circle_distance(
-    lonlat1: np.ndarray, lonlat2: np.ndarray, *, radius: float = _EARTH_RADIUS_KM
-) -> np.ndarray:
-    """Great-circle (haversine) distances in kilometres between two sets
-    of ``(lon, lat)`` points given in degrees.
-
-    Provided for completeness with the paper's geographic datasets;
-    the surrogate generators work on planar unit-square coordinates, so
-    most of the package uses :func:`cross_distance`.
-    """
-    p1 = np.radians(np.atleast_2d(np.asarray(lonlat1, dtype=np.float64)))
-    p2 = np.radians(np.atleast_2d(np.asarray(lonlat2, dtype=np.float64)))
-    if p1.shape[1] != 2 or p2.shape[1] != 2:
-        raise ShapeError("great_circle_distance expects (lon, lat) pairs")
-    lon1, lat1 = p1[:, 0][:, None], p1[:, 1][:, None]
-    lon2, lat2 = p2[:, 0][None, :], p2[:, 1][None, :]
-    dlat = lat2 - lat1
-    dlon = lon2 - lon1
-    a = np.sin(dlat / 2.0) ** 2 + np.cos(lat1) * np.cos(lat2) * np.sin(dlon / 2.0) ** 2
-    np.clip(a, 0.0, 1.0, out=a)
-    return 2.0 * radius * np.arcsin(np.sqrt(a))

@@ -10,7 +10,7 @@ A64FX nodes, Shaheen II's Haswell nodes).  It supplies:
   discrete-event scaling simulator;
 * the dense/TLR crossover analysis of Fig. 5
   (:mod:`repro.perfmodel.crossover`);
-* checkpoint/restart cost modeling with the Young/Daly optimal
+* checkpoint/restart cost modeling with Daly's optimal
   interval (:mod:`repro.perfmodel.resilience`), feeding the fault-aware
   simulator.
 """
@@ -23,9 +23,7 @@ from .resilience import (
     checkpoint_cost_s,
     daly_interval,
     expected_waste,
-    young_interval,
 )
-from .iteration import MLEIterationEstimate, estimate_mle_iteration
 from .crossover import (
     crossover_rank,
     gemm_ratio_curve,
@@ -57,12 +55,9 @@ __all__ = [
     "max_feasible_n",
     "storage_per_node",
     "checkpoint_cost_s",
-    "young_interval",
     "daly_interval",
     "application_mtbf",
     "expected_waste",
-    "MLEIterationEstimate",
-    "estimate_mle_iteration",
     "estimate_cholesky",
     "project_classes",
     "PlanProfile",

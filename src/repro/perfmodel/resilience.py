@@ -25,7 +25,6 @@ from ..exceptions import ConfigurationError
 
 __all__ = [
     "checkpoint_cost_s",
-    "young_interval",
     "daly_interval",
     "application_mtbf",
     "expected_waste",
@@ -56,18 +55,11 @@ def application_mtbf(node_mtbf_s: float, nodes: int) -> float:
     return node_mtbf_s / nodes
 
 
-def young_interval(checkpoint_s: float, mtbf_s: float) -> float:
-    """Young's first-order optimal checkpoint interval
-    ``sqrt(2 * C * M)`` (time between checkpoint *starts*)."""
-    if checkpoint_s < 0 or mtbf_s <= 0:
-        raise ConfigurationError("need checkpoint_s >= 0 and mtbf_s > 0")
-    return math.sqrt(2.0 * checkpoint_s * mtbf_s)
-
-
 def daly_interval(
     checkpoint_s: float, mtbf_s: float, restart_s: float = 0.0
 ) -> float:
-    """Daly's higher-order refinement of :func:`young_interval`.
+    """Daly's higher-order refinement of Young's first-order interval
+    ``sqrt(2 * C * M)``.
 
     Valid for ``C < 2M`` (the practical regime); outside it the best
     strategy degenerates to checkpointing back-to-back and the Young
@@ -78,7 +70,7 @@ def daly_interval(
             "need checkpoint_s >= 0, mtbf_s > 0, restart_s >= 0"
         )
     if checkpoint_s >= 2.0 * mtbf_s:
-        return young_interval(checkpoint_s, mtbf_s)
+        return math.sqrt(2.0 * checkpoint_s * mtbf_s)
     return math.sqrt(2.0 * checkpoint_s * (mtbf_s + restart_s)) - checkpoint_s
 
 

@@ -33,7 +33,6 @@ from .batchdispatch import execute_cholesky_batched
 from .blasclamp import BLAS_THREAD_ENV, blas_clamp_for, clamp_blas_threads
 from .comm import (
     CommStats,
-    conversion_count,
     model_comm_volume,
     plan_wire_bytes,
     tile_wire_bytes,
@@ -41,7 +40,6 @@ from .comm import (
 from .dag import build_dag, critical_path_length, validate_schedule
 from .distribution import BlockCyclic2D, square_process_grid
 from .faults import CheckpointConfig, CrashTimes, FaultModel
-from .gantt import render_gantt, utilization_profile
 from .parallel import execute_cholesky_parallel
 from .procpool import ProcessPoolEngine
 from .scheduler import panel_priorities, panel_priorities_tasks, upward_ranks
@@ -65,7 +63,6 @@ __all__ = [
     "upward_ranks",
     "panel_priorities",
     "panel_priorities_tasks",
-    "render_gantt",
     "execute_cholesky_parallel",
     "execute_cholesky_batched",
     "ProcessPoolEngine",
@@ -73,7 +70,6 @@ __all__ = [
     "BLAS_THREAD_ENV",
     "blas_clamp_for",
     "clamp_blas_threads",
-    "utilization_profile",
     "FaultModel",
     "CheckpointConfig",
     "CrashTimes",
@@ -83,7 +79,6 @@ __all__ = [
     "plan_rank_of",
     "tile_wire_bytes",
     "plan_wire_bytes",
-    "conversion_count",
     "CommStats",
     "model_comm_volume",
     "ExecutionTrace",

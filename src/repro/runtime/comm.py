@@ -20,7 +20,6 @@ __all__ = [
     "CommStats",
     "tile_wire_bytes",
     "plan_wire_bytes",
-    "conversion_count",
     "model_comm_volume",
 ]
 
@@ -112,11 +111,3 @@ def plan_wire_bytes(plan: TilePlan, key: tuple[int, int]) -> int:
             plan.layout, key, precision, low_rank=True, rank=rank
         )
     return tile_wire_bytes(plan.layout, key, precision)
-
-
-def conversion_count(
-    sender_precision: Precision, receiver_precision: Precision
-) -> int:
-    """1 when the receiver must cast the payload, else 0 — the
-    simulator charges a bandwidth-bound conversion pass for it."""
-    return int(sender_precision is not receiver_precision)

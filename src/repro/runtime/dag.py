@@ -17,7 +17,7 @@ off these.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from typing import TYPE_CHECKING
 
 from ..exceptions import SchedulingError
@@ -126,11 +126,3 @@ def validate_schedule(
                 f"task {v} starts at {start[v]} before dependency {u} "
                 f"ends at {end[u]}"
             )
-
-
-def topological_tasks(dag: nx.DiGraph) -> Iterable[Task]:
-    """Tasks in one valid topological order."""
-    import networkx as nx
-
-    for uid in nx.topological_sort(dag):
-        yield dag.nodes[uid]["task"]

@@ -1,19 +1,12 @@
 """Metrics (MSPE and friends) and report summaries."""
 
-from .metrics import crps_gaussian, interval_coverage, mae, mspe, rmse
+from .metrics import interval_coverage, mspe
 from .summaries import BoxplotSummary, boxplot_summary, format_table
-from .variogram import VariogramEstimate, empirical_variogram, theoretical_variogram
 
 __all__ = [
     "mspe",
-    "rmse",
-    "mae",
     "interval_coverage",
-    "crps_gaussian",
     "boxplot_summary",
     "BoxplotSummary",
     "format_table",
-    "empirical_variogram",
-    "theoretical_variogram",
-    "VariogramEstimate",
 ]

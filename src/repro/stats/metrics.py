@@ -1,9 +1,8 @@
 """Prediction-quality metrics.
 
 The paper scores prediction with the mean square prediction error
-(MSPE, Tables I-II); companions (MAE, RMSE, coverage of Gaussian
-prediction intervals from Eq. 5 uncertainties) are included for the
-extended studies.
+(MSPE, Tables I-II); the coverage of Gaussian prediction intervals
+from Eq. 5 uncertainties is included for the extended studies.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from scipy import special
 
 from ..exceptions import ShapeError
 
-__all__ = ["mspe", "rmse", "mae", "interval_coverage", "crps_gaussian"]
+__all__ = ["mspe", "interval_coverage"]
 
 
 def _pair(pred: np.ndarray, truth: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -30,15 +29,6 @@ def mspe(pred: np.ndarray, truth: np.ndarray) -> float:
     """Mean square prediction error (the paper's accuracy metric)."""
     p, t = _pair(pred, truth)
     return float(np.mean((p - t) ** 2))
-
-
-def rmse(pred: np.ndarray, truth: np.ndarray) -> float:
-    return float(np.sqrt(mspe(pred, truth)))
-
-
-def mae(pred: np.ndarray, truth: np.ndarray) -> float:
-    p, t = _pair(pred, truth)
-    return float(np.mean(np.abs(p - t)))
 
 
 def interval_coverage(
@@ -59,19 +49,3 @@ def interval_coverage(
     zcrit = float(np.sqrt(2.0) * special.erfinv(level))
     inside = np.abs(t - p) <= zcrit * s
     return float(np.mean(inside))
-
-
-def crps_gaussian(pred: np.ndarray, se: np.ndarray, truth: np.ndarray) -> float:
-    """Mean continuous ranked probability score of Gaussian predictive
-    distributions (lower is better)."""
-    p, t = _pair(pred, truth)
-    s = np.asarray(se, dtype=np.float64).ravel()
-    if s.shape != p.shape:
-        raise ShapeError("standard errors shape mismatch")
-    if np.any(s <= 0):
-        raise ShapeError("standard errors must be positive")
-    zz = (t - p) / s
-    pdf = np.exp(-0.5 * zz * zz) / np.sqrt(2.0 * np.pi)
-    cdf = 0.5 * (1.0 + special.erf(zz / np.sqrt(2.0)))
-    crps = s * (zz * (2.0 * cdf - 1.0) + 2.0 * pdf - 1.0 / np.sqrt(np.pi))
-    return float(np.mean(crps))

@@ -9,7 +9,6 @@ Layering inside this subpackage (no cycles):
 
 from .assembly import (
     AssemblyReport,
-    assemble_dense,
     build_planned_covariance,
     ranked_plan,
 )
@@ -17,9 +16,7 @@ from .bandtuning import autotune_band_size, subdiagonal_times
 from .batch import stacked_gemm, stacked_trsm
 from .cholesky import CholeskyStats, tile_cholesky
 from .compression import (
-    compress_block,
     compress_or_rank,
-    compress_tile,
     frobenius_rank,
     rank_of_block,
     recompress,
@@ -41,7 +38,6 @@ from .decisions import (
 from .layout import TileLayout
 from .matrix import TileMatrix
 from .precision import PRECISION_LADDER, Precision, cast_storage, compute_dtype
-from .diagnostics import condition_estimate, power_norm_estimate
 from .recovery import (
     DEFAULT_RECOVERY,
     RecoveryAction,
@@ -49,7 +45,6 @@ from .recovery import (
     RecoveryReport,
     factor_with_recovery,
 )
-from .refinement import RefinementResult, refine_solve
 from .shm import (
     SegmentCache,
     SharedTileStore,
@@ -62,7 +57,6 @@ from .solve import (
     apply_lower,
     backward_solve,
     forward_solve,
-    symmetric_matvec,
     tile_apply,
     tile_logdet,
 )
@@ -80,9 +74,7 @@ __all__ = [
     "TileMatrix",
     "truncated_svd",
     "frobenius_rank",
-    "compress_block",
     "compress_or_rank",
-    "compress_tile",
     "recompress",
     "rank_of_block",
     "GeometryCache",
@@ -97,7 +89,6 @@ __all__ = [
     "autotune_band_size",
     "subdiagonal_times",
     "AssemblyReport",
-    "assemble_dense",
     "build_planned_covariance",
     "ranked_plan",
     "tile_cholesky",
@@ -114,12 +105,7 @@ __all__ = [
     "RecoveryReport",
     "DEFAULT_RECOVERY",
     "factor_with_recovery",
-    "RefinementResult",
-    "refine_solve",
-    "power_norm_estimate",
-    "condition_estimate",
     "tile_apply",
-    "symmetric_matvec",
     "SharedTileStore",
     "SegmentCache",
     "TileHandle",

@@ -67,7 +67,7 @@ from .precision import Precision
 from .tile import DenseTile
 
 __all__ = [
-    "AssemblyReport", "assemble_dense", "build_planned_covariance",
+    "AssemblyReport", "build_planned_covariance",
     "generation_accuracy", "ranked_plan",
 ]
 
@@ -121,7 +121,6 @@ def _generate_blocks(
     geometry: TileGeometry | None = None,
     workers: int = 1,
     accuracy: float | None = None,
-    need_norms: bool = True,
 ) -> tuple[
     dict[tuple[int, int], np.ndarray], dict[tuple[int, int], float], float, float
 ]:
@@ -139,10 +138,6 @@ def _generate_blocks(
     reduced afterwards in layout order, so the accumulated global norm
     is independent of thread scheduling.  ``accuracy`` is passed on to
     :meth:`~repro.kernels.base.CovarianceKernel.from_flat_geometry`.
-
-    ``need_norms=False`` skips the Frobenius-norm reduction and returns
-    ``({}, 0.0)`` for the norm outputs — for callers like
-    :func:`assemble_dense` that would throw the norms away.
     """
     keys = layout.lower_tiles()
     geometry = geometry or build_tile_geometry(
@@ -167,9 +162,6 @@ def _generate_blocks(
         if nugget:
             block[np.diag_indices_from(block)] += nugget
 
-    if not need_norms:
-        return blocks, {}, 0.0, rtol
-
     norms: dict[tuple[int, int], float] = {}
     total = 0.0
     for i, j in keys:
@@ -177,26 +169,6 @@ def _generate_blocks(
         norms[(i, j)] = norm
         total += (1.0 if i == j else 2.0) * norm * norm
     return blocks, norms, float(np.sqrt(total)), rtol
-
-
-def assemble_dense(
-    kernel: CovarianceKernel,
-    theta: np.ndarray,
-    x: np.ndarray,
-    tile_size: int,
-    *,
-    nugget: float = 0.0,
-    precision: Precision = Precision.FP64,
-) -> TileMatrix:
-    """Plain dense assembly (the reference FP64 variant)."""
-    layout = TileLayout(len(x), tile_size)
-    blocks, _, _, _ = _generate_blocks(
-        kernel, theta, x, layout, nugget, need_norms=False
-    )
-    out = TileMatrix(layout)
-    for key, block in blocks.items():
-        out.set(*key, DenseTile(block, precision))
-    return out
 
 
 def build_planned_covariance(

@@ -46,16 +46,12 @@ import numpy as np
 from scipy.linalg import lapack
 
 from ..exceptions import CompressionError
-from .precision import Precision
-from .tile import DenseTile, LowRankTile
 
 __all__ = [
     "truncated_svd",
     "frobenius_rank",
-    "compress_block",
     "compress_many",
     "compress_or_rank",
-    "compress_tile",
     "recompress",
     "rank_of_block",
 ]
@@ -318,29 +314,6 @@ def compress_many(
     return out
 
 
-def compress_block(
-    a: np.ndarray,
-    tol: float,
-    max_rank: int | None = None,
-    precision: Precision = Precision.FP64,
-) -> LowRankTile:
-    """Compress a dense float block into a :class:`LowRankTile`."""
-    u, v, _ = truncated_svd(a, tol, max_rank)
-    return LowRankTile(u, v, precision)
-
-
-def compress_tile(
-    tile: DenseTile,
-    tol: float,
-    max_rank: int | None = None,
-    precision: Precision | None = None,
-) -> LowRankTile:
-    """Compress a :class:`DenseTile`, defaulting to its precision."""
-    return compress_block(
-        tile.to_dense64(), tol, max_rank, precision or tile.precision
-    )
-
-
 def recompress(
     u: np.ndarray, v: np.ndarray, tol: float, max_rank: int | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -368,4 +341,3 @@ def recompress(
     new_u = qu @ (cu[:, :rank] * s[:rank])
     new_v = qv @ cvt[:rank, :].T
     return new_u, new_v
-

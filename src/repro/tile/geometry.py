@@ -35,6 +35,7 @@ __all__ = [
     "GeometryCache",
     "build_tile_geometry",
     "locations_fingerprint",
+    "pair_geometry",
 ]
 
 
@@ -144,6 +145,23 @@ def build_tile_geometry(
     )
 
 
+def pair_geometry(
+    kernel: CovarianceKernel, x1: np.ndarray, x2: np.ndarray | None = None
+) -> object:
+    """The kernel's geometry of the pairs ``x1 x x2``; an element-wise
+    kernel's is flattened (each array field one buffer, row-major over
+    the pairs), the form
+    :meth:`~repro.kernels.base.CovarianceKernel.from_flat_geometry`
+    evaluates, so what a cache keeps of it (a Matérn table's distance
+    span) is computed once per geometry."""
+    geom = kernel.prepare_geometry(x1, x2)
+    if not kernel.elementwise_geometry:
+        return geom
+    return replace(geom, **{
+        name: arr.reshape(-1) for name, arr in array_fields(geom).items()
+    })
+
+
 class GeometryCache:
     """Small LRU of precomputed geometry, shared across evaluations.
 
@@ -193,7 +211,7 @@ class GeometryCache:
         x1: np.ndarray,
         x2: np.ndarray | None = None,
     ) -> object:
-        """Cached cross-pair geometry (the kriging cross-covariance
+        """Cached :func:`pair_geometry` (the kriging cross-covariance
         blocks of repeated predictions)."""
         x1 = as_locations(x1, dim=kernel.ndim_locations)
         fp2 = "=" if x2 is None else locations_fingerprint(
@@ -207,7 +225,7 @@ class GeometryCache:
                 self._pairs.move_to_end(key)
                 return hit
             self.misses += 1
-        built = kernel.prepare_geometry(x1, x2)
+        built = pair_geometry(kernel, x1, x2)
         with self._lock:
             # Same two-phase fill as tile_geometry: duplicate inserts
             # under the same content key are idempotent.

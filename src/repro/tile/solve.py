@@ -44,7 +44,6 @@ __all__ = [
     "backward_solve",
     "apply_lower",
     "tile_logdet",
-    "symmetric_matvec",
 ]
 
 
@@ -285,19 +284,3 @@ def tile_logdet(l_matrix: TileMatrix) -> float:
             raise ShapeError("factor has non-positive diagonal entries")
         total += float(np.sum(np.log(diag)))
     return 2.0 * total
-
-
-def symmetric_matvec(a: TileMatrix, x: np.ndarray) -> np.ndarray:
-    """``A @ x`` for a symmetric tiled matrix stored lower —
-    used to verify solve residuals without densifying ``A``."""
-    xx = np.asarray(x, dtype=np.float64)
-    if xx.shape[0] != a.n:
-        raise ShapeError("dimension mismatch in symmetric_matvec")
-    out = np.zeros_like(xx, dtype=np.float64)
-    layout = a.layout
-    for (i, j), tile in a.items():
-        sl_i, sl_j = layout.block_slice(i), layout.block_slice(j)
-        out[sl_i] += tile_apply(tile, xx[sl_j])
-        if i != j:
-            out[sl_j] += tile_apply(tile, xx[sl_i], transpose=True)
-    return out

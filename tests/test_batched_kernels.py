@@ -355,24 +355,6 @@ class TestBatchedGeneration:
         )
         assert got_rep.global_norm == ref_rep.global_norm
 
-    def test_generate_blocks_need_norms_off(self, matern, theta_matern,
-                                            locations_200):
-        from repro.tile.assembly import _generate_blocks
-        from repro.tile.layout import TileLayout
-
-        layout = TileLayout(200, 40)
-        blocks, norms, total, rtol = _generate_blocks(
-            matern, theta_matern, locations_200, layout, 1e-8,
-            need_norms=False,
-        )
-        assert norms == {} and total == 0.0 and rtol == 0.0
-        full, full_norms, full_total, _ = _generate_blocks(
-            matern, theta_matern, locations_200, layout, 1e-8,
-        )
-        assert full_total > 0.0 and len(full_norms) == len(full)
-        for key in full:
-            np.testing.assert_array_equal(blocks[key], full[key])
-
 
 # ----------------------------------------------------------------------
 # One generation path: every kernel x geometry source x workers x batch

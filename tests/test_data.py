@@ -13,14 +13,12 @@ from repro.data import (
     et_raw_panel,
     et_surrogate,
     gaussianity_diagnostics,
-    jittered_grid,
     monthly_climatology_residuals,
     region_locations,
     sample_gaussian_field,
     simulate_matern_dataset,
     soil_moisture_surrogate,
     space_time_locations,
-    standardize,
     train_test_split,
     uniform_locations,
 )
@@ -37,29 +35,6 @@ class TestLocations:
         np.testing.assert_array_equal(
             uniform_locations(10, seed=3), uniform_locations(10, seed=3)
         )
-
-    def test_jittered_grid_distinct(self):
-        x = jittered_grid(200, seed=2)
-        d = np.linalg.norm(x[:, None] - x[None, :], axis=-1)
-        np.fill_diagonal(d, 1.0)
-        assert d.min() > 0.0
-
-    def test_jittered_grid_quasi_uniform(self):
-        """Jittered grid fills space more evenly than iid uniform:
-        larger minimal nearest-neighbour distance."""
-        xg = jittered_grid(400, seed=4)
-        xu = uniform_locations(400, seed=4)
-
-        def min_nn(x):
-            d = np.linalg.norm(x[:, None] - x[None, :], axis=-1)
-            np.fill_diagonal(d, np.inf)
-            return d.min()
-
-        assert min_nn(xg) > min_nn(xu)
-
-    def test_jitter_bounds(self):
-        with pytest.raises(ShapeError):
-            jittered_grid(10, jitter=0.5)
 
     def test_region_aspect(self):
         x = region_locations(500, "central_asia", seed=5)
@@ -182,17 +157,6 @@ class TestPreprocess:
         resid = detrend_linear(fields, locs)
         assert resid.shape == (2, 50)
         np.testing.assert_allclose(resid, 0.0, atol=1e-10)
-
-    def test_standardize(self, rng):
-        vals = 5.0 + 3.0 * rng.standard_normal(500)
-        out, mean, std = standardize(vals)
-        assert out.mean() == pytest.approx(0.0, abs=1e-12)
-        assert out.std() == pytest.approx(1.0, rel=1e-12)
-        np.testing.assert_allclose(out * std + mean, vals)
-
-    def test_standardize_constant_rejected(self):
-        with pytest.raises(ShapeError):
-            standardize(np.ones(10))
 
     def test_gaussianity_diagnostics_on_normal(self, rng):
         diag = gaussianity_diagnostics(rng.standard_normal(5000))

@@ -12,8 +12,7 @@ Covers the equivalence contracts of the evaluation engine:
   for dense FP64, value-identical for the mixed-precision variants);
 * ``mp-dense-tlr`` (accumulate exactly, truncate once) stays inside the
   budget its ``tlr_tol`` implies — log-likelihood, fitted optimum and
-  MSPE against the dense reference;
-* replicated likelihoods route through the recovery ladder.
+  MSPE against the dense reference.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from repro.core import (
     fit_mle,
     loglikelihood,
     loglikelihood_dense_reference,
-    loglikelihood_replicated,
 )
 from repro.core.variants import get_variant
 from repro.exceptions import ConfigurationError
@@ -352,37 +350,3 @@ def test_truncations_bounded_by_planned_low_rank_tiles():
         if result.report.plan.use_lr[key]
     )
     assert kept == stats.kept_dense
-
-
-def test_replicated_routes_through_recovery(xz):
-    kern, theta, x, _ = xz
-    gen = np.random.default_rng(11)
-    reps = gen.standard_normal((3, len(x)))
-    # The recovery variant must produce values, not raise, and agree
-    # with the plain variant when no rescue is needed.
-    plain = loglikelihood_replicated(
-        kern, theta, x, reps, tile_size=TILE,
-        variant="mp-dense-tlr", nugget=1e-8,
-    )
-    recovered = loglikelihood_replicated(
-        kern, theta, x, reps, tile_size=TILE,
-        variant="mp-dense-tlr-recover", nugget=1e-8,
-    )
-    assert recovered.shape == (3,)
-    np.testing.assert_allclose(recovered, plain, rtol=1e-8)
-
-
-def test_replicated_recovery_rescues_indefinite():
-    # A near-singular covariance (duplicated locations, no nugget) that
-    # breaks the aggressive variant must be rescued by the ladder.
-    kern = MaternKernel()
-    theta = np.array([1.0, 0.8, 2.5])
-    gen = np.random.default_rng(5)
-    x = gen.uniform(size=(96, 2))
-    x = x[order_points(x, "morton")]
-    reps = gen.standard_normal((2, len(x)))
-    values = loglikelihood_replicated(
-        kern, theta, x, reps, tile_size=24,
-        variant="mp-dense-tlr-recover",
-    )
-    assert np.all(np.isfinite(values))

@@ -53,7 +53,6 @@ from repro.core import (
     fit_mle,
     get_variant,
     loglikelihood,
-    loglikelihood_replicated,
 )
 from repro.config import usable_cores
 from repro.core.variants import VariantConfig
@@ -1058,7 +1057,7 @@ EXECUTION_SETTINGS = {"workers", "batch", "backend"}
 
 
 @pytest.mark.parametrize("api", [
-    loglikelihood, loglikelihood_replicated, fit_mle,
+    loglikelihood, fit_mle,
     EvaluationEngine, ExaGeoStatModel,
     # Process placement has one grouping, so nothing to ask it for.
     ProcessPoolEngine.execute,
@@ -1069,7 +1068,7 @@ def test_execution_settings_ride_on_the_variant_only(api):
 
 
 @pytest.mark.parametrize("api", [
-    loglikelihood, loglikelihood_replicated, fit_mle,
+    loglikelihood, fit_mle,
     EvaluationEngine, ExaGeoStatModel,
     execute_cholesky_parallel, execute_cholesky_batched,
     ProcessPoolEngine.execute,

@@ -1,6 +1,5 @@
 """Tests for the second wave of extensions: nugget kernel, k-d tree
-ordering, iterative refinement, replicated likelihood, Chrome traces,
-and the CLI."""
+ordering, Chrome traces, and the CLI."""
 
 import json
 
@@ -13,8 +12,6 @@ from repro.ordering import kdtree_order, order_points
 from repro.tile import (
     build_planned_covariance,
     ranked_plan,
-    refine_solve,
-    tile_cholesky,
 )
 
 
@@ -125,85 +122,6 @@ class TestKDTreeOrdering:
             return np.mean(list(ranked_plan(mat, rep.plan).meta["ranks"].values()))
 
         assert mean_rank("kdtree") < 0.6 * mean_rank("random")
-
-
-class TestRefinement:
-    @pytest.fixture(scope="class")
-    def problem(self):
-        from repro.kernels import MaternKernel as MK
-
-        gen = np.random.default_rng(31)
-        x = gen.uniform(size=(240, 2))
-        x = x[order_points(x, "morton")]
-        kern = MK()
-        theta = np.array([1.0, 0.1, 0.5])
-        exact, _ = build_planned_covariance(kern, theta, x, 40, nugget=1e-8)
-        approx, rep = build_planned_covariance(
-            kern, theta, x, 40, nugget=1e-8, use_mp=True, use_tlr=True,
-            band_size=2, tlr_tol=1e-4, mp_accuracy=1e-4,
-        )
-        factor, _ = tile_cholesky(approx, tile_tol=rep.tile_tol)
-        return exact, factor, gen.standard_normal(240)
-
-    def test_improves_residual(self, problem):
-        exact, factor, b = problem
-        res = refine_solve(exact, factor, b, tol=1e-12, max_iter=8)
-        assert res.residual_norms[0] > 1e-9  # crude factor to start
-        assert res.final_residual < res.residual_norms[0]
-        assert res.final_residual < 1e-10
-
-    def test_converged_flag(self, problem):
-        exact, factor, b = problem
-        res = refine_solve(exact, factor, b, tol=1e-10, max_iter=20)
-        assert res.converged
-
-    def test_zero_rhs(self, problem):
-        exact, factor, _ = problem
-        res = refine_solve(exact, factor, np.zeros(240))
-        assert res.converged
-        np.testing.assert_array_equal(res.x, np.zeros(240))
-
-    def test_dimension_check(self, problem):
-        exact, factor, _ = problem
-        with pytest.raises(ShapeError):
-            refine_solve(exact, factor, np.zeros(7))
-
-    def test_residuals_monotone_until_stop(self, problem):
-        exact, factor, b = problem
-        res = refine_solve(exact, factor, b, tol=0.0, max_iter=6)
-        rs = res.residual_norms
-        assert all(b <= a * 1.001 for a, b in zip(rs, rs[1:]))
-
-
-class TestReplicatedLikelihood:
-    def test_matches_per_replicate(self, matern, theta_matern, locations_200):
-        from repro.core import loglikelihood, loglikelihood_replicated
-        from repro.data import sample_gaussian_field
-
-        fields = sample_gaussian_field(
-            matern, theta_matern, locations_200, seed=8, size=5
-        )
-        batch = loglikelihood_replicated(
-            matern, theta_matern, locations_200, fields,
-            tile_size=40, nugget=1e-8,
-        )
-        singles = [
-            loglikelihood(
-                matern, theta_matern, locations_200, fields[r],
-                tile_size=40, nugget=1e-8,
-            ).value
-            for r in range(5)
-        ]
-        np.testing.assert_allclose(batch, singles, rtol=1e-12)
-
-    def test_shape_validation(self, matern, theta_matern, locations_200):
-        from repro.core import loglikelihood_replicated
-
-        with pytest.raises(ShapeError):
-            loglikelihood_replicated(
-                matern, theta_matern, locations_200, np.zeros(200),
-                tile_size=40,
-            )
 
 
 class TestChromeTrace:

@@ -8,7 +8,6 @@ from repro.core import loglikelihood
 from repro.data import et_surrogate, soil_moisture_surrogate
 from repro.perfmodel import A64FX, PlanProfile, estimate_cholesky
 from repro.runtime import SimConfig, cholesky_tasks, simulate_tasks
-from repro.stats import mspe
 
 
 class TestSoilMoistureStudy:

@@ -12,8 +12,6 @@ from repro.kernels.distance import (
     cross_distance,
     cross_space_time_lags,
     cross_sq_distance,
-    great_circle_distance,
-    pairwise_distance,
     split_space_time,
 )
 
@@ -67,12 +65,6 @@ class TestCrossDistance:
         d2 = cross_sq_distance(base, base + 1e-9)
         assert np.all(d2 >= 0.0)
 
-    def test_pairwise_symmetric_zero_diagonal(self, rng):
-        x = rng.uniform(size=(20, 2))
-        d = pairwise_distance(x)
-        np.testing.assert_allclose(d, d.T)
-        assert np.all(np.diag(d) == 0.0)
-
     @given(
         hnp.arrays(
             np.float64,
@@ -108,19 +100,3 @@ class TestSpaceTime:
         h, u = cross_space_time_lags(x1, x2)
         np.testing.assert_allclose(h, [[5.0, 0.0]])
         np.testing.assert_allclose(u, [[2.0, 1.0]])
-
-
-class TestGreatCircle:
-    def test_zero_distance(self):
-        p = np.array([[46.0, 24.0]])
-        assert great_circle_distance(p, p)[0, 0] == pytest.approx(0.0, abs=1e-9)
-
-    def test_quarter_circumference(self):
-        a = np.array([[0.0, 0.0]])
-        b = np.array([[90.0, 0.0]])
-        d = great_circle_distance(a, b)[0, 0]
-        assert d == pytest.approx(np.pi / 2 * 6371.0088, rel=1e-6)
-
-    def test_requires_lonlat_pairs(self):
-        with pytest.raises(ShapeError):
-            great_circle_distance(np.zeros((2, 3)), np.zeros((2, 2)))

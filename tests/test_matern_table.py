@@ -10,6 +10,7 @@ table's independence of every execution setting, and the prediction
 cross panels that spend the same budget.
 """
 
+import functools
 import hashlib
 
 import numpy as np
@@ -272,6 +273,38 @@ class TestPredictionPanels:
                     preds.add(_digest(pred.mean, pred.variance))
         assert len(panels) == 1 and len(preds) == 1
         assert next(iter(panels))[1] > 0.0
+
+    def test_span_is_computed_once_per_cached_geometry(
+        self, served, monkeypatch
+    ):
+        """Two engines at different theta share one geometry cache (a
+        refit): the second panel reuses the cached pair geometry and
+        its distance span, and every panel keeps the bytes and rtol of
+        one built without the cache."""
+        kernel, theta, x, x_test, z, factor = served
+        spans = []
+        positive_span = DistanceGeometry.positive_span.func
+
+        def counted(geom):
+            spans.append(geom)
+            return positive_span(geom)
+
+        prop = functools.cached_property(counted)
+        prop.__set_name__(DistanceGeometry, "positive_span")
+        monkeypatch.setattr(DistanceGeometry, "positive_span", prop)
+        cache = GeometryCache()
+        for th in (theta, theta * np.array([1.0, 1.1, 1.0])):
+            cached, fresh = (
+                PredictionEngine(
+                    kernel, th, x, z, factor, cache=c, variant="mp-dense"
+                )._cross_values(x_test, use_cache=True)
+                for c in (cache, None)
+            )
+            assert cached[0].tobytes() == fresh[0].tobytes()
+            assert cached[1] == fresh[1] > 0.0
+        assert (cache.misses, cache.hits) == (1, 1)
+        # Once for the cached geometry, once per uncached panel.
+        assert len(spans) == 3
 
     def test_prediction_is_within_1e9_of_the_exact_panel(self, served):
         kernel, theta, x, x_test, z, factor = served

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.runtime import conversion_count, plan_wire_bytes, tile_wire_bytes
+from repro.runtime import plan_wire_bytes, tile_wire_bytes
 from repro.runtime.trace import ExecutionTrace, TaskRecord
 from repro.tile import Precision, TileLayout
 from repro.tile.decisions import TilePlan
@@ -41,14 +41,6 @@ class TestWireBytes:
         plan = TilePlan(lay, precisions, use_lr, meta={"ranks": {(2, 0): 4}})
         assert plan_wire_bytes(plan, (2, 0)) == 4 * 4 * 40
         assert plan_wire_bytes(plan, (1, 0)) == 8 * 400
-
-
-class TestConversion:
-    def test_same_precision_no_conversion(self):
-        assert conversion_count(Precision.FP32, Precision.FP32) == 0
-
-    def test_cross_precision(self):
-        assert conversion_count(Precision.FP16, Precision.FP64) == 1
 
 
 class TestExecutionTrace:

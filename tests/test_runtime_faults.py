@@ -11,7 +11,6 @@ from repro.perfmodel import (
     checkpoint_cost_s,
     daly_interval,
     expected_waste,
-    young_interval,
 )
 from repro.runtime import (
     CheckpointConfig,
@@ -96,7 +95,6 @@ class TestFaultModel:
 class TestResilienceModel:
     def test_young_daly_formulas(self):
         c, m, r = 10.0, 1000.0, 30.0
-        assert young_interval(c, m) == pytest.approx(math.sqrt(2 * c * m))
         daly = daly_interval(c, m, r)
         assert daly == pytest.approx(math.sqrt(2 * c * (m + r)) - c)
         assert application_mtbf(1000.0, 10) == pytest.approx(100.0)
@@ -113,8 +111,6 @@ class TestResilienceModel:
         assert w_opt < expected_waste(opt * 4, c, m, r)
 
     def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            young_interval(-1.0, 100.0)
         with pytest.raises(ConfigurationError):
             expected_waste(0.0, 1.0, 100.0)
 
@@ -247,21 +243,3 @@ class TestFaultySimulation:
             planned_problem, SimConfig(nodes=4, faults=fm, checkpoint=ck)
         )
         assert with_ck.makespan < no_ck.makespan
-
-    def test_gantt_renders_resilience_glyphs(self, planned_problem):
-        from repro.runtime import render_gantt
-
-        base, _ = _simulate(planned_problem, SimConfig(nodes=4))
-        fm = FaultModel(
-            node_mtbf_s=base.makespan / 2,
-            restart_s=base.makespan / 50,
-            seed=7,
-        )
-        ck = CheckpointConfig(
-            interval_s=base.makespan / 5, cost_s=base.makespan / 50
-        )
-        trace, _ = _simulate(
-            planned_problem, SimConfig(nodes=4, faults=fm, checkpoint=ck)
-        )
-        chart = render_gantt(trace, width=60, max_nodes=4)
-        assert "C=ckpt" in chart and "R=recover" in chart

@@ -6,12 +6,9 @@ import pytest
 from repro.exceptions import ShapeError
 from repro.stats import (
     boxplot_summary,
-    crps_gaussian,
     format_table,
     interval_coverage,
-    mae,
     mspe,
-    rmse,
 )
 
 
@@ -22,13 +19,6 @@ class TestMetrics:
 
     def test_mspe_value(self):
         assert mspe([1.0, 2.0], [0.0, 0.0]) == pytest.approx(2.5)
-
-    def test_rmse_sqrt_of_mspe(self):
-        p, t = np.array([1.0, 3.0]), np.array([0.0, 0.0])
-        assert rmse(p, t) == pytest.approx(np.sqrt(mspe(p, t)))
-
-    def test_mae(self):
-        assert mae([1.0, -1.0], [0.0, 0.0]) == 1.0
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
@@ -51,18 +41,6 @@ class TestMetrics:
     def test_coverage_level_bounds(self):
         with pytest.raises(ShapeError):
             interval_coverage([0.0], [1.0], [0.0], level=1.5)
-
-    def test_crps_smaller_for_better_forecast(self, rng):
-        truth = rng.standard_normal(2000)
-        good = crps_gaussian(truth + 0.01 * rng.standard_normal(2000),
-                             np.full(2000, 0.1), truth)
-        bad = crps_gaussian(np.zeros(2000), np.full(2000, 1.0), truth)
-        assert good < bad
-
-    def test_crps_positive_se_required(self):
-        with pytest.raises(ShapeError):
-            crps_gaussian([0.0], [0.0], [0.0])
-
 
 class TestBoxplotSummary:
     def test_five_numbers(self):

@@ -7,24 +7,11 @@ from repro.exceptions import ConfigurationError
 from repro.tile.kernels import settle
 from repro.tile import (
     Precision,
-    assemble_dense,
     build_planned_covariance,
     plan_summary,
     ranked_plan,
     tile_cholesky,
 )
-
-
-class TestAssembleDense:
-    def test_matches_direct_covariance(self, matern, theta_matern, locations_200):
-        tm = assemble_dense(matern, theta_matern, locations_200, 48, nugget=1e-8)
-        direct = matern.covariance_matrix(theta_matern, locations_200, nugget=1e-8)
-        np.testing.assert_allclose(tm.to_dense(), direct, atol=1e-13)
-
-    def test_ragged_tiles(self, matern, theta_matern, locations_200):
-        tm = assemble_dense(matern, theta_matern, locations_200, 37)
-        assert tm.n == 200
-        assert tm.complete
 
 
 class TestPlannedDenseFP64:

@@ -8,14 +8,11 @@ from hypothesis import strategies as st
 from repro.exceptions import CompressionError
 from repro.kernels import ExponentialKernel
 from repro.ordering import order_points
-from repro.tile import DenseTile, Precision
 from repro.tile.compression import (
     RESIDUAL_SHARE,
     SKETCH_PAD,
-    compress_block,
     compress_many,
     compress_or_rank,
-    compress_tile,
     rank_of_block,
     recompress,
     truncated_svd,
@@ -80,19 +77,6 @@ class TestRankOfBlock:
         tol = 0.1 * np.linalg.norm(a)
         u, _, _ = truncated_svd(a, tol)
         assert rank_of_block(a, tol) == u.shape[1]
-
-
-class TestCompressTile:
-    def test_compress_block_returns_lowrank(self, rng):
-        a = low_rank_matrix(rng, rank=3)
-        t = compress_block(a, 1e-10, precision=Precision.FP32)
-        assert t.rank == 3
-        assert t.precision is Precision.FP32
-
-    def test_compress_tile_inherits_precision(self, rng):
-        dense = DenseTile(low_rank_matrix(rng, rank=2), Precision.FP32)
-        lr = compress_tile(dense, 1e-8)
-        assert lr.precision is Precision.FP32
 
 
 class TestRecompress:

@@ -8,7 +8,6 @@ from repro.tile import (
     backward_solve,
     build_planned_covariance,
     forward_solve,
-    symmetric_matvec,
     tile_apply,
     tile_cholesky,
     tile_logdet,
@@ -119,22 +118,3 @@ class TestLogdet:
         tm = TileMatrix.from_dense(np.eye(20), 6)
         fac, _ = tile_cholesky(tm)
         assert tile_logdet(fac) == pytest.approx(0.0, abs=1e-12)
-
-
-class TestSymmetricMatvec:
-    def test_matches_dense(self, rng):
-        tm = random_spd_tilematrix(45, 12, seed=11)
-        dense = tm.to_dense()
-        x = rng.standard_normal(45)
-        np.testing.assert_allclose(symmetric_matvec(tm, x), dense @ x, atol=1e-11)
-
-    def test_with_lr_tiles(self, matern, theta_matern, locations_200, rng):
-        mat, _ = build_planned_covariance(
-            matern, theta_matern, locations_200, 40, nugget=1e-8,
-            use_tlr=True, band_size=1,
-        )
-        direct = matern.covariance_matrix(theta_matern, locations_200, nugget=1e-8)
-        x = rng.standard_normal(200)
-        np.testing.assert_allclose(
-            symmetric_matvec(mat, x), direct @ x, atol=1e-6
-        )
