@@ -51,7 +51,6 @@ from .exceptions import (
     NotPositiveDefiniteError,
     OptimizationError,
     ParameterError,
-    PlanValidationError,
     ReproError,
     SchedulingError,
     ShapeError,
@@ -83,6 +82,5 @@ __all__ = [
     "SchedulingError",
     "OptimizationError",
     "ConfigurationError",
-    "PlanValidationError",
     "__version__",
 ]

@@ -18,21 +18,12 @@ Commands
     telemetry layer (DESIGN.md §16): writes a Perfetto-loadable Chrome
     trace, prints the per-op flamegraph-style breakdown, and
     optionally dumps the Prometheus exposition / JSON profile.
-``analyze [--lint PATH ...] [--golden-plans] [--serving] [--comm]
-[--resilience] [--telemetry] [--concurrency [PATH ...]] [--json]
-[--rules]``
+``analyze [--lint PATH ...] [--comm] [--concurrency [PATH ...]]
+[--json] [--rules]``
     Verification layer: run the numerical-hygiene linter over source
-    paths, the golden-plan suite (every shipped variant at nt in
-    {4, 8} through the plan + DAG verifiers), the serving
-    amortization check (one engine build, one Eq.-4 weight solve, no
-    per-batch tile re-casts), the owner-computes traffic cross-check
-    (``--comm``: the process backend's measured transfers must equal
-    the simulator's wire-format model byte-for-byte on a dense plan),
-    the golden resilience invariants
-    (seeded chaos reproducibility, inert-hook bit-identity,
-    degradation ladder, deadline drain), the golden telemetry
-    invariants (``--telemetry``: span-tree well-formedness, exporter
-    round-trips, traced-vs-untraced bit-identity), the static
+    paths, the owner-computes traffic cross-check (``--comm``: the
+    process backend's measured transfers must equal the simulator's
+    wire-format model byte-for-byte on a dense plan), and the static
     lock-discipline analyzer (``--concurrency``, defaulting to the
     installed package sources).  Exit code 0 iff no error-severity
     finding is reported; warnings do not fail the run.
@@ -230,49 +221,30 @@ def _cmd_analyze(args) -> int:
         LINT_RULES,
         LOCK_RULES,
         PLAN_RULES,
-        RES_RULES,
-        SERVE_RULES,
-        TELEM_RULES,
         AnalysisReport,
         Severity,
         check_golden_comm,
-        check_golden_plans,
-        check_golden_resilience,
-        check_golden_serving,
-        check_golden_telemetry,
         check_lock_discipline,
         lint_paths,
     )
 
     if args.rules:
         for catalog in (
-            PLAN_RULES, DAG_RULES, LINT_RULES, SERVE_RULES, COMM_RULES,
-            RES_RULES, TELEM_RULES, LOCK_RULES,
+            PLAN_RULES, DAG_RULES, LINT_RULES, COMM_RULES, LOCK_RULES,
         ):
             for rule, text in catalog.items():
                 print(f"  {rule}  {text}")
         return 0
-    if not (args.lint or args.golden_plans or args.serving or args.comm
-            or args.resilience or args.telemetry
-            or args.concurrency is not None):
-        print("nothing to analyze: pass --lint PATH ..., "
-              "--golden-plans, --serving, --comm, --resilience, "
-              "--telemetry, and/or --concurrency",
+    if not (args.lint or args.comm or args.concurrency is not None):
+        print("nothing to analyze: pass --lint PATH ..., --comm, "
+              "and/or --concurrency",
               file=sys.stderr)
         return 2
     report = AnalysisReport()
     if args.lint:
         report.extend(lint_paths(args.lint))
-    if args.golden_plans:
-        report.extend(check_golden_plans())
-    if args.serving:
-        report.extend(check_golden_serving())
     if args.comm:
         report.extend(check_golden_comm())
-    if args.resilience:
-        report.extend(check_golden_resilience())
-    if args.telemetry:
-        report.extend(check_golden_telemetry())
     if args.concurrency is not None:
         report.extend(
             check_lock_discipline(args.concurrency or None)
@@ -323,31 +295,16 @@ def main(argv: list[str] | None = None) -> int:
     p_a = sub.add_parser("analyze", help="static verification layer")
     p_a.add_argument("--lint", nargs="+", metavar="PATH", default=[],
                      help="lint these files/directories")
-    p_a.add_argument("--golden-plans", action="store_true",
-                     help="verify every shipped variant's plan + DAG "
-                          "at nt in {4, 8}")
-    p_a.add_argument("--serving", action="store_true",
-                     help="verify the prediction serving path amortizes "
-                          "(one engine build, one weight solve, no "
-                          "per-batch tile re-casts)")
     p_a.add_argument("--comm", action="store_true",
                      help="cross-check the process backend's measured "
                           "owner-computes traffic against the "
                           "simulator's wire-format model (dense plan, "
                           "byte-for-byte)")
-    p_a.add_argument("--resilience", action="store_true",
-                     help="run the golden resilience invariants (seeded "
-                          "chaos reproducibility, inert-hook identity, "
-                          "degradation ladder, deadline drain)")
     p_a.add_argument("--concurrency", nargs="*", metavar="PATH",
                      default=None,
                      help="run the static lock-discipline analyzer "
                           "over these files/directories (default: the "
                           "installed repro package sources)")
-    p_a.add_argument("--telemetry", action="store_true",
-                     help="run the golden telemetry invariants (span-"
-                          "tree well-formedness, exporter round-trips, "
-                          "traced-vs-untraced bit-identity)")
     p_a.add_argument("--json", action="store_true",
                      help="machine-readable JSON output")
     p_a.add_argument("--rules", action="store_true",

@@ -15,8 +15,6 @@ DAG002    error     two writers of one tile are connected by a directed
 DAG003    error     every reader of a tile is ordered with respect to
                     every writer of that tile (no RAW/WAR race)
 DAG004    error     task uids are unique in the stream
-DAG005    error     the dependence graph is acyclic
-DAG006    error     every DAG node carries its task object
 ========  ========  =====================================================
 
 ``DAG002``/``DAG003`` are the properties a *dropped edge* violates: the
@@ -45,8 +43,6 @@ DAG_RULES: dict[str, str] = {
     "DAG002": "two writers of one tile with no ordering path (WAW race)",
     "DAG003": "reader and writer of one tile unordered (RAW/WAR race)",
     "DAG004": "duplicate task uid in the stream",
-    "DAG005": "dependence graph contains a cycle",
-    "DAG006": "DAG node without an attached task object",
 }
 
 
@@ -121,36 +117,17 @@ def _ancestor_bitsets(dag: nx.DiGraph, order: list) -> dict:
 
 def check_dag(dag: nx.DiGraph) -> AnalysisReport:
     """Verify ordering completeness of a dependence DAG (DAG002,
-    DAG003, DAG005, DAG006).
+    DAG003).
 
-    Nodes must carry their :class:`~repro.runtime.task.Task` under the
-    ``"task"`` attribute (as :func:`~repro.runtime.dag.build_dag`
-    produces).  A graph that drops an edge of the dataflow analysis —
-    e.g. by a buggy scheduler transformation — leaves a writer/reader
-    pair unordered, which these rules surface as the exact race.
+    The graph must be acyclic with every node carrying its
+    :class:`~repro.runtime.task.Task` under the ``"task"`` attribute,
+    as :func:`~repro.runtime.dag.build_dag` produces (it adds edges
+    only forward in stream order).  A graph that drops an edge of the
+    dataflow analysis — e.g. by a buggy scheduler transformation —
+    leaves a writer/reader pair unordered, which these rules surface as
+    the exact race.
     """
     report = AnalysisReport()
-    missing = [uid for uid in dag.nodes if "task" not in dag.nodes[uid]]
-    for uid in sorted(missing, key=repr):
-        report.add(Diagnostic(
-            "DAG006", Severity.ERROR,
-            "DAG node carries no task object; dependence analysis "
-            "cannot verify its accesses",
-            task=uid if isinstance(uid, int) else None,
-        ))
-    if missing:
-        return report
-
-    if not nx.is_directed_acyclic_graph(dag):
-        cycle = nx.find_cycle(dag)
-        report.add(Diagnostic(
-            "DAG005", Severity.ERROR,
-            f"dependence graph contains a cycle through "
-            f"{len(cycle)} edge(s) starting at task {cycle[0][0]}",
-            task=cycle[0][0] if isinstance(cycle[0][0], int) else None,
-        ))
-        return report
-
     order = list(nx.topological_sort(dag))
     pos = {uid: k for k, uid in enumerate(order)}
     anc = _ancestor_bitsets(dag, order)

@@ -25,10 +25,9 @@ __all__ = ["Severity", "Diagnostic", "AnalysisReport"]
 class Severity(enum.IntEnum):
     """Ordered severity ladder.
 
-    ``ERROR`` findings make a plan/graph/source unacceptable (the
-    ``validate_plan`` hooks raise, the CLI exits non-zero); ``WARNING``
-    findings are suspicious but may be intentional; ``INFO`` findings
-    are observations.
+    ``ERROR`` findings make a plan/graph/source unacceptable (the CLI
+    exits non-zero); ``WARNING`` findings are suspicious but may be
+    intentional; ``INFO`` findings are observations.
     """
 
     INFO = 10
@@ -147,13 +146,6 @@ class AnalysisReport:
     def rule_ids(self) -> list[str]:
         """Sorted unique rule ids present in the report."""
         return sorted({d.rule for d in self.diagnostics})
-
-    def counts(self) -> dict[str, int]:
-        """Finding counts per rule id."""
-        out: dict[str, int] = {}
-        for d in self.diagnostics:
-            out[d.rule] = out.get(d.rule, 0) + 1
-        return dict(sorted(out.items()))
 
     # ------------------------------------------------------------------
     # rendering

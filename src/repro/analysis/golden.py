@@ -1,13 +1,14 @@
-"""Golden-plan verification: every shipped variant must analyze clean.
+"""Golden checks over small deterministic Matérn problems.
 
-The CI analysis job (and ``python -m repro analyze --golden-plans``)
-builds each shipped compute variant on a small deterministic Matérn
-problem at ``nt`` in {4, 8}, runs the full plan verifier on the
-resulting :class:`~repro.tile.decisions.TilePlan` and the full DAG
-verifier on the matching Cholesky + forward-solve task streams, and
-requires zero error-severity findings.  A change to the planner, the
-decision rules, or the task generators that silently violates a paper
-invariant fails this check before any numerical test would notice.
+:func:`check_golden_plan` builds one shipped compute variant at ``nt``
+tiles and runs the plan verifier on the resulting
+:class:`~repro.tile.decisions.TilePlan` and the DAG verifier on the
+matching Cholesky + forward-solve task streams;
+``tests/test_analysis_plancheck.py`` requires every
+:data:`GOLDEN_VARIANTS` x :data:`GOLDEN_NTS` combination to report zero
+error-severity findings.  :func:`check_golden_comm` (``python -m repro
+analyze --comm``) cross-checks the process backend's measured traffic
+against the simulator's wire-format model.
 """
 
 from __future__ import annotations
@@ -27,26 +28,10 @@ from .plancheck import check_plan, plan_from_matrix
 __all__ = [
     "GOLDEN_VARIANTS",
     "GOLDEN_NTS",
-    "SERVE_RULES",
     "COMM_RULES",
     "check_golden_plan",
-    "check_golden_plans",
-    "check_golden_serving",
     "check_golden_comm",
 ]
-
-#: Serving-amortization rules enforced by :func:`check_golden_serving`.
-SERVE_RULES: dict[str, str] = {
-    "SERVE001": "serving engine was rebuilt during steady-state predicts "
-                "(stale-state invalidation fired without a state change)",
-    "SERVE002": "Eq.-4 weights were re-solved after engine construction "
-                "(the weight solve must amortize to exactly one)",
-    "SERVE003": "per-tile factor casts grew after warm-up (the serving "
-                "path re-materialized tiles / revalidated the plan per "
-                "batch)",
-    "SERVE004": "repeated identical test batch missed the "
-                "cross-covariance cache",
-}
 
 #: Owner-computes traffic rules enforced by :func:`check_golden_comm`.
 COMM_RULES: dict[str, str] = {
@@ -98,81 +83,6 @@ def check_golden_plan(variant: str, nt: int) -> AnalysisReport:
     report.extend(check_taskgraph(tasks, layout=layout))
     solve = list(forward_solve_tasks(nt, base_uid=len(tasks)))
     report.extend(check_taskgraph(solve, layout=layout))
-    return report
-
-
-def check_golden_serving(
-    variant: str = "mp-dense-tlr", nt: int = 4, *, rounds: int = 3
-) -> AnalysisReport:
-    """Verify the prediction serving path amortizes as designed.
-
-    Builds a small fitted model (``set_params``, no MLE) on ``variant``,
-    serves the same test batch ``rounds`` times plus one streamed pass,
-    and checks the engine's counters: the engine is built once, the
-    Eq.-4 weight solve happens once, no tile is re-cast after warm-up
-    (i.e. the serving path never triggers plan revalidation or
-    re-factorization per batch), and repeated identical batches hit the
-    cross-covariance cache.  Rules are catalogued in
-    :data:`SERVE_RULES`.
-    """
-    from ..core.model import ExaGeoStatModel
-
-    report = AnalysisReport()
-    gen = np.random.default_rng(DEFAULT_SEED)
-    n = nt * _GOLDEN_TILE
-    x = gen.uniform(size=(n, 2))
-    z = gen.standard_normal(n)
-    x_test = gen.uniform(size=(40, 2))
-
-    model = ExaGeoStatModel(
-        kernel="matern", variant=variant,
-        tile_size=_GOLDEN_TILE, nugget=_GOLDEN_NUGGET,
-    )
-    model.set_params(np.asarray(_GOLDEN_THETA), x, z)
-    model.predict(x_test, return_uncertainty=True)  # warm-up
-    engine = model.serving_engine()
-    warm_casts = engine.stats().tile_casts
-
-    for _ in range(max(1, rounds)):
-        model.predict(x_test, return_uncertainty=True)
-    for _ in engine.predict_iter(x_test, batch=16, return_uncertainty=True):
-        pass
-    model.simulate(x_test, size=2, seed=DEFAULT_SEED)
-    stats = engine.stats()
-
-    if model._engine_builds != 1:
-        report.add(Diagnostic(
-            "SERVE001", Severity.ERROR,
-            f"engine built {model._engine_builds}x across "
-            f"{stats.predict_calls} predict call(s) on unchanged state",
-        ))
-    if stats.weight_solves != 1:
-        report.add(Diagnostic(
-            "SERVE002", Severity.ERROR,
-            f"weights solved {stats.weight_solves}x (expected exactly 1)",
-        ))
-    stored = len(engine.factor.keys())
-    if stats.tile_casts > warm_casts or stats.tile_casts > stored:
-        report.add(Diagnostic(
-            "SERVE003", Severity.ERROR,
-            f"tile casts grew {warm_casts} -> {stats.tile_casts} over "
-            f"{stats.batches} batch(es) ({stored} stored tile(s)) — "
-            "serving is re-materializing the factor per batch",
-        ))
-    if stats.cross_hits < max(1, rounds):
-        report.add(Diagnostic(
-            "SERVE004", Severity.ERROR,
-            f"only {stats.cross_hits} cross-cache hit(s) across "
-            f"{max(1, rounds)} repeated round(s)",
-        ))
-    status = "clean" if report.ok else f"{len(report.errors)} error(s)"
-    report.add(Diagnostic(
-        "GOLDEN", Severity.INFO,
-        f"serving on {variant} at nt={nt}: {status} "
-        f"({stats.predictions} predictions, {stats.tile_casts} casts, "
-        f"{stats.weight_solves} weight solve(s), "
-        f"{stats.cross_hits} cache hit(s))",
-    ))
     return report
 
 
@@ -236,22 +146,3 @@ def check_golden_comm(nt: int = 8, *, workers: int = 4) -> AnalysisReport:
     ))
     return report
 
-
-def check_golden_plans(
-    variants: tuple[str, ...] = GOLDEN_VARIANTS,
-    nts: tuple[int, ...] = GOLDEN_NTS,
-) -> AnalysisReport:
-    """Verify every (variant, nt) combination; adds one INFO finding
-    per combination so the CLI can narrate coverage."""
-    report = AnalysisReport()
-    for variant in variants:
-        for nt in nts:
-            sub = check_golden_plan(variant, nt)
-            status = "clean" if sub.ok else f"{len(sub.errors)} error(s)"
-            report.add(Diagnostic(
-                "GOLDEN", Severity.INFO,
-                f"variant {variant} at nt={nt}: {status} "
-                f"({len(sub)} finding(s))",
-            ))
-            report.extend(sub)
-    return report

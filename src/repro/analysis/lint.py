@@ -1,6 +1,6 @@
 """Numerical-hygiene AST linter for the repository's own sources.
 
-Ten custom rules target the failure modes of numerical codes — the
+Nine custom rules target the failure modes of numerical codes — the
 bugs that surface as irreproducible benchmarks or NaNs at step 40 of an
 optimization rather than as exceptions:
 
@@ -25,12 +25,6 @@ LINT006   warning   SciPy linalg call (``cholesky``, ``solve_triangular``,
 LINT007   error     ``eval`` / ``exec``
 LINT008   error     ``is`` / ``is not`` against a literal (identity of
                     ints/strs is an implementation detail)
-LINT009   warning   a class that spawns ``ThreadPoolExecutor``s holds a
-                    lock attribute outside the ``_lock`` naming
-                    convention, so a reader cannot tell its guard role
-                    from its name (the lock-discipline analyzer,
-                    :mod:`repro.analysis.lockcheck`, finds locks by
-                    constructor)
 LINT010   error     a tile kernel call (``K.potrf/trsm/syrk/gemm``,
                     ``stacked_trsm/gemm``) inside the ``repro``
                     package outside its three homes —
@@ -70,8 +64,6 @@ LINT_RULES: dict[str, str] = {
     "LINT006": "linalg call without an explicit check_finite guard",
     "LINT007": "eval/exec",
     "LINT008": "identity comparison against a literal",
-    "LINT009": "thread-spawning class holds a lock outside the _lock "
-               "naming convention",
     "LINT010": "tile kernel called outside tile/cholesky.py, tile/batch.py "
                "and the task core",
 }
@@ -88,11 +80,6 @@ _LINALG_GUARDED = {
 _GENERIC_SOLVE_BASES = {"scipy", "linalg", "sla", "la"}
 _NARROW_DTYPES = {"float16", "float32", "half", "single"}
 _BROAD_EXCEPTIONS = {"Exception", "BaseException"}
-_LOCK_CONSTRUCTORS = {"Lock", "RLock", "Condition", "Semaphore",
-                      "BoundedSemaphore"}
-#: The naming convention of a thread-pool owner's guards: a private
-#: attribute whose name contains "lock" (``_lock``, ``_tile_lock``, ...).
-_LOCK_NAME_RE = re.compile(r"_\w*lock\w*", re.IGNORECASE)
 _TILE_OPS = {"potrf", "trsm", "syrk", "gemm"}
 _STACKED_OPS = {"stacked_trsm", "stacked_gemm"}
 #: Package files allowed to call the tile kernels (LINT010).
@@ -329,41 +316,6 @@ class _LintVisitor(ast.NodeVisitor):
 
     def visit_Lambda(self, node: ast.Lambda) -> None:
         self._check_defaults(node)
-        self.generic_visit(node)
-
-    # --- LINT009 -------------------------------------------------------
-    def visit_ClassDef(self, node: ast.ClassDef) -> None:
-        spawns_pool = any(
-            isinstance(sub, ast.Call)
-            and _callee_name(sub.func) == "ThreadPoolExecutor"
-            for sub in ast.walk(node)
-        )
-        if spawns_pool:
-            for sub in ast.walk(node):
-                if not (isinstance(sub, ast.Assign) and len(sub.targets) == 1):
-                    continue
-                target = sub.targets[0]
-                if not (
-                    isinstance(target, ast.Attribute)
-                    and isinstance(target.value, ast.Name)
-                    and target.value.id == "self"
-                ):
-                    continue
-                ctor = _callee_name(sub.value.func) \
-                    if isinstance(sub.value, ast.Call) else ""
-                if (
-                    ctor in _LOCK_CONSTRUCTORS
-                    and not _LOCK_NAME_RE.fullmatch(target.attr)
-                ):
-                    self._report(
-                        "LINT009", Severity.WARNING,
-                        f"{node.name} spawns thread pools but names its "
-                        f"{ctor} attribute {target.attr!r}: guards "
-                        "follow the '_lock' naming convention, so "
-                        "readers can tell what the attribute is for — "
-                        "rename it (e.g. '_lock')",
-                        sub,
-                    )
         self.generic_visit(node)
 
 

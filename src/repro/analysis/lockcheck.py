@@ -14,16 +14,11 @@ rule      severity  pattern
 ========  ========  =====================================================
 LOCK001   error     attribute that is mutated under the class lock in
                     one method is mutated with *no* lock held in another
-LOCK002   error     class spawns a thread pool and mutates shared
-                    attributes but owns no lock at all
 LOCK003   error     cycle in the inter-class lock-acquisition graph
                     (potential deadlock: two lock orders coexist)
 LOCK004   error     non-reentrant ``threading.Lock`` re-acquired while
                     already held (lexically nested ``with``, or a call
                     to a method of the same class that takes the lock)
-LOCK007   warning   raw ``.acquire()`` on a lock without a ``finally:``
-                    that releases it (an exception leaks the lock; use
-                    ``with``)
 LOCK008   error     lock attribute rebound outside ``__init__``
                     (threads blocked on the old lock never see the new)
 ========  ========  =====================================================
@@ -32,7 +27,9 @@ Like every static analysis of a dynamic language this is heuristic:
 lock ownership is recognized through ``self.<attr> =
 threading.Lock()``-style assignments, cross-class edges through
 ``self.<attr> = OtherClass(...)`` constructor assignments, and dynamic
-callbacks (``self._on_trip()``) are invisible.  What the AST cannot
+callbacks (``self._on_trip()``) are invisible.  The package takes its
+locks only in ``with`` blocks and uses no ``RLock`` or ``Condition``,
+so raw ``acquire()`` calls and re-entrant locks are not modelled.  What the AST cannot
 see — that the panel sweep's units touch only their own columns — is
 asserted by ``tests/test_execution_matrix.py`` at every pool width.
 
@@ -59,15 +56,13 @@ __all__ = [
 #: Rule-id -> one-line description (the catalog rendered by the CLI).
 LOCK_RULES: dict[str, str] = {
     "LOCK001": "lock-guarded attribute mutated outside any lock scope",
-    "LOCK002": "thread-spawning class shares mutable state without a lock",
     "LOCK003": "lock-order cycle in the acquisition graph (deadlock risk)",
     "LOCK004": "non-reentrant lock re-acquired while already held",
-    "LOCK007": "raw acquire() without a guaranteed release",
     "LOCK008": "lock attribute rebound outside __init__",
 }
 
-#: Constructors recognized as lock objects, -> reentrant?
-_LOCK_CONSTRUCTORS = {"Lock": False, "RLock": True, "Condition": True}
+#: The constructor recognized as a lock object.
+_LOCK_CONSTRUCTOR = "Lock"
 #: Method names that mutate their receiver in place.
 _MUTATORS = {
     "append", "extend", "insert", "add", "update", "setdefault", "pop",
@@ -126,7 +121,6 @@ class _MethodInfo:
     )
     #: Own lock acquired while holding another: (held, acquired, line).
     lock_edges: list[tuple[str, str, int]] = field(default_factory=list)
-    spawns_pool: bool = False
 
 
 @dataclass
@@ -134,8 +128,8 @@ class _ClassInfo:
     name: str
     filename: str
     line: int
-    #: lock attr -> reentrant?
-    locks: dict[str, bool] = field(default_factory=dict)
+    #: Lock attributes.
+    locks: set[str] = field(default_factory=set)
     #: attr -> class name assigned in __init__ (``self.x = Other()``).
     attr_classes: dict[str, str] = field(default_factory=dict)
     methods: dict[str, _MethodInfo] = field(default_factory=dict)
@@ -154,8 +148,7 @@ class _ClassInfo:
 
 
 class _MethodWalker:
-    """Recursive walk of one method body tracking held locks and
-    ``try/finally`` release scopes."""
+    """Recursive walk of one method body tracking held locks."""
 
     def __init__(
         self,
@@ -171,10 +164,6 @@ class _MethodWalker:
         self.filename = filename
         self.self_name = self_name
         self.held: tuple[str, ...] = ()
-        #: Receiver paths released in an enclosing ``finally:``.
-        self.finally_released: list[set[tuple[str, ...]]] = []
-        #: Local names bound to lock instances.
-        self.local_locks: set[str] = set()
 
     # ------------------------------------------------------------------
     def _report(self, rule: str, severity: Severity, msg: str, line: int):
@@ -226,24 +215,8 @@ class _MethodWalker:
                 self.walk(child)
 
     def walk_body(self, body: list[ast.stmt]) -> None:
-        # The canonical raw-lock idiom puts ``acquire()`` just *before*
-        # the ``try`` whose ``finally:`` releases it, so sibling
-        # try/finally releases must excuse acquires at this level too.
-        released: set[tuple[str, ...]] = set()
-        for stmt in body:
-            if isinstance(stmt, ast.Try):
-                for final_stmt in stmt.finalbody:
-                    for sub in ast.walk(final_stmt):
-                        if (
-                            isinstance(sub, ast.Call)
-                            and isinstance(sub.func, ast.Attribute)
-                            and sub.func.attr == "release"
-                        ):
-                            released.add(_attr_path(sub.func.value))
-        self.finally_released.append(released)
         for stmt in body:
             self.walk(stmt)
-        self.finally_released.pop()
 
     # ------------------------------------------------------------------
     def _walk_With(self, node: ast.With) -> None:
@@ -252,7 +225,7 @@ class _MethodWalker:
             lock = self._own_lock_of(item.context_expr)
             if lock is not None:
                 self.info.acquires.add(lock)
-                if lock in self.held and not self.cls.locks[lock]:
+                if lock in self.held:
                     self._report(
                         "LOCK004", Severity.ERROR,
                         f"{self.cls.name}.{self.info.name} re-enters "
@@ -281,34 +254,14 @@ class _MethodWalker:
         self.walk_body(node.body)
         self.walk_body(node.orelse)
 
-    def _walk_Try(self, node: ast.Try) -> None:
-        released: set[tuple[str, ...]] = set()
-        for stmt in node.finalbody:
-            for sub in ast.walk(stmt):
-                if (
-                    isinstance(sub, ast.Call)
-                    and isinstance(sub.func, ast.Attribute)
-                    and sub.func.attr == "release"
-                ):
-                    released.add(_attr_path(sub.func.value))
-        self.finally_released.append(released)
-        self.walk_body(node.body)
-        for handler in node.handlers:
-            self.walk(handler)
-        self.walk_body(node.orelse)
-        self.finally_released.pop()
-        self.walk_body(node.finalbody)
-
     def _walk_Assign(self, node: ast.Assign) -> None:
         ctor = _constructor_name(node.value)
         for target in node.targets:
             path = _attr_path(target)
-            if isinstance(target, ast.Name) and ctor in _LOCK_CONSTRUCTORS:
-                self.local_locks.add(target.id)
             if (
                 len(path) == 2
                 and path[0] == self.self_name
-                and ctor in _LOCK_CONSTRUCTORS
+                and ctor == _LOCK_CONSTRUCTOR
                 and self.info.name not in _INIT_METHODS
             ):
                 self._report(
@@ -348,24 +301,6 @@ class _MethodWalker:
                 and recv_path[0] == self.self_name
             ):
                 self._record_access(recv_path, True, node.lineno)
-            # Raw acquire without a finally-release.
-            if func.attr == "acquire":
-                is_lock = self._own_lock_of(func.value) is not None or (
-                    len(recv_path) == 1 and recv_path[0] in self.local_locks
-                )
-                if is_lock:
-                    covered = any(
-                        recv_path in released
-                        for released in self.finally_released
-                    )
-                    if not covered:
-                        self._report(
-                            "LOCK007", Severity.WARNING,
-                            f"raw {'.'.join(recv_path)}.acquire() "
-                            "without a finally: release — an exception "
-                            "leaks the lock; prefer a with block",
-                            node.lineno,
-                        )
             # Call graph edges.
             if len(recv_path) == 1 and recv_path[0] == self.self_name:
                 self.info.self_calls.append(
@@ -380,9 +315,6 @@ class _MethodWalker:
                     recv_path[1], func.attr,
                     frozenset(self.held), node.lineno,
                 ))
-        name = _attr_path(func)
-        if name and name[-1] == "ThreadPoolExecutor":
-            self.info.spawns_pool = True
         for child in ast.iter_child_nodes(node):
             self.walk(child)
 
@@ -427,8 +359,8 @@ def _collect_class(
             for target in sub.targets:
                 path = _attr_path(target)
                 if len(path) == 2 and path[0] == self_name:
-                    if ctor in _LOCK_CONSTRUCTORS:
-                        cls.locks[path[1]] = _LOCK_CONSTRUCTORS[ctor]
+                    if ctor == _LOCK_CONSTRUCTOR:
+                        cls.locks.add(path[1])
                     elif item.name in _INIT_METHODS:
                         cls.attr_classes[path[1]] = ctor
     # Pass B: walk every method with the lock context tracker.
@@ -447,26 +379,6 @@ def _check_class_rules(
     cls: _ClassInfo, findings: list[Diagnostic]
 ) -> None:
     guarded = cls.guarded
-    spawns = any(m.spawns_pool for m in cls.methods.values())
-
-    # LOCK002: thread-spawning class with shared mutation and no lock.
-    if spawns and not cls.locks:
-        mutating = [
-            (m, a)
-            for m in cls.methods.values()
-            if m.name not in _INIT_METHODS
-            for a in m.accesses if a.write
-        ]
-        if mutating:
-            m, a = mutating[0]
-            findings.append(Diagnostic(
-                "LOCK002", Severity.ERROR,
-                f"{cls.name} spawns a ThreadPoolExecutor and mutates "
-                f"self.{a.attr} (in {m.name}) but owns no lock: shared "
-                "state needs a threading.Lock attribute",
-                file=cls.filename, line=a.line,
-            ))
-
     for m in cls.methods.values():
         if m.name in _INIT_METHODS:
             continue
@@ -488,7 +400,7 @@ def _check_class_rules(
             if target is None:
                 continue
             for lock in target.acquires:
-                if lock in held and not cls.locks.get(lock, True):
+                if lock in held:
                     findings.append(Diagnostic(
                         "LOCK004", Severity.ERROR,
                         f"{cls.name}.{m.name} holds self.{lock} and "

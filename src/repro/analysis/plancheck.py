@@ -21,15 +21,13 @@ PLAN005   error/    no TLR tile with rank above the admissible cap (or
 PLAN006   error     TLR tiles never store FP16 (Algorithm 2: FP64/FP32)
 PLAN007   error     precision/structure maps cover exactly the lower
                     triangle (no missing, upper, or out-of-range keys)
-PLAN008   error     planned storage fits the per-node memory budget
-PLAN009   error/    the fault regime is survivable (restart outpaces the
-          warning   application MTBF; checkpoint waste stays < 100%)
 PLAN010   error     ``band_size_dense >= 1``
 ========  ========  =====================================================
 
 All rules are *static*: they need the plan, optionally the generation
-metadata (tile norms, global norm), a machine model and a resilience
-configuration — never the numerical tile data.
+metadata (tile norms, global norm) and a machine model — never the
+numerical tile data.  (The ids PLAN008 and PLAN009 belonged to retired
+rules and are not reused.)
 """
 
 from __future__ import annotations
@@ -39,9 +37,7 @@ import math
 from ..config import DEFAULT_MAX_RANK_FRACTION
 from ..perfmodel.crossover import crossover_rank
 from ..perfmodel.machine import MachineSpec
-from ..perfmodel.resilience import application_mtbf, expected_waste
-from ..runtime.faults import CheckpointConfig, FaultModel
-from ..tile.decisions import TilePlan, plan_summary
+from ..tile.decisions import TilePlan
 from ..tile.precision import Precision
 from .diagnostics import AnalysisReport, Diagnostic, Severity
 
@@ -56,8 +52,6 @@ PLAN_RULES: dict[str, str] = {
     "PLAN005": "TLR rank above the admissible cap / machine crossover",
     "PLAN006": "TLR tile stored in FP16",
     "PLAN007": "precision/structure maps do not match the lower triangle",
-    "PLAN008": "planned storage exceeds the per-node memory budget",
-    "PLAN009": "unsurvivable fault regime for this plan",
     "PLAN010": "invalid dense band size",
 }
 
@@ -97,23 +91,14 @@ def check_plan(
     machine: MachineSpec | None = None,
     structure_mode: str = "rank",
     max_rank_fraction: float = DEFAULT_MAX_RANK_FRACTION,
-    nodes: int | None = None,
-    node_memory_gb: float | None = None,
-    usable_fraction: float = 0.8,
-    faults: FaultModel | None = None,
-    checkpoint: CheckpointConfig | None = None,
-    estimated_runtime_s: float | None = None,
 ) -> AnalysisReport:
     """Run every applicable plan rule; rules whose inputs are absent
-    (e.g. PLAN001 without tile norms, PLAN008 without a budget) are
-    skipped rather than guessed.
+    (e.g. PLAN001 without tile norms) are skipped rather than guessed.
 
     ``u_high`` is the application accuracy of the Frobenius rule (the
     value the plan was built with); ``variance`` optionally bounds
     covariance entries (the kernel sill + nugget) for the FP16 range
-    rule.  ``nodes`` + ``node_memory_gb`` enable the memory-budget
-    rule; ``faults``/``checkpoint``/``estimated_runtime_s`` enable the
-    resilience rule.
+    rule.
     """
     report = AnalysisReport()
     layout = plan.layout
@@ -273,75 +258,4 @@ def check_plan(
                         tile=(i, j),
                     ))
 
-    # --- PLAN008: memory budget -------------------------------------------
-    if nodes is not None and node_memory_gb is not None:
-        summary = plan_summary(plan)
-        per_node = summary["bytes_planned"] / max(nodes, 1)
-        cap = usable_fraction * node_memory_gb * 1.0e9
-        if per_node > cap:
-            report.add(Diagnostic(
-                "PLAN008", Severity.ERROR,
-                f"planned storage {per_node / 1e9:.2f} GB/node exceeds "
-                f"the usable budget {cap / 1e9:.2f} GB/node "
-                f"({usable_fraction:.0%} of {node_memory_gb:g} GB x "
-                f"{nodes} nodes)",
-            ))
-
-    # --- PLAN009: survivable fault regime ---------------------------------
-    if faults is not None and nodes is not None:
-        _check_resilience(
-            report, faults, checkpoint, nodes, estimated_runtime_s
-        )
-
     return report
-
-
-def _check_resilience(
-    report: AnalysisReport,
-    faults: FaultModel,
-    checkpoint: CheckpointConfig | None,
-    nodes: int,
-    estimated_runtime_s: float | None,
-) -> None:
-    """PLAN009: reject regimes where recovery cannot outpace failures."""
-    if not math.isfinite(faults.node_mtbf_s):
-        return
-    mtbf = application_mtbf(faults.node_mtbf_s, nodes)
-    if faults.restart_s >= mtbf:
-        report.add(Diagnostic(
-            "PLAN009", Severity.ERROR,
-            f"restart time {faults.restart_s:g}s >= application MTBF "
-            f"{mtbf:g}s at {nodes} nodes: recovery can never outpace "
-            "failures",
-        ))
-        return
-    if checkpoint is not None:
-        waste = expected_waste(
-            checkpoint.interval_s, checkpoint.cost_s, mtbf, faults.restart_s
-        )
-        if waste >= 1.0:
-            report.add(Diagnostic(
-                "PLAN009", Severity.ERROR,
-                f"expected resilience waste {waste:.0%} >= 100% at "
-                f"interval {checkpoint.interval_s:g}s (app MTBF {mtbf:g}s): "
-                "the run makes no forward progress",
-            ))
-        elif waste >= 0.5:
-            report.add(Diagnostic(
-                "PLAN009", Severity.WARNING,
-                f"expected resilience waste {waste:.0%} at interval "
-                f"{checkpoint.interval_s:g}s: more than half the machine "
-                "time is overhead",
-            ))
-    elif estimated_runtime_s is not None and estimated_runtime_s >= mtbf:
-        expected_crashes = estimated_runtime_s / mtbf
-        severity = (
-            Severity.ERROR if expected_crashes >= 10.0 else Severity.WARNING
-        )
-        report.add(Diagnostic(
-            "PLAN009", severity,
-            f"estimated runtime {estimated_runtime_s:g}s spans "
-            f"~{expected_crashes:.1f} expected crashes (app MTBF "
-            f"{mtbf:g}s) with no checkpointing: every crash restarts "
-            "from scratch",
-        ))

@@ -28,9 +28,6 @@ Hierarchy::
     │                                     chaos failure fired
     ├── OptimizationError(RuntimeError)   optimizer hard failure
     └── ConfigurationError(ValueError)    inconsistent variant/runtime config
-        └── PlanValidationError           static analysis found
-                                          error-severity findings in a
-                                          plan or task graph
 
 ``ConvergenceWarning`` is a :class:`UserWarning`, not an error: an
 optimizer that stops early still returns a valid result.
@@ -226,24 +223,3 @@ class OptimizationError(ReproError, RuntimeError):
 
 class ConfigurationError(ReproError, ValueError):
     """A compute-variant / runtime configuration is inconsistent."""
-
-
-class PlanValidationError(ConfigurationError):
-    """Static verification (:mod:`repro.analysis`) rejected a tile plan
-    or task graph before execution.
-
-    Raised by the opt-in ``validate_plan=True`` prechecks in
-    :func:`repro.tile.cholesky.tile_cholesky` and
-    :func:`repro.runtime.simulator.simulate_tasks` when the analyzers
-    report error-severity findings.
-
-    Attributes
-    ----------
-    report:
-        The full :class:`~repro.analysis.diagnostics.AnalysisReport`,
-        including warnings that did not by themselves cause the raise.
-    """
-
-    def __init__(self, message: str, report=None):
-        super().__init__(message)
-        self.report = report

@@ -151,44 +151,14 @@ def simulate_tasks(
     config: SimConfig,
     *,
     dag: nx.DiGraph | None = None,
-    validate_plan: bool = False,
 ) -> ExecutionTrace:
     """List-schedule the DAG on the simulated machine; returns a trace
     whose records carry simulated times, modeled flops and comm bytes.
-
-    With ``validate_plan=True`` the static verifiers
-    (:mod:`repro.analysis`) check the task stream + DAG for dependence
-    hazards and — when ``plan`` is a real
-    :class:`~repro.tile.decisions.TilePlan` — the plan against the
-    paper invariants, raising
-    :class:`~repro.exceptions.PlanValidationError` on error-severity
-    findings before any simulated time is spent.
     """
     import networkx as nx
 
     if dag is None:
         dag = build_dag(tasks)
-    if validate_plan:
-        # Imported lazily: repro.analysis imports the runtime layer.
-        from ..analysis.dagcheck import check_taskgraph
-        from ..analysis.plancheck import check_plan
-        from ..exceptions import PlanValidationError
-
-        report = check_taskgraph(tasks, dag, layout=layout)
-        if hasattr(plan, "precisions"):
-            report.extend(check_plan(
-                plan,
-                machine=config.machine,
-                nodes=config.nodes,
-                faults=config.faults,
-                checkpoint=config.checkpoint,
-            ))
-        if not report.ok:
-            raise PlanValidationError(
-                "static task-graph/plan verification failed: "
-                + "; ".join(d.render() for d in report.errors),
-                report=report,
-            )
     machine = config.machine
     grid = config.resolved_grid()
     if grid.nodes != config.nodes:

@@ -106,7 +106,6 @@ def tile_cholesky(
     tile_tol: float = 0.0,
     max_rank: int | None = None,
     fp16_accumulate_fp32: bool = True,
-    validate_plan: bool = False,
 ) -> tuple[TileMatrix, CholeskyStats]:
     """Factor ``A = L L^T`` in place (the lower tiles of ``a`` are
     replaced by those of ``L``) and return ``(a, stats)``.
@@ -115,26 +114,7 @@ def tile_cholesky(
     low-rank updates (from ``plan.meta['tile_tol']``); ``max_rank``
     caps LR ranks, beyond which a tile stays dense (default:
     :func:`resolve_max_rank`).
-
-    With ``validate_plan=True`` the static verifier
-    (:mod:`repro.analysis.plancheck`) first checks the plan implied by
-    the matrix's tile structure/precisions and raises
-    :class:`~repro.exceptions.PlanValidationError` on any
-    error-severity finding, so a structurally invalid factorization is
-    rejected before the first flop.
     """
-    if validate_plan:
-        # Imported lazily: repro.analysis imports the tile layer.
-        from ..analysis.plancheck import check_plan, plan_from_matrix
-        from ..exceptions import PlanValidationError
-
-        report = check_plan(plan_from_matrix(a))
-        if not report.ok:
-            raise PlanValidationError(
-                "static plan verification failed: "
-                + "; ".join(d.render() for d in report.errors),
-                report=report,
-            )
     nt = a.nt
     max_rank = resolve_max_rank(max_rank, a.layout.tile_size)
     stats = CholeskyStats()

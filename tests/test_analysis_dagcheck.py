@@ -108,30 +108,6 @@ class TestDag004DuplicateUids:
         assert len(rep) == 0
 
 
-class TestDag005Cycle:
-    def test_cycle_flagged(self):
-        t0 = Task(0, "potrf", 0, output=(0, 0))
-        t1 = Task(1, "trsm", 0, output=(1, 0), inputs=((0, 0),))
-        rep = check_dag(dag_of(t0, t1, edges=[(0, 1), (1, 0)]))
-        assert rep.rule_ids() == ["DAG005"]
-
-    def test_acyclic_clean(self):
-        tasks = list(cholesky_tasks(4))
-        assert "DAG005" not in check_dag(build_dag(tasks)).rule_ids()
-
-
-class TestDag006MissingTask:
-    def test_node_without_task_flagged(self):
-        dag = dag_of(Task(0, "potrf", 0, output=(0, 0)))
-        dag.add_node(1)  # no task attribute
-        rep = check_dag(dag)
-        assert rep.rule_ids() == ["DAG006"]
-
-    def test_all_nodes_carry_tasks_clean(self):
-        tasks = list(cholesky_tasks(4))
-        assert "DAG006" not in check_dag(build_dag(tasks)).rule_ids()
-
-
 class TestReferenceStreamsClean:
     def test_cholesky_stream_and_dag_clean(self):
         layout = TileLayout(128, 16)

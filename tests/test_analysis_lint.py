@@ -162,50 +162,6 @@ class TestSuppression:
         assert rules_of(src) == ["LINT001"]
 
 
-class TestLint009LockNaming:
-    POOL_CLASS = """
-import threading
-from concurrent.futures import ThreadPoolExecutor
-
-class Engine:
-    def __init__(self):
-        self.{attr} = threading.{ctor}()
-
-    def run(self):
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            pool.submit(print)
-"""
-
-    def test_off_convention_lock_in_pool_spawner_flagged(self):
-        src = self.POOL_CLASS.format(attr="mutex", ctor="Lock")
-        rep = lint_source(src)
-        assert [d.rule for d in rep.warnings] == ["LINT009"]
-
-    def test_public_lock_name_flagged(self):
-        src = self.POOL_CLASS.format(attr="lock", ctor="Lock")
-        assert "LINT009" in rules_of(src)
-
-    def test_convention_lock_clean(self):
-        for attr in ("_lock", "_tile_lock", "_lock_cache"):
-            src = self.POOL_CLASS.format(attr=attr, ctor="Lock")
-            assert rules_of(src) == [], attr
-
-    def test_rlock_and_condition_also_checked(self):
-        for ctor in ("RLock", "Condition"):
-            src = self.POOL_CLASS.format(attr="guard", ctor=ctor)
-            assert "LINT009" in rules_of(src), ctor
-
-    def test_no_pool_no_finding(self):
-        src = """
-import threading
-
-class Quiet:
-    def __init__(self):
-        self.mutex = threading.Lock()
-"""
-        assert rules_of(src) == []
-
-
 class TestLint010KernelHomes:
     BODY = """
 from ..tile import kernels as K

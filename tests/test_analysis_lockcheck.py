@@ -63,45 +63,6 @@ class TestLock001GuardedMutation:
         assert "LOCK001" not in rules
 
 
-class TestLock002ThreadSpawnNoLock:
-    def test_pool_spawner_without_lock_flagged(self):
-        src = """
-            from concurrent.futures import ThreadPoolExecutor
-
-            class Racer:
-                def __init__(self):
-                    self.results = []
-
-                def run(self):
-                    def task(i):
-                        self.results.append(i)
-                    with ThreadPoolExecutor(max_workers=4) as pool:
-                        for i in range(8):
-                            pool.submit(task, i)
-        """
-        assert "LOCK002" in rules_of(src)
-
-    def test_pool_spawner_with_lock_clean(self):
-        src = """
-            import threading
-            from concurrent.futures import ThreadPoolExecutor
-
-            class Safe:
-                def __init__(self):
-                    self._lock = threading.Lock()
-                    self.results = []
-
-                def run(self):
-                    def task(i):
-                        with self._lock:
-                            self.results.append(i)
-                    with ThreadPoolExecutor(max_workers=4) as pool:
-                        for i in range(8):
-                            pool.submit(task, i)
-        """
-        assert "LOCK002" not in rules_of(src)
-
-
 LOCK_ORDER_CYCLE = """
     import threading
 
@@ -245,58 +206,6 @@ class TestLock004Reentry:
                         self.x += 1
         """
         assert "LOCK004" in rules_of(src)
-
-    def test_rlock_reentry_clean(self):
-        src = """
-            import threading
-
-            class Reenter:
-                def __init__(self):
-                    self._lock = threading.RLock()
-
-                def outer(self):
-                    with self._lock:
-                        with self._lock:
-                            pass
-        """
-        assert rules_of(src) == []
-
-
-class TestLock007RawAcquire:
-    def test_acquire_without_finally_flagged(self):
-        src = """
-            import threading
-
-            class Leaky:
-                def __init__(self):
-                    self._lock = threading.Lock()
-                    self.x = 0
-
-                def work(self):
-                    self._lock.acquire()
-                    self.x += 1
-                    self._lock.release()
-        """
-        assert "LOCK007" in rules_of(src)
-
-    def test_acquire_with_finally_release_clean(self):
-        src = """
-            import threading
-
-            class Careful:
-                def __init__(self):
-                    self._lock = threading.Lock()
-                    self.x = 0
-
-                def work(self):
-                    self._lock.acquire()
-                    try:
-                        self.x += 1
-                    finally:
-                        self._lock.release()
-        """
-        assert "LOCK007" not in rules_of(src)
-
 
 class TestLock008LockRebinding:
     def test_rebind_outside_init_flagged(self):

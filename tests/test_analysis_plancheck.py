@@ -1,25 +1,18 @@
 """Tests for the static plan verifier (repro.analysis.plancheck)."""
 
-import math
-
 import numpy as np
 import pytest
 
 from repro.analysis import Severity, check_plan, plan_from_matrix
 from repro.analysis.golden import GOLDEN_NTS, GOLDEN_VARIANTS, check_golden_plan
 from repro.analysis.dagcheck import check_taskgraph
-from repro.exceptions import PlanValidationError
 from repro.kernels import MaternKernel
 from repro.perfmodel import A64FX
 from repro.perfmodel.crossover import crossover_rank
 from repro.runtime.dag import build_dag
-from repro.runtime.faults import CheckpointConfig, FaultModel
-from repro.runtime.simulator import SimConfig, simulate_tasks
 from repro.runtime.taskgraph import cholesky_tasks
 from repro.tile import Precision, TileLayout, build_planned_covariance
-from repro.tile.cholesky import tile_cholesky
 from repro.tile.decisions import TilePlan
-from repro.tile.tile import DenseTile
 
 
 def make_plan(nt=4, b=16, band=1):
@@ -203,58 +196,6 @@ class TestPlan007MapCoverage:
         assert "PLAN007" not in check_plan(make_plan()).rule_ids()
 
 
-class TestPlan008MemoryBudget:
-    def test_over_budget_flagged(self):
-        rep = check_plan(make_plan(), nodes=1, node_memory_gb=1e-6)
-        assert [d.rule for d in rep.errors] == ["PLAN008"]
-
-    def test_within_budget_clean(self):
-        rep = check_plan(make_plan(), nodes=1, node_memory_gb=1.0)
-        assert "PLAN008" not in rep.rule_ids()
-
-
-class TestPlan009Resilience:
-    def test_restart_beyond_app_mtbf_is_error(self):
-        faults = FaultModel(node_mtbf_s=10.0, restart_s=5.0)
-        rep = check_plan(make_plan(), nodes=4, faults=faults)
-        assert [d.rule for d in rep.errors] == ["PLAN009"]
-
-    def test_checkpoint_waste_over_one_is_error(self):
-        faults = FaultModel(node_mtbf_s=10.0, restart_s=5.0)
-        ckpt = CheckpointConfig(interval_s=100.0, cost_s=1.0)
-        rep = check_plan(make_plan(), nodes=1, faults=faults, checkpoint=ckpt)
-        assert [d.rule for d in rep.errors] == ["PLAN009"]
-
-    def test_checkpoint_waste_over_half_is_warning(self):
-        faults = FaultModel(node_mtbf_s=100.0, restart_s=10.0)
-        ckpt = CheckpointConfig(interval_s=50.0, cost_s=10.0)
-        rep = check_plan(make_plan(), nodes=1, faults=faults, checkpoint=ckpt)
-        assert rep.ok
-        assert [d.rule for d in rep.warnings] == ["PLAN009"]
-
-    def test_unprotected_long_run_is_flagged(self):
-        faults = FaultModel(node_mtbf_s=100.0, restart_s=1.0)
-        rep = check_plan(make_plan(), nodes=1, faults=faults,
-                         estimated_runtime_s=1500.0)  # ~15 expected crashes
-        assert [d.rule for d in rep.errors] == ["PLAN009"]
-        rep = check_plan(make_plan(), nodes=1, faults=faults,
-                         estimated_runtime_s=200.0)  # ~2 expected crashes
-        assert rep.ok
-        assert [d.rule for d in rep.warnings] == ["PLAN009"]
-
-    def test_benign_regime_clean(self):
-        faults = FaultModel(node_mtbf_s=500.0, restart_s=30.0)
-        ckpt = CheckpointConfig(interval_s=200.0, cost_s=20.0)
-        rep = check_plan(make_plan(), nodes=1, faults=faults, checkpoint=ckpt)
-        assert "PLAN009" not in rep.rule_ids()
-
-    def test_infinite_mtbf_skipped(self):
-        faults = FaultModel(node_mtbf_s=math.inf, restart_s=30.0)
-        rep = check_plan(make_plan(), nodes=1, faults=faults,
-                         estimated_runtime_s=1e9)
-        assert "PLAN009" not in rep.rule_ids()
-
-
 class TestPlan010BandSize:
     def test_zero_band_flagged(self):
         plan = make_plan()
@@ -285,46 +226,6 @@ class TestPlanFromMatrix:
     def test_reconstructed_plan_checks_clean(self):
         matrix, _ = self.build()
         assert check_plan(plan_from_matrix(matrix)).ok
-
-
-class TestValidatePlanHooks:
-    def build_matrix(self):
-        gen = np.random.default_rng(11)
-        x = gen.uniform(size=(64, 2))
-        matrix, rep = build_planned_covariance(
-            MaternKernel(), np.array([1.0, 0.1, 0.5]), x, 16,
-            nugget=1e-8, use_mp=True,
-        )
-        return matrix, rep
-
-    def test_cholesky_precheck_passes_clean_matrix(self):
-        matrix, _ = self.build_matrix()
-        _, stats = tile_cholesky(matrix, validate_plan=True)
-        assert stats.kernel_counts["potrf"] == 4
-
-    def test_cholesky_precheck_rejects_narrowed_diagonal(self):
-        matrix, _ = self.build_matrix()
-        d = matrix.get(0, 0)
-        matrix.set(0, 0, DenseTile(d.to_dense64(), Precision.FP16))
-        with pytest.raises(PlanValidationError) as exc:
-            tile_cholesky(matrix, validate_plan=True)
-        assert "PLAN003" in exc.value.report.rule_ids()
-
-    def test_simulator_precheck_passes_clean_plan(self):
-        _, rep = self.build_matrix()
-        tasks = list(cholesky_tasks(4))
-        trace = simulate_tasks(tasks, rep.plan.layout, rep.plan,
-                               SimConfig(nodes=1), validate_plan=True)
-        assert len(trace.records) == len(tasks)
-
-    def test_simulator_precheck_rejects_bad_plan(self):
-        _, rep = self.build_matrix()
-        rep.plan.precisions[(0, 0)] = Precision.FP16
-        tasks = list(cholesky_tasks(4))
-        with pytest.raises(PlanValidationError) as exc:
-            simulate_tasks(tasks, rep.plan.layout, rep.plan,
-                           SimConfig(nodes=1), validate_plan=True)
-        assert "PLAN003" in exc.value.report.rule_ids()
 
 
 class TestSeededDefects:

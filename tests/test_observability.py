@@ -317,6 +317,7 @@ class TestExporters:
             e["name"] == "process_name" and e["args"]["name"] == "driver"
             for e in metas
         )
+        assert all({"name", "ph", "pid", "tid"} <= set(e) for e in events)
         completes = [e for e in events if e["ph"] == "X"]
         assert completes, "no complete events exported"
         for e in completes:
@@ -333,10 +334,36 @@ class TestExporters:
         assert len(helps) == len(types) >= 4
         samples = [ln for ln in lines if ln and not ln.startswith("#")]
         for ln in samples:
-            float(ln.rsplit(" ", 1)[1])  # every sample value parses
+            name, value = ln.rsplit(" ", 1)
+            assert name.split("{", 1)[0].replace("_", "").isalnum(), ln
+            float(value)  # every sample value parses
         assert any(
             ln.startswith("repro_cholesky_kernel_counts_total{") for ln in samples
         )
+
+    def test_span_tree_well_formed(self, traced):
+        """Every parent resolves, each child lies inside its parent's
+        interval, and spans on one ``(pid, tid)`` lane — a lane runs
+        one thing at a time — nest or are disjoint."""
+        _, telemetry = traced
+        eps = 1e-6  # clock slack (s)
+        spans = telemetry.tracer.sorted_spans()
+        assert spans
+        by_sid = {s.sid: s for s in spans}
+        lanes: dict[tuple[int, int], list] = {}
+        for s in spans:
+            assert s.start <= s.end, s.name
+            if s.parent is not None:
+                parent = by_sid[s.parent]
+                assert parent.start - eps <= s.start, (s.name, parent.name)
+                assert s.end <= parent.end + eps, (s.name, parent.name)
+            lanes.setdefault((s.pid, s.tid), []).append(s)
+        for members in lanes.values():
+            members.sort(key=lambda s: (s.start, -s.end))
+            for a, b in zip(members, members[1:]):
+                nested = b.end <= a.end + eps
+                disjoint = b.start >= a.end - eps
+                assert nested or disjoint, (a.name, b.name)
 
     def test_breakdown_self_time(self, traced):
         _, telemetry = traced

@@ -462,8 +462,8 @@ class TestExecutorResilience:
 
 class TestChaosReproducibility:
     def test_seeded_likelihood_chaos_is_bit_reproducible(self, small):
-        """Satellite 4a: the whole chaos experiment — values, retry
-        tallies and injection counts — repeats bit-for-bit."""
+        """The whole chaos experiment — values, retry tallies and
+        injection counts — repeats bit-for-bit."""
         kern, x, z = small
 
         def one_run():
@@ -489,9 +489,9 @@ class TestChaosReproducibility:
 # ----------------------------------------------------------------------
 class TestFitDegradation:
     def test_ladder_recovers_finite_loglik_under_fp16_overflow(self, small):
-        """Satellite 4b: with every FP16 tile overflow-corrupted on
-        every attempt, only the FP64 rung can complete — and the
-        report must record the journey."""
+        """With every FP16 tile overflow-corrupted on every attempt,
+        only the FP64 rung can complete — and the report must record
+        the journey."""
         kern, x, z = small
         fp16_variant = MP_DENSE.with_(
             name="mp-band-fp16", mp_mode="band",
@@ -570,7 +570,7 @@ class TestEvaluationEngineHealth:
 
 
 class TestInputValidation:
-    """Satellite 3: NaN/inf rejected at the boundary, by name."""
+    """NaN/inf rejected at the boundary, by name."""
 
     def test_loglikelihood_rejects_bad_observations(self, small):
         kern, x, z = small
@@ -635,9 +635,9 @@ def serving_state(pinned):
 
 class TestServingResilience:
     def test_concurrent_predicts_are_consistent(self, serving_state):
-        """Satellite 2: hammer one engine from many threads with a
-        cache small enough to churn; results must match the serial
-        reference and the stats ledger must stay coherent."""
+        """Hammer one engine from many threads with a cache small
+        enough to churn; results must match the serial reference and
+        the stats ledger must stay coherent."""
         kern, x, z, x_test, factor = serving_state
         engine = PredictionEngine(
             kern, THETA, x, z, factor, batch=8,

@@ -212,6 +212,10 @@ class TestPredictionEngine:
         engine = PredictionEngine(kern, theta, x, z, fac)
         for _ in range(3):
             engine.predict(x_test, return_uncertainty=True)
+        for _ in engine.predict_iter(x_test, batch=16,
+                                     return_uncertainty=True):
+            pass
+        engine.simulate(x_test, size=2, seed=1)
         stats = engine.stats()
         assert stats.weight_solves == 1
         assert stats.tile_casts == len(fac.keys())
@@ -543,9 +547,5 @@ class TestModelServingWiring:
             x_new, size=2, seed=4
         )
         np.testing.assert_array_equal(d_model, d_engine)
+        assert fitted_model._engine_builds == 1
 
-    def test_golden_serving_check_clean(self):
-        from repro.analysis import check_golden_serving
-
-        report = check_golden_serving()
-        assert report.ok, report.render_text()
