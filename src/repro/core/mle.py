@@ -1,19 +1,22 @@
 """Maximum likelihood estimation drivers.
 
-``fit_mle`` maximizes Eq. (1) over the kernel parameters with a
-derivative-free optimizer in the transformed (unconstrained) space;
-every objective evaluation is one full tiled-Cholesky likelihood under
-the chosen compute variant, which is exactly the structure the paper
-accelerates.  Covariances that fail to factor at a trial ``theta``
-(indefinite under aggressive approximation) are treated as rejected
-steps, not crashes; variants with a recovery ladder
+``fit_mle`` maximizes Eq. (1) over the kernel parameters with SciPy's
+COBYQA, a derivative-free trust-region method on quadratic models (the
+successor of the BOBYQA that ExaGeoStat fits with), in the transformed
+(unconstrained) space; every objective evaluation is one full
+tiled-Cholesky likelihood under the chosen compute variant, which is
+exactly the structure the paper accelerates.  Covariances that fail
+to factor at a trial ``theta`` (indefinite under aggressive
+approximation) are treated as rejected steps, not crashes (COBYQA
+sees its extreme barrier); variants with a recovery ladder
 (:mod:`repro.tile.recovery`) first try to rescue the evaluation, and
 rescued evaluations are tallied on the result.
 
 Long fits can be bounded (``max_nfev`` / ``time_budget_s`` return the
 best point seen so far, unconverged, instead of running forever) and
-checkpointed (``checkpoint_path`` persists the simplex so a crashed
-driver resumes instead of restarting).
+checkpointed (``checkpoint_path`` logs every evaluation, and a crashed
+driver replays the log to the deterministic optimizer instead of
+restarting).
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..exceptions import (
+    ConfigurationError,
     DeadlineExceededError,
     NotPositiveDefiniteError,
     ParameterError,
@@ -30,7 +34,7 @@ from ..exceptions import (
 from ..kernels.base import CovarianceKernel
 from ..obs.telemetry import maybe_span
 from ..optim.bounds import BoundTransform
-from ..optim.neldermead import nelder_mead
+from ..optim.checkpoint import load_checkpoint, save_checkpoint
 from ..resilience import Deadline, ResilienceConfig, degradation_steps
 from ..resilience.validate import require_finite
 from ..tile.geometry import GeometryCache
@@ -39,6 +43,10 @@ from .engine import EvaluationEngine
 from .variants import DENSE_FP64, VariantConfig, get_variant
 
 __all__ = ["MLEResult", "fit_mle"]
+
+#: COBYQA's initial trust-region radius in the transformed space.
+_INITIAL_RADIUS = 0.3
+_CHECKPOINT_KIND = "mle-evaluations"
 
 
 @dataclass
@@ -94,13 +102,10 @@ def fit_mle(
     theta0: np.ndarray | None = None,
     nugget: float = 0.0,
     max_iter: int = 150,
-    fatol: float = 1.0e-5,
     xatol: float = 1.0e-4,
-    initial_step: float = 0.3,
     max_nfev: int | None = None,
     time_budget_s: float | None = None,
     checkpoint_path: str | None = None,
-    checkpoint_every: int = 10,
     cache: "GeometryCache | bool | None" = None,
     resilience: ResilienceConfig | None = None,
     telemetry=None,
@@ -110,15 +115,25 @@ def fit_mle(
     ``theta0`` defaults to the kernel's per-parameter defaults; pass a
     rough guess to cut optimizer iterations (the accuracy benches start
     near the generating values, like the paper's warm-started
-    optimization campaigns).
+    optimization campaigns).  COBYQA starts at trust radius 0.3 in the
+    transformed space and converges when the radius shrinks to
+    ``xatol``; ``max_iter`` caps its iterations (about one evaluation
+    each, after the ``2p + 1`` that build its first model).  ``history`` is
+    the best log-likelihood so far after each evaluation.
 
     ``max_nfev`` / ``time_budget_s`` bound the fit: when either budget
     runs out mid-optimization the best parameters seen so far come back
     as an *unconverged* result with ``stopped_on`` set, instead of the
-    driver running arbitrarily long.  ``checkpoint_path`` persists the
-    optimizer state every ``checkpoint_every`` iterations and resumes
-    from an existing file (see
-    :func:`~repro.optim.neldermead.nelder_mead`).
+    driver running arbitrarily long.  ``checkpoint_path`` logs every
+    evaluation's ``(u, value)`` under its rung's variant name.  A fit
+    started on an existing log answers the optimizer from it until it
+    runs out (COBYQA is deterministic, so it asks for the logged points
+    again; one that differs raises
+    :class:`~repro.exceptions.ConfigurationError`) and then continues
+    where the interrupted fit stopped.  Replayed evaluations count
+    toward ``nfev`` and ``max_nfev`` but emit no ``mle_iteration``
+    event and carry no recovery report.  Delete the file to start
+    fresh.
 
     Evaluations run on an :class:`~repro.core.engine.EvaluationEngine`:
     theta-independent tile geometry is computed once and reused across
@@ -149,11 +164,14 @@ def fit_mle(
     ``telemetry`` (a :class:`~repro.obs.Telemetry`, default ``None``)
     profiles the fit: the whole optimization runs inside a
     ``"fit_mle"`` span, every likelihood evaluation emits its own span
-    tree, and each iteration posts an ``"mle_iteration"`` progress
+    tree, and each evaluation posts an ``"mle_iteration"`` progress
     event carrying the log-likelihood, theta, the tile-rank histogram,
     and the precision mix.  ``telemetry=None`` (the default) executes
     exactly the untraced code path.
     """
+    # SciPy's optimizers cost ~140 ms to import; only a fit pays it.
+    from scipy.optimize import minimize
+
     cfg = get_variant(variant)
     require_finite("x", x)
     require_finite("z", z)
@@ -167,6 +185,10 @@ def fit_mle(
 
     deadline = Deadline.after(time_budget_s)
     nfev_total = 0
+    # The evaluation log: variant name -> [[u, value], ...] per rung.
+    log: dict[str, list] = {}
+    if checkpoint_path is not None:
+        log = load_checkpoint(checkpoint_path, kind=_CHECKPOINT_KIND) or {}
 
     def run_fit(step_cfg: VariantConfig) -> tuple[MLEResult, EvaluationEngine]:
         """One complete optimization under one compute variant; the
@@ -178,18 +200,15 @@ def fit_mle(
             nugget=nugget, cache=cache, resilience=resilience,
             telemetry=telemetry,
         )
+        entries = log.setdefault(step_cfg.name, [])
+        calls = 0
         failures = 0
         recoveries: list[RecoveryReport] = []
         best: tuple[float, np.ndarray] | None = None
         best_history: list[float] = []
 
-        def objective(u: np.ndarray) -> float:
-            nonlocal failures, best, nfev_total
-            if max_nfev is not None and nfev_total >= max_nfev:
-                raise _BudgetExhausted("max_nfev")
-            if deadline is not None and deadline.expired:
-                raise _BudgetExhausted("time_budget")
-            nfev_total += 1
+        def evaluate(u: np.ndarray) -> float:
+            """``-loglik`` at ``u``, or ``inf`` for a rejected step."""
             theta = transform.to_constrained(u)
             try:
                 result = engine.evaluate(theta, deadline=deadline)
@@ -202,7 +221,6 @@ def fit_mle(
                 # RecoveryExhaustedError lands here too: an indefinite
                 # covariance the ladder could not rescue is still just a
                 # rejected optimizer step.
-                failures += 1
                 return np.inf
             if result.recovery is not None:
                 recoveries.append(result.recovery)
@@ -226,38 +244,60 @@ def fit_mle(
                     precision_mix=prec_mix,
                     variant=step_cfg.name,
                 )
-            if not np.isfinite(result.value):
+            return -result.value if np.isfinite(result.value) else np.inf
+
+        def objective(u: np.ndarray) -> float:
+            nonlocal calls, failures, best, nfev_total
+            if max_nfev is not None and nfev_total >= max_nfev:
+                raise _BudgetExhausted("max_nfev")
+            if deadline is not None and deadline.expired:
+                raise _BudgetExhausted("time_budget")
+            nfev_total += 1
+            calls += 1
+            if calls <= len(entries):
+                logged_u, value = entries[calls - 1]
+                if np.asarray(logged_u, dtype=np.float64).tobytes() != u.tobytes():
+                    raise ConfigurationError(
+                        f"checkpoint {checkpoint_path!r} logged evaluation "
+                        f"{calls} of {step_cfg.name!r} at u = {logged_u}, "
+                        f"but the fit asks for u = {u.tolist()}: it was "
+                        "written by a different fit"
+                    )
+            else:
+                value = evaluate(u)
+                entries.append([u.tolist(), value])
+                if checkpoint_path is not None:
+                    save_checkpoint(
+                        checkpoint_path, kind=_CHECKPOINT_KIND, state=log
+                    )
+            if value == np.inf:
                 failures += 1
-                return np.inf
-            value = -result.value
-            if best is None or value < best[0]:
+            elif best is None or value < best[0]:
                 best = (value, np.array(u, dtype=np.float64))
-            best_history.append(best[0])
+            if best is not None:
+                best_history.append(best[0])
             return value
 
         stopped_on: str | None = None
         try:
-            opt = nelder_mead(
-                objective,
-                u0,
-                initial_step=initial_step,
-                max_iter=max_iter,
-                fatol=fatol,
-                xatol=xatol,
-                checkpoint_path=checkpoint_path,
-                checkpoint_every=checkpoint_every,
+            opt = minimize(
+                objective, u0, method="COBYQA",
+                options={
+                    "maxiter": max_iter,
+                    "initial_tr_radius": _INITIAL_RADIUS,
+                    "final_tr_radius": xatol,
+                },
             )
-            u_hat, fun = opt.x, opt.fun
-            nit, converged = opt.nit, opt.converged
-            history = [-v for v in opt.history]
+            nit, converged = opt.nit, bool(opt.success) and best is not None
         except _BudgetExhausted as stop:
             if best is None:
                 engine.close()  # no result escapes; stop the backend
                 raise
             stopped_on = stop.reason
-            fun, u_hat = best
             nit, converged = 0, False
-            history = [-v for v in best_history]
+        # COBYQA clips a rejected step's inf to a finite barrier; the
+        # best point comes from the evaluations themselves.
+        fun, u_hat = (np.inf, u0) if best is None else best
 
         theta_hat = transform.to_constrained(u_hat)
         return MLEResult(
@@ -267,7 +307,7 @@ def fit_mle(
             nit=nit,
             converged=converged,
             variant=step_cfg.name,
-            history=history,
+            history=[-v for v in best_history],
             failed_evaluations=failures,
             recovered_evaluations=len(recoveries),
             recovery_reports=recoveries,

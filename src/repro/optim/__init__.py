@@ -1,24 +1,24 @@
-"""Derivative-free optimizers for the MLE loop.
+"""Derivative-free optimization support for the MLE loop.
 
-* :func:`~repro.optim.neldermead.nelder_mead` — the default local
-  direct-search minimizer;
+``fit_mle`` minimizes through SciPy's COBYQA
+(:mod:`repro.core.mle`); this package holds what it and the paper's
+parallel optimizer share:
+
 * :func:`~repro.optim.pso.particle_swarm` — the paper's weak-scaling
   parallel optimizer (Section VI-D);
 * :class:`~repro.optim.bounds.BoundTransform` — maps kernel parameter
   boxes to the optimizers' unconstrained/box spaces;
-* :mod:`~repro.optim.checkpoint` — JSON checkpoint/resume of optimizer
-  state, so crashed fits continue instead of restarting.
+* :mod:`~repro.optim.checkpoint` — atomic JSON checkpoints: PSO's
+  swarm state and ``fit_mle``'s evaluation log, so crashed fits
+  continue instead of restarting.
 """
 
 from .bounds import BoundTransform
 from .checkpoint import load_checkpoint, save_checkpoint
-from .neldermead import NelderMeadResult, nelder_mead
 from .pso import PSOResult, particle_swarm
 
 __all__ = [
     "BoundTransform",
-    "nelder_mead",
-    "NelderMeadResult",
     "particle_swarm",
     "PSOResult",
     "save_checkpoint",

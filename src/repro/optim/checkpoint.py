@@ -1,12 +1,12 @@
 """Checkpoint/resume of optimizer state.
 
 At production scale one MLE fit is hours of Cholesky factorizations; a
-crashed driver must not restart the optimization from scratch.  The
-optimizers in this package periodically serialize their *complete*
-iteration state (Nelder-Mead: simplex + values; PSO: swarm positions,
-velocities, bests, and the exact bit-generator state) so a relaunched
-fit continues bit-identically from the last checkpoint — the round-trip
-equality the resilience tests pin.
+crashed driver must not restart the optimization from scratch.  PSO
+periodically serializes its *complete* iteration state (swarm
+positions, velocities, bests, and the exact bit-generator state);
+``fit_mle`` logs every evaluation's ``(u, value)`` and replays the log
+to its deterministic optimizer.  Either way a relaunched fit continues
+bit-identically — the round-trip equality the resilience tests pin.
 
 Format: a single JSON document (not ``.npz`` — NumPy's PCG64 state
 holds 128-bit integers that only JSON's arbitrary-precision ints
@@ -66,8 +66,8 @@ def load_checkpoint(path: str, *, kind: str) -> dict | None:
 
     Returns ``None`` when ``path`` does not exist (fresh start); raises
     :class:`~repro.exceptions.ConfigurationError` when the file is not a
-    checkpoint of the expected ``kind`` — resuming a Nelder-Mead run
-    from a PSO checkpoint is a configuration mistake, not a fresh start.
+    checkpoint of the expected ``kind`` — resuming an MLE fit from a
+    PSO checkpoint is a configuration mistake, not a fresh start.
     """
     if not os.path.exists(path):
         return None

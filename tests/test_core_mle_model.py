@@ -1,8 +1,14 @@
 """Tests for the MLE driver and the ExaGeoStatModel API."""
 
+import inspect
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import repro
 from repro import ExaGeoStatModel
 from repro.core import fit_mle
 from repro.data import simulate_matern_dataset, soil_moisture_surrogate
@@ -69,6 +75,29 @@ class TestFitMLE:
         )
         assert res.failed_evaluations >= 0
         assert res.nfev > 0
+
+    def test_signature_has_two_optimizer_settings(self):
+        """COBYQA's trust radius runs from a fixed 0.3 down to ``xatol``
+        and ``max_iter`` caps its iterations: nothing else to set."""
+        assert list(inspect.signature(fit_mle).parameters) == [
+            "kernel", "x", "z", "tile_size", "variant", "theta0", "nugget",
+            "max_iter", "xatol", "max_nfev", "time_budget_s",
+            "checkpoint_path", "cache", "resilience", "telemetry",
+        ]
+
+    def test_import_leaves_scipy_optimize_unloaded(self):
+        """``scipy.optimize`` costs every ``import repro`` ~140 ms; only
+        a fit imports it (a fresh interpreter: this one has it)."""
+        script = (
+            "import sys, repro, repro.core, repro.optim\n"
+            "sys.exit('scipy.optimize' in sys.modules)\n"
+        )
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        done = subprocess.run(
+            [sys.executable, "-c", script], timeout=120,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert done.returncode == 0
 
 
 class TestExaGeoStatModel:

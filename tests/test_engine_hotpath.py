@@ -279,7 +279,7 @@ def test_mp_dense_tlr_stays_inside_the_tlr_budget(xz):
     assert abs(mspe_tlr - mspe_ref) <= budget * mspe_ref
 
 
-def test_mp_dense_tlr_results_have_no_history(xz, tmp_path):
+def test_mp_dense_tlr_results_have_no_history(xz, tmp_path, monkeypatch):
     """The range-finder compression is a function of the tile alone, so
     an evaluation is one of ``theta`` alone: an engine that has warm
     rank hints from other iterates, a fresh engine and the one-shot
@@ -315,14 +315,21 @@ def test_mp_dense_tlr_results_have_no_history(xz, tmp_path):
         assert got.report.ranks == results["one-shot"].report.ranks
         assert compressed(got) == cold
 
-    fit = dict(theta0=theta, checkpoint_every=2, **kwargs)
+    fit = dict(theta0=theta, **kwargs)
     whole = fit_mle(kern, x, z, max_iter=8, **fit)
     path = str(tmp_path / "fit.json")
     fit_mle(kern, x, z, max_iter=4, checkpoint_path=path, **fit)
+    calls = []
+    real = EvaluationEngine.evaluate
+    monkeypatch.setattr(
+        EvaluationEngine, "evaluate",
+        lambda self, th, **kw: calls.append(1) or real(self, th, **kw))
     resumed = fit_mle(kern, x, z, max_iter=8, checkpoint_path=path, **fit)
-    assert resumed.nfev < whole.nfev  # it did resume
-    assert resumed.loglik == whole.loglik
+    assert 0 < len(calls) < whole.nfev  # it did resume
+    # Replayed evaluations count: the resumed fit reports the whole one.
     np.testing.assert_array_equal(resumed.theta, whole.theta)
+    for name in ("loglik", "nfev", "history", "failed_evaluations"):
+        assert getattr(resumed, name) == getattr(whole, name), name
 
 
 def test_truncations_bounded_by_planned_low_rank_tiles():

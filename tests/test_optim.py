@@ -1,4 +1,4 @@
-"""Tests for bound transforms, Nelder-Mead, and PSO."""
+"""Tests for bound transforms and PSO."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.exceptions import ParameterError
 from repro.kernels.base import ParameterSpec
-from repro.optim import BoundTransform, nelder_mead, particle_swarm
+from repro.optim import BoundTransform, particle_swarm
 
 SPECS = (
     ParameterSpec("positive", 0.0, np.inf, 1.0),
@@ -59,62 +59,6 @@ class TestBoundTransform:
         u2 = tr.to_unconstrained(theta)
         theta2 = tr.to_constrained(u2)
         np.testing.assert_allclose(theta, theta2, rtol=1e-8, atol=1e-10)
-
-
-class TestNelderMead:
-    def test_quadratic_bowl(self):
-        res = nelder_mead(lambda x: float(np.sum((x - 3.0) ** 2)),
-                          np.zeros(3), max_iter=400)
-        np.testing.assert_allclose(res.x, 3.0, atol=1e-3)
-        assert res.converged
-
-    def test_rosenbrock_2d(self):
-        def rosen(x):
-            return float(100 * (x[1] - x[0] ** 2) ** 2 + (1 - x[0]) ** 2)
-
-        res = nelder_mead(rosen, np.array([-1.0, 1.0]), max_iter=800,
-                          fatol=1e-10, xatol=1e-8)
-        np.testing.assert_allclose(res.x, [1.0, 1.0], atol=1e-2)
-
-    def test_handles_inf_regions(self):
-        """Objective returning inf on half the space (rejected MLE
-        steps) must not break the simplex."""
-
-        def fn(x):
-            if x[0] < 0:
-                return np.inf
-            return float((x[0] - 2.0) ** 2 + x[1] ** 2)
-
-        res = nelder_mead(fn, np.array([0.5, 0.5]), max_iter=300)
-        np.testing.assert_allclose(res.x, [2.0, 0.0], atol=1e-2)
-
-    def test_1d(self):
-        res = nelder_mead(lambda x: float((x[0] + 1) ** 2), np.array([5.0]),
-                          max_iter=200)
-        assert res.x[0] == pytest.approx(-1.0, abs=1e-3)
-
-    def test_max_iter_respected(self):
-        res = nelder_mead(lambda x: float(np.sum(x**2)), np.ones(2), max_iter=5)
-        assert res.nit <= 5
-        assert not res.converged or res.nit <= 5
-
-    def test_history_best_nonincreasing(self):
-        res = nelder_mead(lambda x: float(np.sum(x**2)), np.ones(3), max_iter=50)
-        assert all(b <= a + 1e-12 for a, b in zip(res.history, res.history[1:]))
-
-    def test_nfev_counted(self):
-        count = [0]
-
-        def fn(x):
-            count[0] += 1
-            return float(np.sum(x**2))
-
-        res = nelder_mead(fn, np.ones(2), max_iter=30)
-        assert res.nfev == count[0]
-
-    def test_empty_x0_rejected(self):
-        with pytest.raises(ValueError):
-            nelder_mead(lambda x: 0.0, np.array([]))
 
 
 class TestPSO:
