@@ -16,6 +16,9 @@ from repro import ExaGeoStatModel
 from repro.data import et_surrogate
 from repro.stats import format_table
 
+#: COBYQA iterations for the 6-parameter fits: enough to converge.
+MAX_ITER = 400
+
 
 @pytest.fixture(scope="module")
 def strongly_interacting_results():
@@ -42,9 +45,11 @@ def strongly_interacting_results():
         theta0 = theta.copy()
         if beta_fixed is not None:
             theta0[5] = beta_fixed
-        # fit_mle's default iteration cap: the beta ~ 0.9 ridge takes
-        # COBYQA well past 60 iterations.
-        model.fit(x_tr, z_tr, theta0=theta0)
+        # On the beta ~ 0.9 ridge COBYQA converges after ~240
+        # iterations; stopped at the default 150, the nonseparable fit
+        # predicts no better than the separable one.
+        model.fit(x_tr, z_tr, theta0=theta0, max_iter=MAX_ITER)
+        assert model.result_.converged
         fitted = model.theta_.copy()
         if beta_fixed is not None:
             fitted[5] = beta_fixed
@@ -90,11 +95,13 @@ def separability_results():
         theta0 = data.theta_true.copy()
         if beta_fixed is not None:
             theta0[5] = beta_fixed
-            # Pin beta by shrinking its bounds via a derived kernel
-            # parameterization: simplest honest pin is a fit with beta
-            # started at ~0 and a likelihood that cannot improve by
-            # moving it (we fit, then force beta back).
-        model.fit(data.x_train, data.z_train, theta0=theta0)
+            # Pin beta at ~0: started at 1e-11 it sits ~25 logit units
+            # from any value that matters, and COBYQA (initial trust
+            # radius 0.3) leaves it there, so the fit moves the other
+            # five parameters (we fit, then force beta back).
+        model.fit(data.x_train, data.z_train, theta0=theta0,
+                  max_iter=MAX_ITER)
+        assert model.result_.converged
         theta = model.theta_.copy()
         if beta_fixed is not None:
             theta[5] = beta_fixed

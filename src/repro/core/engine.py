@@ -1,6 +1,6 @@
 """MLE hot-path evaluation engine.
 
-One Nelder-Mead fit evaluates the likelihood hundreds of times at the
+One fit evaluates the likelihood tens to hundreds of times at the
 same ``(x, tile_size)`` and a slowly moving ``theta``.  The
 :class:`EvaluationEngine` owns everything reusable across those
 evaluations:
