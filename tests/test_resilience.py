@@ -759,8 +759,8 @@ class TestServingResilience:
 #: (the fit's log-likelihood and the variance sum moved in the last bit
 #: when it replaced the factor-form updates).  ``THETA``'s nu = 0.5 is a
 #: closed form; the fit's later evaluations (nu = 0.47...) generate from
-#: the Matern table.  The fit's constants are COBYQA's (SciPy 1.17.1),
-#: which replaced Nelder-Mead's 22-evaluation fit to -121.3208.
+#: the Matern table.  The fit's constants are COBYQA's under SciPy
+#: 1.17.1; another SciPy may take other steps.
 PINNED_LOGLIK_TLR = -125.01857506084644
 PINNED_LOGLIK_DENSE = -125.01857507037556
 PINNED_FIT_THETA = (0.943624382602669, 0.15912347026076737,
