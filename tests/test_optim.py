@@ -1,11 +1,17 @@
-"""Tests for bound transforms and PSO."""
+"""Tests for bound transforms, the MLE fit's minimizer, and PSO."""
+
+import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import fit_mle
+from repro.data import uniform_locations
+from repro.data.synthetic import sample_gaussian_field
 from repro.exceptions import ParameterError
+from repro.kernels import ExponentialKernel
 from repro.kernels.base import ParameterSpec
 from repro.optim import BoundTransform, particle_swarm
 
@@ -59,6 +65,33 @@ class TestBoundTransform:
         u2 = tr.to_unconstrained(theta)
         theta2 = tr.to_constrained(u2)
         np.testing.assert_allclose(theta, theta2, rtol=1e-8, atol=1e-10)
+
+
+class TestNelderMead:
+    """The minimizer behind ``fit_mle`` (a Nelder–Mead simplex until
+    SciPy's COBYQA replaced it), seen through the fit's evaluation log."""
+
+    def test_history_best_nonincreasing(self, tmp_path):
+        """``history`` is the running best of the logged evaluations:
+        as a minimized objective it never increases, and it equals the
+        running minimum of every evaluation value, step for step."""
+        kernel = ExponentialKernel()
+        theta = np.array([1.0, 0.1])
+        x = uniform_locations(150, seed=5)
+        z = sample_gaussian_field(kernel, theta, x, seed=5)
+        path = str(tmp_path / "mle.json")
+        res = fit_mle(kernel, x, z, tile_size=50, theta0=theta * 2.0,
+                      max_iter=25, checkpoint_path=path)
+        best = [-v for v in res.history]
+        assert len(best) > 1 and best[-1] < best[0]
+        assert all(b <= a for a, b in zip(best, best[1:]))
+        with open(path, encoding="utf-8") as fh:
+            log = json.load(fh)["state"]["dense-fp64"]
+        values = np.array([v for _, v in log])
+        assert len(values) == res.nfev
+        running = np.minimum.accumulate(values)
+        np.testing.assert_array_equal(best, running[np.isfinite(running)])
+        assert best[-1] == -res.loglik
 
 
 class TestPSO:
